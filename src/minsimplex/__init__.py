@@ -35,7 +35,6 @@ from .hypergraph import (
 from .matroid import (
     Circuit,
     VectorConfiguration,
-    count_circuits_by_size,
     enumerate_circuits,
     is_circuit,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "affine_rank",
     "check_small_flat_hypothesis",
     "classify_r3_semi_simplexes",
-    "count_circuits_by_size",
     "empty_section",
     "enumerate_affine_simplexes",
     "enumerate_circuits",

@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import extremal, geometry, hypergraph, matroid, stoichiometry
@@ -84,7 +85,7 @@ def cmd_simplexes(args) -> int:
     cfg = matroid.load_vectors(args.vectors)
     circuits = matroid.enumerate_circuits(cfg)
     if not args.project:
-        by_size = matroid.count_circuits_by_size(cfg)
+        by_size = Counter(c.size for c in circuits)
         if args.format == "json":
             _emit(_dump_json(_circuits_json(cfg, circuits, args.counts_only)), args.out)
         elif args.format == "csv":
@@ -135,21 +136,22 @@ def _construction_id(args) -> tuple[extremal.ConstructionId, int]:
     return extremal.ConstructionId(kind), params[0]
 
 
+def _enumerated_count(cid: extremal.ConstructionId, built):
+    """Simplex count of a point set, or the YBLM sum of a hypergraph's semi-simplexes."""
+    if isinstance(built, hypergraph.Hypergraph):
+        return hypergraph.yblm_sum(hypergraph.semi_simplexes(built, cid.k).family, built.n)
+    return geometry.enumerate_affine_simplexes(built).total
+
+
 def cmd_construct(args) -> int:
     cid, n = _construction_id(args)
     built = extremal.construct(cid, n)
     expected = extremal.expected_count(cid, n)
-    if isinstance(built, hypergraph.Hypergraph):
-        report = hypergraph.semi_simplexes(built, cid.k)
-        enumerated = hypergraph.yblm_sum(report.family, built.n)
-        config_obj = built.to_json_obj()
-    else:
-        enumerated = geometry.enumerate_affine_simplexes(built).total
-        config_obj = built.to_json_obj()
+    enumerated = _enumerated_count(cid, built)
     agree = enumerated == expected
     prefix = args.out or f"{args.kind}-{n}"
     with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(config_obj) + "\n")
+        fh.write(_dump_json(built.to_json_obj()) + "\n")
     sidecar = {
         "construction": str(cid),
         "n": n,
@@ -218,7 +220,7 @@ def cmd_react(args) -> int:
     if args.format == "json":
         obj = {"reactions": [r.to_json_obj() for r in reactions]}
         if args.report:
-            obj["report"] = stoichiometry.reaction_count_report(species).to_json_obj()
+            obj["report"] = stoichiometry.reaction_count_report(species, reactions).to_json_obj()
         _emit(_dump_json(obj), args.out)
         return 0
     lines = []
@@ -226,7 +228,7 @@ def cmd_react(args) -> int:
         note = "   # isomer/multiple dose" if r.is_isomerization else ""
         lines.append(r.equation() + note)
     if args.report:
-        rep = stoichiometry.reaction_count_report(species)
+        rep = stoichiometry.reaction_count_report(species, reactions)
         lines.append(f"species: {rep.species_count}, rank: {rep.configuration_rank}, "
                      f"benchmark C(n, r+1) = {rep.benchmark}")
     _emit("\n".join(lines) if lines else "", args.out)
@@ -259,7 +261,7 @@ def cmd_sperner(args) -> int:
     lines.append(f"sperner: {'yes' if sperner_ok else 'NO'}")
     lines.append(f"yblm sum: {_frac_str(total)}")
     if args.deficit:
-        lines.append(f"deficit: {_frac_str(hypergraph.semi_simplex_deficit(h, args.k))}")
+        lines.append(f"deficit: {_frac_str(deficit)}")
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -269,48 +271,29 @@ def cmd_sperner(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# (sizes n, constructions checked at each n), in print order
+_SUITE_CONSTRUCTIONS = (
+    (range(6, 13), (extremal.ConstructionId("parallel-pairs"),)),
+    (range(4, 11), (extremal.ConstructionId("inplane-generic", d=2),
+                    extremal.ConstructionId("cone", d=2))),
+    (range(5, 11), (extremal.ConstructionId("inplane-generic", d=3),
+                    extremal.ConstructionId("cone", d=3))),
+    (range(6, 13), (extremal.ConstructionId("two-lines"),)),
+    (range(3, 7), (extremal.ConstructionId("two-disjoint-edges", k=2),)),
+    (range(3, 7), (extremal.ConstructionId("two-disjoint-edges", k=3),)),
+)
+
+
 def _suite_constructions() -> list[tuple[str, bool]]:
     checks = []
-    for n in range(6, 13):
-        cid = extremal.ConstructionId("parallel-pairs")
-        got = geometry.enumerate_affine_simplexes(extremal.construct(cid, n)).total
-        want = extremal.expected_count(cid, n)
-        checks.append((f"parallel-pairs n={n}: {got} == {want}", got == want))
-    for d in (2, 3):
-        for n in range(d + 2, 11):
-            cid = extremal.ConstructionId("inplane-generic", d=d)
-            got = geometry.enumerate_affine_simplexes(extremal.construct(cid, n)).total
-            want = extremal.expected_count(cid, n)
-            checks.append((f"inplane-generic d={d} n={n}: {got} == {want}", got == want))
-            cid = extremal.ConstructionId("cone", d=d)
-            got = geometry.enumerate_affine_simplexes(extremal.construct(cid, n)).total
-            want = extremal.expected_count(cid, n)
-            checks.append((f"cone d={d} n={n}: {got} == {want}", got == want))
-    for n in range(6, 13):
-        cid = extremal.ConstructionId("two-lines")
-        got = geometry.enumerate_affine_simplexes(extremal.construct(cid, n)).total
-        want = extremal.expected_count(cid, n)
-        checks.append((f"two-lines n={n}: {got} == {want}", got == want))
-    for k in (2, 3):
-        for n in range(3, 7):
-            cid = extremal.ConstructionId("two-disjoint-edges", k=k)
-            built = extremal.construct(cid, n)
-            got = hypergraph.yblm_sum(hypergraph.semi_simplexes(built, k).family, built.n)
-            want = extremal.expected_count(cid, n)
-            checks.append((f"two-disjoint-edges k={k} n={n}: {got} == {want}", got == want))
+    for sizes, cids in _SUITE_CONSTRUCTIONS:
+        for n in sizes:
+            for cid in cids:
+                param = f" d={cid.d}" if cid.d else f" k={cid.k}" if cid.k else ""
+                got = _enumerated_count(cid, extremal.construct(cid, n))
+                want = extremal.expected_count(cid, n)
+                checks.append((f"{cid.kind}{param} n={n}: {got} == {want}", got == want))
     return checks
-
-
-def _random_linear_hypergraph(rng: random.Random, n: int, k: int) -> hypergraph.Hypergraph:
-    edges: list[tuple[int, ...]] = []
-    for _ in range(3 * n):
-        size = rng.randint(k, min(n, k + 3))
-        cand = tuple(sorted(rng.sample(range(n), size)))
-        if cand in edges:
-            continue
-        if all(len(set(cand) & set(e)) < k - 1 for e in edges):
-            edges.append(cand)
-    return hypergraph.Hypergraph(n, tuple(edges))
 
 
 def _suite_sperner() -> list[tuple[str, bool]]:
@@ -319,7 +302,7 @@ def _suite_sperner() -> list[tuple[str, bool]]:
     for k in (3, 4):
         for trial in range(6):
             n = rng.randint(k + 2, 14)
-            h = _random_linear_hypergraph(rng, n, k)
+            h = hypergraph.random_linear_hypergraph(rng, n, k)
             report = hypergraph.semi_simplexes(h, k)
             ok = hypergraph.is_sperner(report.family)
             total = hypergraph.yblm_sum(report.family, n)

@@ -2,7 +2,10 @@
 
 An affine simplex is k >= 3 points lying on a (k-2)-dimensional flat while
 every proper subset is affinely independent; it is the affine analogue of a
-matroid circuit. This module also hosts the linear-to-affine projection
+matroid circuit. Points p are affinely dependent exactly when their lifts
+(1, p) are linearly dependent, so the affine simplexes are the circuits of
+the lift and are enumerated by matroid.circuit_supports; affine rank is the
+lift's rank minus 1. This module also hosts the linear-to-affine projection
 (central projection of a vector configuration onto a hyperplane off the
 origin) and the general-position hypothesis check used by the dimension-d
 counting results.
@@ -15,11 +18,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InputError, InvariantError
 from .exactla import RationalMatrix, coerce_rational, entry_from_json, rank, vector_to_json
-from .matroid import VectorConfiguration
+from .matroid import VectorConfiguration, circuit_supports, is_circuit
 
 
 @dataclass(frozen=True)
@@ -107,27 +110,25 @@ def _check_subset(ps: PointSet, subset: Iterable[int]) -> tuple[int, ...]:
     return idx
 
 
+def _lift(ps: PointSet) -> VectorConfiguration:
+    """The vectors (1, p) in R^(d+1); their circuits are the affine simplexes of ps."""
+    return VectorConfiguration(ps.dimension + 1, tuple((1,) + p for p in ps.points))
+
+
 def affine_rank(ps: PointSet, subset: Iterable[int]) -> int:
-    """Dimension of the affine hull: rank of differences against the first member."""
+    """Dimension of the affine hull: rank of the lifted points (1, p), minus 1."""
     idx = _check_subset(ps, subset)
     if not idx:
         raise InputError("affine_rank needs at least one point")
-    if len(idx) == 1:
-        return 0
-    base = ps.points[idx[0]]
-    diffs = [[x - b for x, b in zip(ps.points[i], base)] for i in idx[1:]]
-    return rank(RationalMatrix.from_rows(diffs))
+    return rank(RationalMatrix.from_rows([(1,) + ps.points[i] for i in idx])) - 1
 
 
 def is_affine_simplex(ps: PointSet, subset: Iterable[int]) -> bool:
     """True iff the points span a (k-2)-flat and all proper subsets are independent."""
     idx = _check_subset(ps, subset)
-    k = len(idx)
-    if k < 3:
-        raise InvariantError(f"affine simplexes have at least 3 points, got {k}")
-    if affine_rank(ps, idx) != k - 2:
-        return False
-    return all(affine_rank(ps, idx[:i] + idx[i + 1 :]) == k - 2 for i in range(k))
+    if len(idx) < 3:
+        raise InvariantError(f"affine simplexes have at least 3 points, got {len(idx)}")
+    return is_circuit(_lift(ps), idx)
 
 
 @dataclass(frozen=True)
@@ -171,27 +172,13 @@ class SimplexReport:
 
 
 def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
-    """All affine simplexes of sizes 3 .. d+2, in deterministic order.
+    """All affine simplexes, sorted by members: the circuits of the lift (1, p).
 
-    Same pruned scan as circuit enumeration: subsets of size at most 2 are
-    always affinely independent (points are distinct), so scanning sizes
-    upward and skipping supersets of found simplexes leaves exactly the
-    candidates whose proper subsets are all independent; such a size-k set
-    is a simplex iff its affine rank is k-2.
+    Points are distinct, so the lift has no loops and no parallel pairs and
+    every simplex has at least 3 points; at most rank(lift) + 1 <= d + 2.
     """
-    n = len(ps)
-    found: list[tuple[int, tuple[int, ...]]] = []
-    for size in range(3, min(ps.dimension + 2, n) + 1):
-        for members in combinations(range(n), size):
-            mask = 0
-            for i in members:
-                mask |= 1 << i
-            if any(smask & mask == smask for smask, _ in found):
-                continue
-            if affine_rank(ps, members) == size - 2:
-                found.append((mask, members))
-    simplexes = tuple(sorted((AffineSimplex(m) for _, m in found), key=lambda s: s.members))
-    return SimplexReport(ps.dimension, n, simplexes)
+    simplexes = tuple(AffineSimplex(m) for m in circuit_supports(_lift(ps)))
+    return SimplexReport(ps.dimension, len(ps), simplexes)
 
 
 def find_degenerate_subset(ps: PointSet) -> tuple[int, ...] | None:
@@ -228,10 +215,6 @@ def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
     return counts.get(4, 0), counts.get(5, 0)
 
 
-def _parallel(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    return rank(RationalMatrix.from_rows([u, v])) <= 1
-
-
 def project_to_affine(cfg: VectorConfiguration) -> PointSet:
     """Central projection of a vector configuration onto a hyperplane a.x = 1.
 
@@ -244,12 +227,14 @@ def project_to_affine(cfg: VectorConfiguration) -> PointSet:
     """
     d = cfg.dimension
     vectors = cfg.vectors
-    for i, v in enumerate(vectors):
-        if all(x == 0 for x in v):
-            raise InvariantError(f"zero vector at index {i} cannot be projected")
-    for i, j in combinations(range(len(vectors)), 2):
-        if _parallel(vectors[i], vectors[j]):
-            raise InvariantError(f"parallel vectors at indices {i} and {j}")
+    # zero vectors and parallel pairs are exactly the circuits of size 1 and 2
+    small = circuit_supports(cfg, max_size=2)
+    for members in small:
+        if len(members) == 1:
+            raise InvariantError(f"zero vector at index {members[0]} cannot be projected")
+    if small:
+        i, j = small[0]
+        raise InvariantError(f"parallel vectors at indices {i} and {j}")
     t = 1
     while True:
         a = [Fraction(t) ** p for p in range(d)]

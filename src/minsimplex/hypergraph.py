@@ -9,6 +9,7 @@ union is always a Sperner family, so its YBLM sum is at most 1.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -212,3 +213,16 @@ def from_point_set(ps: PointSet) -> Hypergraph:
         if len(closure) >= d + 1:
             closures.add(closure)
     return Hypergraph(n, tuple(closures))
+
+
+def random_linear_hypergraph(rng: random.Random, n: int, k: int) -> Hypergraph:
+    """(k-1)-linear hypergraph built by rejection sampling of edges of size >= k."""
+    edges: list[tuple[int, ...]] = []
+    for _ in range(3 * n):
+        size = rng.randint(k, min(n, k + 3))
+        cand = tuple(sorted(rng.sample(range(n), size)))
+        if cand in edges:
+            continue
+        if all(len(set(cand) & set(e)) < k - 1 for e in edges):
+            edges.append(cand)
+    return Hypergraph(n, tuple(edges))

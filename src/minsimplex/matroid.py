@@ -4,6 +4,10 @@ A circuit is a minimal linearly dependent subset: dependent, while every
 proper subset is independent. Each circuit carries its unique primitive
 integer coefficient vector as a dependency witness (sum of coefficient
 times vector is exactly zero).
+
+circuit_supports is the one scan for minimal dependent sets in the package:
+geometry enumerates the affine simplexes of a point set P as the circuits
+of its lift {(1, p) : p in P}.
 """
 
 from __future__ import annotations
@@ -136,16 +140,16 @@ def _circuit_coefficients(cfg: VectorConfiguration, members: tuple[int, ...]) ->
     return tuple(coeffs)
 
 
-def enumerate_circuits(
-    cfg: VectorConfiguration, min_size: int = 1, max_size: int | None = None
-) -> list[Circuit]:
-    """All circuits with min_size <= size <= max_size, sorted lexicographically.
+def circuit_supports(
+    cfg: VectorConfiguration, max_size: int | None = None
+) -> list[tuple[int, ...]]:
+    """Members of every circuit with at most max_size elements, sorted.
 
     Scans subsets in increasing size, skipping any subset that contains a
     previously found circuit (a proper superset of a circuit is never one).
     After that pruning, a size-s survivor is a circuit exactly when its rank
-    is s - 1; the zero vector shows up as a size-1 circuit (loop) with
-    coefficient vector (1,).
+    is s - 1; the zero vector shows up as a size-1 circuit (loop). No circuit
+    has more than rank + 1 members, which caps the scan.
     """
     n = len(cfg)
     cap = configuration_rank(cfg) + 1 if n else 0
@@ -160,22 +164,19 @@ def enumerate_circuits(
                 continue
             if subset_rank(cfg, members) == size - 1:
                 found.append((mask, members))
-    circuits = []
-    for _, members in found:
-        if min_size <= len(members):
-            if len(members) == 1:
-                coeffs: tuple[int, ...] = (1,)
-            else:
-                coeffs = _circuit_coefficients(cfg, members)
-            circuits.append(Circuit(members, coeffs))
-    circuits.sort(key=lambda c: c.members)
-    return circuits
+    return sorted(members for _, members in found)
 
 
-def count_circuits_by_size(
+def enumerate_circuits(
     cfg: VectorConfiguration, min_size: int = 1, max_size: int | None = None
-) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for c in enumerate_circuits(cfg, min_size, max_size):
-        counts[c.size] = counts.get(c.size, 0) + 1
-    return dict(sorted(counts.items()))
+) -> list[Circuit]:
+    """All circuits with min_size <= size <= max_size, sorted by members.
+
+    The supports come from circuit_supports; each gets its primitive
+    coefficients, with (1,) for a loop.
+    """
+    return [
+        Circuit(members, (1,) if len(members) == 1 else _circuit_coefficients(cfg, members))
+        for members in circuit_supports(cfg, max_size)
+        if len(members) >= min_size
+    ]

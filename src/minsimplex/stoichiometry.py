@@ -238,13 +238,15 @@ class ReactionReport:
         }
 
 
-def reaction_count_report(species: Sequence[Species], min_size: int = 2) -> ReactionReport:
-    """Counts of minimal reactions by participant count, next to the C(n, r+1) scale."""
+def reaction_count_report(
+    species: Sequence[Species], reactions: Sequence[Reaction], min_size: int = 2
+) -> ReactionReport:
+    """Counts of the species' minimal reactions by participant count, next to the
+    C(n, r+1) scale; reactions is minimal_reactions(species)."""
     if min_size < 2:
         raise InputError("min_size must be at least 2")
     if not species:
         return ReactionReport(0, 0, 0, {}, 0)
-    reactions = minimal_reactions(species)
     counts: dict[int, int] = {}
     for r in reactions:
         if r.species_count >= min_size:

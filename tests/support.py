@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from minsimplex import geometry, hypergraph, matroid
+from minsimplex.exactla import RationalMatrix, rank
+from minsimplex.hypergraph import random_linear_hypergraph  # noqa: F401  (shared by test modules)
 
 
 def random_rational(rng: random.Random, span: int = 4, max_den: int = 3) -> Fraction:
@@ -24,8 +26,6 @@ def random_admissible_configuration(
     rng: random.Random, n: int, dim: int
 ) -> matroid.VectorConfiguration:
     """Configuration with no zero vector and no parallel pair (projection input)."""
-    from minsimplex.exactla import RationalMatrix, rank
-
     vectors: list[tuple[Fraction, ...]] = []
     while len(vectors) < n:
         cand = tuple(random_rational(rng) for _ in range(dim))
@@ -49,19 +49,6 @@ def random_point_set(rng: random.Random, n: int, dim: int, span: int = 3) -> geo
     return geometry.PointSet(dim, tuple(points))
 
 
-def random_linear_hypergraph(rng: random.Random, n: int, k: int) -> hypergraph.Hypergraph:
-    """(k-1)-linear hypergraph built by rejection sampling of edges of size >= k."""
-    edges: list[tuple[int, ...]] = []
-    for _ in range(3 * n):
-        size = rng.randint(k, min(n, k + 3))
-        cand = tuple(sorted(rng.sample(range(n), size)))
-        if cand in edges:
-            continue
-        if all(len(set(cand) & set(e)) < k - 1 for e in edges):
-            edges.append(cand)
-    return hypergraph.Hypergraph(n, tuple(edges))
-
-
 def random_graph(rng: random.Random, n: int, p: float) -> hypergraph.Hypergraph:
     edges = tuple(e for e in combinations(range(n), 2) if rng.random() < p)
     return hypergraph.Hypergraph(n, edges)
@@ -78,12 +65,25 @@ def oracle_circuits(cfg: matroid.VectorConfiguration) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _affinely_dependent(ps: geometry.PointSet, members: tuple[int, ...]) -> bool:
+    base = ps.points[members[0]]
+    diffs = [[x - b for x, b in zip(ps.points[i], base)] for i in members[1:]]
+    return rank(RationalMatrix.from_rows(diffs)) < len(diffs)
+
+
 def oracle_affine_simplexes(ps: geometry.PointSet) -> list[tuple[int, ...]]:
-    """Brute force over every subset of size >= 3 with is_affine_simplex."""
+    """Brute force over every subset of size >= 3: affinely dependent while
+    every subset one point smaller is independent.
+
+    Dependence is the rank of the differences p_i - p_base, so the oracle
+    shares no code with the lift (1, p) that geometry enumerates through.
+    """
     n = len(ps)
     out = []
     for size in range(3, n + 1):
         for members in combinations(range(n), size):
-            if geometry.is_affine_simplex(ps, members):
+            if _affinely_dependent(ps, members) and not any(
+                _affinely_dependent(ps, members[:i] + members[i + 1 :]) for i in range(size)
+            ):
                 out.append(members)
     return sorted(out)

@@ -127,6 +127,39 @@ def test_enumerate_matches_oracle_random():
         assert sorted(got) == oracle_affine_simplexes(ps)
 
 
+def _points_on_flat(rng, n, spans):
+    """n distinct points of R^3 on a random flat spanned by `spans` random directions."""
+    base = [random_rational(rng) for _ in range(3)]
+    dirs = []
+    while len(dirs) < spans:
+        cand = [random_rational(rng) for _ in range(3)]
+        if rank(RationalMatrix.from_rows(dirs + [cand])) > len(dirs):
+            dirs.append(cand)
+    points = set()
+    while len(points) < n:
+        ts = [Fraction(rng.randint(-4, 4)) for _ in dirs]
+        points.add(tuple(b + sum(t * u[i] for t, u in zip(ts, dirs)) for i, b in enumerate(base)))
+    return sorted(points)
+
+
+def test_enumerate_matches_oracle_in_low_dimensional_flats():
+    # on a line or a plane the scan stops at rank(lift) + 1, below d + 2 = 5
+    rng = random.Random(53)
+    for trial in range(12):
+        kind = ("line", "plane", "mixture")[trial % 3]
+        if kind == "mixture":
+            pts = _points_on_flat(rng, rng.randint(2, 4), 1) + _points_on_flat(rng, 4, 2)
+            pts = list(dict.fromkeys(pts))
+        else:
+            pts = _points_on_flat(rng, rng.randint(3, 7), 1 if kind == "line" else 2)
+        rng.shuffle(pts)
+        ps = PointSet(3, tuple(pts))
+        if kind != "mixture":
+            assert affine_rank(ps, range(len(ps))) == (1 if kind == "line" else 2)
+        got = [s.members for s in enumerate_affine_simplexes(ps).simplexes]
+        assert got == oracle_affine_simplexes(ps)
+
+
 def test_check_small_flat_hypothesis():
     assert check_small_flat_hypothesis(moment_in_plane(8, 3))
     bad = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 1)))

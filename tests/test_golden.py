@@ -1,0 +1,120 @@
+"""Golden CLI outputs: exact stdout, exit code and stderr of fixed commands.
+
+Each case runs `minsimplex.cli.main` inside a temporary directory holding
+the small input files below and compares stdout byte for byte with
+`tests/golden/<case>.out`. A change that means to alter an output
+regenerates the files with `PYTHONPATH=src python tests/test_golden.py`
+and shows the diff in review.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+
+import pytest
+
+from minsimplex.cli import main
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+INPUTS = {
+    # five points in the plane with a collinear triple
+    "plane.csv": "0,0\n1,0\n2,0\n0,1\n1,2\n",
+    # eight points of R^3 on the plane z = x + y: three on a line, the rest scattered
+    "flat.json": json.dumps({"dimension": 3, "points": [
+        [0, 0, 0], [1, 0, 1], [2, 0, 2], [0, 1, 1],
+        [1, 1, 2], ["1/2", 3, "7/2"], [-1, 2, 1], [3, -1, 2],
+    ]}),
+    # a loop, a parallel pair and four more vectors in R^3
+    "vecs.json": json.dumps({"dimension": 3, "vectors": [
+        [1, 0, 0], [0, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, "1/2"], [1, 2, 3],
+    ]}),
+    # no zero vector and no parallel pair: admissible for --project
+    "admissible.json": json.dumps({"dimension": 3, "vectors": [
+        [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 2, 3], [2, 1, "1/2"],
+    ], "labels": ["a", "b", "c", "d", "e", "f"]}),
+    # vectors 0 and 2 are parallel, but the zero vector at 3 is reported first
+    "zero.json": json.dumps({"dimension": 2, "vectors": [[1, 2], [0, 1], [2, 4], [0, 0]]}),
+    # two parallel pairs, (0, 4) and (1, 3); the first in index order is reported
+    "parallel.json": json.dumps({"dimension": 3, "vectors": [
+        [1, 2, 0], [0, 1, 1], [3, 1, 0], [0, -2, -2], [2, 4, 0],
+    ]}),
+    "species.txt": "CH4\nO2\nCO2\nH2O\nCO\nH2\n",
+    # 2-linear: edges meet in at most one vertex
+    "h.json": json.dumps({"n": 7, "edges": [[0, 1, 2, 3], [3, 4, 5], [5, 6, 0]]}),
+}
+
+SIMPLEXES = ["simplexes"]
+
+# (case, argv, exit code, stderr)
+CASES = [
+    ("points-text", SIMPLEXES + ["--points", "plane.csv"], 0, ""),
+    ("points-json", SIMPLEXES + ["--points", "plane.csv", "--format", "json"], 0, ""),
+    ("points-csv", SIMPLEXES + ["--points", "plane.csv", "--format", "csv"], 0, ""),
+    ("flat-text", SIMPLEXES + ["--points", "flat.json"], 0, ""),
+    ("flat-json", SIMPLEXES + ["--points", "flat.json", "--format", "json"], 0, ""),
+    ("flat-csv", SIMPLEXES + ["--points", "flat.json", "--format", "csv"], 0, ""),
+    ("vectors-text", SIMPLEXES + ["--vectors", "vecs.json"], 0, ""),
+    ("vectors-json", SIMPLEXES + ["--vectors", "vecs.json", "--format", "json"], 0, ""),
+    ("vectors-csv", SIMPLEXES + ["--vectors", "vecs.json", "--format", "csv"], 0, ""),
+    ("project-text", SIMPLEXES + ["--vectors", "admissible.json", "--project"], 0, ""),
+    ("project-json",
+     SIMPLEXES + ["--vectors", "admissible.json", "--project", "--format", "json"], 0, ""),
+    ("project-zero", SIMPLEXES + ["--vectors", "zero.json", "--project"], 3,
+     "invariant violation: zero vector at index 3 cannot be projected\n"),
+    ("project-parallel", SIMPLEXES + ["--vectors", "parallel.json", "--project"], 3,
+     "invariant violation: parallel vectors at indices 0 and 4\n"),
+    ("construct-parallel-pairs-10", ["construct", "parallel-pairs", "10"], 0, ""),
+    ("verify-constructions", ["verify", "--suite", "constructions"], 0, ""),
+    ("verify-sperner", ["verify", "--suite", "sperner"], 0, ""),
+    ("react-report-text", ["react", "species.txt", "--report"], 0, ""),
+    ("react-report-json", ["react", "species.txt", "--report", "--format", "json"], 0, ""),
+    ("sperner-deficit-text", ["sperner", "--hypergraph", "h.json", "-k", "3", "--deficit"], 0, ""),
+    ("sperner-deficit-json",
+     ["sperner", "--hypergraph", "h.json", "-k", "3", "--deficit", "--format", "json"], 0, ""),
+]
+
+
+def _write_inputs(directory) -> None:
+    for name, text in INPUTS.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _golden_path(case: str) -> str:
+    return os.path.join(GOLDEN_DIR, f"{case}.out")
+
+
+@pytest.mark.parametrize("case,argv,code,err", CASES, ids=[c[0] for c in CASES])
+def test_golden_output(case, argv, code, err, tmp_path, monkeypatch, capsys):
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    got_code = main(argv)
+    captured = capsys.readouterr()
+    with open(_golden_path(case), encoding="utf-8") as fh:
+        assert captured.out == fh.read()
+    assert (got_code, captured.err) == (code, err)
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for case, argv, _, _ in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_inputs(tmp)
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out):
+                    main(argv)
+            finally:
+                os.chdir(cwd)
+        with open(_golden_path(case), "w", encoding="utf-8") as fh:
+            fh.write(out.getvalue())
+        print(f"wrote {_golden_path(case)}", file=sys.stderr)

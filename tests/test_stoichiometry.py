@@ -154,11 +154,11 @@ def test_reaction_minimality_reverified():
 def test_report_counts():
     universe = AtomUniverse(("H", "O"))
     species = [parse_formula(f, universe) for f in ("H2", "O2", "H2O")]
-    report = reaction_count_report(species)
+    report = reaction_count_report(species, minimal_reactions(species))
     assert report.counts_by_size == {3: 1}
     assert report.configuration_rank == 2
     assert report.benchmark == 1  # C(3, 3)
-    empty = reaction_count_report([])
+    empty = reaction_count_report([], [])
     assert empty.species_count == 0 and empty.counts_by_size == {}
 
 
