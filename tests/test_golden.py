@@ -74,6 +74,14 @@ CASES = [
     ("sperner-deficit-text", ["sperner", "--hypergraph", "h.json", "-k", "3", "--deficit"], 0, ""),
     ("sperner-deficit-json",
      ["sperner", "--hypergraph", "h.json", "-k", "3", "--deficit", "--format", "json"], 0, ""),
+    ("search-6-2-free-text", ["search", "6", "2", "--free", "--workers", "1"], 0, ""),
+    ("search-6-2-free-json",
+     ["search", "6", "2", "--free", "--workers", "1", "--format", "json"], 0, ""),
+    ("search-6-3-free-json",
+     ["search", "6", "3", "--free", "--workers", "1", "--format", "json"], 0, ""),
+    ("search-7-2-linear-json", ["search", "7", "2", "--linear", "--format", "json"], 0, ""),
+    ("search-6-3-linear-text", ["search", "6", "3", "--linear"], 0, ""),
+    ("verify-s-small", ["verify", "--suite", "s-small", "--workers", "1"], 0, ""),
 ]
 
 
