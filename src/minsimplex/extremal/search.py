@@ -8,15 +8,21 @@ Two regimes:
   the lexicographically ordered k-sets; the objective is compared through
   the integer numerator |E_k| * C(n,k+1) + |E0_{k+1}| * C(n,k) over the
   common denominator, so the whole scan is exact int64 arithmetic and can
-  be vectorized and partitioned across processes.
+  be vectorized and partitioned across processes. Masks are int64, so
+  C(n,k) is limited to 62 whatever the budget.
 
 * Linear-constrained (s): backtracking over families of edges of size >= k
   with pairwise intersections below k-1 (smaller edges never change the
   semi-simplex family and only tighten the constraint, so they are omitted
-  without loss). Each family is visited exactly once.
+  without loss). Each family is visited exactly once. The objective is kept
+  up to date on every push and pop: a hit counter per (k+1)-set, the number
+  of counters at zero (m0) and the size of the k-section, so each visited
+  family is scored in O(1).
 
 Witnesses are deduplicated up to vertex relabeling via the minimum
 lexicographic incidence form over all permutations (feasible at n <= 8).
+That pass runs once per isomorphism class: it records the key of every
+relabeled copy, and later members of the class are found by lookup.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import comb
 
@@ -38,16 +45,25 @@ DEFAULT_BUDGET_BITS = 25
 _CHUNK = 1 << 19
 _MAX_RAW_WITNESSES = 5000
 _CANONICAL_N_LIMIT = 8
+_MAX_FREE_BITS = 62  # masks and the mask count 2^bits must fit in int64
+
+
+@cache
+def _pop16() -> np.ndarray:
+    return np.array([x.bit_count() for x in range(1 << 16)], dtype=np.int64)
+
+
+def _popcount_table(masks: np.ndarray) -> np.ndarray:
+    """Popcount of non-negative int64 masks, 16 bits at a time (numpy < 2.0)."""
+    table = _pop16()
+    return sum(table[(masks >> shift) & 0xFFFF] for shift in (0, 16, 32, 48))
+
 
 if hasattr(np, "bitwise_count"):
     def _popcount(masks: np.ndarray) -> np.ndarray:
         return np.bitwise_count(masks).astype(np.int64)
 else:
-    # numpy < 2.0: 16-bit lookup table; mask values stay below 2^32 here
-    _POP16 = np.array([x.bit_count() for x in range(1 << 16)], dtype=np.int64)
-
-    def _popcount(masks: np.ndarray) -> np.ndarray:
-        return _POP16[masks & 0xFFFF] + _POP16[(masks >> 16) & 0xFFFF]
+    _popcount = _popcount_table
 
 
 @dataclass(frozen=True)
@@ -71,21 +87,55 @@ class SearchResult:
         }
 
 
-def canonical_family(n: int, edges: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Minimum-over-relabelings form of a set family on n vertices."""
+def canonical_family(
+    n: int, edges: tuple[tuple[int, ...], ...], orbit: set[int] | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Minimum-over-relabelings form of a set family on n vertices.
+
+    The pass over the n! relabelings keys each relabeled copy by
+    `_family_key` and sorts only copies with a new key. If `orbit` is given,
+    every key is added to it.
+    """
     if n > _CANONICAL_N_LIMIT:
         raise InputError(f"canonical labeling supported up to n = {_CANONICAL_N_LIMIT}")
+    subsets = [tuple(v for v in range(n) if m >> v & 1) for m in range(1 << n)]
+    seen: set[int] = set()
     best = None
     for perm in permutations(range(n)):
-        relabeled = tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
+        bits = [1 << v for v in perm]
+        masks = [sum(bits[v] for v in e) for e in edges]
+        key = sum(1 << m for m in masks)
+        if key in seen:
+            continue
+        seen.add(key)
+        relabeled = tuple(sorted(subsets[m] for m in masks))
         if best is None or relabeled < best:
             best = relabeled
+    if orbit is not None:
+        orbit.update(seen)
     return best if best is not None else ()
 
 
+def _family_key(edges: tuple[tuple[int, ...], ...]) -> int:
+    """One int per set family: bit m is set iff the vertices in bitmask m form an edge."""
+    return sum(1 << sum(1 << v for v in e) for e in edges)
+
+
 def _canonical_witnesses(n: int, families: list[tuple[tuple[int, ...], ...]]) -> tuple[Hypergraph, ...]:
-    seen = sorted({canonical_family(n, fam) for fam in families})
-    return tuple(Hypergraph(n, fam) for fam in seen)
+    """The distinct canonical forms of `families`, sorted, as hypergraphs.
+
+    `canonical_family` runs once per isomorphism class. Its pass records the
+    key of every relabeled copy, so each later family of the same class costs
+    one key and one dict lookup.
+    """
+    canonical_of: dict[int, tuple[tuple[int, ...], ...]] = {}
+    classes = []
+    for fam in families:
+        if _family_key(fam) not in canonical_of:
+            orbit: set[int] = set()
+            classes.append(canonical_family(n, fam, orbit))
+            canonical_of.update(dict.fromkeys(orbit, classes[-1]))
+    return tuple(Hypergraph(n, fam) for fam in sorted(classes))
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +200,11 @@ def _free_search(n: int, k: int, budget_bits: int, workers: int) -> SearchResult
             f"free search over 2^{bits} k-uniform families exceeds budget 2^{budget_bits} "
             f"(n={n}, k={k}); raise the budget to override"
         )
+    if bits > _MAX_FREE_BITS:
+        raise InputError(
+            f"free search supports at most C(n,k) = {_MAX_FREE_BITS} k-sets (int64 masks), "
+            f"got C({n},{k}) = {bits}"
+        )
     total = 1 << bits
     blocks, _ = _free_tables(n, k)
     denom = _objective_weights(n, k)[2]
@@ -157,7 +212,7 @@ def _free_search(n: int, k: int, budget_bits: int, workers: int) -> SearchResult
     bounds = [(total * i) // max(workers, 1) for i in range(max(workers, 1) + 1)]
     jobs = [(n, k, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_scan_free_chunk, jobs))
     else:
         parts = [_scan_free_chunk(job) for job in jobs]
@@ -207,13 +262,25 @@ def _linear_search(n: int, k: int, budget_bits: int) -> SearchResult:
 
     w_mk, w_m0, denom = _objective_weights(n, k)
     level_k1 = list(combinations(range(n), k + 1))
+    supersets: dict[tuple[int, ...], list[int]] = {sub: [] for sub in combinations(range(n), k)}
+    for t, cand in enumerate(level_k1):
+        for sub in combinations(cand, k):
+            supersets[sub].append(t)
+    # per candidate: its number of k-subsets, and the (k+1)-sets they hit (with repeats)
+    cand_mk = [comb(len(e), k) for e in cands]
+    cand_hits = [[t for sub in combinations(e, k) for t in supersets[sub]] for e in cands]
 
     best: int | None = None
     best_families: list[tuple[tuple[int, ...], ...]] = []
     visited = 0
     chosen: list[int] = []
     chosen_masks: list[int] = []
-    section: set[tuple[int, ...]] = set()
+    # The chosen edges pairwise share fewer than k-1 vertices, so their
+    # k-subsets are distinct: |E_k| is the sum of the counts, and m0 is the
+    # number of (k+1)-sets whose hit counter is 0.
+    section_size = 0
+    hits = [0] * len(level_k1)
+    zeros = len(level_k1)
 
     def evaluate() -> None:
         nonlocal best, visited
@@ -223,12 +290,7 @@ def _linear_search(n: int, k: int, budget_bits: int) -> SearchResult:
                 f"constrained search visited more than 2^{budget_bits} families "
                 f"(n={n}, k={k}); raise the budget to override"
             )
-        m0 = sum(
-            1
-            for cand in level_k1
-            if not any(sub in section for sub in combinations(cand, k))
-        )
-        score = len(section) * w_mk + m0 * w_m0
+        score = section_size * w_mk + zeros * w_m0
         if best is None or score < best:
             best = score
             best_families.clear()
@@ -236,17 +298,25 @@ def _linear_search(n: int, k: int, budget_bits: int) -> SearchResult:
             best_families.append(tuple(cands[i] for i in chosen))
 
     def rec(start: int) -> None:
+        nonlocal section_size, zeros
         evaluate()
         for j in range(start, len(cands)):
             mask = cand_masks[j]
             if any((mask & m).bit_count() >= k - 1 for m in chosen_masks):
                 continue
-            added = list(combinations(cands[j], k))
             chosen.append(j)
             chosen_masks.append(mask)
-            section.update(added)
+            section_size += cand_mk[j]
+            for t in cand_hits[j]:
+                if not hits[t]:
+                    zeros -= 1
+                hits[t] += 1
             rec(j + 1)
-            section.difference_update(added)
+            for t in cand_hits[j]:
+                hits[t] -= 1
+                if not hits[t]:
+                    zeros += 1
+            section_size -= cand_mk[j]
             chosen_masks.pop()
             chosen.pop()
 

@@ -87,3 +87,27 @@ def oracle_affine_simplexes(ps: geometry.PointSet) -> list[tuple[int, ...]]:
             ):
                 out.append(members)
     return sorted(out)
+
+
+def random_set_family(
+    rng: random.Random, n: int, max_edges: int = 6
+) -> tuple[tuple[int, ...], ...]:
+    """Distinct non-empty edges on n vertices, each a sorted tuple, in random order."""
+    edges = {
+        tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        for _ in range(rng.randint(0, max_edges))
+    }
+    family = list(edges)
+    rng.shuffle(family)
+    return tuple(family)
+
+
+def relabeled_family(
+    rng: random.Random, n: int, family: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """A copy of family under a random vertex permutation, edges in random order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [tuple(sorted(perm[v] for v in e)) for e in family]
+    rng.shuffle(edges)
+    return tuple(edges)

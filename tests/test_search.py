@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from minsimplex.errors import BudgetError, InputError
@@ -13,30 +15,92 @@ from minsimplex.extremal import (
     monotonicity_check,
     reference_bounds,
     s2_exact,
+    search,
     verify_witness,
 )
 from minsimplex.hypergraph import Hypergraph, is_q_linear, semi_simplexes, yblm_sum
 
+from support import random_set_family, relabeled_family
 
-def linear_scan_oracle(n: int, k: int) -> Fraction:
-    """Independent minimum over (k-1)-linear families: filter every subset of
-    the candidate edge list and evaluate through the hypergraph module."""
+
+def linear_families(n: int, k: int):
+    """Every (k-1)-linear family of candidate edges (size >= k), by filtering
+    every subset of the candidate edge list."""
     cands = []
     for size in range(k, n + 1):
         cands.extend(combinations(range(n), size))
-    best = None
     for mask in range(1 << len(cands)):
         family = [cands[i] for i in range(len(cands)) if mask >> i & 1]
-        ok = all(
-            len(set(a) & set(b)) < k - 1 for a, b in combinations(family, 2)
+        if all(len(set(a) & set(b)) < k - 1 for a, b in combinations(family, 2)):
+            yield tuple(family)
+
+
+def linear_scan_oracle(n: int, k: int) -> Fraction:
+    """Independent minimum over (k-1)-linear families, evaluated through the
+    hypergraph module."""
+    return min(
+        yblm_sum(semi_simplexes(Hypergraph(n, family), k).family, n)
+        for family in linear_families(n, k)
+    )
+
+
+def plain_canonical_family(n, edges):
+    """The canonical form by sorting every one of the n! relabelings."""
+    return min(
+        tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
+        for perm in permutations(range(n))
+    )
+
+
+def linear_search_recount(n: int, k: int):
+    """The backtracking search with its objective recounted in full for
+    every family: (minimum, canonical witness forms, families visited)."""
+    cands = []
+    for size in range(k, n + 1):
+        cands.extend(combinations(range(n), size))
+    cand_masks = [sum(1 << v for v in e) for e in cands]
+    w_mk, w_m0, denom = search._objective_weights(n, k)
+    level_k1 = list(combinations(range(n), k + 1))
+    best = None
+    best_families = []
+    visited = 0
+    chosen = []
+    chosen_masks = []
+    section = set()
+
+    def evaluate():
+        nonlocal best, visited
+        visited += 1
+        m0 = sum(
+            1
+            for cand in level_k1
+            if not any(sub in section for sub in combinations(cand, k))
         )
-        if not ok:
-            continue
-        h = Hypergraph(n, tuple(family))
-        value = yblm_sum(semi_simplexes(h, k).family, n)
-        if best is None or value < best:
-            best = value
-    return best
+        score = len(section) * w_mk + m0 * w_m0
+        if best is None or score < best:
+            best = score
+            best_families.clear()
+        if score == best:
+            best_families.append(tuple(cands[i] for i in chosen))
+
+    def rec(start):
+        evaluate()
+        for j in range(start, len(cands)):
+            mask = cand_masks[j]
+            if any((mask & m).bit_count() >= k - 1 for m in chosen_masks):
+                continue
+            added = list(combinations(cands[j], k))
+            chosen.append(j)
+            chosen_masks.append(mask)
+            section.update(added)
+            rec(j + 1)
+            section.difference_update(added)
+            chosen_masks.pop()
+            chosen.pop()
+
+    rec(0)
+    forms = sorted({plain_canonical_family(n, f) for f in best_families})
+    return Fraction(best, denom), forms, visited
 
 
 def test_smallest_case_both_flavors():
@@ -152,3 +216,118 @@ def test_canonical_family_is_isomorphism_invariant():
     fam_b = ((2, 3), (1, 2))  # relabeled path
     assert canonical_family(4, fam_a) == canonical_family(4, fam_b)
     assert canonical_family(4, fam_a) != canonical_family(4, ((0, 1), (2, 3)))
+
+
+def test_canonical_family_matches_plain_relabeling_minimum():
+    rng = random.Random(31)
+    for n in range(1, 7):
+        for _ in range(15):
+            family = random_set_family(rng, n)
+            orbit = set()
+            assert canonical_family(n, family, orbit) == plain_canonical_family(n, family)
+            # the orbit holds exactly the keys of the n! relabeled copies
+            want = {
+                search._family_key([[perm[v] for v in e] for e in family])
+                for perm in permutations(range(n))
+            }
+            assert orbit == want
+
+
+def test_canonical_witnesses_equal_per_family_canonical_forms():
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for _ in range(6):
+            base = [random_set_family(rng, n) for _ in range(3)]
+            families = base + [relabeled_family(rng, n, rng.choice(base)) for _ in range(8)]
+            rng.shuffle(families)
+            want = sorted({canonical_family(n, f) for f in families})
+            got = search._canonical_witnesses(n, families)
+            assert [w.edges for w in got] == want
+
+
+def test_canonical_witnesses_canonicalize_once_per_class(monkeypatch):
+    rng = random.Random(11)
+    family = random_set_family(rng, 5, max_edges=5)
+    copies = [relabeled_family(rng, 5, family) for _ in range(20)]
+    calls = []
+    real = search.canonical_family
+    monkeypatch.setattr(search, "canonical_family", lambda *a: calls.append(a) or real(*a))
+    assert len(search._canonical_witnesses(5, copies)) == 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_incremental_linear_search_matches_recount_oracle(n):
+    for k in range(2, n):
+        result = brute_force_s(n, k, True)
+        minimum, forms, visited = linear_search_recount(n, k)
+        assert result.minimum == minimum
+        assert [w.edges for w in result.witnesses] == forms
+        assert result.search_space_size == visited
+
+
+def test_linear_search_matches_all_subsets_at_n4():
+    n = 4
+    for k in (2, 3):
+        values = {
+            family: yblm_sum(semi_simplexes(Hypergraph(n, family), k).family, n)
+            for family in linear_families(n, k)
+        }
+        minimum = min(values.values())
+        forms = sorted({plain_canonical_family(n, f) for f, v in values.items() if v == minimum})
+        result = brute_force_s(n, k, True)
+        assert result.minimum == minimum
+        assert [w.edges for w in result.witnesses] == forms
+        assert result.search_space_size == len(values)
+
+
+def test_free_search_canonicalizes_once_per_witness_class(monkeypatch):
+    calls = []
+    real = search.canonical_family
+    monkeypatch.setattr(search, "canonical_family", lambda *a: calls.append(a) or real(*a))
+    result = brute_force_s(7, 2, False, workers=1)
+    assert result.minimum == s2_exact(7)
+    assert len(set(result.witnesses)) == len(result.witnesses)
+    assert len(calls) == len(result.witnesses) >= 1
+
+
+def test_popcount_table_counts_all_64_bits():
+    rng = random.Random(5)
+    values = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 33) + 5, (1 << 62) - 1, (1 << 63) - 1]
+    values += [rng.randrange(1 << 32, 1 << 63) for _ in range(200)]
+    masks = np.array(values, dtype=np.int64)
+    want = [v.bit_count() for v in values]
+    assert search._popcount_table(masks).tolist() == want
+    assert search._popcount(masks).tolist() == want
+
+
+def test_free_search_refuses_more_than_62_k_sets(monkeypatch):
+    def no_scan(args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(search, "_scan_free_chunk", no_scan)
+    # C(9,3) = 84 k-sets: the budget allows it, int64 masks do not
+    with pytest.raises(InputError, match="C\\(9,3\\) = 84"):
+        brute_force_s(9, 3, False, budget_bits=100)
+
+
+def test_process_pool_is_capped_at_job_count(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+    # C(3,2) = 3 bits: 8 masks, so 16 workers make 8 one-mask jobs
+    assert brute_force_s(3, 2, False, workers=16) == brute_force_s(3, 2, False, workers=1)
+    assert sizes == [8]
