@@ -5,7 +5,6 @@ minimal balanced reactions."""
 from .errors import BudgetError, InputError, InvariantError
 from .exactla import (
     Rational,
-    RationalMatrix,
     nullspace_basis,
     primitive_integer_vector,
     rank,
@@ -59,7 +58,6 @@ __all__ = [
     "InvariantError",
     "PointSet",
     "Rational",
-    "RationalMatrix",
     "Reaction",
     "Species",
     "VectorConfiguration",

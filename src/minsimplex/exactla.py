@@ -3,10 +3,12 @@
 Everything downstream (circuit detection, collinearity tests, reaction
 balancing) reduces to boundary rank tests, so all arithmetic here is exact.
 Rationals are `fractions.Fraction` (always in lowest terms, positive
-denominator, canonical zero), re-exported as `Rational`. Rank runs on
-denominator-cleared integer rows via fraction-free Bareiss elimination;
-nullspaces come from a reduced row echelon form over the rationals with a
-deterministic first-nonzero pivot rule.
+denominator, canonical zero), re-exported as `Rational`. A matrix is a
+sequence of equal-length rows of exact entries (int, Fraction or "p/q"
+string); `rank`, `rref` and `nullspace_basis` take the rows directly. Rank
+runs on denominator-cleared integer rows via fraction-free Bareiss
+elimination; nullspaces come from a reduced row echelon form over the
+rationals with a deterministic first-nonzero pivot rule.
 
 No floating point is accepted anywhere: external numeric input must be an
 integer or a "p/q" string (see `rational_from_string`).
@@ -17,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError, InvariantError
 
@@ -66,80 +68,11 @@ def vector_to_json(v: Sequence[Fraction]) -> list:
     return [int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}" for x in v]
 
 
-class RationalMatrix:
-    """Dense row-major matrix of Fractions."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(coerce_rational(x) for x in entries)
-        if len(self.entries) != rows * cols:
-            raise InvariantError(
-                f"matrix {rows}x{cols} needs {rows * cols} entries, got {len(self.entries)}"
-            )
-
-    @classmethod
-    def from_rows(cls, row_lists: Sequence[Sequence]) -> "RationalMatrix":
-        nrows = len(row_lists)
-        ncols = len(row_lists[0]) if nrows else 0
-        flat = []
-        for r in row_lists:
-            if len(r) != ncols:
-                raise InvariantError("ragged rows in matrix input")
-            flat.extend(r)
-        return cls(nrows, ncols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "RationalMatrix":
-        flat = [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)]
-        return RationalMatrix(self.cols, self.rows, flat)
-
-    def mat_vec(self, v: Sequence) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise InvariantError("vector length does not match column count")
-        vec = [coerce_rational(x) for x in v]
-        return tuple(
-            sum((self.entry(i, j) * vec[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
-
-
-def _integer_rows(m: RationalMatrix) -> list[list[int]]:
-    # Row scaling never changes rank, so clear denominators per row.
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
+def _fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """The rows as lists of Fractions; floats are refused and ragged rows raise."""
+    out = [[coerce_rational(x) for x in row] for row in rows]
+    if any(len(row) != len(out[0]) for row in out):
+        raise InvariantError("ragged rows in matrix input")
     return out
 
 
@@ -178,17 +111,20 @@ def rank_int_rows(rows: list[list[int]], ncols: int) -> int:
     return r
 
 
-def rank(m: RationalMatrix) -> int:
+def rank(rows: Sequence[Sequence]) -> int:
     """Exact rank over the rationals."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return rank_int_rows(_integer_rows(m), m.cols)
+    int_rows = []
+    for row in _fraction_rows(rows):
+        # Row scaling never changes rank, so clear denominators per row.
+        scale = lcm(*(x.denominator for x in row))
+        int_rows.append([x.numerator * (scale // x.denominator) for x in row])
+    return rank_int_rows(int_rows, len(int_rows[0]) if int_rows else 0)
 
 
-def rref(m: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
-    work = m.row_lists()
-    nrows, ncols = m.rows, m.cols
+    work = _fraction_rows(rows)
+    nrows, ncols = len(work), len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -213,19 +149,21 @@ def rref(m: RationalMatrix) -> tuple[list[list[Fraction]], list[int]]:
     return work, pivots
 
 
-def nullspace_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right nullspace {x : m x = 0}, one vector per free column.
+def nullspace_basis(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
+    """Basis of the right nullspace {x : m x = 0} of the matrix m with these
+    rows, one vector per free column.
 
     The basis is the standard one read off the reduced echelon form: free
     column f yields the vector with x_f = 1 and pivot coordinates filled so
     that m x = 0 exactly. Basis size is cols - rank(m).
     """
-    work, pivots = rref(m)
+    work, pivots = rref(rows)
+    ncols = len(work[0]) if work else 0
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [Fraction(0)] * m.cols
+        vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for i, c in enumerate(pivots):
             vec[c] = -work[i][f]

@@ -8,8 +8,10 @@ Two regimes:
   the lexicographically ordered k-sets; the objective is compared through
   the integer numerator |E_k| * C(n,k+1) + |E0_{k+1}| * C(n,k) over the
   common denominator, so the whole scan is exact int64 arithmetic and can
-  be vectorized and partitioned across processes. Masks are int64, so
-  C(n,k) is limited to 62 whatever the budget.
+  be vectorized and partitioned across processes: at most one job per
+  worker and per chunk of 2^19 masks, so a scan of one chunk or less runs
+  in-process. Masks are int64, so C(n,k) is limited to 62 whatever the
+  budget, and that limit is checked before the budget.
 
 * Linear-constrained (s): backtracking over families of edges of size >= k
   with pairwise intersections below k-1 (smaller edges never change the
@@ -195,23 +197,25 @@ def _scan_free_chunk(args: tuple[int, int, int, int]) -> tuple[int, list[int], b
 
 def _free_search(n: int, k: int, budget_bits: int, workers: int) -> SearchResult:
     bits = comb(n, k)
-    if bits > budget_bits:
-        raise BudgetError(
-            f"free search over 2^{bits} k-uniform families exceeds budget 2^{budget_bits} "
-            f"(n={n}, k={k}); raise the budget to override"
-        )
     if bits > _MAX_FREE_BITS:
         raise InputError(
             f"free search supports at most C(n,k) = {_MAX_FREE_BITS} k-sets (int64 masks), "
             f"got C({n},{k}) = {bits}"
         )
+    if bits > budget_bits:
+        raise BudgetError(
+            f"free search over 2^{bits} k-uniform families exceeds budget 2^{budget_bits} "
+            f"(n={n}, k={k}); raise the budget to override"
+        )
     total = 1 << bits
     blocks, _ = _free_tables(n, k)
     denom = _objective_weights(n, k)[2]
 
-    bounds = [(total * i) // max(workers, 1) for i in range(max(workers, 1) + 1)]
-    jobs = [(n, k, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    if workers > 1 and len(jobs) > 1:
+    # at most one job per worker and per chunk of masks
+    n_jobs = max(1, min(workers, -(-total // _CHUNK)))
+    bounds = [(total * i) // n_jobs for i in range(n_jobs + 1)]
+    jobs = [(n, k, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_scan_free_chunk, jobs))
     else:

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import InputError, InvariantError
-from .exactla import RationalMatrix, coerce_rational, entry_from_json, rank, vector_to_json
+from .exactla import coerce_rational, entry_from_json, rank, vector_to_json
 from .matroid import VectorConfiguration, circuit_supports, is_circuit
 
 
@@ -120,7 +120,7 @@ def affine_rank(ps: PointSet, subset: Iterable[int]) -> int:
     idx = _check_subset(ps, subset)
     if not idx:
         raise InputError("affine_rank needs at least one point")
-    return rank(RationalMatrix.from_rows([(1,) + ps.points[i] for i in idx])) - 1
+    return rank([(1,) + ps.points[i] for i in idx]) - 1
 
 
 def is_affine_simplex(ps: PointSet, subset: Iterable[int]) -> bool:

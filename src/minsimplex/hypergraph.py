@@ -101,7 +101,7 @@ def empty_section(h: Hypergraph, k: int) -> Family:
 
 
 @dataclass(frozen=True)
-class SimplexReport:
+class SemiSimplexReport:
     """The two semi-simplex families E_k and E0_{k+1} with their cardinalities."""
 
     n: int
@@ -134,11 +134,11 @@ class SimplexReport:
         return obj
 
 
-def semi_simplexes(h: Hypergraph, k: int) -> SimplexReport:
+def semi_simplexes(h: Hypergraph, k: int) -> SemiSimplexReport:
     """Report with E_k, E0_{k+1} and their cardinalities."""
     if not 1 <= k <= h.n:
         raise InputError(f"k must be in 1..{h.n}, got {k}")
-    return SimplexReport(h.n, k, k_section(h, k), empty_section(h, k))
+    return SemiSimplexReport(h.n, k, k_section(h, k), empty_section(h, k))
 
 
 def semi_simplex_deficit(h: Hypergraph, k: int) -> Fraction:

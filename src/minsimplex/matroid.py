@@ -20,7 +20,6 @@ from typing import Iterable
 
 from .errors import InputError, InvariantError
 from .exactla import (
-    RationalMatrix,
     coerce_rational,
     entry_from_json,
     nullspace_basis,
@@ -110,7 +109,7 @@ def subset_rank(cfg: VectorConfiguration, subset: Iterable[int]) -> int:
     idx = _check_indices(cfg, subset)
     if not idx:
         return 0
-    return rank(RationalMatrix.from_rows([cfg.vectors[i] for i in idx]))
+    return rank([cfg.vectors[i] for i in idx])
 
 
 def configuration_rank(cfg: VectorConfiguration) -> int:
@@ -130,8 +129,7 @@ def is_circuit(cfg: VectorConfiguration, subset: Iterable[int]) -> bool:
 
 def _circuit_coefficients(cfg: VectorConfiguration, members: tuple[int, ...]) -> tuple[int, ...]:
     # Columns are the member vectors; a circuit has a 1-dimensional nullspace.
-    cols = RationalMatrix.from_rows([cfg.vectors[i] for i in members]).transpose()
-    basis = nullspace_basis(cols)
+    basis = nullspace_basis(list(zip(*(cfg.vectors[i] for i in members))))
     if len(basis) != 1:
         raise InvariantError(f"subset {members} is not a circuit (nullity {len(basis)})")
     coeffs = primitive_integer_vector(basis[0])

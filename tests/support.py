@@ -7,12 +7,41 @@ from fractions import Fraction
 from itertools import combinations
 
 from minsimplex import geometry, hypergraph, matroid
-from minsimplex.exactla import RationalMatrix, rank
+from minsimplex.exactla import rank
 from minsimplex.hypergraph import random_linear_hypergraph  # noqa: F401  (shared by test modules)
 
 
 def random_rational(rng: random.Random, span: int = 4, max_den: int = 3) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+
+
+def random_deficient_rows(
+    rng: random.Random, nrows: int, ncols: int, span: int = 4
+) -> list[list[Fraction]]:
+    """Rows that are often rank-deficient: some are copies or integer
+    combinations of earlier rows, and some columns are all zero.
+
+    With a large span (say 10**30) the entries, and so the Bareiss minors,
+    are far beyond machine words.
+    """
+    zero_cols = {c for c in range(ncols) if rng.random() < 0.25}
+    rows: list[list[Fraction]] = []
+    for _ in range(nrows):
+        kind = rng.random() if rows else 1.0
+        if kind < 0.2:
+            row = list(rng.choice(rows))
+        elif kind < 0.5:
+            row = [Fraction(0)] * ncols
+            for src in rng.sample(rows, rng.randint(1, len(rows))):
+                f = rng.randint(-3, 3)
+                row = [x + f * y for x, y in zip(row, src)]
+        else:
+            row = [
+                Fraction(0) if c in zero_cols else random_rational(rng, span)
+                for c in range(ncols)
+            ]
+        rows.append(row)
+    return rows
 
 
 def random_configuration(rng: random.Random, n: int, dim: int) -> matroid.VectorConfiguration:
@@ -31,7 +60,7 @@ def random_admissible_configuration(
         cand = tuple(random_rational(rng) for _ in range(dim))
         if all(x == 0 for x in cand):
             continue
-        if any(rank(RationalMatrix.from_rows([cand, v])) <= 1 for v in vectors):
+        if any(rank([cand, v]) <= 1 for v in vectors):
             continue
         vectors.append(cand)
     return matroid.VectorConfiguration(dim, tuple(vectors))
@@ -68,7 +97,7 @@ def oracle_circuits(cfg: matroid.VectorConfiguration) -> list[tuple[int, ...]]:
 def _affinely_dependent(ps: geometry.PointSet, members: tuple[int, ...]) -> bool:
     base = ps.points[members[0]]
     diffs = [[x - b for x, b in zip(ps.points[i], base)] for i in members[1:]]
-    return rank(RationalMatrix.from_rows(diffs)) < len(diffs)
+    return rank(diffs) < len(diffs)
 
 
 def oracle_affine_simplexes(ps: geometry.PointSet) -> list[tuple[int, ...]]:

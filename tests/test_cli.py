@@ -123,7 +123,8 @@ def test_search_linear_lemma(capsys):
 
 
 def test_search_budget_exit_4(capsys):
-    code, _, err = run(capsys, "search", "12", "3", "--free")
+    # C(9,2) = 36 k-sets: past the default budget 2^25, within int64 masks
+    code, _, err = run(capsys, "search", "9", "2", "--free")
     assert code == 4
     assert "budget" in err
 

@@ -5,14 +5,20 @@ import pytest
 
 from minsimplex.errors import InputError, InvariantError
 from minsimplex.exactla import (
-    RationalMatrix,
     nullspace_basis,
     primitive_integer_vector,
     rank,
+    rank_int_rows,
     rational_from_string,
+    rref,
 )
 
-from support import random_rational
+from support import random_deficient_rows, random_rational
+
+
+def mat_vec(rows, v):
+    """The product m v of the matrix m with these rows and the vector v."""
+    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in rows]
 
 
 def test_rational_from_string():
@@ -25,45 +31,45 @@ def test_rational_from_string():
 
 
 def test_rank_identity():
-    assert rank(RationalMatrix.identity(3)) == 3
+    assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(RationalMatrix.zeros(2, 2)) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
 
 
 def test_rank_three_vectors_in_plane():
     # det of the first two rows is 2*2 - 0*0 = 4 != 0, so rank is at least 2;
     # three vectors in R^2 cannot exceed 2.
-    m = RationalMatrix.from_rows([[2, 0], [0, 2], [2, 1]])
+    m = [[2, 0], [0, 2], [2, 1]]
     assert rank(m) == 2
 
 
 def test_rank_rational_entries():
-    m = RationalMatrix.from_rows([["1/2", "1/3"], ["3/2", "1"]])
+    m = [["1/2", "1/3"], ["3/2", "1"]]
     assert rank(m) == 1
 
 
 def test_nullspace_identity_empty():
-    assert nullspace_basis(RationalMatrix.identity(2)) == []
+    assert nullspace_basis([[1, 0], [0, 1]]) == []
 
 
 def test_nullspace_one_dim():
-    basis = nullspace_basis(RationalMatrix.from_rows([[1, -1]]))
+    basis = nullspace_basis([[1, -1]])
     assert basis == [(Fraction(1), Fraction(1))]
 
 
 def test_nullspace_composition_example():
     # columns H2=(2,0), O2=(0,2), H2O=(2,1) over the universe [H, O];
     # by hand: 2a + 2c = 0 and 2b + c = 0 give the direction (1, 1/2, -1).
-    m = RationalMatrix.from_rows([[2, 0, 2], [0, 2, 1]])
+    m = [[2, 0, 2], [0, 2, 1]]
     basis = nullspace_basis(m)
     assert len(basis) == 1
     v = basis[0]
     direction = (Fraction(1), Fraction(1, 2), Fraction(-1))
     # parallel check: cross-ratios vanish
     assert all(v[i] * direction[j] == v[j] * direction[i] for i in range(3) for j in range(3))
-    assert all(x == 0 for x in m.mat_vec(v))
+    assert all(x == 0 for x in mat_vec(m, v))
 
 
 def test_primitive_integer_vector_examples():
@@ -92,14 +98,12 @@ def test_rank_invariances_random():
     for _ in range(60):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = RationalMatrix.from_rows(
-            [[random_rational(rng) for _ in range(cols)] for _ in range(rows)]
-        )
+        m = [[random_rational(rng) for _ in range(cols)] for _ in range(rows)]
         r = rank(m)
-        assert r == rank(m.transpose())
+        assert r == rank(list(zip(*m)))
         perm = list(range(rows))
         rng.shuffle(perm)
-        shuffled = RationalMatrix.from_rows([list(m.row(i)) for i in perm])
+        shuffled = [m[i] for i in perm]
         assert r == rank(shuffled)
 
 
@@ -108,22 +112,48 @@ def test_rank_plus_nullity_and_exact_kernel():
     for _ in range(60):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = RationalMatrix.from_rows(
-            [[random_rational(rng) for _ in range(cols)] for _ in range(rows)]
-        )
+        m = [[random_rational(rng) for _ in range(cols)] for _ in range(rows)]
         basis = nullspace_basis(m)
         assert rank(m) + len(basis) == cols
         for b in basis:
-            assert all(x == 0 for x in m.mat_vec(b))
+            assert all(x == 0 for x in mat_vec(m, b))
 
 
 def test_matrix_shape_validation():
     with pytest.raises(InvariantError):
-        RationalMatrix(2, 2, [1, 2, 3])
+        rank([[1, 2], [3]])
     with pytest.raises(InvariantError):
-        RationalMatrix.from_rows([[1, 2], [3]])
+        rank([[1], [2, 3]])
+    with pytest.raises(InvariantError):
+        nullspace_basis([[1, 2], [3]])
 
 
 def test_float_entries_refused():
     with pytest.raises(InputError):
-        RationalMatrix.from_rows([[0.5, 1]])
+        rank([[0.5, 1]])
+    with pytest.raises(InputError):
+        nullspace_basis([[1, 2], [3, 0.5]])
+
+
+def test_empty_and_zero_width_rows():
+    for rows in ([], [[]], [[], [], []]):
+        assert rank(rows) == len(rref(rows)[1]) == 0
+        assert nullspace_basis(rows) == []
+    assert rank_int_rows([], 0) == 0
+
+
+def test_rank_matches_rref_pivot_count():
+    # Bareiss on denominator-cleared rows (column skips, exact //) against the
+    # pivot count of the Fraction RREF, on inputs built to be rank-deficient.
+    rng = random.Random(17)
+    deficient = 0
+    for span in (4, 10**30):
+        for _ in range(150):
+            nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+            m = random_deficient_rows(rng, nrows, ncols, span=span)
+            r = rank(m)
+            assert r == len(rref(m)[1])
+            assert r == rank(list(zip(*m)))
+            deficient += r < min(nrows, ncols)
+    assert deficient >= 50
+

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from minsimplex.errors import InputError, InvariantError
-from minsimplex.exactla import RationalMatrix, rank
+from minsimplex.exactla import rank
 from minsimplex.geometry import (
     PointSet,
     affine_rank,
@@ -58,7 +58,7 @@ def test_affine_rank_base_point_independent():
             diffs = [
                 [x - y for x, y in zip(ps.points[i], base)] for i in rotated[1:]
             ]
-            assert rank(RationalMatrix.from_rows(diffs)) == base_free
+            assert rank(diffs) == base_free
 
 
 def test_is_affine_simplex_examples():
@@ -90,9 +90,9 @@ def test_is_affine_simplex_per_base_equivalence():
                         tuple(x - y for x, y in zip(ps.points[i], base)) for i in others
                     ]
                     per_base.append(
-                        rank(RationalMatrix.from_rows(diffs)) == size - 2
+                        rank(diffs) == size - 2
                         and all(
-                            rank(RationalMatrix.from_rows(diffs[:i] + diffs[i + 1 :]))
+                            rank(diffs[:i] + diffs[i + 1 :])
                             == size - 2
                             for i in range(len(diffs))
                         )
@@ -133,7 +133,7 @@ def _points_on_flat(rng, n, spans):
     dirs = []
     while len(dirs) < spans:
         cand = [random_rational(rng) for _ in range(3)]
-        if rank(RationalMatrix.from_rows(dirs + [cand])) > len(dirs):
+        if rank(dirs + [cand]) > len(dirs):
             dirs.append(cand)
     points = set()
     while len(points) < n:
@@ -244,7 +244,7 @@ def test_rigid_motion_invariance():
         family = sorted(s.members for s in enumerate_affine_simplexes(ps).simplexes)
         while True:
             a = [[random_rational(rng) for _ in range(2)] for _ in range(2)]
-            if rank(RationalMatrix.from_rows(a)) == 2:
+            if rank(a) == 2:
                 break
         shift = [random_rational(rng) for _ in range(2)]
         moved = tuple(

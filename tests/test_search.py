@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from minsimplex.cli import main
 from minsimplex.errors import BudgetError, InputError
 from minsimplex.extremal import (
     brute_force_s,
@@ -153,7 +154,9 @@ def test_backtracking_engine_matches_subset_oracle():
         assert brute_force_s(n, k, True).minimum == linear_scan_oracle(n, k)
 
 
-def test_worker_partitioning_is_deterministic():
+def test_worker_partitioning_is_deterministic(monkeypatch):
+    # C(6,2) = 15 bits is one chunk; smaller chunks make 2 and 3 real jobs
+    monkeypatch.setattr(search, "_CHUNK", 1 << 10)
     one = brute_force_s(6, 2, False, workers=1)
     two = brute_force_s(6, 2, False, workers=2)
     three = brute_force_s(6, 2, False, workers=3)
@@ -175,8 +178,17 @@ def test_monotonicity_small():
 
 
 def test_budget_refusal_free():
-    with pytest.raises(BudgetError, match="2\\^220"):
+    # C(9,2) = 36 k-sets: int64 masks allow it, the default budget 2^25 does not
+    with pytest.raises(BudgetError, match="2\\^36"):
+        brute_force_s(9, 2, False)
+
+
+def test_int64_limit_is_checked_before_the_budget(capsys):
+    # C(12,3) = 220 k-sets: no budget could make this scan possible
+    with pytest.raises(InputError, match="C\\(12,3\\) = 220"):
         brute_force_s(12, 3, False)
+    assert main(["search", "12", "3", "--free"]) == 2
+    assert "int64" in capsys.readouterr().err
 
 
 def test_budget_refusal_constrained():
@@ -311,7 +323,9 @@ def test_free_search_refuses_more_than_62_k_sets(monkeypatch):
         brute_force_s(9, 3, False, budget_bits=100)
 
 
-def test_process_pool_is_capped_at_job_count(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Runs process-pool jobs in-process and records each pool's max_workers."""
     sizes = []
 
     class InlinePool:
@@ -328,6 +342,18 @@ def test_process_pool_is_capped_at_job_count(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
-    # C(3,2) = 3 bits: 8 masks, so 16 workers make 8 one-mask jobs
-    assert brute_force_s(3, 2, False, workers=16) == brute_force_s(3, 2, False, workers=1)
-    assert sizes == [8]
+    return sizes
+
+
+def test_process_pool_is_capped_at_job_count(pool_sizes):
+    # C(6,3) = 20 bits: 2^20 masks are two chunks, so 16 workers make 2 jobs
+    assert brute_force_s(6, 3, False, workers=16) == brute_force_s(6, 3, False, workers=1)
+    assert pool_sizes == [2]
+
+
+def test_scans_of_one_chunk_open_no_pool(pool_sizes, capsys):
+    # C(6,2) = 15 bits is one chunk of masks, whatever the worker count
+    assert brute_force_s(6, 2, False, workers=16) == brute_force_s(6, 2, False, workers=1)
+    # the s-small suite scans at most 2^15 masks; --workers defaults to the core count
+    assert main(["verify", "--suite", "s-small"]) == 0
+    assert pool_sizes == []
