@@ -111,13 +111,19 @@ def rank_int_rows(rows: list[list[int]], ncols: int) -> int:
     return r
 
 
+def integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row of Fractions times the lcm of its denominators, as ints.
+
+    Row scaling never changes rank, so rows and their integer rows have the
+    same rank, as do any subsets of them.
+    """
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
 def rank(rows: Sequence[Sequence]) -> int:
     """Exact rank over the rationals."""
-    int_rows = []
-    for row in _fraction_rows(rows):
-        # Row scaling never changes rank, so clear denominators per row.
-        scale = lcm(*(x.denominator for x in row))
-        int_rows.append([x.numerator * (scale // x.denominator) for x in row])
+    int_rows = [integer_row(row) for row in _fraction_rows(rows)]
     return rank_int_rows(int_rows, len(int_rows[0]) if int_rows else 0)
 
 

@@ -11,7 +11,8 @@ Two regimes:
   be vectorized and partitioned across processes: at most one job per
   worker and per chunk of 2^19 masks, so a scan of one chunk or less runs
   in-process. Masks are int64, so C(n,k) is limited to 62 whatever the
-  budget, and that limit is checked before the budget.
+  budget, and that limit is checked before the budget. numpy is imported
+  by the free search only, so importing this module does not load it.
 
 * Linear-constrained (s): backtracking over families of edges of size >= k
   with pairwise intersections below k-1 (smaller edges never change the
@@ -37,11 +38,13 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import BudgetError, InputError
 from ..hypergraph import Hypergraph, is_q_linear, k_section, semi_simplexes, yblm_sum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET_BITS = 25
 _CHUNK = 1 << 19
@@ -52,6 +55,8 @@ _MAX_FREE_BITS = 62  # masks and the mask count 2^bits must fit in int64
 
 @cache
 def _pop16() -> np.ndarray:
+    import numpy as np
+
     return np.array([x.bit_count() for x in range(1 << 16)], dtype=np.int64)
 
 
@@ -61,11 +66,13 @@ def _popcount_table(masks: np.ndarray) -> np.ndarray:
     return sum(table[(masks >> shift) & 0xFFFF] for shift in (0, 16, 32, 48))
 
 
-if hasattr(np, "bitwise_count"):
-    def _popcount(masks: np.ndarray) -> np.ndarray:
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Popcount of non-negative int64 masks: numpy's own from 2.0 on, else the table."""
+    import numpy as np
+
+    if hasattr(np, "bitwise_count"):
         return np.bitwise_count(masks).astype(np.int64)
-else:
-    _popcount = _popcount_table
+    return _popcount_table(masks)
 
 
 @dataclass(frozen=True)
@@ -165,6 +172,8 @@ def _objective_weights(n: int, k: int) -> tuple[int, int, int]:
 
 def _scan_free_chunk(args: tuple[int, int, int, int]) -> tuple[int, list[int], bool]:
     """Scan family masks in [start, stop); returns (min numerator, argmins, truncated)."""
+    import numpy as np
+
     n, k, start, stop = args
     _, super_masks = _free_tables(n, k)
     w_mk, w_m0, _ = _objective_weights(n, k)
@@ -216,6 +225,10 @@ def _free_search(n: int, k: int, budget_bits: int, workers: int) -> SearchResult
     bounds = [(total * i) // n_jobs for i in range(n_jobs + 1)]
     jobs = [(n, k, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if len(jobs) > 1:
+        # numpy is imported lazily; import it before the pool forks so that
+        # the workers inherit it instead of each importing it again.
+        import numpy  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             parts = list(pool.map(_scan_free_chunk, jobs))
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -22,9 +23,11 @@ from .errors import InputError, InvariantError
 from .exactla import (
     coerce_rational,
     entry_from_json,
+    integer_row,
     nullspace_basis,
     primitive_integer_vector,
-    rank,
+    rank,  # noqa: F401  (matroid.rank is wrapped by name in perfbench/tracing.py)
+    rank_int_rows,
     vector_to_json,
 )
 
@@ -53,6 +56,15 @@ class VectorConfiguration:
 
     def __len__(self) -> int:
         return len(self.vectors)
+
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The vectors with denominators cleared per vector (exactla.integer_row).
+
+        Scaling a vector never changes the rank of a subset, so every rank
+        test runs on these, computed once per configuration.
+        """
+        return tuple(tuple(integer_row(v)) for v in self.vectors)
 
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels else f"v{i}"
@@ -107,9 +119,8 @@ def _check_indices(cfg: VectorConfiguration, subset: Iterable[int]) -> tuple[int
 def subset_rank(cfg: VectorConfiguration, subset: Iterable[int]) -> int:
     """Rank of the chosen vectors."""
     idx = _check_indices(cfg, subset)
-    if not idx:
-        return 0
-    return rank([cfg.vectors[i] for i in idx])
+    rows = cfg.integer_rows
+    return rank_int_rows([rows[i] for i in idx], cfg.dimension)
 
 
 def configuration_rank(cfg: VectorConfiguration) -> int:
@@ -143,26 +154,33 @@ def circuit_supports(
 ) -> list[tuple[int, ...]]:
     """Members of every circuit with at most max_size elements, sorted.
 
-    Scans subsets in increasing size, skipping any subset that contains a
-    previously found circuit (a proper superset of a circuit is never one).
-    After that pruning, a size-s survivor is a circuit exactly when its rank
-    is s - 1; the zero vector shows up as a size-1 circuit (loop). No circuit
-    has more than rank + 1 members, which caps the scan.
+    Scans subsets in increasing size and keeps, as bitmasks, the independent
+    subsets of the previous size (the empty set for size 1). A subset
+    contains a smaller circuit exactly when one of its facets (the subsets
+    one element smaller) is dependent, so a size-s subset is rank-tested
+    only when all its facets are kept: then it is a circuit when its rank is
+    s - 1, and independent, kept for size s + 1, when its rank is s. The
+    zero vector shows up as a size-1 circuit (loop). No circuit has more
+    than rank + 1 members, which caps the scan.
     """
     n = len(cfg)
     cap = configuration_rank(cfg) + 1 if n else 0
     top = cap if max_size is None else min(max_size, cap)
-    found: list[tuple[int, tuple[int, ...]]] = []  # (bitmask, members)
+    bits = [1 << i for i in range(n)]
+    found: list[tuple[int, ...]] = []
+    independent = {0}
     for size in range(1, top + 1):
+        kept = set()
         for members in combinations(range(n), size):
-            mask = 0
-            for i in members:
-                mask |= 1 << i
-            if any(cmask & mask == cmask for cmask, _ in found):
+            mask = sum(bits[i] for i in members)
+            if any(mask ^ bits[i] not in independent for i in members):
                 continue
             if subset_rank(cfg, members) == size - 1:
-                found.append((mask, members))
-    return sorted(members for _, members in found)
+                found.append(members)
+            else:
+                kept.add(mask)
+        independent = kept
+    return sorted(found)
 
 
 def enumerate_circuits(

@@ -2,13 +2,28 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 from minsimplex import geometry, hypergraph, matroid
 from minsimplex.exactla import rank
 from minsimplex.hypergraph import random_linear_hypergraph  # noqa: F401  (shared by test modules)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(code: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run `python -c code` in a new interpreter that imports minsimplex from src."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
 
 
 def random_rational(rng: random.Random, span: int = 4, max_den: int = 3) -> Fraction:
@@ -83,13 +98,25 @@ def random_graph(rng: random.Random, n: int, p: float) -> hypergraph.Hypergraph:
     return hypergraph.Hypergraph(n, edges)
 
 
+def _linearly_independent(cfg: matroid.VectorConfiguration, members: tuple[int, ...]) -> bool:
+    return rank([cfg.vectors[i] for i in members]) == len(members)
+
+
 def oracle_circuits(cfg: matroid.VectorConfiguration) -> list[tuple[int, ...]]:
-    """Brute force over every subset, deciding each with is_circuit."""
+    """Brute force over every subset: dependent while every subset one vector
+    smaller is independent.
+
+    Dependence is `exactla.rank` of the Fraction vectors, so the oracle
+    shares no code with `subset_rank` and the configuration's integer rows,
+    which the scan uses.
+    """
     n = len(cfg)
     out = []
     for size in range(1, n + 1):
         for members in combinations(range(n), size):
-            if matroid.is_circuit(cfg, members):
+            if not _linearly_independent(cfg, members) and all(
+                _linearly_independent(cfg, members[:i] + members[i + 1 :]) for i in range(size)
+            ):
                 out.append(members)
     return sorted(out)
 

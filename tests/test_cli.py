@@ -2,6 +2,8 @@ import json
 
 from minsimplex.cli import main
 
+from support import run_python
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -249,3 +251,9 @@ def test_output_byte_identical_across_runs(tmp_path, capsys):
     _, out1, _ = run(capsys, "simplexes", "--points", path, "--format", "json")
     _, out2, _ = run(capsys, "simplexes", "--points", path, "--format", "json")
     assert out1 == out2
+
+
+def test_cli_import_does_not_import_numpy():
+    # only the free search uses numpy; every other command skips its import
+    proc = run_python("import minsimplex.cli, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ from minsimplex.extremal import ConstructionId, brute_force_s, construct, expect
 
 def test_parallel_pairs_beyond_acceptance_range():
     cid = ConstructionId("parallel-pairs")
-    for n in (15, 16):
+    for n in (15, 16, 22):
         ps = construct(cid, n)
         assert geometry.enumerate_affine_simplexes(ps).total == expected_count(cid, n)
 

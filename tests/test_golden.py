@@ -17,6 +17,8 @@ import pytest
 
 from minsimplex.cli import main
 
+from support import run_python
+
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 INPUTS = {
@@ -104,6 +106,18 @@ def test_golden_output(case, argv, code, err, tmp_path, monkeypatch, capsys):
     with open(_golden_path(case), encoding="utf-8") as fh:
         assert captured.out == fh.read()
     assert (got_code, captured.err) == (code, err)
+
+
+def test_free_search_with_worker_processes(tmp_path):
+    # 2^20 masks make two scan jobs, so --workers 2 forks a real pool; a new
+    # interpreter has not imported numpy before the search starts.
+    argv = ["search", "6", "3", "--free", "--workers", "2", "--format", "json"]
+    proc = run_python(
+        f"import sys; from minsimplex.cli import main; sys.exit(main({argv!r}))", cwd=tmp_path
+    )
+    with open(_golden_path("search-6-3-free-json"), encoding="utf-8") as fh:
+        assert proc.stdout == fh.read()
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from minsimplex import matroid
 from minsimplex.errors import InputError, InvariantError
+from minsimplex.exactla import rank
+from minsimplex.extremal import ConstructionId, construct
 from minsimplex.matroid import (
     VectorConfiguration,
     configuration_rank,
@@ -13,7 +16,7 @@ from minsimplex.matroid import (
     subset_rank,
 )
 
-from support import oracle_circuits, random_configuration
+from support import oracle_circuits, random_configuration, random_deficient_rows
 
 
 def moment_vectors(n, dim):
@@ -139,3 +142,57 @@ def test_labels_validated():
         VectorConfiguration(1, ((1,), (2,)), labels=("a", "a"))
     with pytest.raises(InvariantError):
         VectorConfiguration(2, ((1, 0), (0, 1, 2)))
+
+
+def test_scan_matches_oracle_on_deficient_configurations():
+    # Vectors from random_deficient_rows: copies and integer combinations of
+    # earlier vectors (so parallel vectors and zero vectors), all-zero
+    # coordinates, non-integer rationals, and in half the cases entries
+    # around 10^30.
+    rng = random.Random(47)
+    seen = Counter()
+    for trial in range(80):
+        n = rng.randint(1, 8)
+        dim = rng.randint(1, 4)
+        rows = random_deficient_rows(rng, n, dim, span=10**30 if trial % 2 else 4)
+        cfg = VectorConfiguration(dim, tuple(tuple(r) for r in rows))
+        circuits = enumerate_circuits(cfg)
+        assert [c.members for c in circuits] == oracle_circuits(cfg)
+        for c in circuits:
+            assert all(
+                sum(coef * cfg.vectors[i][p] for i, coef in zip(c.members, c.coefficients)) == 0
+                for p in range(dim)
+            )
+        seen.update(min(c.size, 3) for c in circuits)
+        seen["huge"] += any(abs(x) > 10**29 for v in cfg.vectors for x in v)
+        seen["non-integer"] += any(x.denominator > 1 for v in cfg.vectors for x in v)
+        for _ in range(5):
+            subset = rng.sample(range(n), rng.randint(0, n))
+            assert subset_rank(cfg, subset) == rank([cfg.vectors[i] for i in subset])
+    # loops, parallel pairs, larger circuits and both entry kinds all occurred
+    assert all(seen[kind] > 0 for kind in (1, 2, 3, "huge", "non-integer")), seen
+
+
+def _scan_rank_tests(monkeypatch, cfg):
+    calls = []
+    original = matroid.subset_rank
+
+    def counting(config, subset):
+        calls.append(subset)
+        return original(config, subset)
+
+    monkeypatch.setattr(matroid, "subset_rank", counting)
+    supports = matroid.circuit_supports(cfg)
+    return len(calls), len(supports)
+
+
+def test_scan_rank_test_counts_are_pinned(monkeypatch):
+    # A scan that skips every superset of a circuit found so far makes these
+    # rank tests; the facet rule must skip the same candidates and test the
+    # same subsets. Both counts include the configuration_rank call that
+    # caps the scan.
+    ps = construct(ConstructionId("parallel-pairs"), 12)
+    lift = VectorConfiguration(4, tuple((1,) + p for p in ps.points))
+    assert _scan_rank_tests(monkeypatch, lift) == (874, 295)
+    generic = random_configuration(random.Random(2024), 12, 5)
+    assert _scan_rank_tests(monkeypatch, generic) == (2510, 924)
