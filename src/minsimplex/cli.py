@@ -53,17 +53,19 @@ def _counts_csv(counts: dict[int, int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _circuits_json(cfg, circuits, counts_only: bool) -> dict:
+def _circuits_json(cfg, supports, circuits=None) -> dict:
+    """Counts of the circuit supports, plus the circuits with their
+    coefficients when they are given."""
     counts: dict[str, int] = {}
-    for c in circuits:
-        counts[str(c.size)] = counts.get(str(c.size), 0) + 1
+    for members in supports:
+        counts[str(len(members))] = counts.get(str(len(members)), 0) + 1
     obj = {
         "dimension": cfg.dimension,
         "vector_count": len(cfg),
         "counts": counts,
-        "total": len(circuits),
+        "total": len(supports),
     }
-    if not counts_only:
+    if circuits is not None:
         obj["circuits"] = [
             {"members": list(c.members), "coefficients": list(c.coefficients)} for c in circuits
         ]
@@ -83,31 +85,35 @@ def cmd_simplexes(args) -> int:
         return 0
 
     cfg = matroid.load_vectors(args.vectors)
-    circuits = matroid.enumerate_circuits(cfg)
+    # Coefficients are computed only when they are printed: JSON without --counts-only.
+    circuits = None
+    if args.format == "json" and not args.counts_only:
+        circuits = matroid.enumerate_circuits(cfg)
+        supports = [c.members for c in circuits]
+    else:
+        supports = matroid.circuit_supports(cfg)
     if not args.project:
-        by_size = Counter(c.size for c in circuits)
+        by_size = Counter(len(members) for members in supports)
         if args.format == "json":
-            _emit(_dump_json(_circuits_json(cfg, circuits, args.counts_only)), args.out)
+            _emit(_dump_json(_circuits_json(cfg, supports, circuits)), args.out)
         elif args.format == "csv":
             _emit(_counts_csv(by_size), args.out)
         else:
-            _emit("\n".join(_counts_lines(by_size, len(circuits))), args.out)
+            _emit("\n".join(_counts_lines(by_size, len(supports))), args.out)
         return 0
 
     ps = geometry.project_to_affine(cfg)
     report = geometry.enumerate_affine_simplexes(ps)
-    circuit_members = sorted(c.members for c in circuits)
-    simplex_members = sorted(s.members for s in report.simplexes)
-    match = circuit_members == simplex_members
+    match = supports == [s.members for s in report.simplexes]
     obj = {
-        "circuits": _circuits_json(cfg, circuits, args.counts_only),
+        "circuits": _circuits_json(cfg, supports, circuits),
         "projected": report.to_json_obj(args.counts_only),
         "match": match,
     }
     if args.format == "json":
         _emit(_dump_json(obj), args.out)
     else:
-        lines = [f"circuits: {len(circuits)}", f"projected simplexes: {report.total}"]
+        lines = [f"circuits: {len(supports)}", f"projected simplexes: {report.total}"]
         lines.append(f"match: {'yes' if match else 'NO'}")
         _emit("\n".join(lines), args.out)
     if not match:

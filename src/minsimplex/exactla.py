@@ -5,10 +5,10 @@ balancing) reduces to boundary rank tests, so all arithmetic here is exact.
 Rationals are `fractions.Fraction` (always in lowest terms, positive
 denominator, canonical zero), re-exported as `Rational`. A matrix is a
 sequence of equal-length rows of exact entries (int, Fraction or "p/q"
-string); `rank`, `rref` and `nullspace_basis` take the rows directly. Rank
-runs on denominator-cleared integer rows via fraction-free Bareiss
-elimination; nullspaces come from a reduced row echelon form over the
-rationals with a deterministic first-nonzero pivot rule.
+string); `rank` and `nullspace_basis` take the rows directly. Both clear
+denominators row by row and run one fraction-free Bareiss elimination
+(Math. Comp. 22, 1968) on the integer rows; the nullspace is read off the
+integer echelon form by back-substitution.
 
 No floating point is accepted anywhere: external numeric input must be an
 integer or a "p/q" string (see `rational_from_string`).
@@ -68,23 +68,19 @@ def vector_to_json(v: Sequence[Fraction]) -> list:
     return [int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}" for x in v]
 
 
-def _fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """The rows as lists of Fractions; floats are refused and ragged rows raise."""
-    out = [[coerce_rational(x) for x in row] for row in rows]
-    if any(len(row) != len(out[0]) for row in out):
-        raise InvariantError("ragged rows in matrix input")
-    return out
+def _echelon(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form of an integer matrix by fraction-free Bareiss
+    elimination; returns (rows, pivot columns).
 
-
-def rank_int_rows(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination.
-
+    Row i of the result is a nonzero multiple of the i-th row of the Gaussian
+    echelon form, so the row space, and with it the kernel, is unchanged.
     Exact divisions keep intermediate entries at minor size instead of
     doubling digit counts per step; pivots are the first nonzero entry in
     row-major order, so the run is deterministic.
     """
     work = [list(r) for r in rows]
     nrows = len(work)
+    pivots: list[int] = []
     r = 0
     prev = 1
     for c in range(ncols):
@@ -105,10 +101,16 @@ def rank_int_rows(rows: list[list[int]], ncols: int) -> int:
             for j in range(c, ncols):
                 wi[j] = (p * wi[j] - a * wr[j]) // prev
         prev = p
+        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return r
+    return work, pivots
+
+
+def rank_int_rows(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of an integer matrix: its pivot count under `_echelon`."""
+    return len(_echelon(rows, ncols)[1])
 
 
 def integer_row(row: Sequence[Fraction]) -> list[int]:
@@ -121,59 +123,52 @@ def integer_row(row: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (scale // x.denominator) for x in row]
 
 
+def _integer_matrix(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """The rows with denominators cleared row by row, and the column count;
+    floats are refused and ragged rows raise."""
+    out = [integer_row([coerce_rational(x) for x in row]) for row in rows]
+    if any(len(row) != len(out[0]) for row in out):
+        raise InvariantError("ragged rows in matrix input")
+    return out, len(out[0]) if out else 0
+
+
 def rank(rows: Sequence[Sequence]) -> int:
     """Exact rank over the rationals."""
-    int_rows = [integer_row(row) for row in _fraction_rows(rows)]
-    return rank_int_rows(int_rows, len(int_rows[0]) if int_rows else 0)
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
-    work = _fraction_rows(rows)
-    nrows, ncols = len(work), len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
+    return rank_int_rows(*_integer_matrix(rows))
 
 
 def nullspace_basis(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     """Basis of the right nullspace {x : m x = 0} of the matrix m with these
     rows, one vector per free column.
 
-    The basis is the standard one read off the reduced echelon form: free
-    column f yields the vector with x_f = 1 and pivot coordinates filled so
-    that m x = 0 exactly. Basis size is cols - rank(m).
+    The basis is the standard one: free column f yields the vector with
+    x_f = 1, x = 0 on the other free columns, and pivot coordinates filled
+    so that m x = 0 exactly. Basis size is cols - rank(m). Clearing the
+    denominators of each row does not change the kernel, so the pivot
+    coordinates come from back-substitution on the integer echelon form,
+    kept as integer numerators over one common denominator.
     """
-    work, pivots = rref(rows)
-    ncols = len(work[0]) if work else 0
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    int_rows, ncols = _integer_matrix(rows)
+    echelon, pivots = _echelon(int_rows, ncols)
+    pivot_rows = list(zip(pivots, echelon))[::-1]
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -work[i][f]
-        basis.append(tuple(vec))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        num = [0] * ncols
+        num[f] = den = 1
+        for c, row in pivot_rows:
+            if c > f:
+                continue
+            s = sum(row[j] * num[j] for j in range(c + 1, f + 1))
+            if s:
+                g = gcd(s, row[c])
+                scale = row[c] // g
+                if scale != 1:
+                    num = [x * scale for x in num]
+                    den *= scale
+                num[c] = -s // g
+        basis.append(tuple(Fraction(x, den) for x in num))
     return basis
 
 

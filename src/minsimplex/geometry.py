@@ -8,7 +8,7 @@ the lift and are enumerated by matroid.circuit_supports; affine rank is the
 lift's rank minus 1. This module also hosts the linear-to-affine projection
 (central projection of a vector configuration onto a hyperplane off the
 origin) and the general-position hypothesis check used by the dimension-d
-counting results.
+counting results, which is the same scan capped at d members.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .errors import InputError, InvariantError
@@ -181,35 +180,32 @@ def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
     return SimplexReport(ps.dimension, len(ps), simplexes)
 
 
-def find_degenerate_subset(ps: PointSet) -> tuple[int, ...] | None:
-    """First d-subset lying on a (d-2)-flat, or None if the set is in general position."""
-    d = ps.dimension
-    for members in combinations(range(len(ps)), d):
-        if affine_rank(ps, members) < d - 1:
-            return members
-    return None
-
-
 def check_small_flat_hypothesis(ps: PointSet) -> bool:
-    """True iff no d points lie on a (d-2)-dimensional flat (vacuous below d points)."""
-    if len(ps) < ps.dimension:
-        return True
-    return find_degenerate_subset(ps) is None
+    """True iff no d points lie on a (d-2)-dimensional flat (vacuous below d points).
+
+    d points lie on a (d-2)-flat exactly when they are affinely dependent,
+    that is when they contain an affine simplex: a circuit of the lift with
+    at most d members. Below d points there is no d-subset, so a collinear
+    triple among them does not count.
+    """
+    return len(ps) < ps.dimension or not circuit_supports(_lift(ps), max_size=ps.dimension)
 
 
 def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
     """(coplanar quadruple count, generic quintuple count) for d = 3 point sets.
 
     Requires no three collinear points; under that hypothesis these two kinds
-    exhaust the affine simplexes, so the counts sum to the total.
+    exhaust the affine simplexes, so the counts sum to the total. The
+    simplexes of size 3 are exactly the collinear triples, and the first one
+    in member order is reported.
     """
     if ps.dimension != 3:
         raise InvariantError(f"classification needs dimension 3, got {ps.dimension}")
-    bad = find_degenerate_subset(ps)
-    if bad is not None:
-        raise InvariantError(f"collinear triple at indices {bad}")
     report = enumerate_affine_simplexes(ps)
     counts = report.counts
+    if 3 in counts:
+        bad = next(s.members for s in report.simplexes if s.size == 3)
+        raise InvariantError(f"collinear triple at indices {bad}")
     if any(size not in (4, 5) for size in counts):
         raise InvariantError(f"unexpected simplex sizes {sorted(counts)} under the hypothesis")
     return counts.get(4, 0), counts.get(5, 0)

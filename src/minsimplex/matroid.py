@@ -7,7 +7,8 @@ times vector is exactly zero).
 
 circuit_supports is the one scan for minimal dependent sets in the package:
 geometry enumerates the affine simplexes of a point set P as the circuits
-of its lift {(1, p) : p in P}.
+of its lift {(1, p) : p in P}, and checks general position with the same
+scan capped in size.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class VectorConfiguration:
         test runs on these, computed once per configuration.
         """
         return tuple(tuple(integer_row(v)) for v in self.vectors)
-
-    def label_of(self, i: int) -> str:
-        return self.labels[i] if self.labels else f"v{i}"
 
     def to_json_obj(self) -> dict:
         obj = {"dimension": self.dimension, "vectors": [vector_to_json(v) for v in self.vectors]}

@@ -59,6 +59,48 @@ def random_deficient_rows(
     return rows
 
 
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fractions; returns (rows, pivot columns).
+
+    The slow oracle for `exactla`, which runs fraction-free Bareiss
+    elimination on integer rows instead.
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(work), len(work[0]) if work else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(nrows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return work, pivots
+
+
+def rref_nullspace(rows) -> list[tuple[Fraction, ...]]:
+    """The standard nullspace basis read off `rref`: x_f = 1 per free column f."""
+    work, pivots = rref(rows)
+    ncols = len(work[0]) if work else 0
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -work[i][f]
+        basis.append(tuple(vec))
+    return basis
+
+
 def random_configuration(rng: random.Random, n: int, dim: int) -> matroid.VectorConfiguration:
     vectors = tuple(
         tuple(random_rational(rng) for _ in range(dim)) for _ in range(n)
@@ -143,6 +185,13 @@ def oracle_affine_simplexes(ps: geometry.PointSet) -> list[tuple[int, ...]]:
             ):
                 out.append(members)
     return sorted(out)
+
+
+def oracle_small_flat_hypothesis(ps: geometry.PointSet) -> bool:
+    """Brute force over every d-subset: none is affinely dependent, i.e.
+    no d points lie on a (d-2)-flat (vacuous below d points)."""
+    d = ps.dimension
+    return not any(_affinely_dependent(ps, m) for m in combinations(range(len(ps)), d))
 
 
 def random_set_family(

@@ -1,5 +1,6 @@
 import json
 
+from minsimplex import matroid
 from minsimplex.cli import main
 
 from support import run_python
@@ -63,6 +64,31 @@ def test_simplexes_vectors_with_projection(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["match"] is True
     assert obj["circuits"]["total"] == obj["projected"]["total"] == 1
+
+
+def test_simplexes_vectors_computes_coefficients_only_when_printed(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "vecs.json"
+    path.write_text(json.dumps({"dimension": 3, "vectors": [
+        [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 2, 3], [2, 1, "1/2"],
+    ]}))
+    calls = []
+    original = matroid.nullspace_basis
+    monkeypatch.setattr(matroid, "nullspace_basis", lambda rows: calls.append(rows) or original(rows))
+    outputs, kernels = {}, {}
+    for project in ((), ("--project",)):
+        for fmt in (("text",), ("csv",), ("json", "--counts-only"), ("json",)):
+            calls.clear()
+            code, out, _ = run(capsys, "simplexes", "--vectors", str(path), *project, "--format", *fmt)
+            assert code == 0
+            outputs[project + fmt], kernels[project + fmt] = out, len(calls)
+    # one kernel per circuit, and only in the two modes that print coefficients
+    full = json.loads(outputs[("json",)])
+    assert full["total"] == 13
+    assert kernels == {mode: 13 if mode[-1] == "json" else 0 for mode in outputs}
+    counts_only = json.loads(outputs[("json", "--counts-only")])
+    assert counts_only == {k: v for k, v in full.items() if k != "circuits"}
+    projected = json.loads(outputs[("--project", "json")])
+    assert projected["circuits"] == full and projected["match"]
 
 
 def test_construct_self_check(tmp_path, capsys, monkeypatch):

@@ -10,10 +10,9 @@ from minsimplex.exactla import (
     rank,
     rank_int_rows,
     rational_from_string,
-    rref,
 )
 
-from support import random_deficient_rows, random_rational
+from support import random_deficient_rows, random_rational, rref, rref_nullspace
 
 
 def mat_vec(rows, v):
@@ -157,3 +156,19 @@ def test_rank_matches_rref_pivot_count():
             deficient += r < min(nrows, ncols)
     assert deficient >= 50
 
+
+
+def test_nullspace_matches_rref_oracle():
+    # Back-substitution on the Bareiss echelon form of denominator-cleared
+    # rows against the basis read off the Fraction RREF: equal entry by entry.
+    rng = random.Random(19)
+    deficient = 0
+    for span in (4, 10**30):
+        for _ in range(150):
+            nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+            m = random_deficient_rows(rng, nrows, ncols, span=span)
+            basis = nullspace_basis(m)
+            assert basis == rref_nullspace(m)
+            assert all(isinstance(x, Fraction) for v in basis for x in v)
+            deficient += rank(m) < min(nrows, ncols)
+    assert deficient >= 50

@@ -22,6 +22,7 @@ from minsimplex.matroid import VectorConfiguration, enumerate_circuits
 
 from support import (
     oracle_affine_simplexes,
+    oracle_small_flat_hypothesis,
     random_admissible_configuration,
     random_point_set,
     random_rational,
@@ -166,6 +167,38 @@ def test_check_small_flat_hypothesis():
     assert not check_small_flat_hypothesis(bad)
     tiny = PointSet(3, ((0, 0, 0), (1, 1, 1)))
     assert check_small_flat_hypothesis(tiny)
+    # a collinear triple, but no 4 points at all in R^4
+    line = PointSet(4, ((0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0)))
+    assert check_small_flat_hypothesis(line)
+    assert not check_small_flat_hypothesis(PointSet(4, line.points + ((0, 0, 0, 1),)))
+
+
+def _planted_point_set(rng, d):
+    """Random points in R^d, often with a planted collinear triple or four
+    points on a plane, in random order."""
+    pts = list(random_point_set(rng, rng.randint(1, 7), d, span=3).points)
+    base = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+    dirs = [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(2)]
+    planted = rng.choice([[], [(0, 1), (0, 2), (0, -1)], [(0, 0), (1, 0), (0, 1), (1, 2)]])
+    for s, t in planted:
+        pts.append(tuple(b + s * u + t * w for b, u, w in zip(base, *dirs)))
+    pts = list(dict.fromkeys(pts))
+    rng.shuffle(pts)
+    return PointSet(d, tuple(pts))
+
+
+def test_small_flat_hypothesis_matches_d_subset_oracle():
+    rng = random.Random(47)
+    seen = set()
+    for _ in range(240):
+        d = rng.randint(2, 4)
+        ps = _planted_point_set(rng, d)
+        holds = check_small_flat_hypothesis(ps)
+        assert holds == oracle_small_flat_hypothesis(ps)
+        seen.add((d, holds, len(ps) < d))
+    # both outcomes in R^3 and R^4, and sets below d points
+    assert {(3, True, False), (3, False, False), (4, True, False), (4, False, False)} <= seen
+    assert any(small for _, _, small in seen)
 
 
 def test_simplex_sizes_under_hypothesis():
@@ -200,6 +233,10 @@ def test_classify_r3():
         classify_r3_semi_simplexes(bad)
     with pytest.raises(InvariantError):
         classify_r3_semi_simplexes(PointSet(2, ((0, 0), (1, 0), (0, 1))))
+    # collinear triples (1, 3, 4) on the x-axis and (2, 4, 5); the first is reported
+    two_lines = PointSet(3, ((0, 0, 1), (0, 0, 0), (5, 7, 11), (1, 0, 0), (2, 0, 0), (8, 14, 22)))
+    with pytest.raises(InvariantError, match=r"^collinear triple at indices \(1, 3, 4\)$"):
+        classify_r3_semi_simplexes(two_lines)
 
 
 def test_project_three_vectors_to_line():
