@@ -186,6 +186,8 @@ def cmd_search(args) -> int:
     result = extremal.brute_force_s(
         args.n, args.k, args.linear, budget_bits=budget, workers=workers
     )
+    if result.witnesses_truncated:
+        print("note: witnesses truncated: not every minimizing family was kept", file=sys.stderr)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dump_json(result.to_json_obj()) + "\n")

@@ -17,15 +17,25 @@ Two regimes:
 * Linear-constrained (s): backtracking over families of edges of size >= k
   with pairwise intersections below k-1 (smaller edges never change the
   semi-simplex family and only tighten the constraint, so they are omitted
-  without loss). Each family is visited exactly once. The objective is kept
-  up to date on every push and pop: a hit counter per (k+1)-set, the number
-  of counters at zero (m0) and the size of the k-section, so each visited
-  family is scored in O(1).
+  without loss). Each family is visited exactly once, in ascending
+  candidate order. Every pair of candidates is tested once, up front:
+  compat[j] is the bitmask of the later candidates compatible with j, and
+  a child may choose only from its parent's remaining candidates ANDed
+  with compat[j]. The score depends on the edge sizes only. Lemma: in a
+  (k-1)-linear family no (k+1)-set contains k-subsets of two edges, since
+  two k-subsets of one (k+1)-set share k-1 vertices. So an edge of size s
+  adds C(s,k) distinct k-sets to the section and alone covers the
+  C(s,k+1) + C(s,k)(n-s) (k+1)-sets that meet it in k or more vertices.
+  The score numerator is C(n,k+1)*w_m0 plus one precomputed delta per
+  chosen edge, and each visited family costs O(1).
 
 Witnesses are deduplicated up to vertex relabeling via the minimum
-lexicographic incidence form over all permutations (feasible at n <= 8).
-That pass runs once per isomorphism class: it records the key of every
-relabeled copy, and later members of the class are found by lookup.
+lexicographic incidence form over all permutations (feasible at n <= 8,
+so larger n is refused before either search starts). That pass runs once
+per isomorphism class: it records the key of every relabeled copy, and
+later members of the class are found by lookup. Each search keeps at most
+_MAX_RAW_WITNESSES minimizing families; when it drops more, the result
+says so in `witnesses_truncated`.
 """
 
 from __future__ import annotations
@@ -83,6 +93,7 @@ class SearchResult:
     minimum: Fraction
     witnesses: tuple[Hypergraph, ...]
     search_space_size: int
+    witnesses_truncated: bool = False  # minimizers beyond _MAX_RAW_WITNESSES were dropped
 
     def to_json_obj(self) -> dict:
         return {
@@ -204,7 +215,7 @@ def _scan_free_chunk(args: tuple[int, int, int, int]) -> tuple[int, list[int], b
     return best, argmins, truncated
 
 
-def _free_search(n: int, k: int, budget_bits: int, workers: int) -> SearchResult:
+def _check_free_space(n: int, k: int, budget_bits: int) -> None:
     bits = comb(n, k)
     if bits > _MAX_FREE_BITS:
         raise InputError(
@@ -216,6 +227,10 @@ def _free_search(n: int, k: int, budget_bits: int, workers: int) -> SearchResult
             f"free search over 2^{bits} k-uniform families exceeds budget 2^{budget_bits} "
             f"(n={n}, k={k}); raise the budget to override"
         )
+
+
+def _free_search(n: int, k: int, workers: int) -> SearchResult:
+    bits = comb(n, k)
     total = 1 << bits
     blocks, _ = _free_tables(n, k)
     denom = _objective_weights(n, k)[2]
@@ -236,15 +251,18 @@ def _free_search(n: int, k: int, budget_bits: int, workers: int) -> SearchResult
 
     best = min(p[0] for p in parts)
     raw_masks: list[int] = []
-    for part_best, part_masks, _ in parts:
+    truncated = False
+    for part_best, part_masks, part_truncated in parts:
         if part_best == best:
             raw_masks.extend(part_masks)
+            truncated |= part_truncated
+    truncated |= len(raw_masks) > _MAX_RAW_WITNESSES
     raw_masks = raw_masks[:_MAX_RAW_WITNESSES]
     families = [
         tuple(blocks[i] for i in range(bits) if mask >> i & 1) for mask in sorted(raw_masks)
     ]
     witnesses = _canonical_witnesses(n, families)
-    return SearchResult(n, k, False, Fraction(best, denom), witnesses, total)
+    return SearchResult(n, k, False, Fraction(best, denom), witnesses, total, truncated)
 
 
 def free_scan_python(n: int, k: int) -> Fraction:
@@ -265,81 +283,59 @@ def free_scan_python(n: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _edge_delta(n: int, k: int, size: int) -> int:
+    """Score numerator change when an edge of `size` vertices joins a (k-1)-linear family
+    (the lemma in the module docstring)."""
+    w_mk, w_m0, _ = _objective_weights(n, k)
+    return comb(size, k) * w_mk - (comb(size, k + 1) + comb(size, k) * (n - size)) * w_m0
+
+
 def _linear_search(n: int, k: int, budget_bits: int) -> SearchResult:
     max_families = 1 << budget_bits
-    cands = []
-    for size in range(k, n + 1):
-        cands.extend(combinations(range(n), size))
-    cand_masks = []
-    for e in cands:
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        cand_masks.append(mask)
+    cands = [e for size in range(k, n + 1) for e in combinations(range(n), size)]
+    cand_masks = [sum(1 << v for v in e) for e in cands]
+    # compat[j]: the later candidates that share fewer than k-1 vertices with j
+    compat = [
+        sum(1 << i for i in range(j + 1, len(cands)) if (cand_masks[i] & mask).bit_count() < k - 1)
+        for j, mask in enumerate(cand_masks)
+    ]
+    delta = [_edge_delta(n, k, len(e)) for e in cands]
+    _, w_m0, denom = _objective_weights(n, k)
 
-    w_mk, w_m0, denom = _objective_weights(n, k)
-    level_k1 = list(combinations(range(n), k + 1))
-    supersets: dict[tuple[int, ...], list[int]] = {sub: [] for sub in combinations(range(n), k)}
-    for t, cand in enumerate(level_k1):
-        for sub in combinations(cand, k):
-            supersets[sub].append(t)
-    # per candidate: its number of k-subsets, and the (k+1)-sets they hit (with repeats)
-    cand_mk = [comb(len(e), k) for e in cands]
-    cand_hits = [[t for sub in combinations(e, k) for t in supersets[sub]] for e in cands]
-
-    best: int | None = None
+    best = comb(n, k + 1) * w_m0  # the empty family: m0 = C(n,k+1)
     best_families: list[tuple[tuple[int, ...], ...]] = []
+    truncated = False
     visited = 0
     chosen: list[int] = []
-    chosen_masks: list[int] = []
-    # The chosen edges pairwise share fewer than k-1 vertices, so their
-    # k-subsets are distinct: |E_k| is the sum of the counts, and m0 is the
-    # number of (k+1)-sets whose hit counter is 0.
-    section_size = 0
-    hits = [0] * len(level_k1)
-    zeros = len(level_k1)
 
-    def evaluate() -> None:
-        nonlocal best, visited
+    def rec(avail: int, score: int) -> None:
+        nonlocal best, truncated, visited
         visited += 1
         if visited > max_families:
             raise BudgetError(
                 f"constrained search visited more than 2^{budget_bits} families "
                 f"(n={n}, k={k}); raise the budget to override"
             )
-        score = section_size * w_mk + zeros * w_m0
-        if best is None or score < best:
+        if score < best:
             best = score
             best_families.clear()
-        if score == best and len(best_families) < _MAX_RAW_WITNESSES:
-            best_families.append(tuple(cands[i] for i in chosen))
-
-    def rec(start: int) -> None:
-        nonlocal section_size, zeros
-        evaluate()
-        for j in range(start, len(cands)):
-            mask = cand_masks[j]
-            if any((mask & m).bit_count() >= k - 1 for m in chosen_masks):
-                continue
+            truncated = False
+        if score == best:
+            if len(best_families) < _MAX_RAW_WITNESSES:
+                best_families.append(tuple(cands[i] for i in chosen))
+            else:
+                truncated = True
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            j = low.bit_length() - 1
             chosen.append(j)
-            chosen_masks.append(mask)
-            section_size += cand_mk[j]
-            for t in cand_hits[j]:
-                if not hits[t]:
-                    zeros -= 1
-                hits[t] += 1
-            rec(j + 1)
-            for t in cand_hits[j]:
-                hits[t] -= 1
-                if not hits[t]:
-                    zeros += 1
-            section_size -= cand_mk[j]
-            chosen_masks.pop()
+            rec(avail & compat[j], score + delta[j])
             chosen.pop()
 
-    rec(0)
+    rec((1 << len(cands)) - 1, best)
     witnesses = _canonical_witnesses(n, best_families)
-    return SearchResult(n, k, True, Fraction(best, denom), witnesses, visited)
+    return SearchResult(n, k, True, Fraction(best, denom), witnesses, visited, truncated)
 
 
 def brute_force_s(
@@ -354,15 +350,20 @@ def brute_force_s(
     linear_constrained=True restricts to (k-1)-linear hypergraphs (the s
     flavor); False searches all hypergraphs through their k-sections (s').
     Refuses to start (or aborts) once the candidate space exceeds
-    2^budget_bits.
+    2^budget_bits, and refuses to start when n is beyond the canonical
+    labeling of the witnesses.
     """
     if k < 2:
         raise InputError("search needs k >= 2")
     if n < k + 1:
         raise InputError(f"search needs n >= k+1, got n={n}, k={k}")
+    if not linear_constrained:
+        _check_free_space(n, k, budget_bits)
+    if n > _CANONICAL_N_LIMIT:
+        raise InputError(f"canonical labeling supported up to n = {_CANONICAL_N_LIMIT}")
     if linear_constrained:
         return _linear_search(n, k, budget_bits)
-    return _free_search(n, k, budget_bits, workers)
+    return _free_search(n, k, workers)
 
 
 def verify_witness(result: SearchResult, witness: Hypergraph) -> bool:

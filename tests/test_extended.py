@@ -3,7 +3,13 @@
 from fractions import Fraction
 
 from minsimplex import geometry, hypergraph
-from minsimplex.extremal import ConstructionId, brute_force_s, construct, expected_count
+from minsimplex.extremal import (
+    ConstructionId,
+    brute_force_s,
+    construct,
+    expected_count,
+    verify_witness,
+)
 
 
 def test_parallel_pairs_beyond_acceptance_range():
@@ -39,3 +45,13 @@ def test_k3_pair_at_n6():
     # values cannot drop below the n=5 level
     assert brute_force_s(5, 3, True).minimum <= constrained.minimum
     assert brute_force_s(5, 3, False).minimum <= free.minimum
+
+
+def test_s_at_n8_with_verified_witnesses():
+    for k, value in ((3, Fraction(139, 280)), (4, Fraction(1, 5)), (5, Fraction(2, 7))):
+        result = brute_force_s(8, k, True)
+        assert result.minimum == value
+        assert result.minimum >= brute_force_s(7, k, True).minimum
+        assert result.witnesses and not result.witnesses_truncated
+        for w in result.witnesses:
+            assert verify_witness(result, w)

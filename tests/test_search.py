@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -268,14 +269,69 @@ def test_canonical_witnesses_canonicalize_once_per_class(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_incremental_linear_search_matches_recount_oracle(n):
-    for k in range(2, n):
+    # at n = 7 the recount oracle takes seconds per k; k >= 5 is left out
+    for k in range(2, n if n < 7 else 5):
         result = brute_force_s(n, k, True)
         minimum, forms, visited = linear_search_recount(n, k)
         assert result.minimum == minimum
         assert [w.edges for w in result.witnesses] == forms
         assert result.search_space_size == visited
+
+
+def test_edge_deltas_add_up_to_the_semi_simplex_sum():
+    # the lemma: on a (k-1)-linear family the score numerator is
+    # C(n,k+1)*w_m0 plus one size-only delta per edge
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randint(3, 10)
+        k = rng.randint(2, n - 1)
+        family = []
+        for _ in range(rng.randint(0, 12)):
+            edge = tuple(sorted(rng.sample(range(n), rng.randint(k, n))))
+            if edge not in family and all(len(set(edge) & set(e)) < k - 1 for e in family):
+                family.append(edge)
+        _, w_m0, denom = search._objective_weights(n, k)
+        score = comb(n, k + 1) * w_m0 + sum(search._edge_delta(n, k, len(e)) for e in family)
+        assert score == yblm_sum(semi_simplexes(Hypergraph(n, family), k).family, n) * denom
+
+
+def test_search_refuses_n_beyond_canonical_limit_before_searching(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(search, "_linear_search", no_search)
+    monkeypatch.setattr(search, "_scan_free_chunk", no_search)
+    with pytest.raises(InputError, match="canonical labeling supported up to n = 8"):
+        brute_force_s(9, 3, True)
+    # C(9,2) = 36 k-sets fit int64 masks and this budget, so only n stops the scan
+    with pytest.raises(InputError, match="canonical labeling supported up to n = 8"):
+        brute_force_s(9, 2, False, budget_bits=36)
+
+
+def test_witness_truncation_is_reported(monkeypatch, capsys):
+    for constrained in (True, False):
+        assert not brute_force_s(5, 3, constrained).witnesses_truncated
+    assert main(["search", "5", "3", "--linear"]) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(search, "_MAX_RAW_WITNESSES", 2)
+    for constrained in (True, False):
+        result = brute_force_s(5, 3, constrained)
+        assert result.witnesses_truncated
+        for w in result.witnesses:
+            assert verify_witness(result, w)
+    assert main(["search", "5", "3", "--linear"]) == 0
+    assert "witnesses truncated" in capsys.readouterr().err
+
+
+def test_free_witness_truncation_is_reported_across_jobs(monkeypatch, pool_sizes):
+    # s'(6,2) has 10 minimizing masks, spread over three jobs of 2^15 / 3 masks
+    monkeypatch.setattr(search, "_CHUNK", 1 << 10)
+    assert not brute_force_s(6, 2, False, workers=3).witnesses_truncated
+    monkeypatch.setattr(search, "_MAX_RAW_WITNESSES", 2)
+    assert brute_force_s(6, 2, False, workers=3).witnesses_truncated
+    assert pool_sizes == [3, 3]
 
 
 def test_linear_search_matches_all_subsets_at_n4():
