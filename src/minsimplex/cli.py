@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from collections import Counter
@@ -182,10 +181,7 @@ def cmd_construct(args) -> int:
 
 def cmd_search(args) -> int:
     budget = args.budget if args.budget is not None else extremal.default_budget_bits()
-    workers = args.workers or os.cpu_count() or 1
-    result = extremal.brute_force_s(
-        args.n, args.k, args.linear, budget_bits=budget, workers=workers
-    )
+    result = extremal.brute_force_s(args.n, args.k, args.linear, budget_bits=budget)
     if result.witnesses_truncated:
         print("note: witnesses truncated: not every minimizing family was kept", file=sys.stderr)
     if args.out:
@@ -332,28 +328,28 @@ def _suite_sperner() -> list[tuple[str, bool]]:
     return checks
 
 
-def _s_small_rows(workers: int) -> list[tuple[int, int, Fraction, Fraction, Fraction]]:
+def _s_small_rows() -> list[tuple[int, int, Fraction, Fraction, Fraction]]:
     rows = []
     for n in range(3, 7):
         rows.append((
             n, 2,
-            extremal.brute_force_s(n, 2, True, workers=workers).minimum,
-            extremal.brute_force_s(n, 2, False, workers=workers).minimum,
+            extremal.brute_force_s(n, 2, True).minimum,
+            extremal.brute_force_s(n, 2, False).minimum,
             extremal.s2_exact(n),
         ))
     for k in (3, 4):
         rows.append((
             k + 1, k,
-            extremal.brute_force_s(k + 1, k, True, workers=workers).minimum,
-            extremal.brute_force_s(k + 1, k, False, workers=workers).minimum,
+            extremal.brute_force_s(k + 1, k, True).minimum,
+            extremal.brute_force_s(k + 1, k, False).minimum,
             Fraction(1, k + 1),
         ))
     return rows
 
 
-def _suite_s_small(workers: int) -> list[tuple[str, bool]]:
+def _suite_s_small() -> list[tuple[str, bool]]:
     checks = []
-    for n, k, s_val, sp_val, closed in _s_small_rows(workers):
+    for n, k, s_val, sp_val, closed in _s_small_rows():
         checks.append(
             (f"s({n},{k}) = {s_val}, s'({n},{k}) = {sp_val}, closed form {closed}",
              s_val == closed and sp_val == closed)
@@ -362,12 +358,11 @@ def _suite_s_small(workers: int) -> list[tuple[str, bool]]:
 
 
 def cmd_verify(args) -> int:
-    workers = args.workers or os.cpu_count() or 1
     if args.suite == "s-small" and args.format == "csv":
         # plot-ready table of searched minima against the closed forms
         print("n,k,s,s_prime,closed_form")
         failures = 0
-        for n, k, s_val, sp_val, closed in _s_small_rows(workers):
+        for n, k, s_val, sp_val, closed in _s_small_rows():
             print(f"{n},{k},{s_val},{sp_val},{closed}")
             failures += 0 if s_val == closed and sp_val == closed else 1
         return 0 if failures == 0 else 1
@@ -376,7 +371,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "sperner":
         checks = _suite_sperner()
     else:
-        checks = _suite_s_small(workers)
+        checks = _suite_s_small()
     failures = 0
     for message, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {message}")
@@ -424,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     flavor.add_argument("--free", action="store_true", help="all hypergraphs: s'(n,k)")
     p.add_argument("--budget", type=int, default=None,
                    help="log2 of the candidate budget (default MINSIMPLEX_BUDGET_BITS or 25)")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored: the free scan runs in-process")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out", help="also write the JSON SearchResult here")
     p.set_defaults(func=cmd_search)
@@ -449,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("constructions", "sperner", "s-small"), required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored: the free scan runs in-process")
     p.add_argument("--format", choices=("text", "csv"), default="text",
                    help="csv (s-small only) emits the plot-ready value table")
     p.set_defaults(func=cmd_verify)

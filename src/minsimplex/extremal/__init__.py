@@ -17,7 +17,6 @@ from .search import (
     brute_force_s,
     canonical_family,
     default_budget_bits,
-    free_scan_python,
     monotonicity_check,
     verify_witness,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "count_triangles",
     "default_budget_bits",
     "expected_count",
-    "free_scan_python",
     "monotonicity_check",
     "reference_bounds",
     "s2_exact",

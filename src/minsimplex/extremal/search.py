@@ -7,12 +7,17 @@ Two regimes:
   over all 2^C(n,k) subsets of the k-level. Each family is a bitmask over
   the lexicographically ordered k-sets; the objective is compared through
   the integer numerator |E_k| * C(n,k+1) + |E0_{k+1}| * C(n,k) over the
-  common denominator, so the whole scan is exact int64 arithmetic and can
-  be vectorized and partitioned across processes: at most one job per
-  worker and per chunk of 2^19 masks, so a scan of one chunk or less runs
-  in-process. Masks are int64, so C(n,k) is limited to 62 whatever the
-  budget, and that limit is checked before the budget. numpy is imported
-  by the free search only, so importing this module does not load it.
+  common denominator. The scan meets in the middle (Horowitz & Sahni,
+  J. ACM 21, 1974): a mask is a high half h and a low half l, and it misses
+  a (k+1)-set exactly when both halves miss it, so the numerators of all
+  (h, l) are one 0/1 matrix product, computed in float64 blocks of _BLOCK
+  scores. Every partial sum is a non-negative integer of at most
+  2*C(n,k)*C(n,k+1), which is refused before the scan unless it is below
+  2^53, so BLAS computes each score exactly in any summation order. The
+  scan runs in-process (BLAS uses the cores) and visits masks in ascending
+  order. C(n,k) is limited to 62 (int64 halves) whatever the budget, and
+  that limit is checked before the budget. numpy is imported by the free
+  search only, so importing this module does not load it.
 
 * Linear-constrained (s): backtracking over families of edges of size >= k
   with pairwise intersections below k-1 (smaller edges never change the
@@ -42,47 +47,21 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, permutations
 from math import comb
-from typing import TYPE_CHECKING
 
 from ..errors import BudgetError, InputError
 from ..hypergraph import Hypergraph, is_q_linear, k_section, semi_simplexes, yblm_sum
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_BUDGET_BITS = 25
-_CHUNK = 1 << 19
+_BLOCK = 1 << 18  # score entries per matrix product of the free scan
+_LOW_BITS = 11  # at most 2^11 low halves, so the right-hand factor stays in cache
 _MAX_RAW_WITNESSES = 5000
 _CANONICAL_N_LIMIT = 8
 _MAX_FREE_BITS = 62  # masks and the mask count 2^bits must fit in int64
-
-
-@cache
-def _pop16() -> np.ndarray:
-    import numpy as np
-
-    return np.array([x.bit_count() for x in range(1 << 16)], dtype=np.int64)
-
-
-def _popcount_table(masks: np.ndarray) -> np.ndarray:
-    """Popcount of non-negative int64 masks, 16 bits at a time (numpy < 2.0)."""
-    table = _pop16()
-    return sum(table[(masks >> shift) & 0xFFFF] for shift in (0, 16, 32, 48))
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    """Popcount of non-negative int64 masks: numpy's own from 2.0 on, else the table."""
-    import numpy as np
-
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(masks).astype(np.int64)
-    return _popcount_table(masks)
+_FLOAT_EXACT_BITS = 53  # float64 holds every integer below 2^53 exactly
 
 
 @dataclass(frozen=True)
@@ -181,37 +160,61 @@ def _objective_weights(n: int, k: int) -> tuple[int, int, int]:
     return ck1, ck, ck * ck1
 
 
-def _scan_free_chunk(args: tuple[int, int, int, int]) -> tuple[int, list[int], bool]:
-    """Scan family masks in [start, stop); returns (min numerator, argmins, truncated)."""
+def _scan_free(n: int, k: int) -> tuple[int, list[int], bool]:
+    """Scan every family mask; returns (min numerator, ascending argmins, truncated).
+
+    A mask is (h << L) | l. It misses a (k+1)-set t exactly when h misses
+    t's high bits and l its low bits, so one float64 product A @ Bt per block
+    of consecutive high halves h scores every (h, l) of the block, and the
+    blocks visit the masks in ascending order.
+    """
     import numpy as np
 
-    n, k, start, stop = args
     _, super_masks = _free_tables(n, k)
     w_mk, w_m0, _ = _objective_weights(n, k)
+    bits = comb(n, k)
+    low_bits = min(bits // 2, _LOW_BITS)
+    low, high = 1 << low_bits, 1 << (bits - low_bits)
+    rows = max(1, _BLOCK >> low_bits)
+    t_low = np.array([t & (low - 1) for t in super_masks], dtype=np.int64)
+    t_high = np.array([t >> low_bits for t in super_masks], dtype=np.int64)
+
+    def popcounts(start: int, stop: int) -> np.ndarray:
+        return np.array([x.bit_count() for x in range(start, stop)], dtype=np.float64)
+
+    # A[h] = ([h misses t_high] per (k+1)-set t, |h| * w_mk, 1) and
+    # Bt[:, l] = (w_m0 * [l misses t_low] per t, 1, |l| * w_mk), so A[h] . Bt[:, l]
+    # is the score numerator |mask| * w_mk + m0 * w_m0 of mask (h << L) | l
+    ls = np.arange(low, dtype=np.int64)
+    bt = np.empty((len(super_masks) + 2, low))
+    bt[:-2] = (ls & t_low[:, None]) == 0
+    bt[:-2] *= w_m0
+    bt[-2] = 1
+    bt[-1] = popcounts(0, low) * w_mk
+
     best = None
     argmins: list[int] = []
     truncated = False
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        scores = _popcount(masks) * w_mk
-        if super_masks:
-            m0 = np.zeros(masks.shape, dtype=np.int64)
-            for t in super_masks:
-                m0 += (masks & t) == 0
-            scores += m0 * w_m0
-        chunk_best = int(scores.min())
-        if best is None or chunk_best < best:
-            best = chunk_best
+    for h0 in range(0, high, rows):
+        hs = np.arange(h0, min(h0 + rows, high), dtype=np.int64)
+        a = np.empty((hs.size, len(super_masks) + 2))
+        a[:, :-2] = (hs[:, None] & t_high) == 0
+        a[:, -2] = popcounts(h0, h0 + hs.size) * w_mk
+        a[:, -1] = 1
+        scores = a @ bt
+        block_best = int(scores.min())
+        if best is None or block_best < best:
+            best = block_best
             argmins = []
             truncated = False
-        if chunk_best == best and not truncated:
-            where = np.nonzero(scores == chunk_best)[0]
+        if block_best == best and not truncated:
+            where = np.flatnonzero(scores == block_best)
             room = _MAX_RAW_WITNESSES - len(argmins)
             if where.size > room:
                 where = where[:room]
                 truncated = True
-            argmins.extend(int(masks[i]) for i in where)
+            # entry i of the block is row i // low, column i % low: mask (h0 << L) + i
+            argmins.extend((h0 << low_bits) + i for i in where.tolist())
     return best, argmins, truncated
 
 
@@ -222,6 +225,13 @@ def _check_free_space(n: int, k: int, budget_bits: int) -> None:
             f"free search supports at most C(n,k) = {_MAX_FREE_BITS} k-sets (int64 masks), "
             f"got C({n},{k}) = {bits}"
         )
+    # a score's partial sums are non-negative integers of at most w_mk*C(n,k) + w_m0*C(n,k+1)
+    peak = 2 * bits * comb(n, k + 1)
+    if peak >= 1 << _FLOAT_EXACT_BITS:
+        raise InputError(
+            f"free search scores reach 2*C({n},{k})*C({n},{k + 1}) = {peak}, "
+            f"beyond the 2^{_FLOAT_EXACT_BITS} that float64 products hold exactly"
+        )
     if bits > budget_bits:
         raise BudgetError(
             f"free search over 2^{bits} k-uniform families exceeds budget 2^{budget_bits} "
@@ -229,53 +239,14 @@ def _check_free_space(n: int, k: int, budget_bits: int) -> None:
         )
 
 
-def _free_search(n: int, k: int, workers: int) -> SearchResult:
+def _free_search(n: int, k: int) -> SearchResult:
     bits = comb(n, k)
-    total = 1 << bits
     blocks, _ = _free_tables(n, k)
-    denom = _objective_weights(n, k)[2]
-
-    # at most one job per worker and per chunk of masks
-    n_jobs = max(1, min(workers, -(-total // _CHUNK)))
-    bounds = [(total * i) // n_jobs for i in range(n_jobs + 1)]
-    jobs = [(n, k, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if len(jobs) > 1:
-        # numpy is imported lazily; import it before the pool forks so that
-        # the workers inherit it instead of each importing it again.
-        import numpy  # noqa: F401
-
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            parts = list(pool.map(_scan_free_chunk, jobs))
-    else:
-        parts = [_scan_free_chunk(job) for job in jobs]
-
-    best = min(p[0] for p in parts)
-    raw_masks: list[int] = []
-    truncated = False
-    for part_best, part_masks, part_truncated in parts:
-        if part_best == best:
-            raw_masks.extend(part_masks)
-            truncated |= part_truncated
-    truncated |= len(raw_masks) > _MAX_RAW_WITNESSES
-    raw_masks = raw_masks[:_MAX_RAW_WITNESSES]
-    families = [
-        tuple(blocks[i] for i in range(bits) if mask >> i & 1) for mask in sorted(raw_masks)
-    ]
+    best, raw_masks, truncated = _scan_free(n, k)
+    families = [tuple(blocks[i] for i in range(bits) if mask >> i & 1) for mask in raw_masks]
     witnesses = _canonical_witnesses(n, families)
-    return SearchResult(n, k, False, Fraction(best, denom), witnesses, total, truncated)
-
-
-def free_scan_python(n: int, k: int) -> Fraction:
-    """Plain-Python full scan of the free search; reference oracle for tests."""
-    blocks, super_masks = _free_tables(n, k)
-    w_mk, w_m0, denom = _objective_weights(n, k)
-    best: int | None = None
-    for mask in range(1 << len(blocks)):
-        score = mask.bit_count() * w_mk
-        score += sum(1 for t in super_masks if mask & t == 0) * w_m0
-        if best is None or score < best:
-            best = score
-    return Fraction(best, denom)
+    denom = _objective_weights(n, k)[2]
+    return SearchResult(n, k, False, Fraction(best, denom), witnesses, 1 << bits, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +322,8 @@ def brute_force_s(
     flavor); False searches all hypergraphs through their k-sections (s').
     Refuses to start (or aborts) once the candidate space exceeds
     2^budget_bits, and refuses to start when n is beyond the canonical
-    labeling of the witnesses.
+    labeling of the witnesses. `workers` is accepted and ignored: the free
+    scan runs in-process, and BLAS uses the cores.
     """
     if k < 2:
         raise InputError("search needs k >= 2")
@@ -363,7 +335,7 @@ def brute_force_s(
         raise InputError(f"canonical labeling supported up to n = {_CANONICAL_N_LIMIT}")
     if linear_constrained:
         return _linear_search(n, k, budget_bits)
-    return _free_search(n, k, workers)
+    return _free_search(n, k)
 
 
 def verify_witness(result: SearchResult, witness: Hypergraph) -> bool:
@@ -387,12 +359,12 @@ def monotonicity_check(
 
     A False return would contradict vertex-deletion monotonicity, so it is
     treated as an implementation-bug signal: the computed tables are dumped
-    to stderr for diagnosis.
+    to stderr for diagnosis. `workers` is accepted and ignored.
     """
     rows = []
     for n in range(k + 1, n_max + 1):
-        s_val = brute_force_s(n, k, True, budget_bits, workers).minimum
-        sp_val = brute_force_s(n, k, False, budget_bits, workers).minimum
+        s_val = brute_force_s(n, k, True, budget_bits).minimum
+        sp_val = brute_force_s(n, k, False, budget_bits).minimum
         rows.append((n, s_val, sp_val))
     ok = all(a[1] <= b[1] and a[2] <= b[2] for a, b in zip(rows, rows[1:]))
     if not ok:

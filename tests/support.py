@@ -17,11 +17,13 @@ from minsimplex.hypergraph import random_linear_hypergraph  # noqa: F401  (share
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_python(code: str, cwd=None) -> subprocess.CompletedProcess:
-    """Run `python -c code` in a new interpreter that imports minsimplex from src."""
+def run_python(code: str, cwd=None, env=None) -> subprocess.CompletedProcess:
+    """Run `python -c code` in a new interpreter that imports minsimplex from src,
+    with `env` added to the environment."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-c", code], cwd=cwd,
+        env=dict(os.environ, **(env or {}), PYTHONPATH=path),
         capture_output=True, text=True, timeout=300,
     )
 
@@ -216,3 +218,23 @@ def relabeled_family(
     edges = [tuple(sorted(perm[v] for v in e)) for e in family]
     rng.shuffle(edges)
     return tuple(edges)
+
+
+def free_scan_python(n: int, k: int) -> tuple[Fraction, list[int]]:
+    """Plain-Python scan of every k-uniform family on n vertices: s'(n,k) and
+    every minimizing mask, ascending (bit i is the i-th k-set in lexicographic order)."""
+    ksets = {s: i for i, s in enumerate(combinations(range(n), k))}
+    # the k-sets of each (k+1)-set, as a mask: a family leaves t empty iff it misses them all
+    shadows = [
+        sum(1 << ksets[s] for s in combinations(t, k)) for t in combinations(range(n), k + 1)
+    ]
+    ck, ck1 = len(ksets), len(shadows)
+    best, argmins = None, []
+    for mask in range(1 << ck):
+        empty = sum(1 for shadow in shadows if mask & shadow == 0)
+        score = mask.bit_count() * ck1 + empty * ck  # the value times C(n,k) * C(n,k+1)
+        if best is None or score < best:
+            best, argmins = score, []
+        if score == best:
+            argmins.append(mask)
+    return Fraction(best, ck * ck1), argmins

@@ -69,9 +69,8 @@ def test_criterion_04_exact_s_n2_with_witness_structure():
     start = time.monotonic()
     for n in range(3, 8):
         closed = extremal.s2_exact(n)
-        workers = 2 if n == 7 else 1
         constrained = extremal.brute_force_s(n, 2, True)
-        free = extremal.brute_force_s(n, 2, False, workers=workers)
+        free = extremal.brute_force_s(n, 2, False)
         assert constrained.minimum == closed, f"s({n},2)"
         assert free.minimum == closed, f"s'({n},2)"
         want = extremal.canonical_family(

@@ -192,6 +192,15 @@ def test_search_json_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_search_free_output_ignores_workers(capsys):
+    outputs = []
+    for workers in (["--workers", "1"], ["--workers", "2"], []):
+        code, out, _ = run(capsys, "search", "6", "3", "--free", "--format", "json", *workers)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_react_water(tmp_path, capsys):
     path = tmp_path / "species.txt"
     path.write_text("H2\nO2\nH2O\n")

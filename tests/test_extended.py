@@ -8,6 +8,7 @@ from minsimplex.extremal import (
     brute_force_s,
     construct,
     expected_count,
+    s2_exact,
     verify_witness,
 )
 
@@ -55,3 +56,13 @@ def test_s_at_n8_with_verified_witnesses():
         assert result.witnesses and not result.witnesses_truncated
         for w in result.witnesses:
             assert verify_witness(result, w)
+
+
+def test_s_prime_at_n8_k2():
+    # 2^28 masks: past the default budget
+    result = brute_force_s(8, 2, False, budget_bits=28)
+    assert result.minimum == s2_exact(8)
+    assert result.minimum >= brute_force_s(7, 2, False).minimum
+    assert result.witnesses and not result.witnesses_truncated
+    for w in result.witnesses:
+        assert verify_witness(result, w)

@@ -108,16 +108,29 @@ def test_golden_output(case, argv, code, err, tmp_path, monkeypatch, capsys):
     assert (got_code, captured.err) == (code, err)
 
 
-def test_free_search_with_worker_processes(tmp_path):
-    # 2^20 masks make two scan jobs, so --workers 2 forks a real pool; a new
-    # interpreter has not imported numpy before the search starts.
-    argv = ["search", "6", "3", "--free", "--workers", "2", "--format", "json"]
+def _assert_new_interpreter_matches_golden(case, argv, tmp_path, env=None):
     proc = run_python(
-        f"import sys; from minsimplex.cli import main; sys.exit(main({argv!r}))", cwd=tmp_path
+        f"import sys; from minsimplex.cli import main; sys.exit(main({argv!r}))",
+        cwd=tmp_path, env=env,
     )
-    with open(_golden_path("search-6-3-free-json"), encoding="utf-8") as fh:
+    with open(_golden_path(case), encoding="utf-8") as fh:
         assert proc.stdout == fh.read()
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_free_search_with_worker_processes(tmp_path):
+    # --workers is accepted and ignored; a new interpreter has not imported
+    # numpy before the search starts.
+    argv = ["search", "6", "3", "--free", "--workers", "2", "--format", "json"]
+    _assert_new_interpreter_matches_golden("search-6-3-free-json", argv, tmp_path)
+
+
+def test_free_search_is_exact_with_one_blas_thread(tmp_path):
+    # the scores are exact, so one BLAS thread's summation order gives the
+    # same bytes as the default threads
+    argv = ["search", "6", "3", "--free", "--format", "json"]
+    env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    _assert_new_interpreter_matches_golden("search-6-3-free-json", argv, tmp_path, env)
 
 
 if __name__ == "__main__":

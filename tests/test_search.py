@@ -3,7 +3,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
-import numpy as np
 import pytest
 
 from minsimplex.cli import main
@@ -13,7 +12,6 @@ from minsimplex.extremal import (
     canonical_family,
     complement_graph,
     complete_bipartite,
-    free_scan_python,
     monotonicity_check,
     reference_bounds,
     s2_exact,
@@ -22,7 +20,7 @@ from minsimplex.extremal import (
 )
 from minsimplex.hypergraph import Hypergraph, is_q_linear, semi_simplexes, yblm_sum
 
-from support import random_set_family, relabeled_family
+from support import free_scan_python, random_set_family, relabeled_family
 
 
 def linear_families(n: int, k: int):
@@ -145,8 +143,15 @@ def test_free_witness_complement_is_complete_bipartite():
 
 
 def test_numpy_engine_matches_python_oracle():
-    for n, k in ((4, 2), (5, 2), (4, 3), (5, 3), (5, 4), (6, 2)):
-        assert brute_force_s(n, k, False).minimum == free_scan_python(n, k)
+    # every (n, k) with n <= 8 and C(n,k) <= 20: minimum and every minimizing mask, ascending
+    pairs = [(n, k) for n in range(3, 9) for k in range(2, n) if comb(n, k) <= 20]
+    assert (6, 3) in pairs and len(pairs) == 12
+    for n, k in pairs:
+        minimum, masks = free_scan_python(n, k)
+        best, argmins, truncated = search._scan_free(n, k)
+        assert Fraction(best, comb(n, k) * comb(n, k + 1)) == minimum
+        assert brute_force_s(n, k, False).minimum == minimum
+        assert (argmins, truncated) == (masks, False)
 
 
 def test_backtracking_engine_matches_subset_oracle():
@@ -155,13 +160,27 @@ def test_backtracking_engine_matches_subset_oracle():
         assert brute_force_s(n, k, True).minimum == linear_scan_oracle(n, k)
 
 
-def test_worker_partitioning_is_deterministic(monkeypatch):
-    # C(6,2) = 15 bits is one chunk; smaller chunks make 2 and 3 real jobs
-    monkeypatch.setattr(search, "_CHUNK", 1 << 10)
-    one = brute_force_s(6, 2, False, workers=1)
-    two = brute_force_s(6, 2, False, workers=2)
-    three = brute_force_s(6, 2, False, workers=3)
-    assert one == two == three
+def test_scan_blocks_keep_witnesses(monkeypatch):
+    # blocks of 2^10 masks: s'(6,2)'s 10 minimizers lie in 7 of them, and
+    # blocks 0..4 have worse local minima
+    unpatched = brute_force_s(6, 2, False)
+    _, masks = free_scan_python(6, 2)
+    monkeypatch.setattr(search, "_BLOCK", 1 << 10)
+    assert min(masks) >> 10 == 5 and len({m >> 10 for m in masks}) == 7
+    assert search._scan_free(6, 2)[1:] == (masks, False)
+    assert brute_force_s(6, 2, False) == unpatched
+
+
+def test_scan_blocks_truncate_to_the_smallest_masks(monkeypatch):
+    # the two smallest minimizers lie in blocks 5 and 6; block 6 holds a third
+    _, masks = free_scan_python(6, 2)
+    monkeypatch.setattr(search, "_BLOCK", 1 << 10)
+    monkeypatch.setattr(search, "_MAX_RAW_WITNESSES", 2)
+    assert search._scan_free(6, 2)[1:] == (masks[:2], True)
+    result = brute_force_s(6, 2, False)
+    assert result.witnesses_truncated
+    for w in result.witnesses:
+        assert verify_witness(result, w)
 
 
 def test_s_dominates_s_prime():
@@ -302,7 +321,7 @@ def test_search_refuses_n_beyond_canonical_limit_before_searching(monkeypatch):
         raise AssertionError("search started")
 
     monkeypatch.setattr(search, "_linear_search", no_search)
-    monkeypatch.setattr(search, "_scan_free_chunk", no_search)
+    monkeypatch.setattr(search, "_scan_free", no_search)
     with pytest.raises(InputError, match="canonical labeling supported up to n = 8"):
         brute_force_s(9, 3, True)
     # C(9,2) = 36 k-sets fit int64 masks and this budget, so only n stops the scan
@@ -325,15 +344,6 @@ def test_witness_truncation_is_reported(monkeypatch, capsys):
     assert "witnesses truncated" in capsys.readouterr().err
 
 
-def test_free_witness_truncation_is_reported_across_jobs(monkeypatch, pool_sizes):
-    # s'(6,2) has 10 minimizing masks, spread over three jobs of 2^15 / 3 masks
-    monkeypatch.setattr(search, "_CHUNK", 1 << 10)
-    assert not brute_force_s(6, 2, False, workers=3).witnesses_truncated
-    monkeypatch.setattr(search, "_MAX_RAW_WITNESSES", 2)
-    assert brute_force_s(6, 2, False, workers=3).witnesses_truncated
-    assert pool_sizes == [3, 3]
-
-
 def test_linear_search_matches_all_subsets_at_n4():
     n = 4
     for k in (2, 3):
@@ -353,63 +363,41 @@ def test_free_search_canonicalizes_once_per_witness_class(monkeypatch):
     calls = []
     real = search.canonical_family
     monkeypatch.setattr(search, "canonical_family", lambda *a: calls.append(a) or real(*a))
-    result = brute_force_s(7, 2, False, workers=1)
+    result = brute_force_s(7, 2, False)
     assert result.minimum == s2_exact(7)
     assert len(set(result.witnesses)) == len(result.witnesses)
     assert len(calls) == len(result.witnesses) >= 1
-
-
-def test_popcount_table_counts_all_64_bits():
-    rng = random.Random(5)
-    values = [0, 1, (1 << 32) - 1, 1 << 32, (1 << 33) + 5, (1 << 62) - 1, (1 << 63) - 1]
-    values += [rng.randrange(1 << 32, 1 << 63) for _ in range(200)]
-    masks = np.array(values, dtype=np.int64)
-    want = [v.bit_count() for v in values]
-    assert search._popcount_table(masks).tolist() == want
-    assert search._popcount(masks).tolist() == want
 
 
 def test_free_search_refuses_more_than_62_k_sets(monkeypatch):
     def no_scan(args):
         raise AssertionError("scan started")
 
-    monkeypatch.setattr(search, "_scan_free_chunk", no_scan)
+    monkeypatch.setattr(search, "_scan_free", no_scan)
     # C(9,3) = 84 k-sets: the budget allows it, int64 masks do not
     with pytest.raises(InputError, match="C\\(9,3\\) = 84"):
         brute_force_s(9, 3, False, budget_bits=100)
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Runs process-pool jobs in-process and records each pool's max_workers."""
-    sizes = []
+def test_float_exactness_bound_is_checked_before_the_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scan started")
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
-    return sizes
-
-
-def test_process_pool_is_capped_at_job_count(pool_sizes):
-    # C(6,3) = 20 bits: 2^20 masks are two chunks, so 16 workers make 2 jobs
-    assert brute_force_s(6, 3, False, workers=16) == brute_force_s(6, 3, False, workers=1)
-    assert pool_sizes == [2]
-
-
-def test_scans_of_one_chunk_open_no_pool(pool_sizes, capsys):
-    # C(6,2) = 15 bits is one chunk of masks, whatever the worker count
-    assert brute_force_s(6, 2, False, workers=16) == brute_force_s(6, 2, False, workers=1)
-    # the s-small suite scans at most 2^15 masks; --workers defaults to the core count
-    assert main(["verify", "--suite", "s-small"]) == 0
-    assert pool_sizes == []
+    # scores of s'(6,3) reach 2 * C(6,3) * C(6,4) = 600, of s'(5,3) 2 * 10 * 5 = 100
+    monkeypatch.setattr(search, "_FLOAT_EXACT_BITS", 9)
+    assert brute_force_s(5, 3, False).minimum == Fraction(3, 10)
+    monkeypatch.setattr(search, "_scan_free", no_scan)
+    with pytest.raises(InputError, match="C\\(6,3\\)\\*C\\(6,4\\) = 600, beyond the 2\\^9"):
+        brute_force_s(6, 3, False)
+    # the bound is checked after the int64 limit and before the budget
+    with pytest.raises(InputError, match="C\\(9,3\\) = 84"):
+        brute_force_s(9, 3, False, budget_bits=100)
+    with pytest.raises(InputError, match="exactly"):
+        brute_force_s(6, 3, False, budget_bits=10)
+    # scores of s'(4,3) reach 2 * 4 * 1 = 8: below 2^4, not below 2^3
+    monkeypatch.setattr(search, "_FLOAT_EXACT_BITS", 3)
+    with pytest.raises(InputError, match="= 8, beyond the 2\\^3"):
+        brute_force_s(4, 3, False)
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "_FLOAT_EXACT_BITS", 4)
+    assert brute_force_s(4, 3, False).minimum == Fraction(1, 4)
