@@ -35,10 +35,14 @@ Two regimes:
   chosen edge, and each visited family costs O(1).
 
 Witnesses are deduplicated up to vertex relabeling via the minimum
-lexicographic incidence form over all permutations (feasible at n <= 8,
-so larger n is refused before either search starts). That pass runs once
-per isomorphism class: it records the key of every relabeled copy, and
-later members of the class are found by lookup. Each search keeps at most
+lexicographic incidence form over all relabelings. The relabeled copies
+are the family's orbit under S_n, closed breadth-first under two
+generators (the transposition (0 1) and the n-cycle; Butler, LNCS 559,
+1991), so a class costs its size n!/|Aut(F)| rather than n!. The orbit is
+walked once per isomorphism class: it records the key of every relabeled
+copy, and later members of the class are found by lookup. A class with a
+trivial automorphism group still has all n! copies, and n > 8 is refused
+before either search starts. Each search keeps at most
 _MAX_RAW_WITNESSES minimizing families; when it drops more, the result
 says so in `witnesses_truncated`.
 """
@@ -49,7 +53,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 from ..errors import BudgetError, InputError
@@ -89,30 +93,34 @@ class SearchResult:
 def canonical_family(
     n: int, edges: tuple[tuple[int, ...], ...], orbit: set[int] | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """Minimum-over-relabelings form of a set family on n vertices.
+    """Minimum-over-relabelings form of a family of distinct edges on n vertices.
 
-    The pass over the n! relabelings keys each relabeled copy by
-    `_family_key` and sorts only copies with a new key. If `orbit` is given,
-    every key is added to it.
+    The relabeled copies are the orbit of the family under S_n, found
+    breadth-first from two generators acting on vertex bitmasks: the
+    transposition (0 1) and the cycle v -> v+1 mod n. The cost is one step
+    per distinct copy, n!/|Aut(F)|, not n!. If `orbit` is given, the
+    `_family_key` of every copy is added to it.
     """
     if n > _CANONICAL_N_LIMIT:
         raise InputError(f"canonical labeling supported up to n = {_CANONICAL_N_LIMIT}")
-    subsets = [tuple(v for v in range(n) if m >> v & 1) for m in range(1 << n)]
-    seen: set[int] = set()
-    best = None
-    for perm in permutations(range(n)):
-        bits = [1 << v for v in perm]
-        masks = [sum(bits[v] for v in e) for e in edges]
-        key = sum(1 << m for m in masks)
-        if key in seen:
-            continue
-        seen.add(key)
-        relabeled = tuple(sorted(subsets[m] for m in masks))
-        if best is None or relabeled < best:
-            best = relabeled
+    top = (1 << n) - 1
+    generators = []
+    if n > 1:
+        swap = [m ^ 3 if (m ^ m >> 1) & 1 else m for m in range(top + 1)]
+        cycle = [(m << 1 & top) | m >> (n - 1) for m in range(top + 1)]
+        generators = [swap.__getitem__, cycle.__getitem__]
+    copies = [frozenset(sum(1 << v for v in e) for e in edges)]
+    seen = set(copies)
+    for fam in copies:  # grows while it is walked: breadth-first
+        for g in generators:
+            image = frozenset(map(g, fam))
+            if image not in seen:
+                seen.add(image)
+                copies.append(image)
+    subsets = [tuple(v for v in range(n) if m >> v & 1) for m in range(top + 1)]
     if orbit is not None:
-        orbit.update(seen)
-    return best if best is not None else ()
+        orbit.update(sum(1 << m for m in fam) for fam in copies)
+    return min(tuple(sorted(subsets[m] for m in fam)) for fam in copies)
 
 
 def _family_key(edges: tuple[tuple[int, ...], ...]) -> int:
@@ -123,7 +131,7 @@ def _family_key(edges: tuple[tuple[int, ...], ...]) -> int:
 def _canonical_witnesses(n: int, families: list[tuple[tuple[int, ...], ...]]) -> tuple[Hypergraph, ...]:
     """The distinct canonical forms of `families`, sorted, as hypergraphs.
 
-    `canonical_family` runs once per isomorphism class. Its pass records the
+    `canonical_family` runs once per isomorphism class. Its orbit holds the
     key of every relabeled copy, so each later family of the same class costs
     one key and one dict lookup.
     """
@@ -314,7 +322,6 @@ def brute_force_s(
     k: int,
     linear_constrained: bool,
     budget_bits: int = DEFAULT_BUDGET_BITS,
-    workers: int = 1,
 ) -> SearchResult:
     """Exact minimum of the semi-simplex YBLM sum over hypergraphs on n vertices.
 
@@ -322,8 +329,7 @@ def brute_force_s(
     flavor); False searches all hypergraphs through their k-sections (s').
     Refuses to start (or aborts) once the candidate space exceeds
     2^budget_bits, and refuses to start when n is beyond the canonical
-    labeling of the witnesses. `workers` is accepted and ignored: the free
-    scan runs in-process, and BLAS uses the cores.
+    labeling of the witnesses.
     """
     if k < 2:
         raise InputError("search needs k >= 2")
@@ -353,13 +359,12 @@ def monotonicity_check(
     k: int,
     n_max: int,
     budget_bits: int = DEFAULT_BUDGET_BITS,
-    workers: int = 1,
 ) -> bool:
     """True iff s(n,k) and s'(n,k) are non-decreasing for n = k+1 .. n_max.
 
     A False return would contradict vertex-deletion monotonicity, so it is
     treated as an implementation-bug signal: the computed tables are dumped
-    to stderr for diagnosis. `workers` is accepted and ignored.
+    to stderr for diagnosis.
     """
     rows = []
     for n in range(k + 1, n_max + 1):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -44,12 +44,23 @@ def linear_scan_oracle(n: int, k: int) -> Fraction:
     )
 
 
+def relabeled_copies(n, edges):
+    """Every one of the n! relabelings of a family, as sorted tuples of sorted edges."""
+    for perm in permutations(range(n)):
+        yield tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
+
+
 def plain_canonical_family(n, edges):
     """The canonical form by sorting every one of the n! relabelings."""
-    return min(
-        tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
+    return min(relabeled_copies(n, edges))
+
+
+def relabeled_keys(n, family):
+    """The `_family_key` of each of the n! relabeled copies of a family."""
+    return {
+        search._family_key([[perm[v] for v in e] for e in family])
         for perm in permutations(range(n))
-    )
+    }
 
 
 def linear_search_recount(n: int, k: int):
@@ -252,17 +263,63 @@ def test_canonical_family_is_isomorphism_invariant():
 
 def test_canonical_family_matches_plain_relabeling_minimum():
     rng = random.Random(31)
-    for n in range(1, 7):
-        for _ in range(15):
+    for n in range(1, 8):
+        for _ in range(15 if n < 7 else 4):
             family = random_set_family(rng, n)
             orbit = set()
             assert canonical_family(n, family, orbit) == plain_canonical_family(n, family)
             # the orbit holds exactly the keys of the n! relabeled copies
-            want = {
-                search._family_key([[perm[v] for v in e] for e in family])
-                for perm in permutations(range(n))
-            }
-            assert orbit == want
+            assert orbit == relabeled_keys(n, family)
+
+
+def _power_set(n):
+    return tuple(e for size in range(n + 1) for e in combinations(range(n), size))
+
+
+@pytest.mark.parametrize(
+    "n, family",
+    [(n, fam) for n in range(5) for fam in [(), ((),), _power_set(n)]]
+    + [(1, ((0,),)), (2, ((0,),)), (2, ((1,), (0, 1))), (2, ((0,), (1,))), (2, ((), (1,)))],
+)
+def test_canonical_family_with_degenerate_generators(n, family):
+    # n <= 1 has no generators, and at n = 2 the transposition and the cycle coincide
+    orbit = set()
+    assert canonical_family(n, family, orbit) == plain_canonical_family(n, family)
+    assert orbit == relabeled_keys(n, family)
+
+
+def _fano_plane():
+    return tuple(tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7))
+
+
+def _sqs8():
+    # the planes of AG(3,2): four points of GF(2)^3 whose sum is zero
+    return tuple(q for q in combinations(range(8), 4) if q[0] ^ q[1] ^ q[2] ^ q[3] == 0)
+
+
+@pytest.mark.parametrize(
+    "n, family, aut_order",
+    [
+        (7, _fano_plane(), 168),  # PGL(3,2)
+        (7, complete_bipartite(3, 4).edges, 3 * 2 * 4 * 3 * 2),  # S_3 x S_4
+        (8, _sqs8(), 1344),  # AGL(3,2)
+    ],
+)
+def test_orbit_size_is_n_factorial_over_automorphisms(n, family, aut_order):
+    orbit = set()
+    assert canonical_family(n, family, orbit) == plain_canonical_family(n, family)
+    assert len(orbit) == factorial(n) // aut_order
+
+
+def test_orbit_of_a_family_without_symmetry_is_every_relabeling():
+    family = random_set_family(random.Random(17), 8, max_edges=7)
+    copies = list(relabeled_copies(8, family))
+    # only the identity maps the family to itself
+    assert copies.count(tuple(sorted(family))) == 1
+    orbit = set()
+    assert canonical_family(8, family, orbit) == min(copies)
+    assert len(orbit) == factorial(8) == 40320
+    assert orbit == {search._family_key(c) for c in copies}
 
 
 def test_canonical_witnesses_equal_per_family_canonical_forms():
