@@ -8,7 +8,14 @@ times vector is exactly zero).
 circuit_supports is the one scan for minimal dependent sets in the package:
 geometry enumerates the affine simplexes of a point set P as the circuits
 of its lift {(1, p) : p in P}, and checks general position with the same
-scan capped in size.
+scan capped in size. The scan is a depth-first search over independent
+sets in lexicographic order that carries, in integer arithmetic, each later
+vector's row reduced modulo the current set together with the combination
+that produced it (fraction-free row operations, as in Bareiss, Math. Comp.
+22, 1968). A row that reduces to zero is a dependency; it is a circuit when
+its combination has full support, and that combination, made primitive, is
+the circuit's coefficient vector, so no rank test or kernel is computed per
+candidate.
 """
 
 from __future__ import annotations
@@ -17,16 +24,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable
+from math import gcd, lcm
+from typing import Callable, Iterable
 
 from .errors import InputError, InvariantError
 from .exactla import (
     coerce_rational,
     entry_from_json,
     integer_row,
-    nullspace_basis,
-    primitive_integer_vector,
+    nullspace_basis,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     rank,  # noqa: F401  (matroid.rank is wrapped by name in perfbench/tracing.py)
     rank_int_rows,
     vector_to_json,
@@ -136,15 +142,67 @@ def is_circuit(cfg: VectorConfiguration, subset: Iterable[int]) -> bool:
     return all(subset_rank(cfg, idx[:i] + idx[i + 1 :]) == k - 1 for i in range(k))
 
 
-def _circuit_coefficients(cfg: VectorConfiguration, members: tuple[int, ...]) -> tuple[int, ...]:
-    # Columns are the member vectors; a circuit has a 1-dimensional nullspace.
-    basis = nullspace_basis(list(zip(*(cfg.vectors[i] for i in members))))
-    if len(basis) != 1:
-        raise InvariantError(f"subset {members} is not a circuit (nullity {len(basis)})")
-    coeffs = primitive_integer_vector(basis[0])
-    if any(c == 0 for c in coeffs):
-        raise InvariantError(f"subset {members} is not minimal (zero coefficient)")
-    return tuple(coeffs)
+def _visit(members: tuple[int, ...], carried: list, top: int, emit: Callable) -> None:
+    """One node of the circuit scan: the independent set `members`.
+
+    `carried` holds, in ascending index order, one entry (k, row, comb) for
+    each live index k > max(members): row is k's integer row reduced modulo
+    the span of the members, with the members' pivot columns removed, and
+    comb its integer combination over members + (k,), own coefficient last.
+    A row of None is zero, so members + (k,) is dependent: a circuit exactly
+    when comb has full support, and k is dropped from every descendant.
+    Otherwise members + (k,) is independent and is visited in turn, while it
+    can still hold circuits of at most `top` members. Its later live rows
+    are reduced by k's row at k's first nonzero column: one fraction-free
+    row operation, then division of a nonzero result and its combination by
+    their gcd to stop entry growth (a zero row is never reduced again).
+    Visiting k in ascending order yields the circuits in ascending member
+    order.
+    """
+    grow = len(members) + 2 <= top
+    live = [entry for entry in carried if entry[1] is not None]
+    later = 0
+    for j, row, comb in carried:
+        if row is None:
+            if all(comb):
+                emit(members + (j,), comb)
+            continue
+        later += 1
+        if not grow:
+            continue
+        p = next(c for c, x in enumerate(row) if x)
+        a = row[p]
+        head, own = comb[:-1], comb[-1]
+        child = []
+        for k, rk, ck in live[later:]:
+            b = rk[p]
+            nr = [a * x - b * y for x, y in zip(rk, row)]
+            del nr[p]
+            nc = [a * x - b * y for x, y in zip(ck, head)]
+            nc.append(-b * own)
+            nc.append(a * ck[-1])
+            if any(nr):
+                g = gcd(*nr, *nc)
+                if g != 1:
+                    nr = [x // g for x in nr]
+                    nc = [x // g for x in nc]
+                child.append((k, nr, nc))
+            else:
+                child.append((k, None, nc))
+        _visit(members + (j,), child, top, emit)
+
+
+def _scan(cfg: VectorConfiguration, max_size: int | None, emit: Callable) -> None:
+    """Call emit(members, comb) for every circuit with at most max_size
+    members, in ascending member order; comb is its integer dependency over
+    the configuration's integer rows, in member order."""
+    top = len(cfg) if max_size is None else max_size
+    if top < 1:
+        return
+    carried = [
+        (k, list(row) if any(row) else None, [1]) for k, row in enumerate(cfg.integer_rows)
+    ]
+    _visit((), carried, top, emit)
 
 
 def circuit_supports(
@@ -152,33 +210,17 @@ def circuit_supports(
 ) -> list[tuple[int, ...]]:
     """Members of every circuit with at most max_size elements, sorted.
 
-    Scans subsets in increasing size and keeps, as bitmasks, the independent
-    subsets of the previous size (the empty set for size 1). A subset
-    contains a smaller circuit exactly when one of its facets (the subsets
-    one element smaller) is dependent, so a size-s subset is rank-tested
-    only when all its facets are kept: then it is a circuit when its rank is
-    s - 1, and independent, kept for size s + 1, when its rank is s. The
-    zero vector shows up as a size-1 circuit (loop). No circuit has more
-    than rank + 1 members, which caps the scan.
+    A depth-first scan over the independent sets in lexicographic order
+    (see _visit) that carries each later vector's row reduced modulo the
+    span of the current set. Every circuit is found once, from itself minus
+    its largest member, when that member's row reduces to zero with a
+    dependency of full support. The zero vector is a size-1 circuit (loop).
+    No independent set exceeds the rank, so the scan stops at rank + 1
+    members on its own.
     """
-    n = len(cfg)
-    cap = configuration_rank(cfg) + 1 if n else 0
-    top = cap if max_size is None else min(max_size, cap)
-    bits = [1 << i for i in range(n)]
     found: list[tuple[int, ...]] = []
-    independent = {0}
-    for size in range(1, top + 1):
-        kept = set()
-        for members in combinations(range(n), size):
-            mask = sum(bits[i] for i in members)
-            if any(mask ^ bits[i] not in independent for i in members):
-                continue
-            if subset_rank(cfg, members) == size - 1:
-                found.append(members)
-            else:
-                kept.add(mask)
-        independent = kept
-    return sorted(found)
+    _scan(cfg, max_size, lambda members, comb: found.append(members))
+    return found
 
 
 def enumerate_circuits(
@@ -186,11 +228,19 @@ def enumerate_circuits(
 ) -> list[Circuit]:
     """All circuits with min_size <= size <= max_size, sorted by members.
 
-    The supports come from circuit_supports; each gets its primitive
-    coefficients, with (1,) for a loop.
+    The coefficients are the scan's dependency over the integer rows,
+    rescaled by each vector's denominator lcm, divided by their gcd and
+    signed so that the first is positive: the unique primitive dependency,
+    with (1,) for a loop.
     """
-    return [
-        Circuit(members, (1,) if len(members) == 1 else _circuit_coefficients(cfg, members))
-        for members in circuit_supports(cfg, max_size)
-        if len(members) >= min_size
-    ]
+    scales = [lcm(*(x.denominator for x in v)) for v in cfg.vectors]
+    circuits: list[Circuit] = []
+
+    def emit(members, comb):
+        if len(members) >= min_size:
+            coeffs = [c * scales[i] for i, c in zip(members, comb)]
+            g = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
+            circuits.append(Circuit(members, tuple(c // g for c in coeffs)))
+
+    _scan(cfg, max_size, emit)
+    return circuits

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from minsimplex import geometry, hypergraph, matroid
-from minsimplex.exactla import rank
+from minsimplex.exactla import nullspace_basis, primitive_integer_vector, rank
 from minsimplex.hypergraph import random_linear_hypergraph  # noqa: F401  (shared by test modules)
 
 
@@ -163,6 +163,21 @@ def oracle_circuits(cfg: matroid.VectorConfiguration) -> list[tuple[int, ...]]:
             ):
                 out.append(members)
     return sorted(out)
+
+
+def circuit_coefficients_oracle(
+    cfg: matroid.VectorConfiguration, members: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The primitive dependency of a circuit: its member columns have a
+    1-dimensional kernel, read off `exactla.nullspace_basis` of the Fraction
+    vectors and made primitive (gcd 1, first entry positive); (1,) for a loop."""
+    if len(members) == 1:
+        return (1,)
+    basis = nullspace_basis([list(col) for col in zip(*(cfg.vectors[i] for i in members))])
+    assert len(basis) == 1, f"{members} has nullity {len(basis)}"
+    coeffs = tuple(primitive_integer_vector(basis[0]))
+    assert all(coeffs), f"{members} is not minimal"
+    return coeffs
 
 
 def _affinely_dependent(ps: geometry.PointSet, members: tuple[int, ...]) -> bool:

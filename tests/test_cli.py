@@ -71,20 +71,25 @@ def test_simplexes_vectors_computes_coefficients_only_when_printed(tmp_path, cap
     path.write_text(json.dumps({"dimension": 3, "vectors": [
         [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 2, 3], [2, 1, "1/2"],
     ]}))
-    calls = []
-    original = matroid.nullspace_basis
-    monkeypatch.setattr(matroid, "nullspace_basis", lambda rows: calls.append(rows) or original(rows))
-    outputs, kernels = {}, {}
+    calls, kernels = [], []
+    enumerate_circuits, nullspace_basis = matroid.enumerate_circuits, matroid.nullspace_basis
+    monkeypatch.setattr(matroid, "enumerate_circuits",
+                        lambda cfg: calls.append(cfg) or enumerate_circuits(cfg))
+    monkeypatch.setattr(matroid, "nullspace_basis",
+                        lambda rows: kernels.append(rows) or nullspace_basis(rows))
+    outputs, enumerations = {}, {}
     for project in ((), ("--project",)):
         for fmt in (("text",), ("csv",), ("json", "--counts-only"), ("json",)):
             calls.clear()
             code, out, _ = run(capsys, "simplexes", "--vectors", str(path), *project, "--format", *fmt)
             assert code == 0
-            outputs[project + fmt], kernels[project + fmt] = out, len(calls)
-    # one kernel per circuit, and only in the two modes that print coefficients
+            outputs[project + fmt], enumerations[project + fmt] = out, len(calls)
+    # coefficients only in the two modes that print them, and those come
+    # from the scan itself, not from a kernel per circuit
     full = json.loads(outputs[("json",)])
     assert full["total"] == 13
-    assert kernels == {mode: 13 if mode[-1] == "json" else 0 for mode in outputs}
+    assert enumerations == {mode: 1 if mode[-1] == "json" else 0 for mode in outputs}
+    assert kernels == []
     counts_only = json.loads(outputs[("json", "--counts-only")])
     assert counts_only == {k: v for k, v in full.items() if k != "circuits"}
     projected = json.loads(outputs[("--project", "json")])

@@ -15,9 +15,16 @@ from minsimplex.extremal import (
 
 def test_parallel_pairs_beyond_acceptance_range():
     cid = ConstructionId("parallel-pairs")
-    for n in (15, 16, 22):
+    for n in (15, 16, 22, 34, 40):
         ps = construct(cid, n)
         assert geometry.enumerate_affine_simplexes(ps).total == expected_count(cid, n)
+
+
+def test_cone_and_inplane_generic_at_n40_in_r3():
+    # the regime of the C(n,4) - cn^3 lower bound for affine simplexes in R^3
+    for cid in (ConstructionId("cone", 3), ConstructionId("inplane-generic", 3)):
+        ps = construct(cid, 40)
+        assert geometry.enumerate_affine_simplexes(ps).total == expected_count(cid, 40)
 
 
 def test_two_lines_large():

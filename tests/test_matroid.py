@@ -16,7 +16,14 @@ from minsimplex.matroid import (
     subset_rank,
 )
 
-from support import oracle_circuits, random_configuration, random_deficient_rows
+from support import (
+    circuit_coefficients_oracle,
+    oracle_affine_simplexes,
+    oracle_circuits,
+    random_configuration,
+    random_deficient_rows,
+    random_point_set,
+)
 
 
 def moment_vectors(n, dim):
@@ -173,26 +180,67 @@ def test_scan_matches_oracle_on_deficient_configurations():
     assert all(seen[kind] > 0 for kind in (1, 2, 3, "huge", "non-integer")), seen
 
 
-def _scan_rank_tests(monkeypatch, cfg):
-    calls = []
-    original = matroid.subset_rank
+def test_scan_supports_and_coefficients_match_oracles_at_every_size_cap():
+    # The depth-first scan against the brute-force oracles on the same kinds
+    # of vectors as above, for every size cap: the supports against
+    # oracle_circuits, each circuit's coefficients against the primitive
+    # kernel vector of its member columns, and the min_size filter.
+    rng = random.Random(61)
+    seen = Counter()
+    for trial in range(60):
+        n = rng.randint(1, 8)
+        dim = rng.randint(1, 4)
+        rows = random_deficient_rows(rng, n, dim, span=10**30 if trial % 2 else 4)
+        cfg = VectorConfiguration(dim, tuple(tuple(r) for r in rows))
+        oracle = oracle_circuits(cfg)
+        seen.update(min(len(m), 3) for m in oracle)
+        seen["huge"] += any(abs(x) > 10**29 for v in cfg.vectors for x in v)
+        seen["non-integer"] += any(x.denominator > 1 for v in cfg.vectors for x in v)
+        for max_size in (None, *range(1, dim + 2)):
+            want = [m for m in oracle if max_size is None or len(m) <= max_size]
+            assert matroid.circuit_supports(cfg, max_size) == want
+            min_size = rng.randint(1, dim + 1)
+            circuits = enumerate_circuits(cfg, min_size, max_size)
+            assert [c.members for c in circuits] == [m for m in want if len(m) >= min_size]
+            for c in circuits:
+                assert c.coefficients == circuit_coefficients_oracle(cfg, c.members)
+    assert all(seen[kind] > 0 for kind in (1, 2, 3, "huge", "non-integer")), seen
 
-    def counting(config, subset):
-        calls.append(subset)
-        return original(config, subset)
 
-    monkeypatch.setattr(matroid, "subset_rank", counting)
+def test_scan_of_lifted_points_matches_affine_simplex_oracle():
+    # Affine simplexes are the circuits of the lift (1, p); small integer
+    # spans give collinear triples and coplanar quadruples.
+    rng = random.Random(67)
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        ps = random_point_set(rng, rng.randint(1, min(8, 5**dim)), dim, span=2)
+        lift = VectorConfiguration(dim + 1, tuple((1,) + p for p in ps.points))
+        assert matroid.circuit_supports(lift) == oracle_affine_simplexes(ps)
+
+
+def _scan_work(monkeypatch, cfg):
+    visits, rank_tests = [], []
+    visit, subset_rank_ = matroid._visit, matroid.subset_rank
+
+    def counting_visit(members, *args):
+        visits.append(members)
+        return visit(members, *args)
+
+    def counting_rank(config, subset):
+        rank_tests.append(subset)
+        return subset_rank_(config, subset)
+
+    monkeypatch.setattr(matroid, "_visit", counting_visit)
+    monkeypatch.setattr(matroid, "subset_rank", counting_rank)
     supports = matroid.circuit_supports(cfg)
-    return len(calls), len(supports)
+    return len(visits), len(rank_tests), len(supports)
 
 
 def test_scan_rank_test_counts_are_pinned(monkeypatch):
-    # A scan that skips every superset of a circuit found so far makes these
-    # rank tests; the facet rule must skip the same candidates and test the
-    # same subsets. Both counts include the configuration_rank call that
-    # caps the scan.
+    # The scan visits each independent set once, root included, and makes no
+    # rank test: every dependency shows up as a row reduced to zero.
     ps = construct(ConstructionId("parallel-pairs"), 12)
     lift = VectorConfiguration(4, tuple((1,) + p for p in ps.points))
-    assert _scan_rank_tests(monkeypatch, lift) == (874, 295)
+    assert _scan_work(monkeypatch, lift) == (579, 0, 295)
     generic = random_configuration(random.Random(2024), 12, 5)
-    assert _scan_rank_tests(monkeypatch, generic) == (2510, 924)
+    assert _scan_work(monkeypatch, generic) == (1586, 0, 924)
