@@ -103,7 +103,7 @@ def cmd_simplexes(args) -> int:
 
     ps = geometry.project_to_affine(cfg)
     report = geometry.enumerate_affine_simplexes(ps)
-    match = supports == [s.members for s in report.simplexes]
+    match = supports == list(report.supports)
     obj = {
         "circuits": _circuits_json(cfg, supports, circuits),
         "projected": report.to_json_obj(args.counts_only),

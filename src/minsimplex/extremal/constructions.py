@@ -123,13 +123,14 @@ def _parallel_pairs_points(n: int) -> PointSet:
     return ps
 
 
-def _moment_points(n: int, dim: int) -> list[tuple[Fraction, ...]]:
-    return [tuple(Fraction(t) ** p for p in range(1, dim + 1)) for t in range(1, n + 1)]
+def _moment_points(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
+    """(t, t^2, ..., t^(d-1), 0) for t = 1..n: the moment curve inside x_d = 0."""
+    zero = (Fraction(0),)
+    return tuple(tuple(Fraction(t) ** p for p in range(1, d)) + zero for t in range(1, n + 1))
 
 
 def _inplane_points(d: int, n: int) -> PointSet:
-    pts = tuple(p + (Fraction(0),) for p in _moment_points(n, d - 1))
-    ps = PointSet(d, pts)
+    ps = PointSet(d, _moment_points(n, d))
     if not check_small_flat_hypothesis(ps):
         raise InvariantError("in-plane moment points failed the general position check")
     return ps
@@ -138,9 +139,9 @@ def _inplane_points(d: int, n: int) -> PointSet:
 def _cone_points(d: int, n: int) -> PointSet:
     if n < 2:
         raise InputError(f"cone needs n >= 2, got {n}")
-    base = _inplane_points(d, n - 1)
     apex = tuple(Fraction(0) for _ in range(d - 1)) + (Fraction(1),)
-    ps = PointSet(d, base.points + (apex,))
+    ps = PointSet(d, _moment_points(n - 1, d) + (apex,))
+    # one check of all n points covers the n - 1 in-plane ones
     if not check_small_flat_hypothesis(ps):
         raise InvariantError("cone points failed the general position check")
     return ps

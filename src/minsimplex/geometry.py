@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError, InvariantError
@@ -141,22 +143,23 @@ class AffineSimplex:
 
 @dataclass(frozen=True)
 class SimplexReport:
-    """Enumerated affine simplexes grouped by cardinality."""
+    """Enumerated affine simplexes, as sorted member tuples, grouped by cardinality."""
 
     dimension: int
     point_count: int
-    simplexes: tuple[AffineSimplex, ...]
+    supports: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def simplexes(self) -> tuple[AffineSimplex, ...]:
+        return tuple(AffineSimplex(m) for m in self.supports)
 
     @property
     def counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for s in self.simplexes:
-            out[s.size] = out.get(s.size, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(map(len, self.supports)).items()))
 
     @property
     def total(self) -> int:
-        return len(self.simplexes)
+        return len(self.supports)
 
     def to_json_obj(self, counts_only: bool = False) -> dict:
         obj = {
@@ -166,7 +169,7 @@ class SimplexReport:
             "total": self.total,
         }
         if not counts_only:
-            obj["simplexes"] = [list(s.members) for s in self.simplexes]
+            obj["simplexes"] = [list(m) for m in self.supports]
         return obj
 
 
@@ -176,8 +179,7 @@ def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
     Points are distinct, so the lift has no loops and no parallel pairs and
     every simplex has at least 3 points; at most rank(lift) + 1 <= d + 2.
     """
-    simplexes = tuple(AffineSimplex(m) for m in circuit_supports(_lift(ps)))
-    return SimplexReport(ps.dimension, len(ps), simplexes)
+    return SimplexReport(ps.dimension, len(ps), tuple(circuit_supports(_lift(ps))))
 
 
 def check_small_flat_hypothesis(ps: PointSet) -> bool:
@@ -204,7 +206,7 @@ def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
     report = enumerate_affine_simplexes(ps)
     counts = report.counts
     if 3 in counts:
-        bad = next(s.members for s in report.simplexes if s.size == 3)
+        bad = next(m for m in report.supports if len(m) == 3)
         raise InvariantError(f"collinear triple at indices {bad}")
     if any(size not in (4, 5) for size in counts):
         raise InvariantError(f"unexpected simplex sizes {sorted(counts)} under the hypothesis")

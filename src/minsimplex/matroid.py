@@ -9,13 +9,17 @@ circuit_supports is the one scan for minimal dependent sets in the package:
 geometry enumerates the affine simplexes of a point set P as the circuits
 of its lift {(1, p) : p in P}, and checks general position with the same
 scan capped in size. The scan is a depth-first search over independent
-sets in lexicographic order that carries, in integer arithmetic, each later
-vector's row reduced modulo the current set together with the combination
-that produced it (fraction-free row operations, as in Bareiss, Math. Comp.
-22, 1968). A row that reduces to zero is a dependency; it is a circuit when
-its combination has full support, and that combination, made primitive, is
-the circuit's coefficient vector, so no rank test or kernel is computed per
-candidate.
+sets in lexicographic order, in integer arithmetic (fraction-free row
+operations, as in Bareiss, Math. Comp. 22, 1968). Each node carries, for
+every later vector, one list of D entries: its row reduced modulo the
+current set, followed by the combination over the set that produced it.
+A child costs one fused update of that list per later vector. A row that
+reduces to zero is a dependency; it is a circuit when its combination has
+full support, and that combination, made primitive, is the circuit's
+coefficient vector, so no rank test or kernel is computed per candidate.
+A set of D - 1 members closes the last level itself: any two later
+vectors outside its span are dependent with it, so the set tests each such
+pair's combination for full support and emits it, with no child node.
 """
 
 from __future__ import annotations
@@ -142,54 +146,78 @@ def is_circuit(cfg: VectorConfiguration, subset: Iterable[int]) -> bool:
     return all(subset_rank(cfg, idx[:i] + idx[i + 1 :]) == k - 1 for i in range(k))
 
 
-def _visit(members: tuple[int, ...], carried: list, top: int, emit: Callable) -> None:
-    """One node of the circuit scan: the independent set `members`.
+def _visit(members: tuple[int, ...], carried: list, rlen: int, top: int, emit: Callable) -> None:
+    """One node of the circuit scan: the independent set `members`, with
+    rlen = D - len(members) columns left.
 
-    `carried` holds, in ascending index order, one entry (k, row, comb) for
-    each live index k > max(members): row is k's integer row reduced modulo
-    the span of the members, with the members' pivot columns removed, and
-    comb its integer combination over members + (k,), own coefficient last.
-    A row of None is zero, so members + (k,) is dependent: a circuit exactly
-    when comb has full support, and k is dropped from every descendant.
-    Otherwise members + (k,) is independent and is visited in turn, while it
-    can still hold circuits of at most `top` members. Its later live rows
-    are reduced by k's row at k's first nonzero column: one fraction-free
-    row operation, then division of a nonzero result and its combination by
-    their gcd to stop entry growth (a zero row is never reduced again).
-    Visiting k in ascending order yields the circuits in ascending member
+    `carried` holds, in ascending index order, one entry per index k >
+    max(members) that is still live or closes a circuit. A live entry is
+    (k, v, own): v[:rlen] is k's integer row reduced modulo the span of the
+    members, with the members' pivot columns removed, and nonzero; v[rlen:]
+    is k's combination over the members, so v always has D entries; own is
+    k's own coefficient, never zero. An entry (k, None, comb) says that
+    members + (k,) is a circuit with dependency comb; a dependent
+    members + (k,) without full support is not carried at all, since no
+    circuit contains it.
+
+    Each live j is extended in turn, while members + (j,) can still hold
+    circuits of at most `top` members. Its child entries are the later live
+    rows reduced by j's row at j's first nonzero column p: one fused
+    fraction-free update a*x - b*y over the whole of v, the removal of
+    column p, and the append of j's coefficient -b*own_j; a row left
+    nonzero is divided, with its combination, by their gcd to stop entry
+    growth. When one column is left (rlen == 1) every later row reduces to
+    zero modulo members + (j,), so the node tests each later pair's
+    full-support combination itself and emits it, with no child node.
+    Extending j in ascending order yields the circuits in ascending member
     order.
     """
     grow = len(members) + 2 <= top
-    live = [entry for entry in carried if entry[1] is not None]
-    later = 0
-    for j, row, comb in carried:
-        if row is None:
-            if all(comb):
-                emit(members + (j,), comb)
+    r = rlen - 1
+    for i, (j, vj, oj) in enumerate(carried):
+        if vj is None:
+            emit(members + (j,), oj)
             continue
-        later += 1
         if not grow:
             continue
-        p = next(c for c, x in enumerate(row) if x)
-        a = row[p]
-        head, own = comb[:-1], comb[-1]
+        head = members + (j,)
+        if r == 0:
+            a = vj[0]
+            for k, vk, ok in carried[i + 1 :]:
+                if vk is None:
+                    continue
+                b = vk[0]
+                comb = [a * x - b * y for x, y in zip(vk, vj)]
+                del comb[0]
+                if all(comb):
+                    comb.append(-b * oj)
+                    comb.append(a * ok)
+                    emit(head + (k,), comb)
+            continue
+        p = 0
+        while not vj[p]:
+            p += 1
+        a = vj[p]
         child = []
-        for k, rk, ck in live[later:]:
-            b = rk[p]
-            nr = [a * x - b * y for x, y in zip(rk, row)]
-            del nr[p]
-            nc = [a * x - b * y for x, y in zip(ck, head)]
-            nc.append(-b * own)
-            nc.append(a * ck[-1])
-            if any(nr):
-                g = gcd(*nr, *nc)
+        for k, vk, ok in carried[i + 1 :]:
+            if vk is None:
+                continue
+            b = vk[p]
+            v = [a * x - b * y for x, y in zip(vk, vj)]
+            del v[p]
+            v.append(-b * oj)
+            own = a * ok
+            if any(v[:r]):
+                g = gcd(*v, own)
                 if g != 1:
-                    nr = [x // g for x in nr]
-                    nc = [x // g for x in nc]
-                child.append((k, nr, nc))
-            else:
-                child.append((k, None, nc))
-        _visit(members + (j,), child, top, emit)
+                    v = [x // g for x in v]
+                    own //= g
+                child.append((k, v, own))
+            elif all(v[r:]):
+                v = v[r:]
+                v.append(own)
+                child.append((k, None, v))
+        _visit(head, child, r, top, emit)
 
 
 def _scan(cfg: VectorConfiguration, max_size: int | None, emit: Callable) -> None:
@@ -200,9 +228,10 @@ def _scan(cfg: VectorConfiguration, max_size: int | None, emit: Callable) -> Non
     if top < 1:
         return
     carried = [
-        (k, list(row) if any(row) else None, [1]) for k, row in enumerate(cfg.integer_rows)
+        (k, list(row), 1) if any(row) else (k, None, [1])
+        for k, row in enumerate(cfg.integer_rows)
     ]
-    _visit((), carried, top, emit)
+    _visit((), carried, cfg.dimension, top, emit)
 
 
 def circuit_supports(

@@ -23,6 +23,7 @@ from support import (
     random_configuration,
     random_deficient_rows,
     random_point_set,
+    random_rational,
 )
 
 
@@ -207,6 +208,63 @@ def test_scan_supports_and_coefficients_match_oracles_at_every_size_cap():
     assert all(seen[kind] > 0 for kind in (1, 2, 3, "huge", "non-integer")), seen
 
 
+def _full_rank_rows(rng, n, dim, span):
+    """n rows of rank dim: random rows mixed with zero rows, repeats, scalar
+    multiples and two-row combinations of earlier rows."""
+    while True:
+        rows = []
+        for _ in range(n):
+            kind = rng.random() if rows else 1.0
+            if kind < 0.1:
+                row = [Fraction(0)] * dim
+            elif kind < 0.2:
+                row = list(rng.choice(rows))
+            elif kind < 0.3:
+                f = random_rational(rng) or Fraction(-2)
+                row = [f * x for x in rng.choice(rows)]
+            elif kind < 0.4:
+                u, w = rng.choice(rows), rng.choice(rows)
+                row = [x + rng.randint(-2, 2) * y for x, y in zip(u, w)]
+            else:
+                row = [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(dim)]
+            rows.append(row)
+        if rank(rows) == dim:
+            return rows
+
+
+def test_scan_last_level_pairs_match_oracles_at_every_size_cap():
+    # Full-rank configurations, so the scan reaches independent sets of
+    # dim - 1 members, which test their later pairs themselves: every circuit
+    # of dim + 1 members comes from such a pair. A parallel or repeated pair
+    # {j, k} after vectors of full rank is a pair that such a set tests and
+    # rejects, with zero coefficients on the set's members.
+    rng = random.Random(73)
+    seen = Counter()
+    for trial in range(40):
+        dim = rng.randint(2, 5)
+        n = rng.randint(dim + 1, 12 if trial % 4 == 0 else 9)
+        rows = _full_rank_rows(rng, n, dim, span=10**30 if trial % 2 else 3)
+        cfg = VectorConfiguration(dim, tuple(tuple(r) for r in rows))
+        oracle = oracle_circuits(cfg)
+        for m in oracle:
+            if len(m) == 1:
+                seen["zero"] += 1
+            elif len(m) == 2:
+                seen["repeated" if rows[m[0]] == rows[m[1]] else "parallel"] += 1
+                seen["rejected pair"] += rank(rows[: m[0]]) == dim
+            seen["last level"] += len(m) == dim + 1
+        seen["huge" if trial % 2 else "small"] += 1
+        for max_size in (None, *range(1, dim + 2)):
+            want = [m for m in oracle if max_size is None or len(m) <= max_size]
+            assert matroid.circuit_supports(cfg, max_size) == want
+            circuits = enumerate_circuits(cfg, max_size=max_size)
+            assert [c.members for c in circuits] == want
+            for c in circuits:
+                assert c.coefficients == circuit_coefficients_oracle(cfg, c.members)
+    kinds = ("zero", "repeated", "parallel", "rejected pair", "last level", "huge", "small")
+    assert all(seen[kind] > 0 for kind in kinds), seen
+
+
 def test_scan_of_lifted_points_matches_affine_simplex_oracle():
     # Affine simplexes are the circuits of the lift (1, p); small integer
     # spans give collinear triples and coplanar quadruples.
@@ -237,10 +295,14 @@ def _scan_work(monkeypatch, cfg):
 
 
 def test_scan_rank_test_counts_are_pinned(monkeypatch):
-    # The scan visits each independent set once, root included, and makes no
-    # rank test: every dependency shows up as a row reduced to zero.
+    # The scan makes one _visit call per independent set of fewer than D
+    # members (D the dimension), root included: a set of D - 1 members tests
+    # its later pairs itself and creates no child nodes. It makes no rank
+    # test: every dependency shows up as a row reduced to zero. Both
+    # configurations have every set of at most D - 1 vectors independent,
+    # so the visits are 1 + 12 + 66 + 220 and 1 + 12 + 66 + 220 + 495.
     ps = construct(ConstructionId("parallel-pairs"), 12)
     lift = VectorConfiguration(4, tuple((1,) + p for p in ps.points))
-    assert _scan_work(monkeypatch, lift) == (579, 0, 295)
+    assert _scan_work(monkeypatch, lift) == (299, 0, 295)
     generic = random_configuration(random.Random(2024), 12, 5)
-    assert _scan_work(monkeypatch, generic) == (1586, 0, 924)
+    assert _scan_work(monkeypatch, generic) == (794, 0, 924)
