@@ -11,11 +11,13 @@ denominators row by row and run one fraction-free Bareiss elimination
 integer echelon form by back-substitution.
 
 No floating point is accepted anywhere: external numeric input must be an
-integer or a "p/q" string (see `rational_from_string`).
+integer or a "p/q" string (see `rational_from_string`). `read_json` reads
+the point, vector and hypergraph files.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -46,21 +48,30 @@ def rational_from_string(s: str) -> Fraction:
 
 
 def coerce_rational(value) -> Fraction:
-    """Accept int, Fraction, or an exact string; refuse floats."""
+    """Accept int, Fraction, or an exact string; refuse floats and bools."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return rational_from_string(value)
     raise InputError(f"expected exact rational, got {type(value).__name__}: {value!r}")
 
 
-def entry_from_json(x) -> Fraction:
-    """JSON numeric entry to Fraction; floats are refused outright."""
-    if isinstance(x, float):
-        raise InputError(f"floating-point entry {x!r} refused; use integer or 'p/q' strings")
-    return coerce_rational(x)
+def int_from_json(x, name: str) -> int:
+    """A JSON integer; bools, floats and strings are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{name} must be a JSON integer, got {x!r}")
+    return x
+
+
+def read_json(path: str):
+    """The parsed contents of a JSON file; malformed JSON is an InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list:

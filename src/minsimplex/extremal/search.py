@@ -150,16 +150,16 @@ def _canonical_witnesses(n: int, families: list[tuple[tuple[int, ...], ...]]) ->
 # ---------------------------------------------------------------------------
 
 
-def _free_tables(n: int, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    blocks = list(combinations(range(n), k))
-    index = {b: i for i, b in enumerate(blocks)}
+def _super_masks(n: int, k: int) -> list[int]:
+    """Per (k+1)-set, in combinations order, the mask of its k-subsets' bits."""
+    index = {b: i for i, b in enumerate(combinations(range(n), k))}
     super_masks = []
     for cand in combinations(range(n), k + 1):
         mask = 0
         for sub in combinations(cand, k):
             mask |= 1 << index[sub]
         super_masks.append(mask)
-    return blocks, super_masks
+    return super_masks
 
 
 def _objective_weights(n: int, k: int) -> tuple[int, int, int]:
@@ -178,7 +178,7 @@ def _scan_free(n: int, k: int) -> tuple[int, list[int], bool]:
     """
     import numpy as np
 
-    _, super_masks = _free_tables(n, k)
+    super_masks = _super_masks(n, k)
     w_mk, w_m0, _ = _objective_weights(n, k)
     bits = comb(n, k)
     low_bits = min(bits // 2, _LOW_BITS)
@@ -249,7 +249,7 @@ def _check_free_space(n: int, k: int, budget_bits: int) -> None:
 
 def _free_search(n: int, k: int) -> SearchResult:
     bits = comb(n, k)
-    blocks, _ = _free_tables(n, k)
+    blocks = list(combinations(range(n), k))
     best, raw_masks, truncated = _scan_free(n, k)
     families = [tuple(blocks[i] for i in range(bits) if mask >> i & 1) for mask in raw_masks]
     witnesses = _canonical_witnesses(n, families)

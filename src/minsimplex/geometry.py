@@ -5,10 +5,12 @@ every proper subset is affinely independent; it is the affine analogue of a
 matroid circuit. Points p are affinely dependent exactly when their lifts
 (1, p) are linearly dependent, so the affine simplexes are the circuits of
 the lift and are enumerated by matroid.circuit_supports; affine rank is the
-lift's rank minus 1. This module also hosts the linear-to-affine projection
-(central projection of a vector configuration onto a hyperplane off the
-origin) and the general-position hypothesis check used by the dimension-d
-counting results, which is the same scan capped at d members.
+lift's rank minus 1. PointSet.lift is built once per point set and kept,
+with its integer rows, for every later scan of that set. This module also
+hosts the linear-to-affine projection (central projection of a vector
+configuration onto a hyperplane off the origin) and the general-position
+hypothesis check used by the dimension-d counting results, which is the
+same scan capped at d members.
 """
 
 from __future__ import annotations
@@ -22,8 +24,16 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError, InvariantError
-from .exactla import coerce_rational, entry_from_json, rank, vector_to_json
-from .matroid import VectorConfiguration, circuit_supports, is_circuit
+from .exactla import rank, read_json, vector_to_json
+from .matroid import (
+    VectorConfiguration,
+    check_indices,
+    check_labels,
+    circuit_supports,
+    exact_rows,
+    is_circuit,
+    rows_from_json,
+)
 
 
 @dataclass(frozen=True)
@@ -35,23 +45,13 @@ class PointSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        pts = tuple(tuple(coerce_rational(x) for x in p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        for i, p in enumerate(pts):
-            if len(p) != self.dimension:
-                raise InvariantError(f"point {i} has length {len(p)}, expected {self.dimension}")
+        object.__setattr__(self, "points", exact_rows(self.points, self.dimension, "point"))
         seen: dict[tuple, int] = {}
-        for i, p in enumerate(pts):
+        for i, p in enumerate(self.points):
             if p in seen:
                 raise InvariantError(f"duplicate points at indices {seen[p]} and {i}")
             seen[p] = i
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != len(pts):
-                raise InvariantError("label count does not match point count")
-            if len(set(labels)) != len(labels):
-                raise InvariantError("labels must be unique")
+        object.__setattr__(self, "labels", check_labels(self.labels, len(self), "point"))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -62,16 +62,10 @@ class PointSet:
             obj["labels"] = list(self.labels)
         return obj
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "PointSet":
-        try:
-            dim = int(obj["dimension"])
-            raw = obj["points"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"point file needs 'dimension' and 'points': {exc}") from exc
-        points = tuple(tuple(entry_from_json(x) for x in p) for p in raw)
-        labels = tuple(obj["labels"]) if obj.get("labels") else None
-        return cls(dim, points, labels)
+    @cached_property
+    def lift(self) -> VectorConfiguration:
+        """The vectors (1, p) in R^(d+1); their circuits are the affine simplexes."""
+        return VectorConfiguration(self.dimension + 1, tuple((1,) + p for p in self.points))
 
 
 def load_points(path: str) -> PointSet:
@@ -81,14 +75,8 @@ def load_points(path: str) -> PointSet:
             rows = [row for row in csv.reader(fh) if row]
         if not rows:
             raise InputError(f"{path}: no points in CSV")
-        points = tuple(tuple(coerce_rational(x) for x in row) for row in rows)
-        return PointSet(len(rows[0]), points)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    return PointSet.from_json_obj(obj)
+        return PointSet(len(rows[0]), tuple(rows))
+    return PointSet(*rows_from_json(read_json(path), "points"))
 
 
 def save_points(ps: PointSet, path: str) -> None:
@@ -103,22 +91,9 @@ def save_points(ps: PointSet, path: str) -> None:
         fh.write("\n")
 
 
-def _check_subset(ps: PointSet, subset: Iterable[int]) -> tuple[int, ...]:
-    idx = tuple(sorted(set(subset)))
-    for i in idx:
-        if not 0 <= i < len(ps):
-            raise InputError(f"point index {i} out of range 0..{len(ps) - 1}")
-    return idx
-
-
-def _lift(ps: PointSet) -> VectorConfiguration:
-    """The vectors (1, p) in R^(d+1); their circuits are the affine simplexes of ps."""
-    return VectorConfiguration(ps.dimension + 1, tuple((1,) + p for p in ps.points))
-
-
 def affine_rank(ps: PointSet, subset: Iterable[int]) -> int:
     """Dimension of the affine hull: rank of the lifted points (1, p), minus 1."""
-    idx = _check_subset(ps, subset)
+    idx = check_indices(subset, len(ps), "point")
     if not idx:
         raise InputError("affine_rank needs at least one point")
     return rank([(1,) + ps.points[i] for i in idx]) - 1
@@ -126,10 +101,10 @@ def affine_rank(ps: PointSet, subset: Iterable[int]) -> int:
 
 def is_affine_simplex(ps: PointSet, subset: Iterable[int]) -> bool:
     """True iff the points span a (k-2)-flat and all proper subsets are independent."""
-    idx = _check_subset(ps, subset)
+    idx = check_indices(subset, len(ps), "point")
     if len(idx) < 3:
         raise InvariantError(f"affine simplexes have at least 3 points, got {len(idx)}")
-    return is_circuit(_lift(ps), idx)
+    return is_circuit(ps.lift, idx)
 
 
 @dataclass(frozen=True)
@@ -179,7 +154,7 @@ def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
     Points are distinct, so the lift has no loops and no parallel pairs and
     every simplex has at least 3 points; at most rank(lift) + 1 <= d + 2.
     """
-    return SimplexReport(ps.dimension, len(ps), tuple(circuit_supports(_lift(ps))))
+    return SimplexReport(ps.dimension, len(ps), tuple(circuit_supports(ps.lift)))
 
 
 def check_small_flat_hypothesis(ps: PointSet) -> bool:
@@ -190,7 +165,7 @@ def check_small_flat_hypothesis(ps: PointSet) -> bool:
     at most d members. Below d points there is no d-subset, so a collinear
     triple among them does not count.
     """
-    return len(ps) < ps.dimension or not circuit_supports(_lift(ps), max_size=ps.dimension)
+    return len(ps) < ps.dimension or not circuit_supports(ps.lift, max_size=ps.dimension)
 
 
 def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:

@@ -8,7 +8,6 @@ union is always a Sperner family, so its YBLM sum is at most 1.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +16,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantError
+from .exactla import int_from_json, read_json
 from .geometry import PointSet, affine_rank
 
 Family = tuple[tuple[int, ...], ...]
@@ -53,18 +53,14 @@ class Hypergraph:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Hypergraph":
         try:
-            return cls(int(obj["n"]), tuple(tuple(e) for e in obj["edges"]))
+            n = int_from_json(obj["n"], "'n'")
+            return cls(n, tuple(tuple(int_from_json(v, "vertex") for v in e) for e in obj["edges"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"hypergraph needs 'n' and 'edges': {exc}") from exc
 
 
 def load_hypergraph(path: str) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    return Hypergraph.from_json_obj(obj)
+    return Hypergraph.from_json_obj(read_json(path))
 
 
 def first_linearity_violation(h: Hypergraph, q: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:

@@ -20,11 +20,13 @@ coefficient vector, so no rank test or kernel is computed per candidate.
 A set of D - 1 members closes the last level itself: any two later
 vectors outside its span are dependent with it, so the set tests each such
 pair's combination for full support and emits it, with no child node.
+
+The checks on ordered rational rows, their labels and indices, and their
+JSON form are shared with geometry.PointSet.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,13 +36,57 @@ from typing import Callable, Iterable
 from .errors import InputError, InvariantError
 from .exactla import (
     coerce_rational,
-    entry_from_json,
+    int_from_json,
     integer_row,
     nullspace_basis,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     rank,  # noqa: F401  (matroid.rank is wrapped by name in perfbench/tracing.py)
     rank_int_rows,
-    vector_to_json,
+    read_json,
 )
+
+
+def exact_rows(rows: Iterable, dimension: int, noun: str) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows as exact rationals (exactla.coerce_rational), each of length dimension."""
+    out = tuple(tuple(coerce_rational(x) for x in row) for row in rows)
+    for i, row in enumerate(out):
+        if len(row) != dimension:
+            raise InvariantError(f"{noun} {i} has length {len(row)}, expected {dimension}")
+    return out
+
+
+def check_labels(labels: Iterable[str] | None, count: int, noun: str) -> tuple[str, ...] | None:
+    """None, or count distinct labels as a tuple."""
+    if labels is None:
+        return None
+    labels = tuple(labels)
+    if len(labels) != count:
+        raise InvariantError(f"label count does not match {noun} count")
+    if len(set(labels)) != len(labels):
+        raise InvariantError("labels must be unique")
+    return labels
+
+
+def check_indices(subset: Iterable[int], count: int, noun: str) -> tuple[int, ...]:
+    """The distinct indices in ascending order, each in 0..count-1."""
+    idx = tuple(sorted(set(subset)))
+    for i in idx:
+        if not 0 <= i < count:
+            raise InputError(f"{noun} index {i} out of range 0..{count - 1}")
+    return idx
+
+
+def rows_from_json(obj, key: str) -> tuple[int, list, list | None]:
+    """(dimension, rows, labels) of {"dimension": d, key: [[entry, ...], ...], "labels": [...]};
+    the class that receives them coerces and checks the rows and labels."""
+    noun = key[:-1]
+    if not isinstance(obj, dict) or "dimension" not in obj or key not in obj:
+        raise InputError(f"{noun} file needs 'dimension' and '{key}'")
+    rows, labels = obj[key], obj.get("labels")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError(f"'{key}' must be a list of {noun}s, each a list of entries")
+    if not isinstance(labels, (list, type(None))):
+        raise InputError("'labels' must be a list")
+    return int_from_json(obj["dimension"], "'dimension'"), rows, labels or None
 
 
 @dataclass(frozen=True)
@@ -52,18 +98,8 @@ class VectorConfiguration:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        vecs = tuple(tuple(coerce_rational(x) for x in v) for v in self.vectors)
-        object.__setattr__(self, "vectors", vecs)
-        for i, v in enumerate(vecs):
-            if len(v) != self.dimension:
-                raise InvariantError(f"vector {i} has length {len(v)}, expected {self.dimension}")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            object.__setattr__(self, "labels", labels)
-            if len(labels) != len(vecs):
-                raise InvariantError("label count does not match vector count")
-            if len(set(labels)) != len(labels):
-                raise InvariantError("labels must be unique")
+        object.__setattr__(self, "vectors", exact_rows(self.vectors, self.dimension, "vector"))
+        object.__setattr__(self, "labels", check_labels(self.labels, len(self), "vector"))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -77,31 +113,9 @@ class VectorConfiguration:
         """
         return tuple(tuple(integer_row(v)) for v in self.vectors)
 
-    def to_json_obj(self) -> dict:
-        obj = {"dimension": self.dimension, "vectors": [vector_to_json(v) for v in self.vectors]}
-        if self.labels:
-            obj["labels"] = list(self.labels)
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "VectorConfiguration":
-        try:
-            dim = int(obj["dimension"])
-            raw = obj["vectors"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"vector file needs 'dimension' and 'vectors': {exc}") from exc
-        vectors = tuple(tuple(entry_from_json(x) for x in v) for v in raw)
-        labels = tuple(obj["labels"]) if obj.get("labels") else None
-        return cls(dim, vectors, labels)
-
 
 def load_vectors(path: str) -> VectorConfiguration:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    return VectorConfiguration.from_json_obj(obj)
+    return VectorConfiguration(*rows_from_json(read_json(path), "vectors"))
 
 
 @dataclass(frozen=True)
@@ -116,17 +130,9 @@ class Circuit:
         return len(self.members)
 
 
-def _check_indices(cfg: VectorConfiguration, subset: Iterable[int]) -> tuple[int, ...]:
-    idx = tuple(sorted(set(subset)))
-    for i in idx:
-        if not 0 <= i < len(cfg):
-            raise InputError(f"vector index {i} out of range 0..{len(cfg) - 1}")
-    return idx
-
-
 def subset_rank(cfg: VectorConfiguration, subset: Iterable[int]) -> int:
     """Rank of the chosen vectors."""
-    idx = _check_indices(cfg, subset)
+    idx = check_indices(subset, len(cfg), "vector")
     rows = cfg.integer_rows
     return rank_int_rows([rows[i] for i in idx], cfg.dimension)
 
@@ -137,7 +143,7 @@ def configuration_rank(cfg: VectorConfiguration) -> int:
 
 def is_circuit(cfg: VectorConfiguration, subset: Iterable[int]) -> bool:
     """True iff the subset is dependent and every proper subset is independent."""
-    idx = _check_indices(cfg, subset)
+    idx = check_indices(subset, len(cfg), "vector")
     if len(idx) < 1:
         raise InputError("is_circuit needs at least one index")
     k = len(idx)

@@ -61,7 +61,10 @@ class Species:
     composition: tuple[int, ...]
 
     def __post_init__(self):
-        comp = tuple(int(x) for x in self.composition)
+        comp = self.composition
+        if not isinstance(comp, (list, tuple)) or not all(type(x) is int for x in comp):
+            raise InputError(f"composition of {self.name!r} must be a list of integers: {comp!r}")
+        comp = tuple(comp)
         object.__setattr__(self, "composition", comp)
         if any(x < 0 for x in comp):
             raise InvariantError(f"negative atom count in {self.name}: {comp}")
@@ -195,9 +198,11 @@ class Reaction:
 def minimal_reactions(species: Sequence[Species]) -> list[Reaction]:
     """One reaction per circuit of the composition-vector configuration.
 
-    The primitive dependency coefficients are split by sign into reactants
-    (negative) and products (positive) and flipped if needed so that the
-    first listed participating species lands on the reactant side.
+    The primitive dependency coefficients, whose first entry enumerate_circuits
+    makes positive, are negated so that the first listed participating species
+    lands on the reactant side, and split by sign into reactants (negative)
+    and products (positive). No species is the zero vector, so every circuit
+    has at least two members.
     """
     if len(species) < 2:
         return []
@@ -206,10 +211,8 @@ def minimal_reactions(species: Sequence[Species]) -> list[Reaction]:
         raise InvariantError(f"species have mixed composition lengths {sorted(widths)}")
     cfg = VectorConfiguration(widths.pop(), tuple(sp.composition for sp in species))
     reactions = []
-    for circuit in enumerate_circuits(cfg, min_size=2):
-        coeffs = list(circuit.coefficients)
-        if coeffs[0] > 0:
-            coeffs = [-c for c in coeffs]
+    for circuit in enumerate_circuits(cfg):
+        coeffs = [-c for c in circuit.coefficients]
         reactants = tuple(
             (species[i], -c) for i, c in zip(circuit.members, coeffs) if c < 0
         )
@@ -238,19 +241,14 @@ class ReactionReport:
         }
 
 
-def reaction_count_report(
-    species: Sequence[Species], reactions: Sequence[Reaction], min_size: int = 2
-) -> ReactionReport:
+def reaction_count_report(species: Sequence[Species], reactions: Sequence[Reaction]) -> ReactionReport:
     """Counts of the species' minimal reactions by participant count, next to the
     C(n, r+1) scale; reactions is minimal_reactions(species)."""
-    if min_size < 2:
-        raise InputError("min_size must be at least 2")
     if not species:
         return ReactionReport(0, 0, 0, {}, 0)
     counts: dict[int, int] = {}
     for r in reactions:
-        if r.species_count >= min_size:
-            counts[r.species_count] = counts.get(r.species_count, 0) + 1
+        counts[r.species_count] = counts.get(r.species_count, 0) + 1
     width = len(species[0].composition)
     cfg = VectorConfiguration(width, tuple(sp.composition for sp in species))
     r = configuration_rank(cfg)
@@ -272,13 +270,17 @@ def load_species(path: str, universe: AtomUniverse | None = None) -> list[Specie
             records = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
+        if not all(isinstance(r, dict) for r in records):
+            raise InputError(f"{path}: species JSON must be a list of objects")
         formulas = [r["formula"] for r in records if "formula" in r]
+        if not all(isinstance(f, str) for f in formulas):
+            raise InputError(f"{path}: every 'formula' must be a string")
         if universe is None and formulas:
             universe = infer_universe(formulas)
         out = []
         for rec in records:
             if "composition" in rec:
-                out.append(Species(rec.get("name", "?"), tuple(rec["composition"])))
+                out.append(Species(rec.get("name", "?"), rec["composition"]))
             elif "formula" in rec:
                 sp = parse_formula(rec["formula"], universe)
                 out.append(Species(rec.get("name", rec["formula"]), sp.composition))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from minsimplex import matroid
 from minsimplex.cli import main
 
@@ -45,6 +47,51 @@ def test_simplexes_empty_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "simplexes", "--points", str(path))
     assert code == 2
     assert "input error" in err
+
+
+_POINTS = ("simplexes", "--points")
+_VECTORS = ("simplexes", "--vectors")
+_HYPERGRAPH = ("sperner", "-k", "2", "--hypergraph")
+_REACT = ("react",)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (_POINTS, '{"dimension": "x", "points": [[1]]}'),
+    (_POINTS, '{"dimension": 2.5, "points": [[1, 2]]}'),
+    (_POINTS, '{"dimension": true, "points": [[1]]}'),
+    (_POINTS, '{"dimension": 1, "points": [1, 2]}'),
+    (_POINTS, '{"dimension": 1, "points": [[true], [2]]}'),
+    (_POINTS, '[[1], [2]]'),
+    (_POINTS, '{"dimension": 1, "points": [[1]'),
+    (_VECTORS, '{"dimension": "x", "vectors": [[1]]}'),
+    (_VECTORS, '{"dimension": 2.5, "vectors": [[1, 2]]}'),
+    (_VECTORS, '{"dimension": true, "vectors": [[1]]}'),
+    (_VECTORS, '{"dimension": 2, "vectors": [1, 2]}'),
+    (_VECTORS, '{"dimension": 1, "vectors": [[1]], "labels": 5}'),
+    (_VECTORS, '[[1, 0]]'),
+    (_VECTORS, '{"dimension": 2,'),
+    (_HYPERGRAPH, '{"n": "x", "edges": [[0, 1]]}'),
+    (_HYPERGRAPH, '{"n": 2.5, "edges": [[0, 1]]}'),
+    (_HYPERGRAPH, '{"n": true, "edges": [[0]]}'),
+    (_HYPERGRAPH, '{"n": 3, "edges": [[0, 1.5]]}'),
+    (_HYPERGRAPH, '{"n": 3, "edges": [0, 1]}'),
+    (_HYPERGRAPH, '[[0, 1]]'),
+    (_HYPERGRAPH, '{"n": 3'),
+    (_REACT, '[{"name": "a", "composition": [1.5, 0]}, {"name": "b", "composition": [3, 0]}]'),
+    (_REACT, '[{"name": "a", "composition": ["x"]}]'),
+    (_REACT, '[{"name": "a", "composition": [true, 1]}]'),
+    (_REACT, '[{"name": "a", "composition": 5}]'),
+    (_REACT, '[1, 2]'),
+    (_REACT, '[{"formula": 5}]'),
+    (_REACT, '[{"formula": "H2O"'),
+])
+def test_malformed_input_exit_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("input error:")
+    assert "Traceback" not in err and out == ""
 
 
 def test_simplexes_duplicate_points_exit_3(tmp_path, capsys):

@@ -302,6 +302,27 @@ def test_duplicate_points_rejected():
         PointSet(2, ((1, 1), (0, 0), (1, 1)))
 
 
+def test_row_label_and_index_checks_name_points():
+    with pytest.raises(InvariantError, match="^point 1 has length 3, expected 2$"):
+        PointSet(2, ((1, 0), (0, 1, 2)))
+    with pytest.raises(InvariantError, match="^label count does not match point count$"):
+        PointSet(1, ((1,), (2,)), labels=("a",))
+    with pytest.raises(InvariantError, match="^labels must be unique$"):
+        PointSet(1, ((1,), (2,)), labels=("a", "a"))
+    with pytest.raises(InputError, match="^point index 2 out of range 0..1$"):
+        affine_rank(PointSet(1, ((1,), (2,))), (0, 2))
+
+
+def test_lift_is_built_once():
+    ps = PointSet(1, ((0,), (1,), (2,)))
+    assert ps.lift is ps.lift
+    assert ps.lift.vectors == ((1, 0), (1, 1), (1, 2))
+    assert check_small_flat_hypothesis(ps)
+    lift = ps.lift
+    assert enumerate_affine_simplexes(ps).supports == ((0, 1, 2),)
+    assert ps.lift is lift
+
+
 def test_json_and_csv_round_trip(tmp_path):
     ps = PointSet(
         2,

@@ -146,10 +146,14 @@ def test_subset_rank_transposition_free():
 
 
 def test_labels_validated():
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="^labels must be unique$"):
         VectorConfiguration(1, ((1,), (2,)), labels=("a", "a"))
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="^label count does not match vector count$"):
+        VectorConfiguration(1, ((1,), (2,)), labels=("a",))
+    with pytest.raises(InvariantError, match="^vector 1 has length 3, expected 2$"):
         VectorConfiguration(2, ((1, 0), (0, 1, 2)))
+    with pytest.raises(InputError, match="^vector index 2 out of range 0..1$"):
+        subset_rank(VectorConfiguration(1, ((1,), (2,))), (0, 2))
 
 
 def test_scan_matches_oracle_on_deficient_configurations():
