@@ -65,13 +65,22 @@ def int_from_json(x, name: str) -> int:
     return x
 
 
-def read_json(path: str):
-    """The parsed contents of a JSON file; malformed JSON is an InputError."""
+def read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; bytes that are not UTF-8 are an InputError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_json(path: str):
+    """The parsed contents of a JSON file; malformed JSON is an InputError."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list:

@@ -10,14 +10,15 @@ Two regimes:
   common denominator. The scan meets in the middle (Horowitz & Sahni,
   J. ACM 21, 1974): a mask is a high half h and a low half l, and it misses
   a (k+1)-set exactly when both halves miss it, so the numerators of all
-  (h, l) are one 0/1 matrix product, computed in float64 blocks of _BLOCK
+  (h, l) are one 0/1 matrix product, computed in float32 blocks of _BLOCK
   scores. Every partial sum is a non-negative integer of at most
   2*C(n,k)*C(n,k+1), which is refused before the scan unless it is below
-  2^53, so BLAS computes each score exactly in any summation order. The
-  scan runs in-process (BLAS uses the cores) and visits masks in ascending
-  order. C(n,k) is limited to 62 (int64 halves) whatever the budget, and
-  that limit is checked before the budget. numpy is imported by the free
-  search only, so importing this module does not load it.
+  2^24, so BLAS computes each score exactly in any summation order. With
+  k >= 2 and at most 62 k-sets that sum is at most 2*55*165 = 18150, at
+  (11, 2). The scan runs in-process (BLAS uses the cores) and visits masks
+  in ascending order. C(n,k) is limited to 62 (int64 halves) whatever the
+  budget, and that limit is checked before the budget. numpy is imported
+  by the free search only, so importing this module does not load it.
 
 * Linear-constrained (s): backtracking over families of edges of size >= k
   with pairwise intersections below k-1 (smaller edges never change the
@@ -65,7 +66,7 @@ _LOW_BITS = 11  # at most 2^11 low halves, so the right-hand factor stays in cac
 _MAX_RAW_WITNESSES = 5000
 _CANONICAL_N_LIMIT = 8
 _MAX_FREE_BITS = 62  # masks and the mask count 2^bits must fit in int64
-_FLOAT_EXACT_BITS = 53  # float64 holds every integer below 2^53 exactly
+_FLOAT_EXACT_BITS = 24  # float32 holds every integer below 2^24 exactly
 
 
 @dataclass(frozen=True)
@@ -172,9 +173,10 @@ def _scan_free(n: int, k: int) -> tuple[int, list[int], bool]:
     """Scan every family mask; returns (min numerator, ascending argmins, truncated).
 
     A mask is (h << L) | l. It misses a (k+1)-set t exactly when h misses
-    t's high bits and l its low bits, so one float64 product A @ Bt per block
+    t's high bits and l its low bits, so one float32 product A @ Bt per block
     of consecutive high halves h scores every (h, l) of the block, and the
-    blocks visit the masks in ascending order.
+    blocks visit the masks in ascending order. Scores are integers of at most
+    18150 (module docstring), exact in float32.
     """
     import numpy as np
 
@@ -183,33 +185,37 @@ def _scan_free(n: int, k: int) -> tuple[int, list[int], bool]:
     bits = comb(n, k)
     low_bits = min(bits // 2, _LOW_BITS)
     low, high = 1 << low_bits, 1 << (bits - low_bits)
-    rows = max(1, _BLOCK >> low_bits)
+    rows = min(high, max(1, _BLOCK >> low_bits))  # high halves per block
     t_low = np.array([t & (low - 1) for t in super_masks], dtype=np.int64)
     t_high = np.array([t >> low_bits for t in super_masks], dtype=np.int64)
 
     def popcounts(start: int, stop: int) -> np.ndarray:
-        return np.array([x.bit_count() for x in range(start, stop)], dtype=np.float64)
+        return np.array([x.bit_count() for x in range(start, stop)], dtype=np.float32)
 
     # A[h] = ([h misses t_high] per (k+1)-set t, |h| * w_mk, 1) and
     # Bt[:, l] = (w_m0 * [l misses t_low] per t, 1, |l| * w_mk), so A[h] . Bt[:, l]
     # is the score numerator |mask| * w_mk + m0 * w_m0 of mask (h << L) | l
     ls = np.arange(low, dtype=np.int64)
-    bt = np.empty((len(super_masks) + 2, low))
+    bt = np.empty((len(super_masks) + 2, low), dtype=np.float32)
     bt[:-2] = (ls & t_low[:, None]) == 0
     bt[:-2] *= w_m0
     bt[-2] = 1
     bt[-1] = popcounts(0, low) * w_mk
+
+    # one A and one score buffer serve every block; the last block may use fewer rows
+    a_buf = np.empty((rows, len(super_masks) + 2), dtype=np.float32)
+    a_buf[:, -1] = 1
+    s_buf = np.empty((rows, low), dtype=np.float32)
 
     best = None
     argmins: list[int] = []
     truncated = False
     for h0 in range(0, high, rows):
         hs = np.arange(h0, min(h0 + rows, high), dtype=np.int64)
-        a = np.empty((hs.size, len(super_masks) + 2))
+        a, scores = a_buf[: hs.size], s_buf[: hs.size]
         a[:, :-2] = (hs[:, None] & t_high) == 0
         a[:, -2] = popcounts(h0, h0 + hs.size) * w_mk
-        a[:, -1] = 1
-        scores = a @ bt
+        np.matmul(a, bt, out=scores)
         block_best = int(scores.min())
         if best is None or block_best < best:
             best = block_best
@@ -238,7 +244,7 @@ def _check_free_space(n: int, k: int, budget_bits: int) -> None:
     if peak >= 1 << _FLOAT_EXACT_BITS:
         raise InputError(
             f"free search scores reach 2*C({n},{k})*C({n},{k + 1}) = {peak}, "
-            f"beyond the 2^{_FLOAT_EXACT_BITS} that float64 products hold exactly"
+            f"beyond the 2^{_FLOAT_EXACT_BITS} that float32 products hold exactly"
         )
     if bits > budget_bits:
         raise BudgetError(

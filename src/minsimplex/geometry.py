@@ -24,11 +24,12 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError, InvariantError
-from .exactla import rank, read_json, vector_to_json
+from .exactla import rank, read_json, read_text, vector_to_json
 from .matroid import (
     VectorConfiguration,
     check_indices,
     check_labels,
+    check_lengths,
     circuit_supports,
     exact_rows,
     is_circuit,
@@ -71,10 +72,10 @@ class PointSet:
 def load_points(path: str) -> PointSet:
     """Read a PointSet from JSON, or from CSV (one point per row)."""
     if path.endswith(".csv"):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+        rows = [row for row in csv.reader(read_text(path).splitlines()) if row]
         if not rows:
             raise InputError(f"{path}: no points in CSV")
+        check_lengths(rows, len(rows[0]), "point", InputError)
         return PointSet(len(rows[0]), tuple(rows))
     return PointSet(*rows_from_json(read_json(path), "points"))
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, InvariantError
 from .exactla import (
@@ -45,12 +45,20 @@ from .exactla import (
 )
 
 
+def check_lengths(
+    rows: Sequence[Sequence], dimension: int, noun: str, error: type[Exception] = InvariantError
+) -> None:
+    """Raise `error` unless every row has `dimension` entries: InvariantError for rows
+    built in code, InputError for rows read from a file."""
+    for i, row in enumerate(rows):
+        if len(row) != dimension:
+            raise error(f"{noun} {i} has length {len(row)}, expected {dimension}")
+
+
 def exact_rows(rows: Iterable, dimension: int, noun: str) -> tuple[tuple[Fraction, ...], ...]:
     """The rows as exact rationals (exactla.coerce_rational), each of length dimension."""
     out = tuple(tuple(coerce_rational(x) for x in row) for row in rows)
-    for i, row in enumerate(out):
-        if len(row) != dimension:
-            raise InvariantError(f"{noun} {i} has length {len(row)}, expected {dimension}")
+    check_lengths(out, dimension, noun)
     return out
 
 
@@ -77,7 +85,8 @@ def check_indices(subset: Iterable[int], count: int, noun: str) -> tuple[int, ..
 
 def rows_from_json(obj, key: str) -> tuple[int, list, list | None]:
     """(dimension, rows, labels) of {"dimension": d, key: [[entry, ...], ...], "labels": [...]};
-    the class that receives them coerces and checks the rows and labels."""
+    a negative dimension or a row of another length is an InputError, and the
+    class that receives them coerces the entries and checks the labels."""
     noun = key[:-1]
     if not isinstance(obj, dict) or "dimension" not in obj or key not in obj:
         raise InputError(f"{noun} file needs 'dimension' and '{key}'")
@@ -86,7 +95,11 @@ def rows_from_json(obj, key: str) -> tuple[int, list, list | None]:
         raise InputError(f"'{key}' must be a list of {noun}s, each a list of entries")
     if not isinstance(labels, (list, type(None))):
         raise InputError("'labels' must be a list")
-    return int_from_json(obj["dimension"], "'dimension'"), rows, labels or None
+    dimension = int_from_json(obj["dimension"], "'dimension'")
+    if dimension < 0:
+        raise InputError(f"'dimension' must be non-negative, got {dimension}")
+    check_lengths(rows, dimension, noun, InputError)
+    return dimension, rows, labels or None
 
 
 @dataclass(frozen=True)

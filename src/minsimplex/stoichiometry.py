@@ -16,6 +16,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import InputError, InvariantError
+from .exactla import read_text
 from .matroid import VectorConfiguration, configuration_rank, enumerate_circuits
 
 _ELEMENT_RE = re.compile(r"[A-Z][a-z]?")
@@ -262,13 +263,12 @@ def load_species(path: str, universe: AtomUniverse | None = None) -> list[Specie
     vectors require an explicit universe only for formula-less files when
     none can be inferred.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("["):
         try:
             records = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
         if not all(isinstance(r, dict) for r in records):
             raise InputError(f"{path}: species JSON must be a list of objects")

@@ -94,6 +94,25 @@ def test_malformed_input_exit_2(tmp_path, capsys, argv, text):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("argv, name, data", [
+    (_REACT, "species.txt", b"\xff\xfeH2O\n"),
+    (_POINTS, "pts.csv", b"1,\xff\n"),
+    (_POINTS, "pts.json", b'{"dimension": 2, "points": [[1, 2], [3]]}'),
+    (_POINTS, "pts.csv", b"1,2\n3\n"),
+    (_VECTORS, "vecs.json", b'{"dimension": 2, "vectors": [[1, 2], [3]]}'),
+    (_POINTS, "pts.json", b'{"dimension": -1, "points": []}'),
+    (_VECTORS, "vecs.json", b'{"dimension": -1, "vectors": []}'),
+])
+def test_undecodable_ragged_or_negative_dimension_input_exit_2(tmp_path, capsys, argv, name, data):
+    # text that is not UTF-8, rows of different lengths, and a negative dimension
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("input error:")
+    assert "Traceback" not in err and out == ""
+
+
 def test_simplexes_duplicate_points_exit_3(tmp_path, capsys):
     path = tmp_path / "dup.json"
     path.write_text(json.dumps({"dimension": 1, "points": [["1"], ["1"]]}))

@@ -436,6 +436,20 @@ def test_free_search_refuses_more_than_62_k_sets(monkeypatch):
         brute_force_s(9, 3, False, budget_bits=100)
 
 
+def test_float_exactness_bound_admits_every_free_search():
+    # every (n, k) the free search accepts (k >= 2, n >= k+1, C(n,k) <= 62) has scores
+    # whose partial sums stay below 2^_FLOAT_EXACT_BITS, so that bound never refuses a
+    # scan the k-set limit allows; the largest, 2 * 55 * 165 = 18150, is at (11, 2)
+    peaks = {
+        (n, k): 2 * comb(n, k) * comb(n, k + 1)
+        for n in range(3, search._MAX_FREE_BITS + 2)
+        for k in range(2, n)
+        if comb(n, k) <= search._MAX_FREE_BITS
+    }
+    assert max(peaks.values()) == peaks[11, 2] == 18150
+    assert all(peak < 1 << search._FLOAT_EXACT_BITS for peak in peaks.values())
+
+
 def test_float_exactness_bound_is_checked_before_the_scan(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scan started")
