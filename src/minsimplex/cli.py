@@ -18,8 +18,48 @@ from . import extremal, geometry, hypergraph, matroid, stoichiometry
 from .errors import BudgetError, InputError, InvariantError
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True)
+_encode_scalar = json.JSONEncoder(sort_keys=True).encode
+
+
+def _dump_json(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=1, sort_keys=True), byte for byte.
+
+    With an indent, json runs its pure-Python encoder on Python < 3.13,
+    which dominates the output time of large circuit lists. Here containers
+    are written recursively (newline carries the current indent), a list of
+    plain ints is one join, and keys and every other scalar go through the
+    stdlib's C encoder, so floats, escapes and the TypeError for an
+    unsupported type are json's own. A circular value exhausts the recursion
+    limit instead of raising json's ValueError.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + " "
+        if {*map(type, obj)} == {int}:  # plain ints only: bools print as true/false
+            body = ("," + inner).join(map(int.__repr__, obj))
+        else:
+            body = ("," + inner).join([_dump_json(e, inner) for e in obj])
+        return "[" + inner + body + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + " "
+        body = ("," + inner).join(
+            [_json_key(k) + ": " + _dump_json(v, inner) for k, v in sorted(obj.items())]
+        )
+        return "{" + inner + body + newline + "}"
+    return _encode_scalar(obj)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a string, or an int, float, bool or None
+    converted to the string of its JSON value."""
+    if isinstance(key, str):
+        return _encode_scalar(key)
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + _encode_scalar(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -66,7 +106,7 @@ def _circuits_json(cfg, supports, circuits=None) -> dict:
     }
     if circuits is not None:
         obj["circuits"] = [
-            {"members": list(c.members), "coefficients": list(c.coefficients)} for c in circuits
+            {"members": c.members, "coefficients": c.coefficients} for c in circuits
         ]
     return obj
 
@@ -104,12 +144,12 @@ def cmd_simplexes(args) -> int:
     ps = geometry.project_to_affine(cfg)
     report = geometry.enumerate_affine_simplexes(ps)
     match = supports == list(report.supports)
-    obj = {
-        "circuits": _circuits_json(cfg, supports, circuits),
-        "projected": report.to_json_obj(args.counts_only),
-        "match": match,
-    }
     if args.format == "json":
+        obj = {
+            "circuits": _circuits_json(cfg, supports, circuits),
+            "projected": report.to_json_obj(args.counts_only),
+            "match": match,
+        }
         _emit(_dump_json(obj), args.out)
     else:
         lines = [f"circuits: {len(supports)}", f"projected simplexes: {report.total}"]

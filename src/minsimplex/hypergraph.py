@@ -54,6 +54,8 @@ class Hypergraph:
     def from_json_obj(cls, obj: dict) -> "Hypergraph":
         try:
             n = int_from_json(obj["n"], "'n'")
+            if n < 0:
+                raise InputError(f"'n' must be non-negative, got {n}")
             return cls(n, tuple(tuple(int_from_json(v, "vertex") for v in e) for e in obj["edges"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"hypergraph needs 'n' and 'edges': {exc}") from exc

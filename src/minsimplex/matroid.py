@@ -62,15 +62,20 @@ def exact_rows(rows: Iterable, dimension: int, noun: str) -> tuple[tuple[Fractio
     return out
 
 
-def check_labels(labels: Iterable[str] | None, count: int, noun: str) -> tuple[str, ...] | None:
-    """None, or count distinct labels as a tuple."""
+def check_labels(
+    labels: Iterable[str] | None, count: int, noun: str, error: type[Exception] = InvariantError
+) -> tuple[str, ...] | None:
+    """None, or count distinct string labels as a tuple; otherwise raise `error`:
+    InvariantError for labels given in code, InputError for labels read from a file."""
     if labels is None:
         return None
     labels = tuple(labels)
+    if not all(isinstance(label, str) for label in labels):
+        raise error("labels must be strings")
     if len(labels) != count:
-        raise InvariantError(f"label count does not match {noun} count")
+        raise error(f"label count does not match {noun} count")
     if len(set(labels)) != len(labels):
-        raise InvariantError("labels must be unique")
+        raise error("labels must be unique")
     return labels
 
 
@@ -83,10 +88,11 @@ def check_indices(subset: Iterable[int], count: int, noun: str) -> tuple[int, ..
     return idx
 
 
-def rows_from_json(obj, key: str) -> tuple[int, list, list | None]:
+def rows_from_json(obj, key: str) -> tuple[int, list, tuple[str, ...] | None]:
     """(dimension, rows, labels) of {"dimension": d, key: [[entry, ...], ...], "labels": [...]};
-    a negative dimension or a row of another length is an InputError, and the
-    class that receives them coerces the entries and checks the labels."""
+    a negative dimension, a row of another length, or labels that are not one
+    distinct string per row are an InputError, and the class that receives
+    them coerces the entries. An empty label list means no labels."""
     noun = key[:-1]
     if not isinstance(obj, dict) or "dimension" not in obj or key not in obj:
         raise InputError(f"{noun} file needs 'dimension' and '{key}'")
@@ -99,7 +105,7 @@ def rows_from_json(obj, key: str) -> tuple[int, list, list | None]:
     if dimension < 0:
         raise InputError(f"'dimension' must be non-negative, got {dimension}")
     check_lengths(rows, dimension, noun, InputError)
-    return dimension, rows, labels or None
+    return dimension, rows, check_labels(labels or None, len(rows), noun, InputError)
 
 
 @dataclass(frozen=True)
@@ -287,8 +293,10 @@ def enumerate_circuits(
     def emit(members, comb):
         if len(members) >= min_size:
             coeffs = [c * scales[i] for i, c in zip(members, comb)]
-            g = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
-            circuits.append(Circuit(members, tuple(c // g for c in coeffs)))
+            g = gcd(*coeffs)
+            if coeffs[0] < 0:
+                g = -g
+            circuits.append(Circuit(members, tuple([c // g for c in coeffs])))
 
     _scan(cfg, max_size, emit)
     return circuits

@@ -1,11 +1,14 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from minsimplex import matroid
-from minsimplex.cli import main
+from minsimplex import extremal, geometry, matroid
+from minsimplex.cli import _dump_json, main
+from minsimplex.exactla import vector_to_json
 
-from support import run_python
+from support import random_json_value, run_python
 
 
 def run(capsys, *argv):
@@ -84,6 +87,12 @@ _REACT = ("react",)
     (_REACT, '[1, 2]'),
     (_REACT, '[{"formula": 5}]'),
     (_REACT, '[{"formula": "H2O"'),
+    (_VECTORS, '{"dimension": 1, "vectors": [[1], [2]], "labels": [[1], [2]]}'),
+    (_POINTS, '{"dimension": 1, "points": [[1], [2], [3]], "labels": [1, 2, 3]}'),
+    (_VECTORS, '{"dimension": 1, "vectors": [[1], [2]], "labels": ["a"]}'),
+    (_POINTS, '{"dimension": 1, "points": [[1], [2]], "labels": ["a", "a"]}'),
+    (_REACT, '[{"name": "a", "composition": [1, 0]}, {"name": "b", "composition": [1]}]'),
+    (_HYPERGRAPH, '{"n": -2, "edges": []}'),
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv, text):
     path = tmp_path / "bad.json"
@@ -363,3 +372,49 @@ def test_cli_import_does_not_import_numpy():
     # only the free search uses numpy; every other command skips its import
     proc = run_python("import minsimplex.cli, sys; assert 'numpy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_dump_json_matches_json_dumps_on_random_values():
+    rng = random.Random(1414)
+    for _ in range(3000):
+        value = random_json_value(rng)
+        assert _dump_json(value) == json.dumps(value, indent=1, sort_keys=True), value
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), [1, Fraction(1, 2)], {"a": [0, {1, 2}]}, {(1, 2): 0}, {"a": 0, 1: 0},
+])
+def test_dump_json_raises_type_error_where_json_does(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=1, sort_keys=True)
+    with pytest.raises(TypeError):
+        _dump_json(value)
+
+
+def test_simplexes_json_output_equals_json_dumps(tmp_path, capsys):
+    # parallel pairs, n = 20: as points, and lifted to vectors with coefficients
+    ps = extremal.construct(extremal.ConstructionId("parallel-pairs"), 20)
+    points, vectors = tmp_path / "pts.json", tmp_path / "vecs.json"
+    points.write_text(json.dumps(ps.to_json_obj()))
+    cfg = ps.lift
+    vectors.write_text(json.dumps(
+        {"dimension": cfg.dimension, "vectors": [vector_to_json(v) for v in cfg.vectors]}
+    ))
+    report = geometry.enumerate_affine_simplexes(ps)
+    circuits = matroid.enumerate_circuits(cfg)
+    want_vectors = {
+        "dimension": cfg.dimension,
+        "vector_count": len(cfg),
+        "counts": {str(k): v for k, v in report.counts.items()},
+        "total": len(circuits),
+        "circuits": [
+            {"members": list(c.members), "coefficients": list(c.coefficients)} for c in circuits
+        ],
+    }
+    for argv, want in (
+        (("--points", str(points)), report.to_json_obj()),
+        (("--vectors", str(vectors)), want_vectors),
+    ):
+        code, out, _ = run(capsys, "simplexes", *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(want, indent=1, sort_keys=True) + "\n"

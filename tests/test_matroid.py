@@ -150,6 +150,8 @@ def test_labels_validated():
         VectorConfiguration(1, ((1,), (2,)), labels=("a", "a"))
     with pytest.raises(InvariantError, match="^label count does not match vector count$"):
         VectorConfiguration(1, ((1,), (2,)), labels=("a",))
+    with pytest.raises(InvariantError, match="^labels must be strings$"):
+        VectorConfiguration(1, ((1,), (2,)), labels=(1, 2))
     with pytest.raises(InvariantError, match="^vector 1 has length 3, expected 2$"):
         VectorConfiguration(2, ((1, 0), (0, 1, 2)))
     with pytest.raises(InputError, match="^vector index 2 out of range 0..1$"):
