@@ -15,10 +15,11 @@ Two regimes:
   2*C(n,k)*C(n,k+1), which is refused before the scan unless it is below
   2^24, so BLAS computes each score exactly in any summation order. With
   k >= 2 and at most 62 k-sets that sum is at most 2*55*165 = 18150, at
-  (11, 2). The scan runs in-process (BLAS uses the cores) and visits masks
-  in ascending order. C(n,k) is limited to 62 (int64 halves) whatever the
-  budget, and that limit is checked before the budget. numpy is imported
-  by the free search only, so importing this module does not load it.
+  (11, 2). The scan runs in-process and visits masks in ascending order;
+  the command line runs its products on one BLAS thread (cli.main).
+  C(n,k) is limited to 62 (int64 halves) whatever the budget, and that
+  limit is checked before the budget. numpy is imported by the free search
+  only, so importing this module does not load it.
 
 * Linear-constrained (s): backtracking over families of edges of size >= k
   with pairwise intersections below k-1 (smaller edges never change the

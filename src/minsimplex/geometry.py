@@ -145,7 +145,7 @@ class SimplexReport:
             "total": self.total,
         }
         if not counts_only:
-            obj["simplexes"] = [list(m) for m in self.supports]
+            obj["simplexes"] = self.supports
         return obj
 
 

@@ -286,9 +286,9 @@ def load_species(path: str, universe: AtomUniverse | None = None) -> list[Specie
                 out.append(Species(rec.get("name", rec["formula"]), sp.composition))
             else:
                 raise InputError(f"{path}: record needs 'formula' or 'composition': {rec}")
-        widths = {len(sp.composition) for sp, rec in zip(out, records) if "composition" in rec}
+        widths = {len(sp.composition) for sp in out}
         if len(widths) > 1:
-            raise InputError(f"{path}: 'composition' lists of mixed lengths {sorted(widths)}")
+            raise InputError(f"{path}: compositions of mixed lengths {sorted(widths)}")
         return out
     lines = [line.strip() for line in text.splitlines()]
     formulas = [line for line in lines if line and not line.startswith("#")]

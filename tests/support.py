@@ -19,11 +19,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def run_python(code: str, cwd=None, env=None) -> subprocess.CompletedProcess:
     """Run `python -c code` in a new interpreter that imports minsimplex from src,
-    with `env` added to the environment."""
+    with `env` added to the environment; a variable set to None is removed."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    full = dict(os.environ, **(env or {}), PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-c", code], cwd=cwd,
-        env=dict(os.environ, **(env or {}), PYTHONPATH=path),
+        env={k: v for k, v in full.items() if v is not None},
         capture_output=True, text=True, timeout=300,
     )
 

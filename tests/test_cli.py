@@ -93,6 +93,7 @@ _REACT = ("react",)
     (_POINTS, '{"dimension": 1, "points": [[1], [2]], "labels": ["a", "a"]}'),
     (_REACT, '[{"name": "a", "composition": [1, 0]}, {"name": "b", "composition": [1]}]'),
     (_HYPERGRAPH, '{"n": -2, "edges": []}'),
+    (_REACT, '[{"name": "hydrogen", "formula": "H2"}, {"name": "mystery", "composition": [0, 2]}]'),
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv, text):
     path = tmp_path / "bad.json"

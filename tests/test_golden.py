@@ -126,10 +126,42 @@ def test_free_search_with_worker_processes(tmp_path):
 
 
 def test_free_search_is_exact_with_one_blas_thread(tmp_path):
-    # the scores are exact, so one BLAS thread's summation order gives the
-    # same bytes as the default threads
+    # the scores are exact, so one explicit BLAS and OpenMP thread gives the
+    # golden bytes
     argv = ["search", "6", "3", "--free", "--format", "json"]
     env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    _assert_new_interpreter_matches_golden("search-6-3-free-json", argv, tmp_path, env)
+
+
+_BLAS_THREADS_AFTER_SEARCH = """
+import contextlib, io, os
+from minsimplex.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["search", "7", "2", "--free"]) == 0
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(os.environ["OPENBLAS_NUM_THREADS"], tasks)
+"""
+
+
+def test_cli_runs_free_search_on_one_blas_thread(tmp_path):
+    # the variable is removed, not inherited: an in-process main sets it in
+    # this test process's own environment
+    proc = run_python(_BLAS_THREADS_AFTER_SEARCH, cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": None})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    value, tasks = proc.stdout.split()
+    assert value == "1"
+    if tasks == "None":
+        pytest.skip("no /proc/self/task to count the threads")
+    assert tasks == "1"
+
+
+def test_cli_keeps_a_preset_blas_thread_count(tmp_path):
+    proc = run_python(_BLAS_THREADS_AFTER_SEARCH, cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": "2"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split()[0] == "2"
+    # the scores are exact, so two BLAS threads print the same bytes
+    argv = ["search", "6", "3", "--free", "--format", "json"]
+    env = {"OPENBLAS_NUM_THREADS": "2"}
     _assert_new_interpreter_matches_golden("search-6-3-free-json", argv, tmp_path, env)
 
 

@@ -191,8 +191,9 @@ def test_load_species_text_and_json(tmp_path):
         {"name": "hydrogen", "formula": "H2"},
         {"name": "mystery", "composition": [0, 2]},
     ]))
-    loaded = load_species(str(jpath))
+    loaded = load_species(str(jpath), AtomUniverse(("H", "O")))
     assert loaded[0].name == "hydrogen"
+    assert loaded[0].composition == (2, 0)
     assert loaded[1].composition == (0, 2)
 
     empty = tmp_path / "empty.txt"
