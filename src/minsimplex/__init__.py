@@ -4,14 +4,12 @@ minimal balanced reactions."""
 
 from .errors import BudgetError, InputError, InvariantError
 from .exactla import (
-    Rational,
     nullspace_basis,
     primitive_integer_vector,
     rank,
     rational_from_string,
 )
 from .geometry import (
-    AffineSimplex,
     PointSet,
     affine_rank,
     check_small_flat_hypothesis,
@@ -49,7 +47,6 @@ from .stoichiometry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSimplex",
     "AtomUniverse",
     "BudgetError",
     "Circuit",
@@ -57,7 +54,6 @@ __all__ = [
     "InputError",
     "InvariantError",
     "PointSet",
-    "Rational",
     "Reaction",
     "Species",
     "VectorConfiguration",

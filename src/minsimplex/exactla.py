@@ -1,18 +1,19 @@
 """Exact rational linear algebra: rank, nullspace, integer normalization.
 
-Everything downstream (circuit detection, collinearity tests, reaction
-balancing) reduces to boundary rank tests, so all arithmetic here is exact.
-Rationals are `fractions.Fraction` (always in lowest terms, positive
-denominator, canonical zero), re-exported as `Rational`. A matrix is a
+All arithmetic here is exact. Rationals are `fractions.Fraction` (always
+in lowest terms, positive denominator, canonical zero). A matrix is a
 sequence of equal-length rows of exact entries (int, Fraction or "p/q"
 string); `rank` and `nullspace_basis` take the rows directly. Both clear
 denominators row by row and run one fraction-free Bareiss elimination
 (Math. Comp. 22, 1968) on the integer rows; the nullspace is read off the
-integer echelon form by back-substitution.
+integer echelon form by back-substitution. The hyperplane table of
+`hypergraph.from_point_set` keys each hyperplane by the
+`primitive_integer_vector` of a 1-dimensional `nullspace_basis`.
 
 No floating point is accepted anywhere: external numeric input must be an
 integer or a "p/q" string (see `rational_from_string`). `read_json` reads
-the point, vector and hypergraph files.
+the point, vector and hypergraph files, and `parse_json` gives species
+files the same "invalid JSON" error.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InputError, InvariantError
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -74,13 +73,17 @@ def read_text(path: str) -> str:
             raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def read_json(path: str):
-    """The parsed contents of a JSON file; malformed JSON is an InputError."""
-    text = read_text(path)
+def parse_json(text: str, path: str):
+    """`text`, read from `path`, parsed as JSON; malformed JSON is an InputError."""
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def read_json(path: str):
+    """The parsed contents of a JSON file; malformed JSON is an InputError."""
+    return parse_json(read_text(path), path)
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list:

@@ -6,7 +6,8 @@ matroid circuit. Points p are affinely dependent exactly when their lifts
 (1, p) are linearly dependent, so the affine simplexes are the circuits of
 the lift and are enumerated by matroid.circuit_supports; affine rank is the
 lift's rank minus 1. PointSet.lift is built once per point set and kept,
-with its integer rows, for every later scan of that set. This module also
+with its integer rows, for every later scan, rank and hyperplane normal
+(hypergraph.from_point_set) of that set. This module also
 hosts the linear-to-affine projection (central projection of a vector
 configuration onto a hyperplane off the origin) and the general-position
 hypothesis check used by the dimension-d counting results, which is the
@@ -24,7 +25,8 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError, InvariantError
-from .exactla import rank, read_json, read_text, vector_to_json
+from .exactla import rank  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+from .exactla import read_json, read_text, vector_to_json
 from .matroid import (
     VectorConfiguration,
     check_indices,
@@ -34,6 +36,7 @@ from .matroid import (
     exact_rows,
     is_circuit,
     rows_from_json,
+    subset_rank,
 )
 
 
@@ -97,7 +100,7 @@ def affine_rank(ps: PointSet, subset: Iterable[int]) -> int:
     idx = check_indices(subset, len(ps), "point")
     if not idx:
         raise InputError("affine_rank needs at least one point")
-    return rank([(1,) + ps.points[i] for i in idx]) - 1
+    return subset_rank(ps.lift, idx) - 1
 
 
 def is_affine_simplex(ps: PointSet, subset: Iterable[int]) -> bool:
@@ -109,25 +112,12 @@ def is_affine_simplex(ps: PointSet, subset: Iterable[int]) -> bool:
 
 
 @dataclass(frozen=True)
-class AffineSimplex:
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
 class SimplexReport:
     """Enumerated affine simplexes, as sorted member tuples, grouped by cardinality."""
 
     dimension: int
     point_count: int
     supports: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def simplexes(self) -> tuple[AffineSimplex, ...]:
-        return tuple(AffineSimplex(m) for m in self.supports)
 
     @property
     def counts(self) -> dict[int, int]:

@@ -16,7 +16,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantError
-from .exactla import int_from_json, read_json
+from .exactla import int_from_json, nullspace_basis, primitive_integer_vector, read_json
 from .geometry import PointSet, affine_rank
 
 Family = tuple[tuple[int, ...], ...]
@@ -191,8 +191,13 @@ def from_point_set(ps: PointSet) -> Hypergraph:
 
     Edges are the maximal subsets whose affine hull has dimension at most
     d-1, kept only when they carry at least d+1 points. When the whole set
-    is degenerate it is itself the unique maximal subset; otherwise every
-    maximal subset is the closure of an affinely independent d-subset.
+    is degenerate it is itself the unique maximal subset. Otherwise the
+    edges come from one table of hyperplanes: each d-subset whose lifted
+    rows (1, p) have a 1-dimensional kernel spans the hyperplane whose
+    normal is that kernel, made a primitive integer vector, and each
+    hyperplane collects the members of its d-subsets. By basis exchange
+    every point of a spanned hyperplane lies in one of its independent
+    d-subsets, so the collected members are the whole section.
     """
     n = len(ps)
     d = ps.dimension
@@ -200,17 +205,13 @@ def from_point_set(ps: PointSet) -> Hypergraph:
         return Hypergraph(n, ())
     if affine_rank(ps, range(n)) <= d - 1:
         return Hypergraph(n, (tuple(range(n)),))
-    closures = set()
+    rows = ps.lift.integer_rows
+    sections: dict[tuple[int, ...], set[int]] = {}
     for members in combinations(range(n), d):
-        if affine_rank(ps, members) != d - 1:
-            continue
-        base = set(members)
-        closure = tuple(
-            i for i in range(n) if i in base or affine_rank(ps, base | {i}) == d - 1
-        )
-        if len(closure) >= d + 1:
-            closures.add(closure)
-    return Hypergraph(n, tuple(closures))
+        kernel = nullspace_basis([rows[i] for i in members])
+        if len(kernel) == 1:
+            sections.setdefault(tuple(primitive_integer_vector(kernel[0])), set()).update(members)
+    return Hypergraph(n, tuple(tuple(sorted(m)) for m in sections.values() if len(m) > d))
 
 
 def random_linear_hypergraph(rng: random.Random, n: int, k: int) -> Hypergraph:

@@ -9,14 +9,13 @@ participating species is always a reactant.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
 from .errors import InputError, InvariantError
-from .exactla import read_text
+from .exactla import parse_json, read_text
 from .matroid import VectorConfiguration, configuration_rank, enumerate_circuits
 
 _ELEMENT_RE = re.compile(r"[A-Z][a-z]?")
@@ -266,10 +265,7 @@ def load_species(path: str, universe: AtomUniverse | None = None) -> list[Specie
     text = read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("["):
-        try:
-            records = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
+        records = parse_json(text, path)
         if not all(isinstance(r, dict) for r in records):
             raise InputError(f"{path}: species JSON must be a list of objects")
         formulas = [r["formula"] for r in records if "formula" in r]

@@ -212,6 +212,37 @@ def oracle_small_flat_hypothesis(ps: geometry.PointSet) -> bool:
     return not any(_affinely_dependent(ps, m) for m in combinations(range(len(ps)), d))
 
 
+def _plain_affine_rank(ps: geometry.PointSet, members) -> int:
+    return rank([(1,) + ps.points[i] for i in members]) - 1
+
+
+def plain_from_point_set(ps: geometry.PointSet) -> hypergraph.Hypergraph:
+    """The closure oracle for `hypergraph.from_point_set`: each affinely
+    independent d-subset closed under the points of its hyperplane, kept
+    when the closure has at least d+1 points; the whole set when it is
+    degenerate.
+
+    Affine rank is `exactla.rank` of the Fraction lifts, so the oracle reads
+    neither the lift's integer rows nor a kernel.
+    """
+    n, d = len(ps), ps.dimension
+    if n <= d:
+        return hypergraph.Hypergraph(n, ())
+    if _plain_affine_rank(ps, range(n)) <= d - 1:
+        return hypergraph.Hypergraph(n, (tuple(range(n)),))
+    closures = set()
+    for members in combinations(range(n), d):
+        if _plain_affine_rank(ps, members) != d - 1:
+            continue
+        closure = tuple(
+            i for i in range(n)
+            if i in members or _plain_affine_rank(ps, members + (i,)) == d - 1
+        )
+        if len(closure) >= d + 1:
+            closures.add(closure)
+    return hypergraph.Hypergraph(n, tuple(closures))
+
+
 def random_set_family(
     rng: random.Random, n: int, max_edges: int = 6
 ) -> tuple[tuple[int, ...], ...]:

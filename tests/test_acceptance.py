@@ -157,7 +157,7 @@ def test_criterion_09_oracle_equivalence():
         n = rng.randint(4, 8)
         dim = rng.randint(2, 4)
         ps = random_point_set(rng, n, dim)
-        got = sorted(s.members for s in geometry.enumerate_affine_simplexes(ps).simplexes)
+        got = sorted(geometry.enumerate_affine_simplexes(ps).supports)
         assert got == oracle_affine_simplexes(ps)
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"oracle suite took {elapsed:.1f}s (target < 60s)"
@@ -172,9 +172,7 @@ def test_criterion_10_projection_correspondence():
         cfg = random_admissible_configuration(rng, n, dim)
         circuits = sorted(c.members for c in matroid.enumerate_circuits(cfg))
         projected = geometry.project_to_affine(cfg)
-        simplexes = sorted(
-            s.members for s in geometry.enumerate_affine_simplexes(projected).simplexes
-        )
+        simplexes = sorted(geometry.enumerate_affine_simplexes(projected).supports)
         assert circuits == simplexes
     _pass(10, "circuit/affine-simplex bijection on 25 admissible configurations")
 

@@ -48,8 +48,8 @@ def test_cone_counts():
     assert total(ps) == comb(8, 4) == 70 == expected_count(cid, 9)
     # no simplex touches the apex (the last point)
     apex = len(ps) - 1
-    for s in enumerate_affine_simplexes(ps).simplexes:
-        assert apex not in s.members
+    for members in enumerate_affine_simplexes(ps).supports:
+        assert apex not in members
 
 
 def test_parallel_pairs_counts_and_layout():

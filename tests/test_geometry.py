@@ -124,7 +124,7 @@ def test_enumerate_matches_oracle_random():
     rng = random.Random(41)
     for _ in range(10):
         ps = random_point_set(rng, rng.randint(3, 7), rng.randint(2, 4))
-        got = [s.members for s in enumerate_affine_simplexes(ps).simplexes]
+        got = enumerate_affine_simplexes(ps).supports
         assert sorted(got) == oracle_affine_simplexes(ps)
 
 
@@ -157,7 +157,7 @@ def test_enumerate_matches_oracle_in_low_dimensional_flats():
         ps = PointSet(3, tuple(pts))
         if kind != "mixture":
             assert affine_rank(ps, range(len(ps))) == (1 if kind == "line" else 2)
-        got = [s.members for s in enumerate_affine_simplexes(ps).simplexes]
+        got = list(enumerate_affine_simplexes(ps).supports)
         assert got == oracle_affine_simplexes(ps)
 
 
@@ -209,8 +209,8 @@ def test_simplex_sizes_under_hypothesis():
         if not check_small_flat_hypothesis(ps):
             continue
         found += 1
-        for s in enumerate_affine_simplexes(ps).simplexes:
-            assert s.size in (4, 5)
+        for members in enumerate_affine_simplexes(ps).supports:
+            assert len(members) in (4, 5)
 
 
 def test_classify_r3_parallel_pairs():
@@ -245,7 +245,7 @@ def test_project_three_vectors_to_line():
     assert ps.dimension == 1
     assert ps.points == ((Fraction(0),), (Fraction(1),), (Fraction(1, 2),))
     report = enumerate_affine_simplexes(ps)
-    assert [s.members for s in report.simplexes] == [(0, 1, 2)]
+    assert report.supports == ((0, 1, 2),)
 
 
 def test_project_single_vector():
@@ -268,9 +268,7 @@ def test_projection_preserves_circuits_random():
         dim = rng.randint(2, 4)
         cfg = random_admissible_configuration(rng, n, dim)
         circuits = sorted(c.members for c in enumerate_circuits(cfg))
-        simplexes = sorted(
-            s.members for s in enumerate_affine_simplexes(project_to_affine(cfg)).simplexes
-        )
+        simplexes = sorted(enumerate_affine_simplexes(project_to_affine(cfg)).supports)
         assert circuits == simplexes
 
 
@@ -278,7 +276,7 @@ def test_rigid_motion_invariance():
     rng = random.Random(53)
     for _ in range(6):
         ps = random_point_set(rng, 6, 2, span=3)
-        family = sorted(s.members for s in enumerate_affine_simplexes(ps).simplexes)
+        family = sorted(enumerate_affine_simplexes(ps).supports)
         while True:
             a = [[random_rational(rng) for _ in range(2)] for _ in range(2)]
             if rank(a) == 2:
@@ -291,9 +289,7 @@ def test_rigid_motion_invariance():
             for p in ps.points
         )
         moved_ps = PointSet(2, moved)
-        moved_family = sorted(
-            s.members for s in enumerate_affine_simplexes(moved_ps).simplexes
-        )
+        moved_family = sorted(enumerate_affine_simplexes(moved_ps).supports)
         assert family == moved_family
 
 

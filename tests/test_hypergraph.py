@@ -7,7 +7,12 @@ import pytest
 
 from minsimplex.errors import InputError, InvariantError
 from minsimplex.extremal import ConstructionId, construct
-from minsimplex.geometry import PointSet
+from minsimplex.geometry import (
+    PointSet,
+    affine_rank,
+    check_small_flat_hypothesis,
+    enumerate_affine_simplexes,
+)
 from minsimplex.hypergraph import (
     Hypergraph,
     empty_section,
@@ -21,7 +26,7 @@ from minsimplex.hypergraph import (
     yblm_sum,
 )
 
-from support import random_linear_hypergraph
+from support import plain_from_point_set, random_linear_hypergraph, random_point_set
 
 
 def two_disjoint(n):
@@ -177,11 +182,90 @@ def test_from_point_set_too_few_points():
     assert from_point_set(ps).edges == ()
 
 
+def test_from_point_set_single_point_in_r0():
+    assert from_point_set(PointSet(0, ((),))) == Hypergraph(1, ())
+    assert from_point_set(PointSet(0, ())) == Hypergraph(0, ())
+
+
+def _points_on_flat(rng, d, k, count):
+    """count points, some perhaps equal, on a random flat of R^d spanned by
+    k random directions (of dimension below k when they are dependent)."""
+    base = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
+    dirs = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d)] for _ in range(k)]
+    pts = []
+    for _ in range(count):
+        ts = [rng.randint(-2, 2) for _ in dirs]
+        pts.append(tuple(b + sum(t * u[i] for t, u in zip(ts, dirs)) for i, b in enumerate(base)))
+    return pts
+
+
+_KINDS = ("random", "planted", "planted twice", "low flat", "degenerate")
+
+
+def _sectioned_point_set(rng, d, kind):
+    """At most 9 distinct points in R^d in random order: random points
+    ("random"), plus up to d + 2 points on each of one or two random
+    hyperplanes ("planted", "planted twice") or on one flat of dimension at
+    most d - 2 ("low flat"); or all points on one flat of dimension 1 to
+    d - 1, a point in R^1 ("degenerate")."""
+    if d == 0:
+        return PointSet(0, ((),) * rng.randint(0, 1))
+    if kind == "degenerate":
+        pts = _points_on_flat(rng, d, rng.randint(1, d - 1) if d > 1 else 0, rng.randint(1, 9))
+    else:
+        flats = {"random": [], "planted": [d - 1], "planted twice": [d - 1, d - 1],
+                 "low flat": [rng.randint(0, max(d - 2, 0))]}[kind]
+        pts = [p for k in flats for p in _points_on_flat(rng, d, k, rng.randint(d, d + 2))]
+        pts += random_point_set(rng, rng.randint(0, 5), d, span=2).points
+    pts = list(dict.fromkeys(pts))[:9]
+    rng.shuffle(pts)
+    return PointSet(d, tuple(pts))
+
+
+def test_from_point_set_matches_closure_oracle():
+    rng = random.Random(4201)
+    seen = set()
+    for trial in range(250):
+        d = trial % 5
+        kind = _KINDS[trial // 5 % len(_KINDS)]
+        ps = _sectioned_point_set(rng, d, kind)
+        h = from_point_set(ps)
+        assert h == plain_from_point_set(ps), (d, kind, ps.points)
+        n = len(ps)
+        if n > d and h.edges == (tuple(range(n)),):
+            seen.add((d, ("whole", affine_rank(ps, range(n)) < d - 1)))
+        else:
+            seen.add((d, bool(h.edges)))
+    # sets with and without sections, and sets wholly on a hyperplane, for
+    # d = 2..4, or on a lower flat, for d = 3, 4 (in R^2 that is one point)
+    assert {(d, tag) for d in (2, 3, 4) for tag in (True, False, ("whole", False))} <= seen
+    assert {(3, ("whole", True)), (4, ("whole", True))} <= seen
+
+
+def test_bridge_semi_simplexes_are_affine_simplexes():
+    # under "no d points on a (d-2)-flat" the affine simplexes are exactly
+    # the semi-simplexes E_{d+1} and E0_{d+2} of the hyperplane sections
+    rng = random.Random(4211)
+    for d in (2, 3):
+        found = with_sections = 0
+        while found < 20:
+            ps = _sectioned_point_set(rng, d, rng.choice(_KINDS[:4]))
+            if len(ps) <= d or not check_small_flat_hypothesis(ps):
+                continue
+            found += 1
+            h = from_point_set(ps)
+            with_sections += bool(h.edges)
+            report = semi_simplexes(h, d + 1)
+            simplexes = enumerate_affine_simplexes(ps)
+            assert report.total == simplexes.total
+            assert sorted(report.family) == list(simplexes.supports)
+        assert with_sections >= 5
+
+
 def test_bridge_reproduces_r3_classification():
     # |E_4| and |E0_5| of the hyperplane-section hypergraph must equal the
     # coplanar-quadruple / generic-quintuple split of the point set
-    from minsimplex.geometry import check_small_flat_hypothesis, classify_r3_semi_simplexes
-    from support import random_point_set
+    from minsimplex.geometry import classify_r3_semi_simplexes
 
     cases = [
         construct(ConstructionId("parallel-pairs"), 8),
