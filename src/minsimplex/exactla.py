@@ -1,14 +1,14 @@
 """Exact rational linear algebra: rank, nullspace, integer normalization.
 
-All arithmetic here is exact. Rationals are `fractions.Fraction` (always
-in lowest terms, positive denominator, canonical zero). A matrix is a
-sequence of equal-length rows of exact entries (int, Fraction or "p/q"
-string); `rank` and `nullspace_basis` take the rows directly. Both clear
-denominators row by row and run one fraction-free Bareiss elimination
-(Math. Comp. 22, 1968) on the integer rows; the nullspace is read off the
-integer echelon form by back-substitution. The hyperplane table of
-`hypergraph.from_point_set` keys each hyperplane by the
-`primitive_integer_vector` of a 1-dimensional `nullspace_basis`.
+All arithmetic here is exact. The core works on integer rows: one
+fraction-free Bareiss elimination (Math. Comp. 22, 1968) gives
+`rank_int_rows` and `kernel_int_rows`, whose vectors are in `primitive`
+form (entry gcd 1, first nonzero entry positive), the package's one
+normal form for hyperplane normals and circuit coefficients. Rationals are
+`fractions.Fraction` and appear only in the views `rank`, `nullspace_basis`
+and `primitive_integer_vector`: they take rows of exact entries (int,
+Fraction or "p/q" string), clear denominators row by row, which changes
+neither rank nor kernel, and call the core.
 
 No floating point is accepted anywhere: external numeric input must be an
 integer or a "p/q" string (see `rational_from_string`). `read_json` reads
@@ -160,55 +160,62 @@ def rank(rows: Sequence[Sequence]) -> int:
     return rank_int_rows(*_integer_matrix(rows))
 
 
+def primitive(ints: Sequence[int]) -> list[int]:
+    """The integer vector divided by the gcd of its entries, signed so that
+    the first nonzero entry is positive: the one primitive form."""
+    g = gcd(*ints)
+    if not g:
+        raise InvariantError("zero vector has no primitive form")
+    if (ints[0] or next(x for x in ints if x)) < 0:  # the first nonzero entry
+        g = -g
+    return [x // g for x in ints]
+
+
+def kernel_int_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Kernel {x : m x = 0} of the integer matrix m with these rows: per free
+    column f, in ascending order, the `primitive` multiple of the vector with
+    x_f = 1 and x = 0 on the other free columns, so x_f is its last nonzero
+    entry. Back-substitution on the `_echelon` form scales x by just enough
+    to keep each pivot coordinate an integer.
+    """
+    echelon, pivots = _echelon(rows, ncols)
+    pivot_rows = list(zip(pivots, echelon))[::-1]
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = [0] * ncols
+        x[f] = 1
+        for c, row in pivot_rows:
+            if c > f:
+                continue
+            s = sum(row[j] * x[j] for j in range(c + 1, f + 1))
+            if s:
+                g = gcd(s, row[c])
+                scale = row[c] // g
+                if scale != 1:
+                    x = [v * scale for v in x]
+                x[c] = -s // g
+        kernel.append(primitive(x))
+    return kernel
+
+
 def nullspace_basis(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
     """Basis of the right nullspace {x : m x = 0} of the matrix m with these
     rows, one vector per free column.
 
     The basis is the standard one: free column f yields the vector with
     x_f = 1, x = 0 on the other free columns, and pivot coordinates filled
-    so that m x = 0 exactly. Basis size is cols - rank(m). Clearing the
-    denominators of each row does not change the kernel, so the pivot
-    coordinates come from back-substitution on the integer echelon form,
-    kept as integer numerators over one common denominator.
+    so that m x = 0 exactly: `kernel_int_rows` of the denominator-cleared
+    rows, each vector divided by its last nonzero entry x_f.
     """
-    int_rows, ncols = _integer_matrix(rows)
-    echelon, pivots = _echelon(int_rows, ncols)
-    pivot_rows = list(zip(pivots, echelon))[::-1]
     basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        num = [0] * ncols
-        num[f] = den = 1
-        for c, row in pivot_rows:
-            if c > f:
-                continue
-            s = sum(row[j] * num[j] for j in range(c + 1, f + 1))
-            if s:
-                g = gcd(s, row[c])
-                scale = row[c] // g
-                if scale != 1:
-                    num = [x * scale for x in num]
-                    den *= scale
-                num[c] = -s // g
-        basis.append(tuple(Fraction(x, den) for x in num))
+    for v in kernel_int_rows(*_integer_matrix(rows)):
+        x_f = next(x for x in reversed(v) if x)
+        basis.append(tuple(Fraction(x, x_f) for x in v))
     return basis
 
 
 def primitive_integer_vector(v: Sequence) -> list[int]:
     """The unique parallel integer vector with entry gcd 1, first nonzero > 0."""
-    vec = [coerce_rational(x) for x in v]
-    if all(x == 0 for x in vec):
-        raise InvariantError("zero vector has no primitive form")
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
+    return primitive(integer_row([coerce_rational(x) for x in v]))

@@ -29,6 +29,9 @@ from ..geometry import PointSet, check_small_flat_hypothesis
 from ..hypergraph import Hypergraph
 
 KINDS = ("inplane-generic", "cone", "parallel-pairs", "two-lines", "two-disjoint-edges")
+# the least n at which each kind is built and its closed form holds
+_MIN_N = {"inplane-generic": 0, "cone": 2, "parallel-pairs": 6, "two-lines": 5,
+          "two-disjoint-edges": 1}
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,6 @@ def _greedy_plane_rows(pair_rows: int, extra_point: bool) -> list[tuple[int, int
 
 
 def _parallel_pairs_points(n: int) -> PointSet:
-    if n < 6:
-        raise InputError(f"parallel-pairs needs n >= 6, got {n}")
     pair_rows = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
     plane = _greedy_plane_rows(pair_rows, extra_point=n % 2 == 1)
     points = [(Fraction(x), Fraction(y), Fraction(0)) for x, y in plane]
@@ -137,8 +138,6 @@ def _inplane_points(d: int, n: int) -> PointSet:
 
 
 def _cone_points(d: int, n: int) -> PointSet:
-    if n < 2:
-        raise InputError(f"cone needs n >= 2, got {n}")
     apex = tuple(Fraction(0) for _ in range(d - 1)) + (Fraction(1),)
     ps = PointSet(d, _moment_points(n - 1, d) + (apex,))
     # one check of all n points covers the n - 1 in-plane ones
@@ -148,8 +147,6 @@ def _cone_points(d: int, n: int) -> PointSet:
 
 
 def _two_lines_points(n: int) -> PointSet:
-    if n < 5:
-        raise InputError(f"two-lines needs n >= 5, got {n}")
     line_a = [(Fraction(i), Fraction(0)) for i in range(n - 2)]
     line_b = [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))]
     ps = PointSet(2, tuple(line_a + line_b))
@@ -158,8 +155,14 @@ def _two_lines_points(n: int) -> PointSet:
     return ps
 
 
+def _check_n(cid: ConstructionId, n: int) -> None:
+    if n < _MIN_N[cid.kind]:
+        raise InputError(f"{cid.kind} needs n >= {_MIN_N[cid.kind]}, got {n}")
+
+
 def construct(cid: ConstructionId, n: int):
     """Build the named configuration at size n; PointSet or Hypergraph."""
+    _check_n(cid, n)
     if cid.kind == "inplane-generic":
         return _inplane_points(cid.d, n)
     if cid.kind == "cone":
@@ -169,28 +172,21 @@ def construct(cid: ConstructionId, n: int):
     if cid.kind == "two-lines":
         return _two_lines_points(n)
     # two disjoint n-edges; k only matters for the expected YBLM value
-    if n < 1:
-        raise InputError("two-disjoint-edges needs n >= 1")
     return Hypergraph(2 * n, (tuple(range(n)), tuple(range(n, 2 * n))))
 
 
 def expected_count(cid: ConstructionId, n: int):
     """Closed-form simplex count (or exact YBLM sum for two-disjoint-edges)."""
+    _check_n(cid, n)
     if cid.kind == "inplane-generic":
         return comb(n, cid.d + 1)
     if cid.kind == "cone":
-        if n < 2:
-            raise InputError(f"cone needs n >= 2, got {n}")
         return comb(n - 1, cid.d + 1)
     if cid.kind == "parallel-pairs":
-        if n < 6:
-            raise InputError(f"parallel-pairs needs n >= 6, got {n}")
         if n % 2 == 0:
             return comb(n - 1, 4) - (n - 2) * (n - 5) // 2
         return comb(n - 1, 4) - (n - 3) * (n - 5) // 2
     if cid.kind == "two-lines":
-        if n < 5:
-            raise InputError(f"two-lines needs n >= 5, got {n}")
         return comb(n - 2, 3) + comb(n - 3, 2) + 1
     k = cid.k
     if not 1 <= k <= n:

@@ -342,6 +342,8 @@ def brute_force_s(
         raise InputError("search needs k >= 2")
     if n < k + 1:
         raise InputError(f"search needs n >= k+1, got n={n}, k={k}")
+    if budget_bits < 0:
+        raise InputError(f"budget must be a non-negative bit count, got {budget_bits}")
     if not linear_constrained:
         _check_free_space(n, k, budget_bits)
     if n > _CANONICAL_N_LIMIT:

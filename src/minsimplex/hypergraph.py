@@ -16,8 +16,8 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantError
-from .exactla import int_from_json, nullspace_basis, primitive_integer_vector, read_json
-from .geometry import PointSet, affine_rank
+from .exactla import int_from_json, kernel_int_rows, read_json
+from .geometry import PointSet
 
 Family = tuple[tuple[int, ...], ...]
 
@@ -190,27 +190,26 @@ def from_point_set(ps: PointSet) -> Hypergraph:
     """Hypergraph of maximal hyperplane sections with at least d+1 points.
 
     Edges are the maximal subsets whose affine hull has dimension at most
-    d-1, kept only when they carry at least d+1 points. When the whole set
-    is degenerate it is itself the unique maximal subset. Otherwise the
-    edges come from one table of hyperplanes: each d-subset whose lifted
-    rows (1, p) have a 1-dimensional kernel spans the hyperplane whose
-    normal is that kernel, made a primitive integer vector, and each
-    hyperplane collects the members of its d-subsets. By basis exchange
-    every point of a spanned hyperplane lies in one of its independent
-    d-subsets, so the collected members are the whole section.
+    d-1, kept only when they carry at least d+1 points. Each d-subset whose
+    lifted integer rows (1, p) have a 1-dimensional kernel spans the
+    hyperplane whose normal is that kernel's one vector from
+    exactla.kernel_int_rows, and each hyperplane collects the members of its
+    d-subsets: by basis exchange, its whole section. No d points span a
+    hyperplane exactly when the whole set lies on a lower flat; it is then
+    the unique maximal subset.
     """
     n = len(ps)
     d = ps.dimension
     if n <= d:
         return Hypergraph(n, ())
-    if affine_rank(ps, range(n)) <= d - 1:
-        return Hypergraph(n, (tuple(range(n)),))
     rows = ps.lift.integer_rows
     sections: dict[tuple[int, ...], set[int]] = {}
     for members in combinations(range(n), d):
-        kernel = nullspace_basis([rows[i] for i in members])
+        kernel = kernel_int_rows([rows[i] for i in members], d + 1)
         if len(kernel) == 1:
-            sections.setdefault(tuple(primitive_integer_vector(kernel[0])), set()).update(members)
+            sections.setdefault(tuple(kernel[0]), set()).update(members)
+    if not sections:
+        return Hypergraph(n, (tuple(range(n)),))
     return Hypergraph(n, tuple(tuple(sorted(m)) for m in sections.values() if len(m) > d))
 
 

@@ -39,6 +39,7 @@ from .exactla import (
     int_from_json,
     integer_row,
     nullspace_basis,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
+    primitive,
     rank,  # noqa: F401  (matroid.rank is wrapped by name in perfbench/tracing.py)
     rank_int_rows,
     read_json,
@@ -277,26 +278,19 @@ def circuit_supports(
     return found
 
 
-def enumerate_circuits(
-    cfg: VectorConfiguration, min_size: int = 1, max_size: int | None = None
-) -> list[Circuit]:
-    """All circuits with min_size <= size <= max_size, sorted by members.
+def enumerate_circuits(cfg: VectorConfiguration) -> list[Circuit]:
+    """All circuits, sorted by members.
 
     The coefficients are the scan's dependency over the integer rows,
-    rescaled by each vector's denominator lcm, divided by their gcd and
-    signed so that the first is positive: the unique primitive dependency,
-    with (1,) for a loop.
+    rescaled by each vector's denominator lcm and put in exactla.primitive
+    form: the unique primitive dependency, with (1,) for a loop.
     """
     scales = [lcm(*(x.denominator for x in v)) for v in cfg.vectors]
     circuits: list[Circuit] = []
 
     def emit(members, comb):
-        if len(members) >= min_size:
-            coeffs = [c * scales[i] for i, c in zip(members, comb)]
-            g = gcd(*coeffs)
-            if coeffs[0] < 0:
-                g = -g
-            circuits.append(Circuit(members, tuple([c // g for c in coeffs])))
+        coeffs = primitive([c * scales[i] for i, c in zip(members, comb)])
+        circuits.append(Circuit(members, tuple(coeffs)))
 
-    _scan(cfg, max_size, emit)
+    _scan(cfg, None, emit)
     return circuits

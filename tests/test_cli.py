@@ -6,6 +6,7 @@ import pytest
 
 from minsimplex import extremal, geometry, matroid
 from minsimplex.cli import _dump_json, main
+from minsimplex.errors import InputError
 from minsimplex.exactla import vector_to_json
 
 from support import random_json_value, run_python
@@ -216,6 +217,15 @@ def test_construct_infeasible_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "construct", "parallel-pairs", "5")
     assert code == 2
     assert "n >= 6" in err
+    code, _, err = run(capsys, "construct", "inplane-generic", "3", "-1")
+    assert code == 2
+    assert "n >= 0" in err
+    with pytest.raises(InputError, match="n >= 0"):
+        extremal.expected_count(extremal.ConstructionId("inplane-generic", d=3), -1)
+    assert not list(tmp_path.iterdir())
+    code, out, _ = run(capsys, "construct", "inplane-generic", "3", "0")
+    assert code == 0
+    assert "expected 0, enumerated 0" in out
 
 
 def test_search_free(capsys):
@@ -245,6 +255,19 @@ def test_search_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("MINSIMPLEX_BUDGET_BITS", "15")
     code, out, _ = run(capsys, "search", "6", "2", "--free", "--workers", "1")
     assert code == 0
+
+
+def test_search_negative_budget_exit_2(capsys, monkeypatch):
+    # refused before either search starts, by option or by environment
+    for flavor in ("--linear", "--free"):
+        code, _, err = run(capsys, "search", "3", "2", flavor, "--budget", "-1")
+        assert code == 2
+        assert "budget" in err
+    monkeypatch.setenv("MINSIMPLEX_BUDGET_BITS", "-1")
+    for flavor in ("--linear", "--free"):
+        code, _, err = run(capsys, "search", "3", "2", flavor)
+        assert code == 2
+        assert "budget" in err
 
 
 def test_search_csv(capsys):

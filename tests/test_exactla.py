@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from minsimplex.errors import InputError, InvariantError
 from minsimplex.exactla import (
+    integer_row,
+    kernel_int_rows,
     nullspace_basis,
+    primitive,
     primitive_integer_vector,
     rank,
     rank_int_rows,
@@ -171,4 +175,48 @@ def test_nullspace_matches_rref_oracle():
             assert basis == rref_nullspace(m)
             assert all(isinstance(x, Fraction) for v in basis for x in v)
             deficient += rank(m) < min(nrows, ncols)
+    assert deficient >= 50
+
+
+def test_primitive_normal_form():
+    rng = random.Random(23)
+    for _ in range(100):
+        v = [rng.randint(-6, 6) * rng.choice((1, 10**20)) for _ in range(rng.randint(1, 5))]
+        if not any(v):
+            continue
+        p = primitive(v)
+        assert gcd(*p) == 1
+        assert next(x for x in p if x) > 0
+        # parallel to v: every 2x2 minor of (v, p) vanishes
+        assert all(vi * pj == vj * pi for vi, pi in zip(v, p) for vj, pj in zip(v, p))
+        assert primitive(p) == p
+        assert primitive([-x for x in v]) == p
+    assert primitive([0, -4, 6]) == [0, 2, -3]
+    with pytest.raises(InvariantError, match="zero vector has no primitive form"):
+        primitive([0, 0])
+    with pytest.raises(InvariantError, match="zero vector has no primitive form"):
+        primitive([])
+
+
+def test_kernel_int_rows_matches_rref_oracle():
+    # The integer core against the Fraction RREF basis on denominator-cleared
+    # rows: one primitive vector per free column, each annihilating the rows
+    # and parallel to the oracle's vector for the same column.
+    rng = random.Random(29)
+    deficient = 0
+    for span in (4, 10**30):
+        for _ in range(150):
+            nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+            m = [integer_row(row) for row in random_deficient_rows(rng, nrows, ncols, span=span)]
+            kernel = kernel_int_rows(m, ncols)
+            oracle = rref_nullspace(m) if m else [
+                tuple(Fraction(int(i == f)) for i in range(ncols)) for f in range(ncols)
+            ]
+            assert len(kernel) == len(oracle)
+            for v, w in zip(kernel, oracle):
+                assert all(isinstance(x, int) for x in v)
+                assert gcd(*v) == 1 and next(x for x in v if x) > 0
+                assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+                assert v == primitive(integer_row(w))
+            deficient += len(kernel) > max(ncols - nrows, 0)
     assert deficient >= 50

@@ -133,13 +133,6 @@ def test_enumeration_matches_oracle_random():
         assert got == oracle_circuits(cfg)
 
 
-def test_min_size_filter_still_prunes_correctly():
-    # the parallel pair must suppress the would-be 3-set even when 2-circuits
-    # are filtered out of the output
-    cfg = VectorConfiguration(2, ((1, 0), (2, 0), (0, 1)))
-    assert enumerate_circuits(cfg, min_size=3) == []
-
-
 def test_subset_rank_transposition_free():
     cfg = VectorConfiguration(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     assert subset_rank(cfg, (0, 1, 2)) == 2
@@ -190,8 +183,8 @@ def test_scan_matches_oracle_on_deficient_configurations():
 def test_scan_supports_and_coefficients_match_oracles_at_every_size_cap():
     # The depth-first scan against the brute-force oracles on the same kinds
     # of vectors as above, for every size cap: the supports against
-    # oracle_circuits, each circuit's coefficients against the primitive
-    # kernel vector of its member columns, and the min_size filter.
+    # oracle_circuits, and each circuit's coefficients against the primitive
+    # kernel vector of its member columns.
     rng = random.Random(61)
     seen = Counter()
     for trial in range(60):
@@ -206,11 +199,10 @@ def test_scan_supports_and_coefficients_match_oracles_at_every_size_cap():
         for max_size in (None, *range(1, dim + 2)):
             want = [m for m in oracle if max_size is None or len(m) <= max_size]
             assert matroid.circuit_supports(cfg, max_size) == want
-            min_size = rng.randint(1, dim + 1)
-            circuits = enumerate_circuits(cfg, min_size, max_size)
-            assert [c.members for c in circuits] == [m for m in want if len(m) >= min_size]
-            for c in circuits:
-                assert c.coefficients == circuit_coefficients_oracle(cfg, c.members)
+        circuits = enumerate_circuits(cfg)
+        assert [c.members for c in circuits] == oracle
+        for c in circuits:
+            assert c.coefficients == circuit_coefficients_oracle(cfg, c.members)
     assert all(seen[kind] > 0 for kind in (1, 2, 3, "huge", "non-integer")), seen
 
 
@@ -263,10 +255,10 @@ def test_scan_last_level_pairs_match_oracles_at_every_size_cap():
         for max_size in (None, *range(1, dim + 2)):
             want = [m for m in oracle if max_size is None or len(m) <= max_size]
             assert matroid.circuit_supports(cfg, max_size) == want
-            circuits = enumerate_circuits(cfg, max_size=max_size)
-            assert [c.members for c in circuits] == want
-            for c in circuits:
-                assert c.coefficients == circuit_coefficients_oracle(cfg, c.members)
+        circuits = enumerate_circuits(cfg)
+        assert [c.members for c in circuits] == oracle
+        for c in circuits:
+            assert c.coefficients == circuit_coefficients_oracle(cfg, c.members)
     kinds = ("zero", "repeated", "parallel", "rejected pair", "last level", "huge", "small")
     assert all(seen[kind] > 0 for kind in kinds), seen
 

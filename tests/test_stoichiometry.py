@@ -112,7 +112,7 @@ def test_reaction_supports_match_circuits():
                 comp = comp[:-1] + (1,)
             species.append(Species(f"s{i}", comp))
         cfg = VectorConfiguration(width, tuple(sp.composition for sp in species))
-        circuit_supports = [c.members for c in enumerate_circuits(cfg, min_size=2)]
+        circuit_supports = [c.members for c in enumerate_circuits(cfg)]
         reaction_supports = []
         for r in minimal_reactions(species):
             names = [sp.name for sp, _ in r.reactants] + [sp.name for sp, _ in r.products]
