@@ -14,6 +14,7 @@ from .geometry import (
     affine_rank,
     check_small_flat_hypothesis,
     classify_r3_semi_simplexes,
+    count_affine_simplexes,
     enumerate_affine_simplexes,
     is_affine_simplex,
     project_to_affine,
@@ -60,6 +61,7 @@ __all__ = [
     "affine_rank",
     "check_small_flat_hypothesis",
     "classify_r3_semi_simplexes",
+    "count_affine_simplexes",
     "empty_section",
     "enumerate_affine_simplexes",
     "enumerate_circuits",

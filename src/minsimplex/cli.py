@@ -8,6 +8,7 @@ approximation column where that helps a human reader.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -26,7 +27,8 @@ def _dump_json(obj, newline: str = "\n") -> str:
     """json.dumps(obj, indent=1, sort_keys=True), byte for byte.
 
     With an indent, json runs its pure-Python encoder on Python < 3.13,
-    which dominates the output time of large circuit lists. Here containers
+    which dominates the output time of large circuit lists, so there the
+    commands write JSON through this function (`_json_text`). Here containers
     are written recursively (newline carries the current indent), a list of
     plain ints is one join, and keys and every other scalar go through the
     stdlib's C encoder, so floats, escapes and the TypeError for an
@@ -61,6 +63,14 @@ def _json_key(key) -> str:
     if isinstance(key, (int, float)) or key is None:
         return '"' + _encode_scalar(key) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+# Python 3.13's json indents in C and outruns the writer above; older ones run the writer.
+_json_text = (
+    functools.partial(json.dumps, indent=1, sort_keys=True)
+    if sys.version_info >= (3, 13)
+    else _dump_json
+)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -114,14 +124,20 @@ def _circuits_json(cfg, supports, circuits=None) -> dict:
 
 def cmd_simplexes(args) -> int:
     if args.points:
+        if args.project:
+            raise InputError("--project applies to --vectors only, not to --points")
         ps = geometry.load_points(args.points)
-        report = geometry.enumerate_affine_simplexes(ps)
+        # Only JSON without --counts-only lists the simplexes; the rest prints their counts.
+        if args.format == "json" and not args.counts_only:
+            _emit(_json_text(geometry.enumerate_affine_simplexes(ps).to_json_obj()), args.out)
+            return 0
+        counts = geometry.count_affine_simplexes(ps)
         if args.format == "json":
-            _emit(_dump_json(report.to_json_obj(args.counts_only)), args.out)
+            _emit(_json_text(geometry.counts_json_obj(ps.dimension, len(ps), counts)), args.out)
         elif args.format == "csv":
-            _emit(_counts_csv(report.counts), args.out)
+            _emit(_counts_csv(counts), args.out)
         else:
-            _emit("\n".join(_counts_lines(report.counts, report.total)), args.out)
+            _emit("\n".join(_counts_lines(counts, sum(counts.values()))), args.out)
         return 0
 
     cfg = matroid.load_vectors(args.vectors)
@@ -135,7 +151,7 @@ def cmd_simplexes(args) -> int:
     if not args.project:
         by_size = Counter(len(members) for members in supports)
         if args.format == "json":
-            _emit(_dump_json(_circuits_json(cfg, supports, circuits)), args.out)
+            _emit(_json_text(_circuits_json(cfg, supports, circuits)), args.out)
         elif args.format == "csv":
             _emit(_counts_csv(by_size), args.out)
         else:
@@ -151,7 +167,7 @@ def cmd_simplexes(args) -> int:
             "projected": report.to_json_obj(args.counts_only),
             "match": match,
         }
-        _emit(_dump_json(obj), args.out)
+        _emit(_json_text(obj), args.out)
     else:
         lines = [f"circuits: {len(supports)}", f"projected simplexes: {report.total}"]
         lines.append(f"match: {'yes' if match else 'NO'}")
@@ -186,7 +202,7 @@ def _enumerated_count(cid: extremal.ConstructionId, built):
     """Simplex count of a point set, or the YBLM sum of a hypergraph's semi-simplexes."""
     if isinstance(built, hypergraph.Hypergraph):
         return hypergraph.yblm_sum(hypergraph.semi_simplexes(built, cid.k).family, built.n)
-    return geometry.enumerate_affine_simplexes(built).total
+    return sum(geometry.count_affine_simplexes(built).values())
 
 
 def cmd_construct(args) -> int:
@@ -197,7 +213,7 @@ def cmd_construct(args) -> int:
     agree = enumerated == expected
     prefix = args.out or f"{args.kind}-{n}"
     with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(built.to_json_obj()) + "\n")
+        fh.write(_json_text(built.to_json_obj()) + "\n")
     sidecar = {
         "construction": str(cid),
         "n": n,
@@ -206,7 +222,7 @@ def cmd_construct(args) -> int:
         "agree": agree,
     }
     with open(f"{prefix}.counts.json", "w", encoding="utf-8") as fh:
-        fh.write(_dump_json(sidecar) + "\n")
+        fh.write(_json_text(sidecar) + "\n")
     print(f"{cid} n={n}: expected {expected}, enumerated {enumerated}")
     print(f"wrote {prefix}.json and {prefix}.counts.json")
     if not agree:
@@ -227,9 +243,9 @@ def cmd_search(args) -> int:
         print("note: witnesses truncated: not every minimizing family was kept", file=sys.stderr)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(result.to_json_obj()) + "\n")
+            fh.write(_json_text(result.to_json_obj()) + "\n")
     if args.format == "json":
-        print(_dump_json(result.to_json_obj()))
+        print(_json_text(result.to_json_obj()))
         return 0
     if args.format == "csv":
         m = result.minimum
@@ -266,7 +282,7 @@ def cmd_react(args) -> int:
         obj = {"reactions": [r.to_json_obj() for r in reactions]}
         if args.report:
             obj["report"] = stoichiometry.reaction_count_report(species, reactions).to_json_obj()
-        _emit(_dump_json(obj), args.out)
+        _emit(_json_text(obj), args.out)
         return 0
     lines = []
     for r in reactions:
@@ -297,7 +313,7 @@ def cmd_sperner(args) -> int:
         deficit = hypergraph.semi_simplex_deficit(h, args.k)
         obj["deficit"] = f"{deficit.numerator}/{deficit.denominator}"
     if args.format == "json":
-        _emit(_dump_json(obj), args.out)
+        _emit(_json_text(obj), args.out)
         return 0
     if args.format == "csv":
         _emit(_counts_csv(report.counts), args.out)

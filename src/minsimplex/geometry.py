@@ -1,4 +1,4 @@
-"""Affine simplex detection and enumeration in exact rational point sets.
+"""Affine simplex detection, enumeration and counting in exact rational point sets.
 
 An affine simplex is k >= 3 points lying on a (k-2)-dimensional flat while
 every proper subset is affinely independent; it is the affine analogue of a
@@ -6,12 +6,18 @@ matroid circuit. Points p are affinely dependent exactly when their lifts
 (1, p) are linearly dependent, so the affine simplexes are the circuits of
 the lift and are enumerated by matroid.circuit_supports; affine rank is the
 lift's rank minus 1. PointSet.lift is built once per point set and kept,
-with its integer rows, for every later scan, rank and hyperplane normal
-(hypergraph.from_point_set) of that set. This module also
-hosts the linear-to-affine projection (central projection of a vector
-configuration onto a hyperplane off the origin) and the general-position
-hypothesis check used by the dimension-d counting results, which is the
-same scan capped at d members.
+with its integer rows, for every later scan and rank of that set.
+
+PointSet.hyperplanes, also built once, is the table of hyperplanes that d
+of the points span, keyed by the primitive form of the wedge of their
+lifted rows. It answers the general-position hypothesis of the dimension-d
+counting results (no d points on a (d-2)-flat), gives
+hypergraph.from_point_set its sections, and gives count_affine_simplexes
+the simplex counts by size from the number of points on each hyperplane,
+with no enumeration. Only listing the simplexes themselves, or counting
+them when d = 0, n < d or the hypothesis fails, runs the scan. This module
+also hosts the linear-to-affine projection (central projection of a vector
+configuration onto a hyperplane off the origin).
 """
 
 from __future__ import annotations
@@ -22,7 +28,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from itertools import combinations
+from math import comb, gcd
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantError
 from .exactla import rank  # noqa: F401  (wrapped by name in perfbench/tracing.py)
@@ -70,6 +79,121 @@ class PointSet:
     def lift(self) -> VectorConfiguration:
         """The vectors (1, p) in R^(d+1); their circuits are the affine simplexes."""
         return VectorConfiguration(self.dimension + 1, tuple((1,) + p for p in self.points))
+
+    @cached_property
+    def hyperplanes(self) -> "Hyperplanes":
+        """The hyperplanes spanned by d of the points, from one pass over the d-subsets."""
+        return _hyperplane_table(self.lift.integer_rows, self.dimension)
+
+
+@dataclass(frozen=True)
+class Hyperplanes:
+    """The hyperplanes of R^d that d points of a set span.
+
+    sections holds the members of each hyperplane with more than d of the
+    points, sorted, in the order of the hyperplane's first d-subset;
+    independent says that some d points span a hyperplane, and dependent that
+    some d points are affinely dependent, i.e. lie on a (d-2)-flat.
+    """
+
+    sections: tuple[tuple[int, ...], ...]
+    independent: bool
+    dependent: bool
+
+
+def _minor_terms(t: int, ncols: int) -> list[list[tuple[int, int]]]:
+    """The Laplace expansion of the (t+1)-minors of t + 1 rows along the
+    last row: for each (t+1)-subset C of the columns, in lexicographic
+    order, and each column c, the pair (sign, index of the t-minor on C
+    without c among the t-subsets in lexicographic order) by which that
+    minor multiplies the last row's entry c; (0, 0) when c is not in C."""
+    index = {cols: i for i, cols in enumerate(combinations(range(ncols), t))}
+    terms = []
+    for cols in combinations(range(ncols), t + 1):
+        pairs = [(0, 0)] * ncols
+        for i, c in enumerate(cols):
+            pairs[c] = ((-1) ** (t + i), index[cols[:i] + cols[i + 1 :]])
+        terms.append(pairs)
+    return terms
+
+
+def _hyperplane_table(rows: Sequence[Sequence[int]], d: int) -> Hyperplanes:
+    """Hyperplanes of the d-subsets of the lifted integer rows (1, p) in Z^(d+1).
+
+    The wedge of a d-subset, its d x d minors, is zero exactly when the
+    d points are dependent; otherwise it is a normal of the hyperplane they
+    span, and two d-subsets span the same hyperplane exactly when their
+    wedges are proportional, that is when their exactla.primitive forms are
+    equal. The subsets are visited depth-first in lexicographic order. Each
+    prefix of t < d members turns its wedge into one coefficient row per
+    (t+1)-minor (Laplace expansion along the next row), so that the wedge
+    of each extension is a few dot products: d + 1 of them, a gcd and a
+    sign for each last member. The last members of one prefix are grouped
+    by hyperplane, and a hyperplane collects the members of its groups.
+
+    When no wedge is zero, a hyperplane with m > d points first shows up at
+    its first d - 1 points, as a group of all m - d + 1 others, and one with
+    m = d points shows up once, as a group of one: the first pass keeps no
+    group of one that is new. With some d points dependent, a hyperplane
+    may only ever show up in groups of one, each with a point the others
+    lack, so a zero wedge makes a second pass that keeps every hyperplane.
+    """
+    n = len(rows)
+    if d == 0:
+        return Hyperplanes((), True, False)  # the empty set spans R^0
+    terms = [_minor_terms(t, d + 1) for t in range(d)]
+
+    def visit(prefix: tuple[int, ...], wedge: list[int]) -> None:
+        nonlocal independent, dependent
+        t = len(prefix)
+        # the wedge of prefix + (j,) is coefs . rows[j], by expansion along rows[j]
+        coefs = [[s * wedge[k] for s, k in cols] for cols in terms[t]]
+        start = prefix[-1] + 1 if prefix else 0
+        if t < d - 1:
+            for j in range(start, n - d + t + 1):  # leaves room for d - t - 1 more members
+                row = rows[j]
+                w = [sum(map(mul, coef, row)) for coef in coefs]
+                if any(w):
+                    visit(prefix + (j,), w)
+                else:
+                    dependent = True
+            return
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for r in range(start, n):
+            row = rows[r]
+            normal = [sum(map(mul, coef, row)) for coef in coefs]
+            g = gcd(*normal)
+            if not g:
+                dependent = True
+                continue
+            for x in normal:  # exactla.primitive: the first nonzero entry positive
+                if x:
+                    break
+            if x < 0:
+                g = -g
+            key = tuple([x // g for x in normal])
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [r]
+            else:
+                group.append(r)
+        independent = independent or bool(groups)
+        for key, group in groups.items():
+            found = members.get(key)
+            if found is not None:
+                found.update(prefix)
+                found.update(group)
+            elif keep_all or len(group) > 1:
+                members[key] = {*prefix, *group}
+
+    for keep_all in (False, True):
+        members: dict[tuple[int, ...], set[int]] = {}
+        independent = dependent = False
+        visit((), [1])
+        if not dependent:
+            break
+    sections = tuple(tuple(sorted(m)) for m in members.values() if len(m) > d)
+    return Hyperplanes(sections, independent, dependent)
 
 
 def load_points(path: str) -> PointSet:
@@ -128,15 +252,20 @@ class SimplexReport:
         return len(self.supports)
 
     def to_json_obj(self, counts_only: bool = False) -> dict:
-        obj = {
-            "dimension": self.dimension,
-            "point_count": self.point_count,
-            "counts": {str(k): v for k, v in self.counts.items()},
-            "total": self.total,
-        }
+        obj = counts_json_obj(self.dimension, self.point_count, self.counts)
         if not counts_only:
             obj["simplexes"] = self.supports
         return obj
+
+
+def counts_json_obj(dimension: int, point_count: int, counts: dict[int, int]) -> dict:
+    """The JSON form of simplex counts by size, as SimplexReport writes them."""
+    return {
+        "dimension": dimension,
+        "point_count": point_count,
+        "counts": {str(k): v for k, v in counts.items()},
+        "total": sum(counts.values()),
+    }
 
 
 def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
@@ -148,15 +277,42 @@ def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
     return SimplexReport(ps.dimension, len(ps), tuple(circuit_supports(ps.lift)))
 
 
+def count_affine_simplexes(ps: PointSet) -> dict[int, int]:
+    """Affine simplexes by size: enumerate_affine_simplexes(ps).counts.
+
+    When n >= d >= 1 and no d points lie on a (d-2)-flat, every set of at
+    most d points is independent, so every simplex has d + 1 or d + 2
+    members, and the counts follow from the number m of points on each
+    hyperplane (PointSet.hyperplanes):
+    - d + 1 points are a simplex exactly when they lie on one hyperplane:
+      the sum of C(m, d+1);
+    - d + 2 points are one unless d + 1 of them lie on a hyperplane, and
+      two such (d+1)-subsets share d independent points and so lie on the
+      same one: C(n, d+2) minus the sum of C(m, d+2) + C(m, d+1)(n - m).
+    Hyperplanes with m = d add nothing to either. Otherwise, that is for
+    d = 0, fewer than d points or d dependent points, the counts come from
+    the scan.
+    """
+    n, d = len(ps), ps.dimension
+    if not n >= d >= 1 or ps.hyperplanes.dependent:
+        return enumerate_affine_simplexes(ps).counts
+    sizes = [len(members) for members in ps.hyperplanes.sections]
+    counts = {
+        d + 1: sum(comb(m, d + 1) for m in sizes),
+        d + 2: comb(n, d + 2) - sum(comb(m, d + 2) + comb(m, d + 1) * (n - m) for m in sizes),
+    }
+    return {size: count for size, count in counts.items() if count}
+
+
 def check_small_flat_hypothesis(ps: PointSet) -> bool:
     """True iff no d points lie on a (d-2)-dimensional flat (vacuous below d points).
 
     d points lie on a (d-2)-flat exactly when they are affinely dependent,
-    that is when they contain an affine simplex: a circuit of the lift with
-    at most d members. Below d points there is no d-subset, so a collinear
-    triple among them does not count.
+    that is when the wedge of their lifted rows is zero (PointSet.hyperplanes).
+    Below d points there is no d-subset, so a collinear triple among them
+    does not count.
     """
-    return len(ps) < ps.dimension or not circuit_supports(ps.lift, max_size=ps.dimension)
+    return len(ps) < ps.dimension or not ps.hyperplanes.dependent
 
 
 def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
@@ -169,13 +325,10 @@ def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
     """
     if ps.dimension != 3:
         raise InvariantError(f"classification needs dimension 3, got {ps.dimension}")
-    report = enumerate_affine_simplexes(ps)
-    counts = report.counts
+    counts = count_affine_simplexes(ps)
     if 3 in counts:
-        bad = next(m for m in report.supports if len(m) == 3)
+        bad = circuit_supports(ps.lift, max_size=3)[0]  # the first triple, in member order
         raise InvariantError(f"collinear triple at indices {bad}")
-    if any(size not in (4, 5) for size in counts):
-        raise InvariantError(f"unexpected simplex sizes {sorted(counts)} under the hypothesis")
     return counts.get(4, 0), counts.get(5, 0)
 
 

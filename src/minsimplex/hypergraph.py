@@ -16,7 +16,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantError
-from .exactla import int_from_json, kernel_int_rows, read_json
+from .exactla import int_from_json, read_json
 from .geometry import PointSet
 
 Family = tuple[tuple[int, ...], ...]
@@ -190,27 +190,18 @@ def from_point_set(ps: PointSet) -> Hypergraph:
     """Hypergraph of maximal hyperplane sections with at least d+1 points.
 
     Edges are the maximal subsets whose affine hull has dimension at most
-    d-1, kept only when they carry at least d+1 points. Each d-subset whose
-    lifted integer rows (1, p) have a 1-dimensional kernel spans the
-    hyperplane whose normal is that kernel's one vector from
-    exactla.kernel_int_rows, and each hyperplane collects the members of its
-    d-subsets: by basis exchange, its whole section. No d points span a
-    hyperplane exactly when the whole set lies on a lower flat; it is then
-    the unique maximal subset.
+    d-1, kept only when they carry at least d+1 points: the sections of
+    ps.hyperplanes, where each hyperplane spanned by d points collects the
+    members of its d-subsets, by basis exchange its whole section. No d
+    points span a hyperplane exactly when the whole set lies on a lower
+    flat; it is then the unique maximal subset.
     """
     n = len(ps)
-    d = ps.dimension
-    if n <= d:
+    if n <= ps.dimension:
         return Hypergraph(n, ())
-    rows = ps.lift.integer_rows
-    sections: dict[tuple[int, ...], set[int]] = {}
-    for members in combinations(range(n), d):
-        kernel = kernel_int_rows([rows[i] for i in members], d + 1)
-        if len(kernel) == 1:
-            sections.setdefault(tuple(kernel[0]), set()).update(members)
-    if not sections:
+    if not ps.hyperplanes.independent:
         return Hypergraph(n, (tuple(range(n)),))
-    return Hypergraph(n, tuple(tuple(sorted(m)) for m in sections.values() if len(m) > d))
+    return Hypergraph(n, ps.hyperplanes.sections)
 
 
 def random_linear_hypergraph(rng: random.Random, n: int, k: int) -> Hypergraph:

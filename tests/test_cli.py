@@ -1,11 +1,12 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from minsimplex import extremal, geometry, matroid
-from minsimplex.cli import _dump_json, main
+from minsimplex.cli import _dump_json, _json_text, main
 from minsimplex.errors import InputError
 from minsimplex.exactla import vector_to_json
 
@@ -130,6 +131,15 @@ def test_simplexes_duplicate_points_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "simplexes", "--points", str(path))
     assert code == 3
     assert "duplicate points" in err
+
+
+def test_simplexes_points_with_project_exit_2(tmp_path, capsys):
+    # --project projects vectors; on points it used to be ignored
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"dimension": 5, "points": [[0] * 5, [1, 1, 0, 0, 0], [2, 2, 0, 0, 0]]}))
+    code, out, err = run(capsys, "simplexes", "--points", str(path), "--project")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "--vectors" in err
 
 
 def test_simplexes_vectors_with_projection(tmp_path, capsys):
@@ -403,6 +413,13 @@ def test_dump_json_matches_json_dumps_on_random_values():
     for _ in range(3000):
         value = random_json_value(rng)
         assert _dump_json(value) == json.dumps(value, indent=1, sort_keys=True), value
+
+
+def test_commands_write_json_with_json_dumps_from_python_3_13():
+    # 3.13's json indents in C; before it, the commands use _dump_json
+    value = {"b": [1, 2, [True, None]], "a": {"c": "1/2"}}
+    assert _json_text(value) == json.dumps(value, indent=1, sort_keys=True)
+    assert (_json_text is _dump_json) == (sys.version_info < (3, 13))
 
 
 @pytest.mark.parametrize("value", [

@@ -27,6 +27,16 @@ def test_cone_and_inplane_generic_at_n40_in_r3():
         assert geometry.enumerate_affine_simplexes(ps).total == expected_count(cid, 40)
 
 
+def test_count_matches_closed_forms_beyond_enumeration():
+    # 3,759,721 and 63,371,946 simplexes for parallel pairs: counted from the
+    # hyperplane table, far past what the scan can list
+    cases = [(ConstructionId("parallel-pairs"), 100), (ConstructionId("parallel-pairs"), 200)]
+    cases += [(ConstructionId(kind, 3), 100) for kind in ("cone", "inplane-generic")]
+    for cid, n in cases:
+        ps = construct(cid, n)
+        assert sum(geometry.count_affine_simplexes(ps).values()) == expected_count(cid, n)
+
+
 def test_two_lines_large():
     cid = ConstructionId("two-lines")
     for n in (16, 20):

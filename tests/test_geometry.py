@@ -5,13 +5,17 @@ from itertools import combinations
 
 import pytest
 
+from minsimplex import geometry, matroid
 from minsimplex.errors import InputError, InvariantError
 from minsimplex.exactla import rank
+from minsimplex.extremal import ConstructionId, construct, expected_count
+from minsimplex.hypergraph import from_point_set
 from minsimplex.geometry import (
     PointSet,
     affine_rank,
     check_small_flat_hypothesis,
     classify_r3_semi_simplexes,
+    count_affine_simplexes,
     enumerate_affine_simplexes,
     is_affine_simplex,
     load_points,
@@ -199,6 +203,99 @@ def test_small_flat_hypothesis_matches_d_subset_oracle():
     # both outcomes in R^3 and R^4, and sets below d points
     assert {(3, True, False), (3, False, False), (4, True, False), (4, False, False)} <= seen
     assert any(small for _, _, small in seen)
+
+
+def _points_on_planted_flats(rng, d):
+    """Random points of R^d plus up to two planted flats of dimension 1 to
+    d - 1 (a line when d = 1) with a few more points each, in random order."""
+    pts = [tuple(Fraction(rng.randint(-4, 4)) for _ in range(d)) for _ in range(rng.randint(0, 4))]
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randint(1, max(1, d - 1))
+        base = [random_rational(rng) for _ in range(d)]
+        dirs = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(k)]
+        for _ in range(rng.randint(k + 1, k + 3)):
+            ts = [Fraction(rng.randint(-4, 4)) for _ in range(k)]
+            pts.append(tuple(b + sum(t * u[i] for t, u in zip(ts, dirs)) for i, b in enumerate(base)))
+    pts = list(dict.fromkeys(pts))
+    rng.shuffle(pts)
+    return PointSet(d, tuple(pts))
+
+
+def test_count_matches_scan_on_planted_flats():
+    rng = random.Random(61)
+    seen = set()
+    for trial in range(200):
+        ps = _points_on_planted_flats(rng, 1 + trial % 4)
+        got, want = count_affine_simplexes(ps), enumerate_affine_simplexes(ps).counts
+        assert list(got.items()) == list(want.items()), ps
+        n, d = len(ps), ps.dimension
+        counted = n >= d and not ps.hyperplanes.dependent
+        seen.add((d, counted, bool(ps.hyperplanes.sections)))
+    # every d counts from the table, d = 2, 3, 4 with sections of more than d
+    # points (in R^1 a hyperplane is one point), and d = 3, 4 also fall back to the scan
+    assert {(1, True, False), (2, True, True), (3, True, True), (4, True, True)} <= seen
+    assert {(3, False, True), (4, False, True)} <= seen
+
+
+@pytest.mark.parametrize("points,dimension,counts", [
+    ((), 0, {}),
+    (((),), 0, {}),
+    ((), 3, {}),
+    # fewer than d points: a collinear triple in R^5 is a simplex the formulas cannot see
+    (((0, 0, 0, 0, 0), (1, 1, 0, 0, 0), (2, 2, 0, 0, 0)), 5, {3: 1}),
+    # exactly d independent points
+    (((0, 0, 0), (1, 0, 0), (0, 1, 0)), 3, {}),
+    # a dependent d-subset: the collinear triple (0, 1, 2)
+    (((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), 3, {3: 1, 5: 3}),
+])
+def test_count_at_the_edges(points, dimension, counts):
+    ps = PointSet(dimension, points)
+    assert enumerate_affine_simplexes(ps).counts == counts
+    assert list(count_affine_simplexes(ps).items()) == list(counts.items())
+
+
+def test_count_makes_no_scan_under_the_hypothesis(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("circuit scan called")
+
+    rng = random.Random(67)
+    sets = [moment_in_plane(9, 3), moment_in_plane(7, 4), PointSet(2, ((0, 0), (1, 0), (2, 0), (0, 1)))]
+    sets += [construct(ConstructionId(kind, d=3), 12) for kind in ("cone", "inplane-generic")]
+    sets.append(construct(ConstructionId("parallel-pairs"), 14))
+    sets += [random_point_set(rng, 7, 3, span=9) for _ in range(3)]
+    want = [enumerate_affine_simplexes(ps).counts for ps in sets]
+    for module in (geometry, matroid):
+        monkeypatch.setattr(module, "circuit_supports", scan)
+    for ps, counts in zip(sets, want):
+        assert check_small_flat_hypothesis(ps)
+        assert count_affine_simplexes(ps) == counts
+    assert sum(count_affine_simplexes(sets[5]).values()) == expected_count(
+        ConstructionId("parallel-pairs"), 14)
+
+
+def test_hyperplane_sections_with_dependent_points():
+    # 0, 1, 2 lie on the x-axis, so each plane through it and one more point
+    # is spanned by three d-subsets, each of them missing one of 0, 1, 2
+    ps = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)))
+    table = ps.hyperplanes
+    assert (table.sections, table.independent, table.dependent) == (
+        ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)), True, True)
+    line = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)))
+    assert (line.hyperplanes.independent, line.hyperplanes.dependent) == (False, True)
+    assert from_point_set(line).edges == ((0, 1, 2, 3),)
+
+
+def test_hyperplane_table_is_built_once(monkeypatch):
+    built = []
+    table = geometry._hyperplane_table
+    monkeypatch.setattr(geometry, "_hyperplane_table", lambda *args: built.append(1) or table(*args))
+    ps = construct(ConstructionId("parallel-pairs"), 10)
+    assert check_small_flat_hypothesis(ps)
+    assert count_affine_simplexes(ps) == {4: 74, 5: 32}  # 106 in all, the closed form
+    assert len(from_point_set(ps).edges) == 5
+    assert classify_r3_semi_simplexes(ps) == (74, 32)
+    assert ps.hyperplanes is ps.hyperplanes
+    assert built == [1]
 
 
 def test_simplex_sizes_under_hypothesis():

@@ -108,6 +108,21 @@ def test_golden_output(case, argv, code, err, tmp_path, monkeypatch, capsys):
     assert (got_code, captured.err) == (code, err)
 
 
+@pytest.mark.parametrize("points", ["plane.csv", "flat.json"])
+def test_counts_only_json_is_the_head_of_the_full_json(points, tmp_path, monkeypatch, capsys):
+    # counts-only output comes from the hyperplane count, the full one from the scan
+    # (flat.json has a collinear triple, so its count falls back to the scan too)
+    _write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = ["simplexes", "--points", points, "--format", "json"]
+    assert main(argv) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--counts-only"]) == 0
+    out = capsys.readouterr().out
+    del full["simplexes"]
+    assert out == json.dumps(full, indent=1, sort_keys=True) + "\n"
+
+
 def _assert_new_interpreter_matches_golden(case, argv, tmp_path, env=None):
     proc = run_python(
         f"import sys; from minsimplex.cli import main; sys.exit(main({argv!r}))",
