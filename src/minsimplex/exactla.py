@@ -4,8 +4,7 @@ All arithmetic here is exact. The core works on integer rows: one
 fraction-free Bareiss elimination (Math. Comp. 22, 1968) gives
 `rank_int_rows` and `kernel_int_rows`, whose vectors are in `primitive`
 form (entry gcd 1, first nonzero entry positive), the package's one
-normal form for circuit coefficients and, inlined in the hyperplane table
-of geometry, for hyperplane normals. Rationals are
+normal form for hyperplane normals and circuit coefficients. Rationals are
 `fractions.Fraction` and appear only in the views `rank`, `nullspace_basis`
 and `primitive_integer_vector`: they take rows of exact entries (int,
 Fraction or "p/q" string), clear denominators row by row, which changes

@@ -10,12 +10,14 @@ with its integer rows, for every later scan and rank of that set.
 
 PointSet.hyperplanes, also built once, is the table of hyperplanes that d
 of the points span, keyed by the primitive form of the wedge of their
-lifted rows. It answers the general-position hypothesis of the dimension-d
-counting results (no d points on a (d-2)-flat), gives
-hypergraph.from_point_set its sections, and gives count_affine_simplexes
-the simplex counts by size from the number of points on each hyperplane,
-with no enumeration. Only listing the simplexes themselves, or counting
-them when d = 0, n < d or the hypothesis fails, runs the scan. This module
+lifted rows, or None as soon as some d points turn out to be dependent. It
+answers the general-position hypothesis of the dimension-d counting
+results (no d points on a (d-2)-flat), gives hypergraph.from_point_set its
+sections (a set that fails the hypothesis takes a second pass that keeps
+every hyperplane), and gives count_affine_simplexes the simplex counts by
+size from the number of points on each hyperplane, with no enumeration.
+Only listing the simplexes themselves, or counting them when d = 0, n < d
+or the hypothesis fails, runs the scan. This module
 also hosts the linear-to-affine projection (central projection of a vector
 configuration onto a hyperplane off the origin).
 """
@@ -29,13 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantError
 from .exactla import rank  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .exactla import read_json, read_text, vector_to_json
+from .exactla import primitive, read_json, read_text, vector_to_json
 from .matroid import (
     VectorConfiguration,
     check_indices,
@@ -81,9 +83,11 @@ class PointSet:
         return VectorConfiguration(self.dimension + 1, tuple((1,) + p for p in self.points))
 
     @cached_property
-    def hyperplanes(self) -> "Hyperplanes":
-        """The hyperplanes spanned by d of the points, from one pass over the d-subsets."""
-        return _hyperplane_table(self.lift.integer_rows, self.dimension)
+    def hyperplanes(self) -> "Hyperplanes | None":
+        """The hyperplanes spanned by d of the points, from one pass over the
+        d-subsets; None when some d points are affinely dependent, that is lie
+        on a (d-2)-flat: the pass stops at the first such d-subset."""
+        return hyperplane_table(self.lift.integer_rows, self.dimension)
 
 
 @dataclass(frozen=True)
@@ -92,13 +96,11 @@ class Hyperplanes:
 
     sections holds the members of each hyperplane with more than d of the
     points, sorted, in the order of the hyperplane's first d-subset;
-    independent says that some d points span a hyperplane, and dependent that
-    some d points are affinely dependent, i.e. lie on a (d-2)-flat.
+    independent says that some d points span a hyperplane.
     """
 
     sections: tuple[tuple[int, ...], ...]
     independent: bool
-    dependent: bool
 
 
 def _minor_terms(t: int, ncols: int) -> list[list[tuple[int, int]]]:
@@ -117,7 +119,9 @@ def _minor_terms(t: int, ncols: int) -> list[list[tuple[int, int]]]:
     return terms
 
 
-def _hyperplane_table(rows: Sequence[Sequence[int]], d: int) -> Hyperplanes:
+def hyperplane_table(
+    rows: Sequence[Sequence[int]], d: int, keep_all: bool = False
+) -> Hyperplanes | None:
     """Hyperplanes of the d-subsets of the lifted integer rows (1, p) in Z^(d+1).
 
     The wedge of a d-subset, its d x d minors, is zero exactly when the
@@ -127,24 +131,28 @@ def _hyperplane_table(rows: Sequence[Sequence[int]], d: int) -> Hyperplanes:
     equal. The subsets are visited depth-first in lexicographic order. Each
     prefix of t < d members turns its wedge into one coefficient row per
     (t+1)-minor (Laplace expansion along the next row), so that the wedge
-    of each extension is a few dot products: d + 1 of them, a gcd and a
-    sign for each last member. The last members of one prefix are grouped
+    of each extension is a few dot products: d + 1 of them and a primitive
+    form for each last member. The last members of one prefix are grouped
     by hyperplane, and a hyperplane collects the members of its groups.
 
     When no wedge is zero, a hyperplane with m > d points first shows up at
     its first d - 1 points, as a group of all m - d + 1 others, and one with
-    m = d points shows up once, as a group of one: the first pass keeps no
-    group of one that is new. With some d points dependent, a hyperplane
-    may only ever show up in groups of one, each with a point the others
-    lack, so a zero wedge makes a second pass that keeps every hyperplane.
+    m = d points shows up once, as a group of one: the pass keeps no group
+    of one that is new. A zero wedge ends the pass with None. With some d
+    points dependent, a hyperplane may only ever show up in groups of one,
+    each with a point the others lack, so keep_all skips the dependent
+    d-subsets instead and keeps every hyperplane.
     """
     n = len(rows)
     if d == 0:
-        return Hyperplanes((), True, False)  # the empty set spans R^0
+        return Hyperplanes((), True)  # the empty set spans R^0
     terms = [_minor_terms(t, d + 1) for t in range(d)]
+    members: dict[tuple[int, ...], set[int]] = {}
+    independent = False
 
-    def visit(prefix: tuple[int, ...], wedge: list[int]) -> None:
-        nonlocal independent, dependent
+    def visit(prefix: tuple[int, ...], wedge: list[int]) -> bool:
+        """Visit the extensions of prefix; False at a zero wedge, unless keep_all."""
+        nonlocal independent
         t = len(prefix)
         # the wedge of prefix + (j,) is coefs . rows[j], by expansion along rows[j]
         coefs = [[s * wedge[k] for s, k in cols] for cols in terms[t]]
@@ -154,24 +162,20 @@ def _hyperplane_table(rows: Sequence[Sequence[int]], d: int) -> Hyperplanes:
                 row = rows[j]
                 w = [sum(map(mul, coef, row)) for coef in coefs]
                 if any(w):
-                    visit(prefix + (j,), w)
-                else:
-                    dependent = True
-            return
+                    if not visit(prefix + (j,), w):
+                        return False
+                elif not keep_all:
+                    return False
+            return True
         groups: dict[tuple[int, ...], list[int]] = {}
         for r in range(start, n):
             row = rows[r]
             normal = [sum(map(mul, coef, row)) for coef in coefs]
-            g = gcd(*normal)
-            if not g:
-                dependent = True
+            if not any(normal):
+                if not keep_all:
+                    return False
                 continue
-            for x in normal:  # exactla.primitive: the first nonzero entry positive
-                if x:
-                    break
-            if x < 0:
-                g = -g
-            key = tuple([x // g for x in normal])
+            key = tuple(primitive(normal))
             group = groups.get(key)
             if group is None:
                 groups[key] = [r]
@@ -185,15 +189,12 @@ def _hyperplane_table(rows: Sequence[Sequence[int]], d: int) -> Hyperplanes:
                 found.update(group)
             elif keep_all or len(group) > 1:
                 members[key] = {*prefix, *group}
+        return True
 
-    for keep_all in (False, True):
-        members: dict[tuple[int, ...], set[int]] = {}
-        independent = dependent = False
-        visit((), [1])
-        if not dependent:
-            break
+    if not visit((), [1]):
+        return None
     sections = tuple(tuple(sorted(m)) for m in members.values() if len(m) > d)
-    return Hyperplanes(sections, independent, dependent)
+    return Hyperplanes(sections, independent)
 
 
 def load_points(path: str) -> PointSet:
@@ -294,9 +295,10 @@ def count_affine_simplexes(ps: PointSet) -> dict[int, int]:
     the scan.
     """
     n, d = len(ps), ps.dimension
-    if not n >= d >= 1 or ps.hyperplanes.dependent:
+    table = ps.hyperplanes if n >= d >= 1 else None
+    if table is None:
         return enumerate_affine_simplexes(ps).counts
-    sizes = [len(members) for members in ps.hyperplanes.sections]
+    sizes = [len(members) for members in table.sections]
     counts = {
         d + 1: sum(comb(m, d + 1) for m in sizes),
         d + 2: comb(n, d + 2) - sum(comb(m, d + 2) + comb(m, d + 1) * (n - m) for m in sizes),
@@ -308,11 +310,11 @@ def check_small_flat_hypothesis(ps: PointSet) -> bool:
     """True iff no d points lie on a (d-2)-dimensional flat (vacuous below d points).
 
     d points lie on a (d-2)-flat exactly when they are affinely dependent,
-    that is when the wedge of their lifted rows is zero (PointSet.hyperplanes).
-    Below d points there is no d-subset, so a collinear triple among them
-    does not count.
+    that is when the wedge of their lifted rows is zero (PointSet.hyperplanes
+    is then None). Below d points there is no d-subset, so a collinear triple
+    among them does not count.
     """
-    return len(ps) < ps.dimension or not ps.hyperplanes.dependent
+    return len(ps) < ps.dimension or ps.hyperplanes is not None
 
 
 def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
@@ -320,15 +322,15 @@ def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
 
     Requires no three collinear points; under that hypothesis these two kinds
     exhaust the affine simplexes, so the counts sum to the total. The
-    simplexes of size 3 are exactly the collinear triples, and the first one
-    in member order is reported.
+    dependent triples of PointSet.hyperplanes are exactly the collinear ones,
+    and the first one in member order is reported.
     """
     if ps.dimension != 3:
         raise InvariantError(f"classification needs dimension 3, got {ps.dimension}")
-    counts = count_affine_simplexes(ps)
-    if 3 in counts:
+    if ps.hyperplanes is None:
         bad = circuit_supports(ps.lift, max_size=3)[0]  # the first triple, in member order
         raise InvariantError(f"collinear triple at indices {bad}")
+    counts = count_affine_simplexes(ps)
     return counts.get(4, 0), counts.get(5, 0)
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantError
 from .exactla import int_from_json, read_json
-from .geometry import PointSet
+from .geometry import PointSet, hyperplane_table
 
 Family = tuple[tuple[int, ...], ...]
 
@@ -192,16 +192,20 @@ def from_point_set(ps: PointSet) -> Hypergraph:
     Edges are the maximal subsets whose affine hull has dimension at most
     d-1, kept only when they carry at least d+1 points: the sections of
     ps.hyperplanes, where each hyperplane spanned by d points collects the
-    members of its d-subsets, by basis exchange its whole section. No d
-    points span a hyperplane exactly when the whole set lies on a lower
-    flat; it is then the unique maximal subset.
+    members of its d-subsets, by basis exchange its whole section; when
+    some d points are dependent the table comes from a pass that keeps
+    every hyperplane. No d points span a hyperplane exactly when the whole
+    set lies on a lower flat; it is then the unique maximal subset.
     """
-    n = len(ps)
-    if n <= ps.dimension:
+    n, d = len(ps), ps.dimension
+    if n <= d:
         return Hypergraph(n, ())
-    if not ps.hyperplanes.independent:
+    table = ps.hyperplanes
+    if table is None:
+        table = hyperplane_table(ps.lift.integer_rows, d, keep_all=True)
+    if not table.independent:
         return Hypergraph(n, (tuple(range(n)),))
-    return Hypergraph(n, ps.hyperplanes.sections)
+    return Hypergraph(n, table.sections)
 
 
 def random_linear_hypergraph(rng: random.Random, n: int, k: int) -> Hypergraph:

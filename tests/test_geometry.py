@@ -229,8 +229,8 @@ def test_count_matches_scan_on_planted_flats():
         got, want = count_affine_simplexes(ps), enumerate_affine_simplexes(ps).counts
         assert list(got.items()) == list(want.items()), ps
         n, d = len(ps), ps.dimension
-        counted = n >= d and not ps.hyperplanes.dependent
-        seen.add((d, counted, bool(ps.hyperplanes.sections)))
+        table = ps.hyperplanes or geometry.hyperplane_table(ps.lift.integer_rows, d, keep_all=True)
+        seen.add((d, n >= d and ps.hyperplanes is not None, bool(table.sections)))
     # every d counts from the table, d = 2, 3, 4 with sections of more than d
     # points (in R^1 a hyperplane is one point), and d = 3, 4 also fall back to the scan
     assert {(1, True, False), (2, True, True), (3, True, True), (4, True, True)} <= seen
@@ -277,18 +277,36 @@ def test_hyperplane_sections_with_dependent_points():
     # 0, 1, 2 lie on the x-axis, so each plane through it and one more point
     # is spanned by three d-subsets, each of them missing one of 0, 1, 2
     ps = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)))
-    table = ps.hyperplanes
-    assert (table.sections, table.independent, table.dependent) == (
-        ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)), True, True)
+    assert ps.hyperplanes is None
+    table = geometry.hyperplane_table(ps.lift.integer_rows, 3, keep_all=True)
+    assert (table.sections, table.independent) == (((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)), True)
+    assert from_point_set(ps).edges == table.sections
     line = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)))
-    assert (line.hyperplanes.independent, line.hyperplanes.dependent) == (False, True)
+    assert line.hyperplanes is None
+    assert not geometry.hyperplane_table(line.lift.integer_rows, 3, keep_all=True).independent
     assert from_point_set(line).edges == ((0, 1, 2, 3),)
+
+
+def test_a_dependent_set_takes_one_stopped_pass_before_the_scan(monkeypatch):
+    passes, scans = [], []
+    table, scan = geometry.hyperplane_table, geometry.circuit_supports
+    monkeypatch.setattr(geometry, "hyperplane_table",
+                        lambda *args, **kwargs: passes.append(kwargs) or table(*args, **kwargs))
+    monkeypatch.setattr(geometry, "circuit_supports",
+                        lambda *args, **kwargs: scans.append(kwargs) or scan(*args, **kwargs))
+    points = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+    assert count_affine_simplexes(PointSet(3, points)) == {3: 1, 5: 3}
+    assert (passes, scans) == ([{}], [{}])  # no pass that keeps every hyperplane
+    passes.clear(), scans.clear()
+    with pytest.raises(InvariantError, match=r"collinear triple at indices \(0, 1, 2\)"):
+        classify_r3_semi_simplexes(PointSet(3, points))
+    assert (passes, scans) == ([{}], [{"max_size": 3}])  # only the scan that names the triple
 
 
 def test_hyperplane_table_is_built_once(monkeypatch):
     built = []
-    table = geometry._hyperplane_table
-    monkeypatch.setattr(geometry, "_hyperplane_table", lambda *args: built.append(1) or table(*args))
+    table = geometry.hyperplane_table
+    monkeypatch.setattr(geometry, "hyperplane_table", lambda *args: built.append(1) or table(*args))
     ps = construct(ConstructionId("parallel-pairs"), 10)
     assert check_small_flat_hypothesis(ps)
     assert count_affine_simplexes(ps) == {4: 74, 5: 32}  # 106 in all, the closed form
