@@ -33,6 +33,7 @@ from .hypergraph import (
 from .matroid import (
     Circuit,
     VectorConfiguration,
+    count_circuits,
     enumerate_circuits,
     is_circuit,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "check_small_flat_hypothesis",
     "classify_r3_semi_simplexes",
     "count_affine_simplexes",
+    "count_circuits",
     "empty_section",
     "enumerate_affine_simplexes",
     "enumerate_circuits",

@@ -1,7 +1,8 @@
 """Command-line front door: enumeration, construction, search, reactions.
 
-Exit codes are stable: 0 success, 2 input error, 3 invariant violation,
-4 budget exceeded. All numeric output is exact ("p/q"), with a decimal
+Exit codes are stable: 0 success, 1 stdout closed early (a failed check
+of `verify` also exits 1), 2 input error, 3 invariant violation, 4 budget
+exceeded. All numeric output is exact ("p/q"), with a decimal
 approximation column where that helps a human reader.
 """
 
@@ -103,17 +104,24 @@ def _counts_csv(counts: dict[int, int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _circuits_json(cfg, supports, circuits=None) -> dict:
-    """Counts of the circuit supports, plus the circuits with their
-    coefficients when they are given."""
-    counts: dict[str, int] = {}
-    for members in supports:
-        counts[str(len(members))] = counts.get(str(len(members)), 0) + 1
+def _emit_counts(counts: dict[int, int], json_obj: dict, args) -> None:
+    """Print counts by size in the requested format; json_obj is their JSON form."""
+    if args.format == "json":
+        _emit(_json_text(json_obj), args.out)
+    elif args.format == "csv":
+        _emit(_counts_csv(counts), args.out)
+    else:
+        _emit("\n".join(_counts_lines(counts, sum(counts.values()))), args.out)
+
+
+def _circuits_json(cfg, counts: dict[int, int], circuits=None) -> dict:
+    """Circuit counts by size, plus the circuits with their coefficients
+    when they are given."""
     obj = {
         "dimension": cfg.dimension,
         "vector_count": len(cfg),
-        "counts": counts,
-        "total": len(supports),
+        "counts": {str(size): count for size, count in counts.items()},
+        "total": sum(counts.values()),
     }
     if circuits is not None:
         obj["circuits"] = [
@@ -123,39 +131,34 @@ def _circuits_json(cfg, supports, circuits=None) -> dict:
 
 
 def cmd_simplexes(args) -> int:
+    # Only JSON without --counts-only lists the simplexes or circuits; the rest prints their counts.
+    listed = args.format == "json" and not args.counts_only
     if args.points:
         if args.project:
             raise InputError("--project applies to --vectors only, not to --points")
         ps = geometry.load_points(args.points)
-        # Only JSON without --counts-only lists the simplexes; the rest prints their counts.
-        if args.format == "json" and not args.counts_only:
+        if listed:
             _emit(_json_text(geometry.enumerate_affine_simplexes(ps).to_json_obj()), args.out)
             return 0
         counts = geometry.count_affine_simplexes(ps)
-        if args.format == "json":
-            _emit(_json_text(geometry.counts_json_obj(ps.dimension, len(ps), counts)), args.out)
-        elif args.format == "csv":
-            _emit(_counts_csv(counts), args.out)
-        else:
-            _emit("\n".join(_counts_lines(counts, sum(counts.values()))), args.out)
+        _emit_counts(counts, geometry.counts_json_obj(ps.dimension, len(ps), counts), args)
         return 0
 
     cfg = matroid.load_vectors(args.vectors)
-    # Coefficients are computed only when they are printed: JSON without --counts-only.
+    if not args.project and not listed:
+        counts = matroid.count_circuits(cfg)
+        _emit_counts(counts, _circuits_json(cfg, counts), args)
+        return 0
+    # Coefficients are computed only when they are printed.
     circuits = None
-    if args.format == "json" and not args.counts_only:
+    if listed:
         circuits = matroid.enumerate_circuits(cfg)
         supports = [c.members for c in circuits]
     else:
         supports = matroid.circuit_supports(cfg)
+    circuits_obj = _circuits_json(cfg, Counter(map(len, supports)), circuits)
     if not args.project:
-        by_size = Counter(len(members) for members in supports)
-        if args.format == "json":
-            _emit(_json_text(_circuits_json(cfg, supports, circuits)), args.out)
-        elif args.format == "csv":
-            _emit(_counts_csv(by_size), args.out)
-        else:
-            _emit("\n".join(_counts_lines(by_size, len(supports))), args.out)
+        _emit(_json_text(circuits_obj), args.out)
         return 0
 
     ps = geometry.project_to_affine(cfg)
@@ -163,7 +166,7 @@ def cmd_simplexes(args) -> int:
     match = supports == list(report.supports)
     if args.format == "json":
         obj = {
-            "circuits": _circuits_json(cfg, supports, circuits),
+            "circuits": circuits_obj,
             "projected": report.to_json_obj(args.counts_only),
             "match": match,
         }
@@ -517,7 +520,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): Python's EPIPE idiom, so that the
+        # interpreter's last flush writes what is left to devnull, and no message
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4

@@ -8,16 +8,16 @@ the lift and are enumerated by matroid.circuit_supports; affine rank is the
 lift's rank minus 1. PointSet.lift is built once per point set and kept,
 with its integer rows, for every later scan and rank of that set.
 
-PointSet.hyperplanes, also built once, is the table of hyperplanes that d
-of the points span, keyed by the primitive form of the wedge of their
-lifted rows, or None as soon as some d points turn out to be dependent. It
-answers the general-position hypothesis of the dimension-d counting
-results (no d points on a (d-2)-flat), gives hypergraph.from_point_set its
-sections (a set that fails the hypothesis takes a second pass that keeps
-every hyperplane), and gives count_affine_simplexes the simplex counts by
-size from the number of points on each hyperplane, with no enumeration.
-Only listing the simplexes themselves, or counting them when d = 0, n < d
-or the hypothesis fails, runs the scan. This module
+The hypothesis of the dimension-d counting results, no d points on a
+(d-2)-flat, says that every d of the lifted vectors are independent, which
+the hyperplane walk of the lift answers (matroid.hyperplane_walk; its
+group sums are cached on the lift, so the check, the count and
+classify_r3_semi_simplexes share one walk per point set). Under it,
+count_affine_simplexes is the lift's matroid.count_circuits: the simplex
+counts by size come from the sizes of the walk's groups of points that
+span one hyperplane with d - 1 others, with no enumeration and no
+hyperplane named. Only listing the simplexes themselves, or counting them
+when d = 0, n < d or the hypothesis fails, runs the scan. This module
 also hosts the linear-to-affine projection (central projection of a vector
 configuration onto a hyperplane off the origin).
 """
@@ -30,20 +30,18 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import comb
-from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InputError, InvariantError
 from .exactla import rank  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .exactla import primitive, read_json, read_text, vector_to_json
+from .exactla import read_json, read_text, vector_to_json
 from .matroid import (
     VectorConfiguration,
     check_indices,
     check_labels,
     check_lengths,
     circuit_supports,
+    count_circuits,
     exact_rows,
     is_circuit,
     rows_from_json,
@@ -81,120 +79,6 @@ class PointSet:
     def lift(self) -> VectorConfiguration:
         """The vectors (1, p) in R^(d+1); their circuits are the affine simplexes."""
         return VectorConfiguration(self.dimension + 1, tuple((1,) + p for p in self.points))
-
-    @cached_property
-    def hyperplanes(self) -> "Hyperplanes | None":
-        """The hyperplanes spanned by d of the points, from one pass over the
-        d-subsets; None when some d points are affinely dependent, that is lie
-        on a (d-2)-flat: the pass stops at the first such d-subset."""
-        return hyperplane_table(self.lift.integer_rows, self.dimension)
-
-
-@dataclass(frozen=True)
-class Hyperplanes:
-    """The hyperplanes of R^d that d points of a set span.
-
-    sections holds the members of each hyperplane with more than d of the
-    points, sorted, in the order of the hyperplane's first d-subset;
-    independent says that some d points span a hyperplane.
-    """
-
-    sections: tuple[tuple[int, ...], ...]
-    independent: bool
-
-
-def _minor_terms(t: int, ncols: int) -> list[list[tuple[int, int]]]:
-    """The Laplace expansion of the (t+1)-minors of t + 1 rows along the
-    last row: for each (t+1)-subset C of the columns, in lexicographic
-    order, and each column c, the pair (sign, index of the t-minor on C
-    without c among the t-subsets in lexicographic order) by which that
-    minor multiplies the last row's entry c; (0, 0) when c is not in C."""
-    index = {cols: i for i, cols in enumerate(combinations(range(ncols), t))}
-    terms = []
-    for cols in combinations(range(ncols), t + 1):
-        pairs = [(0, 0)] * ncols
-        for i, c in enumerate(cols):
-            pairs[c] = ((-1) ** (t + i), index[cols[:i] + cols[i + 1 :]])
-        terms.append(pairs)
-    return terms
-
-
-def hyperplane_table(
-    rows: Sequence[Sequence[int]], d: int, keep_all: bool = False
-) -> Hyperplanes | None:
-    """Hyperplanes of the d-subsets of the lifted integer rows (1, p) in Z^(d+1).
-
-    The wedge of a d-subset, its d x d minors, is zero exactly when the
-    d points are dependent; otherwise it is a normal of the hyperplane they
-    span, and two d-subsets span the same hyperplane exactly when their
-    wedges are proportional, that is when their exactla.primitive forms are
-    equal. The subsets are visited depth-first in lexicographic order. Each
-    prefix of t < d members turns its wedge into one coefficient row per
-    (t+1)-minor (Laplace expansion along the next row), so that the wedge
-    of each extension is a few dot products: d + 1 of them and a primitive
-    form for each last member. The last members of one prefix are grouped
-    by hyperplane, and a hyperplane collects the members of its groups.
-
-    When no wedge is zero, a hyperplane with m > d points first shows up at
-    its first d - 1 points, as a group of all m - d + 1 others, and one with
-    m = d points shows up once, as a group of one: the pass keeps no group
-    of one that is new. A zero wedge ends the pass with None. With some d
-    points dependent, a hyperplane may only ever show up in groups of one,
-    each with a point the others lack, so keep_all skips the dependent
-    d-subsets instead and keeps every hyperplane.
-    """
-    n = len(rows)
-    if d == 0:
-        return Hyperplanes((), True)  # the empty set spans R^0
-    terms = [_minor_terms(t, d + 1) for t in range(d)]
-    members: dict[tuple[int, ...], set[int]] = {}
-    independent = False
-
-    def visit(prefix: tuple[int, ...], wedge: list[int]) -> bool:
-        """Visit the extensions of prefix; False at a zero wedge, unless keep_all."""
-        nonlocal independent
-        t = len(prefix)
-        # the wedge of prefix + (j,) is coefs . rows[j], by expansion along rows[j]
-        coefs = [[s * wedge[k] for s, k in cols] for cols in terms[t]]
-        start = prefix[-1] + 1 if prefix else 0
-        if t < d - 1:
-            for j in range(start, n - d + t + 1):  # leaves room for d - t - 1 more members
-                row = rows[j]
-                w = [sum(map(mul, coef, row)) for coef in coefs]
-                if any(w):
-                    if not visit(prefix + (j,), w):
-                        return False
-                elif not keep_all:
-                    return False
-            return True
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for r in range(start, n):
-            row = rows[r]
-            normal = [sum(map(mul, coef, row)) for coef in coefs]
-            if not any(normal):
-                if not keep_all:
-                    return False
-                continue
-            key = tuple(primitive(normal))
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [r]
-            else:
-                group.append(r)
-        independent = independent or bool(groups)
-        for key, group in groups.items():
-            found = members.get(key)
-            if found is not None:
-                found.update(prefix)
-                found.update(group)
-            elif keep_all or len(group) > 1:
-                members[key] = {*prefix, *group}
-        return True
-
-    if not visit((), [1]):
-        return None
-    sections = tuple(tuple(sorted(m)) for m in members.values() if len(m) > d)
-    return Hyperplanes(sections, independent)
 
 
 def load_points(path: str) -> PointSet:
@@ -281,53 +165,41 @@ def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
 def count_affine_simplexes(ps: PointSet) -> dict[int, int]:
     """Affine simplexes by size: enumerate_affine_simplexes(ps).counts.
 
-    When n >= d >= 1 and no d points lie on a (d-2)-flat, every set of at
-    most d points is independent, so every simplex has d + 1 or d + 2
-    members, and the counts follow from the number m of points on each
-    hyperplane (PointSet.hyperplanes):
-    - d + 1 points are a simplex exactly when they lie on one hyperplane:
-      the sum of C(m, d+1);
-    - d + 2 points are one unless d + 1 of them lie on a hyperplane, and
-      two such (d+1)-subsets share d independent points and so lie on the
-      same one: C(n, d+2) minus the sum of C(m, d+2) + C(m, d+1)(n - m).
-    Hyperplanes with m = d add nothing to either. Otherwise, that is for
+    They are the circuit counts of the lift (matroid.count_circuits), with
+    D = d + 1. When n >= d >= 1 and no d points lie on a (d-2)-flat, every
+    simplex has d + 1 or d + 2 members, and, with m_H points on each
+    hyperplane H, there are sum C(m_H, d+1) of size d + 1 and
+    C(n, d+2) - sum [C(m_H, d+2) + C(m_H, d+1)(n - m_H)] of size d + 2,
+    from the group sizes of one hyperplane walk. Otherwise, that is for
     d = 0, fewer than d points or d dependent points, the counts come from
     the scan.
     """
-    n, d = len(ps), ps.dimension
-    table = ps.hyperplanes if n >= d >= 1 else None
-    if table is None:
-        return enumerate_affine_simplexes(ps).counts
-    sizes = [len(members) for members in table.sections]
-    counts = {
-        d + 1: sum(comb(m, d + 1) for m in sizes),
-        d + 2: comb(n, d + 2) - sum(comb(m, d + 2) + comb(m, d + 1) * (n - m) for m in sizes),
-    }
-    return {size: count for size, count in counts.items() if count}
+    return count_circuits(ps.lift)
 
 
 def check_small_flat_hypothesis(ps: PointSet) -> bool:
     """True iff no d points lie on a (d-2)-dimensional flat (vacuous below d points).
 
     d points lie on a (d-2)-flat exactly when they are affinely dependent,
-    that is when the wedge of their lifted rows is zero (PointSet.hyperplanes
-    is then None). Below d points there is no d-subset, so a collinear triple
-    among them does not count.
+    that is when their lifted rows are dependent: the hyperplane walk of
+    the lift then stops (ps.lift.hyperplane_sums is None). Below d points
+    there is no d-subset, so a collinear triple among them does not count.
     """
-    return len(ps) < ps.dimension or ps.hyperplanes is not None
+    n, d = len(ps), ps.dimension
+    return n < d or d == 0 or ps.lift.hyperplane_sums is not None
 
 
 def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
     """(coplanar quadruple count, generic quintuple count) for d = 3 point sets.
 
     Requires no three collinear points; under that hypothesis these two kinds
-    exhaust the affine simplexes, so the counts sum to the total. The
-    dependent triples of PointSet.hyperplanes are exactly the collinear ones,
-    and the first one in member order is reported.
+    exhaust the affine simplexes, so the counts sum to the total. A set that
+    fails it names its first collinear triple in member order, from the scan
+    capped at 3 members.
     """
     if ps.dimension != 3:
         raise InvariantError(f"classification needs dimension 3, got {ps.dimension}")
-    if ps.hyperplanes is None:
+    if not check_small_flat_hypothesis(ps):
         bad = circuit_supports(ps.lift, max_size=3)[0]  # the first triple, in member order
         raise InvariantError(f"collinear triple at indices {bad}")
     counts = count_affine_simplexes(ps)

@@ -16,8 +16,9 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantError
-from .exactla import int_from_json, read_json
-from .geometry import PointSet, hyperplane_table
+from .exactla import int_from_json, primitive, read_json
+from .geometry import PointSet
+from .matroid import hyperplane_walk
 
 Family = tuple[tuple[int, ...], ...]
 
@@ -190,22 +191,57 @@ def from_point_set(ps: PointSet) -> Hypergraph:
     """Hypergraph of maximal hyperplane sections with at least d+1 points.
 
     Edges are the maximal subsets whose affine hull has dimension at most
-    d-1, kept only when they carry at least d+1 points: the sections of
-    ps.hyperplanes, where each hyperplane spanned by d points collects the
-    members of its d-subsets, by basis exchange its whole section; when
-    some d points are dependent the table comes from a pass that keeps
-    every hyperplane. No d points span a hyperplane exactly when the whole
-    set lies on a lower flat; it is then the unique maximal subset.
+    d-1, kept only when they carry at least d+1 points. They come from the
+    hyperplane walk of the lift (matroid.hyperplane_walk): each group of
+    points that spans one hyperplane with a prefix of d - 1 points is keyed
+    by the primitive normal of that hyperplane, and each key collects the
+    members of its groups and prefixes, by basis exchange its whole section.
+    When no d points are dependent, a hyperplane with more than d points
+    shows up at its first d - 1 points as one group of all the others, so
+    only groups of two or more are keyed. A walk that stops at d dependent
+    points is followed by one that skips them and keys every group, since a
+    hyperplane may then only ever show up in groups of one. No d points
+    span a hyperplane exactly when the whole set lies on a lower flat; it is
+    then the unique maximal subset.
     """
     n, d = len(ps), ps.dimension
-    if n <= d:
+    if n <= d or d == 0:
         return Hypergraph(n, ())
-    table = ps.hyperplanes
-    if table is None:
-        table = hyperplane_table(ps.lift.integer_rows, d, keep_all=True)
-    if not table.independent:
+    rows = ps.lift.integer_rows
+    found = _hyperplane_sections(rows, d, keep_all=False)
+    if found is None:
+        found = _hyperplane_sections(rows, d, keep_all=True)
+    sections, independent = found
+    if not independent:
         return Hypergraph(n, (tuple(range(n)),))
-    return Hypergraph(n, table.sections)
+    return Hypergraph(n, sections)
+
+
+def _hyperplane_sections(
+    rows: Sequence[Sequence[int]], d: int, keep_all: bool
+) -> tuple[Family, bool] | None:
+    """(sections with more than d of the lifted rows, whether some d of them
+    are independent) from one keyed hyperplane walk in R^(d+1); None when it
+    stops at d dependent rows, unless keep_all."""
+    members: dict[tuple[int, ...], set[int]] = {}
+    independent = False
+
+    def visit(prefix, groups, units):
+        nonlocal independent
+        independent = independent or bool(groups)
+        for (x, y), group in groups.items():
+            if not keep_all and len(group) == 1:
+                continue
+            key = tuple(primitive([ux * y - uy * x for ux, uy in units]))
+            section = members.get(key)
+            if section is None:
+                members[key] = {*prefix, *group}
+            else:
+                section.update(prefix, group)
+
+    if not hyperplane_walk(rows, d + 1, visit, keep_all=keep_all, units=True):
+        return None
+    return tuple(tuple(sorted(m)) for m in members.values() if len(m) > d), independent
 
 
 def random_linear_hypergraph(rng: random.Random, n: int, k: int) -> Hypergraph:

@@ -21,16 +21,32 @@ A set of D - 1 members closes the last level itself: any two later
 vectors outside its span are dependent with it, so the set tests each such
 pair's combination for full support and emits it, with no child node.
 
+Counting needs no scan when every D - 1 of the n >= D - 1 vectors are
+independent. hyperplane_walk visits the (D-2)-subsets in the same order,
+carrying each later row, and nothing else, reduced modulo the subset, so
+that at a (D-2)-subset each later row has 2 entries and the later vectors
+that span one hyperplane with it are the groups of parallel rows; a zero
+row is a dependent set, which stops the walk. A hyperplane with m_H
+vectors shows up at each (D-2)-subset of them as one group of its later
+m_H - (D-2) members, so the sums over every prefix and every group G,
+A = sum C(|G|, 2) and B = sum C(|G|, 3), are sum C(m_H, D) and
+sum C(m_H, D+1) over the hyperplanes, with no hyperplane named.
+count_circuits reads A and B (VectorConfiguration.hyperplane_sums, one walk
+per configuration): A circuits of size D and C(n, D+1) - (n - D) A + D B
+of size D + 1. hypergraph.from_point_set keys the groups of its own walk by
+their hyperplanes' normals, to merge them into sections.
+
 The checks on ordered rational rows, their labels and indices, and their
 JSON form are shared with geometry.PointSet.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, InvariantError
@@ -132,6 +148,32 @@ class VectorConfiguration:
         test runs on these, computed once per configuration.
         """
         return tuple(tuple(integer_row(v)) for v in self.vectors)
+
+    @cached_property
+    def hyperplane_sums(self) -> tuple[int, int] | None:
+        """(sum of C(m_H, D), sum of C(m_H, D+1)) over the hyperplanes H of
+        R^D, m_H being the number of vectors on H, from one hyperplane_walk;
+        None unless n >= D - 1 >= 1 and every D - 1 of the vectors are
+        independent.
+
+        A hyperplane with m_H vectors shows up, at each prefix of D - 2 of
+        them, as one group of the later ones, so C(m_H, D) of its D-subsets
+        are the pairs, and C(m_H, D+1) of its (D+1)-subsets the triples, of
+        the groups of the walk.
+        """
+        if not len(self) >= self.dimension - 1 >= 1:
+            return None
+        pairs = triples = 0
+
+        def visit(prefix, groups, units):
+            nonlocal pairs, triples
+            for group in groups.values():
+                m = len(group)
+                if m > 1:
+                    pairs += m * (m - 1) // 2
+                    triples += m * (m - 1) * (m - 2) // 6
+
+        return (pairs, triples) if hyperplane_walk(self.integer_rows, self.dimension, visit) else None
 
 
 def load_vectors(path: str) -> VectorConfiguration:
@@ -276,6 +318,139 @@ def circuit_supports(
     found: list[tuple[int, ...]] = []
     _scan(cfg, max_size, lambda members, comb: found.append(members))
     return found
+
+
+def count_circuits(cfg: VectorConfiguration) -> dict[int, int]:
+    """Circuits by size, ascending, with no zero entries: the counts of
+    circuit_supports(cfg).
+
+    When n >= D - 1 >= 1 and every D - 1 of the vectors are independent,
+    every circuit has D or D + 1 members, and the counts follow from the
+    number m_H of vectors on each hyperplane H (VectorConfiguration.hyperplane_sums):
+    - D vectors are a circuit exactly when they lie on one hyperplane:
+      A = sum of C(m_H, D);
+    - D + 1 vectors are one unless D of them lie on a hyperplane, and two
+      such D-subsets share D - 1 independent vectors and so lie on the same
+      one: C(n, D+1) minus the sum of C(m_H, D+1) + C(m_H, D)(n - m_H),
+      which is C(n, D+1) - (n - D) A + D B with B = sum of C(m_H, D+1).
+    Otherwise the counts come from the scan.
+    """
+    sums = cfg.hyperplane_sums
+    if sums is None:
+        return dict(sorted(Counter(map(len, circuit_supports(cfg))).items()))
+    n, dim = len(cfg), cfg.dimension
+    a, b = sums
+    counts = {dim: a, dim + 1: comb(n, dim + 1) - (n - dim) * a + dim * b}
+    return {size: count for size, count in counts.items() if count}
+
+
+def hyperplane_walk(
+    rows: Sequence[Sequence[int]],
+    dimension: int,
+    visit: Callable,
+    keep_all: bool = False,
+    units: bool = False,
+) -> bool:
+    """Visit the (D-2)-subsets of the integer rows in R^D, D >= 2, in
+    lexicographic order, with the later rows grouped by the hyperplane
+    that each spans with the subset; False at the first zero row.
+
+    The walk is depth-first, like the circuit scan (see _visit), and carries
+    only rows, no combinations: each prefix holds every later row reduced
+    modulo the span of its members by the fraction-free update a*x - b*y at
+    the pivot column, which is then removed, divided exactly by the
+    previous pivot (Bareiss), so that every row at one prefix is the image
+    of its original under one linear map. At a prefix P of D - 2 members
+    each later row k has 2 entries, nonzero exactly when P + (k,) is
+    independent, and two such rows are parallel exactly when they span one
+    hyperplane with P. visit(P, groups, unit_rows) receives groups, a dict
+    from the primitive form of each direction (first nonzero entry
+    positive) to the later members in that direction, both in ascending
+    member order.
+
+    A zero row, at any depth, is a dependent set of at most D - 1 rows:
+    the walk stops and returns False, unless keep_all, which drops it and
+    goes on. When units is set, the unit vectors e_0 .. e_(D-1) go through
+    the same maps, and unit_rows holds their 2-entry images u_c at P; the
+    hyperplane through P and a group of direction w then has the normal
+    (det(u_c, w))_c. Otherwise unit_rows is None.
+    """
+    carried = []
+    for k, row in enumerate(rows):
+        if any(row):
+            carried.append((k, row))
+        elif not keep_all:
+            return False
+    identity = [[int(r == c) for c in range(dimension)] for r in range(dimension)]
+    if dimension == 2:  # the empty prefix: the rows have 2 entries already
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for k, row in carried:
+            groups.setdefault(tuple(primitive(row)), []).append(k)
+        visit((), groups, identity if units else None)
+        return True
+    return _walk((), carried, identity if units else None, 1, dimension - 2, visit, keep_all)
+
+
+def _reduce(row: Sequence[int], pivot_row: Sequence[int], p: int, prev: int) -> list[int]:
+    """row reduced by pivot_row at its pivot column p, which is removed (Bareiss)."""
+    a, b = pivot_row[p], row[p]
+    v = [(a * x - b * y) // prev for x, y in zip(row, pivot_row)]
+    del v[p]
+    return v
+
+
+_OTHERS = ((1, 2), (0, 2), (0, 1))  # the columns of a 3-entry row besides its pivot
+
+
+def _walk(
+    prefix: tuple[int, ...], carried: list, units: list | None, prev: int, left: int,
+    visit: Callable, keep_all: bool,
+) -> bool:
+    """The prefixes of hyperplane_walk that extend `prefix` by `left` >= 1
+    more members; `prev` is the pivot of its last member (1 at the root)."""
+    for i in range(len(carried) - left):  # room for left - 1 more members and one later row
+        j, vj = carried[i]
+        p = 0
+        while not vj[p]:
+            p += 1
+        head = prefix + (j,)
+        reduced = None if units is None else [_reduce(u, vj, p, prev) for u in units]
+        if left > 1:
+            child = []
+            for k, vk in carried[i + 1 :]:
+                v = _reduce(vk, vj, p, prev)
+                if any(v):
+                    child.append((k, v))
+                elif not keep_all:
+                    return False
+            if not _walk(head, child, reduced, vj[p], left - 1, visit, keep_all):
+                return False
+            continue
+        # head has D - 2 members: each later row has 3 entries and reduces to 2
+        a = vj[p]
+        c, e = _OTHERS[p]
+        jc, je = vj[c], vj[e]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for k, vk in carried[i + 1 :]:
+            b = vk[p]
+            x = (a * vk[c] - b * jc) // prev
+            y = (a * vk[e] - b * je) // prev
+            if not (x or y):
+                if keep_all:
+                    continue
+                return False
+            # exactla.primitive of (x, y), inline: the call makes the walk about 1.6x slower
+            g = gcd(x, y)
+            if x < 0 or not x and y < 0:
+                g = -g
+            key = (x // g, y // g)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [k]
+            else:
+                group.append(k)
+        visit(head, groups, reduced)
+    return True
 
 
 def enumerate_circuits(cfg: VectorConfiguration) -> list[Circuit]:

@@ -183,6 +183,32 @@ def test_simplexes_vectors_computes_coefficients_only_when_printed(tmp_path, cap
     assert projected["circuits"] == full and projected["match"]
 
 
+def test_simplexes_vectors_counts_make_no_scan_under_the_hypothesis(tmp_path, capsys, monkeypatch):
+    # no two of these vectors are parallel, and four of them lie on the plane z = 0
+    path = tmp_path / "vecs.json"
+    path.write_text(json.dumps({"dimension": 3, "vectors": [
+        [1, 0, 0], [0, 1, 0], [1, 1, 0], [2, -1, 0], [0, 0, 1], [1, 2, 3], [2, 1, "1/2"],
+    ]}))
+
+    def scan(*args, **kwargs):
+        raise AssertionError("circuit scan called")
+
+    monkeypatch.setattr(matroid, "circuit_supports", scan)
+    code, out, _ = run(capsys, "simplexes", "--vectors", str(path), "--format", "json")
+    full = json.loads(out)  # the listing, from the scan with coefficients
+    assert code == 0 and full["total"] == len(full["circuits"]) == 26
+    counts = {int(size): count for size, count in full["counts"].items()}
+    assert counts == {3: 4, 4: 22}
+    outputs = {}
+    for fmt in (("text",), ("csv",), ("json", "--counts-only")):
+        code, outputs[fmt], _ = run(capsys, "simplexes", "--vectors", str(path), "--format", *fmt)
+        assert code == 0
+    assert outputs[("text",)] == "size 3: 4\nsize 4: 22\ntotal: 26\n"
+    assert outputs[("csv",)] == "size,count\n3,4\n4,22\n"
+    counts_only = json.loads(outputs[("json", "--counts-only")])
+    assert counts_only == {k: v for k, v in full.items() if k != "circuits"}
+
+
 def test_construct_self_check(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "construct", "parallel-pairs", "10")
@@ -459,3 +485,37 @@ def test_simplexes_json_output_equals_json_dumps(tmp_path, capsys):
         code, out, _ = run(capsys, "simplexes", *argv, "--format", "json")
         assert code == 0
         assert out == json.dumps(want, indent=1, sort_keys=True) + "\n"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its descriptor is a file of the test's own, which the CLI may redirect."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "5", "2", "--free", "--format", "json"),
+    ("construct", "parallel-pairs", "10"),
+])
+def test_closed_stdout_exits_1_without_a_message(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = main(list(argv))
+        monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    # a missing input file is still an input error
+    code, out, err = run(capsys, "simplexes", "--points", str(tmp_path / "missing.json"))
+    assert (code, out) == (2, "") and err.startswith("input error:")

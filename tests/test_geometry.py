@@ -2,10 +2,11 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from minsimplex import geometry, matroid
+from minsimplex import geometry, hypergraph, matroid
 from minsimplex.errors import InputError, InvariantError
 from minsimplex.exactla import rank
 from minsimplex.extremal import ConstructionId, construct, expected_count
@@ -229,9 +230,8 @@ def test_count_matches_scan_on_planted_flats():
         got, want = count_affine_simplexes(ps), enumerate_affine_simplexes(ps).counts
         assert list(got.items()) == list(want.items()), ps
         n, d = len(ps), ps.dimension
-        table = ps.hyperplanes or geometry.hyperplane_table(ps.lift.integer_rows, d, keep_all=True)
-        seen.add((d, n >= d and ps.hyperplanes is not None, bool(table.sections)))
-    # every d counts from the table, d = 2, 3, 4 with sections of more than d
+        seen.add((d, n >= d and ps.lift.hyperplane_sums is not None, bool(from_point_set(ps).edges)))
+    # every d counts from the walk, d = 2, 3, 4 with sections of more than d
     # points (in R^1 a hyperplane is one point), and d = 3, 4 also fall back to the scan
     assert {(1, True, False), (2, True, True), (3, True, True), (4, True, True)} <= seen
     assert {(3, False, True), (4, False, True)} <= seen
@@ -273,47 +273,88 @@ def test_count_makes_no_scan_under_the_hypothesis(monkeypatch):
         ConstructionId("parallel-pairs"), 14)
 
 
+def test_walk_group_sums_are_the_section_sums():
+    # the keyless (A, B) of the count walk against the keyed sections: under
+    # the hypothesis, A = sum C(m, d+1) and B = sum C(m, d+2) over the
+    # hyperplane sections, and hyperplanes of exactly d points add nothing
+    rng = random.Random(73)
+    seen = set()
+    for trial in range(240):
+        ps = _points_on_planted_flats(rng, 1 + trial % 4)
+        n, d = len(ps), ps.dimension
+        if n < d or not check_small_flat_hypothesis(ps):
+            continue
+        sizes = [len(edge) for edge in from_point_set(ps).edges]
+        want = sum(comb(m, d + 1) for m in sizes), sum(comb(m, d + 2) for m in sizes)
+        assert ps.lift.hyperplane_sums == want, ps
+        seen.add((d, want[0] > 0, want[1] > 0))
+    # sections of d + 1 and of more points, for d = 2, 3, 4
+    assert {(d, True, True) for d in (2, 3, 4)} <= seen
+    assert {(d, False, False) for d in (1, 2, 3, 4)} <= seen
+
+
 def test_hyperplane_sections_with_dependent_points():
     # 0, 1, 2 lie on the x-axis, so each plane through it and one more point
     # is spanned by three d-subsets, each of them missing one of 0, 1, 2
     ps = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)))
-    assert ps.hyperplanes is None
-    table = geometry.hyperplane_table(ps.lift.integer_rows, 3, keep_all=True)
-    assert (table.sections, table.independent) == (((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)), True)
-    assert from_point_set(ps).edges == table.sections
+    rows = ps.lift.integer_rows
+    assert ps.lift.hyperplane_sums is None
+    assert hypergraph._hyperplane_sections(rows, 3, keep_all=False) is None
+    sections = ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5))
+    assert hypergraph._hyperplane_sections(rows, 3, keep_all=True) == (sections, True)
+    assert from_point_set(ps).edges == sections
     line = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)))
-    assert line.hyperplanes is None
-    assert not geometry.hyperplane_table(line.lift.integer_rows, 3, keep_all=True).independent
+    assert line.lift.hyperplane_sums is None
+    assert hypergraph._hyperplane_sections(line.lift.integer_rows, 3, keep_all=True) == ((), False)
     assert from_point_set(line).edges == ((0, 1, 2, 3),)
 
 
+def _record_walks(monkeypatch):
+    """The keyword arguments of every hyperplane walk, from the count
+    (matroid) and from the sections (hypergraph)."""
+    walks, walk = [], matroid.hyperplane_walk
+
+    def recording(*args, **kwargs):
+        walks.append(kwargs)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(matroid, "hyperplane_walk", recording)
+    monkeypatch.setattr(hypergraph, "hyperplane_walk", recording)
+    return walks
+
+
 def test_a_dependent_set_takes_one_stopped_pass_before_the_scan(monkeypatch):
-    passes, scans = [], []
-    table, scan = geometry.hyperplane_table, geometry.circuit_supports
-    monkeypatch.setattr(geometry, "hyperplane_table",
-                        lambda *args, **kwargs: passes.append(kwargs) or table(*args, **kwargs))
-    monkeypatch.setattr(geometry, "circuit_supports",
-                        lambda *args, **kwargs: scans.append(kwargs) or scan(*args, **kwargs))
+    walks, scans, scan = _record_walks(monkeypatch), [], matroid.circuit_supports
+
+    def recording(*args, **kwargs):
+        scans.append(kwargs)
+        return scan(*args, **kwargs)
+
+    for module in (geometry, matroid):
+        monkeypatch.setattr(module, "circuit_supports", recording)
     points = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
     assert count_affine_simplexes(PointSet(3, points)) == {3: 1, 5: 3}
-    assert (passes, scans) == ([{}], [{}])  # no pass that keeps every hyperplane
-    passes.clear(), scans.clear()
+    assert (walks, scans) == ([{}], [{}])  # one stopped count walk, then the scan
+    walks.clear(), scans.clear()
     with pytest.raises(InvariantError, match=r"collinear triple at indices \(0, 1, 2\)"):
         classify_r3_semi_simplexes(PointSet(3, points))
-    assert (passes, scans) == ([{}], [{"max_size": 3}])  # only the scan that names the triple
+    assert (walks, scans) == ([{}], [{"max_size": 3}])  # only the scan that names the triple
+    walks.clear()
+    assert len(from_point_set(PointSet(3, points)).edges) == 3  # the planes through the x-axis
+    keyed = {"units": True}
+    assert walks == [{"keep_all": False, **keyed}, {"keep_all": True, **keyed}]
 
 
-def test_hyperplane_table_is_built_once(monkeypatch):
-    built = []
-    table = geometry.hyperplane_table
-    monkeypatch.setattr(geometry, "hyperplane_table", lambda *args: built.append(1) or table(*args))
+def test_count_readers_share_one_hyperplane_walk(monkeypatch):
+    walks = _record_walks(monkeypatch)
     ps = construct(ConstructionId("parallel-pairs"), 10)
     assert check_small_flat_hypothesis(ps)
     assert count_affine_simplexes(ps) == {4: 74, 5: 32}  # 106 in all, the closed form
-    assert len(from_point_set(ps).edges) == 5
     assert classify_r3_semi_simplexes(ps) == (74, 32)
-    assert ps.hyperplanes is ps.hyperplanes
-    assert built == [1]
+    assert ps.lift.hyperplane_sums is ps.lift.hyperplane_sums
+    assert walks == [{}]  # one count walk, with no keys
+    assert len(from_point_set(ps).edges) == 5
+    assert walks == [{}, {"keep_all": False, "units": True}]  # and one keyed walk
 
 
 def test_simplex_sizes_under_hypothesis():

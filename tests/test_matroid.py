@@ -304,3 +304,61 @@ def test_scan_rank_test_counts_are_pinned(monkeypatch):
     assert _scan_work(monkeypatch, lift) == (299, 0, 295)
     generic = random_configuration(random.Random(2024), 12, 5)
     assert _scan_work(monkeypatch, generic) == (794, 0, 924)
+
+
+def _planted_vectors(rng, dim):
+    """At most 9 vectors of R^dim in random order: a few random ones, plus
+    up to two planted subspaces of dimension 1 to dim - 1 (a hyperplane at
+    dim - 1) with a few vectors each, some with denominators, and perhaps a
+    loop or a vector parallel to another."""
+    vecs = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(rng.randint(0, 5))]
+    for _ in range(rng.randint(0, 2)):
+        k = rng.randint(1, max(1, dim - 1))
+        basis = [[random_rational(rng) for _ in range(dim)] for _ in range(k)]
+        for _ in range(rng.randint(k + 1, k + 3)):
+            ts = [rng.randint(-3, 3) for _ in range(k)]
+            vecs.append(tuple(sum(t * b[i] for t, b in zip(ts, basis)) for i in range(dim)))
+    if rng.random() < 0.15:
+        vecs.append((0,) * dim)
+    if vecs and rng.random() < 0.15:
+        vecs.append(tuple(-2 * x for x in rng.choice(vecs)))
+    rng.shuffle(vecs)
+    return VectorConfiguration(dim, tuple(vecs[:9]))
+
+
+def test_count_circuits_matches_scan_on_planted_configurations():
+    rng = random.Random(83)
+    seen = set()
+    for trial in range(400):
+        cfg = _planted_vectors(rng, 1 + trial % 5)
+        got = matroid.count_circuits(cfg)
+        want = dict(sorted(Counter(map(len, matroid.circuit_supports(cfg))).items()))
+        assert list(got.items()) == list(want.items()), cfg
+        n, dim = len(cfg), cfg.dimension
+        if dim == 1:
+            seen.add((dim, "no walk"))
+        elif n < dim - 1:
+            seen.add((dim, "too few"))
+        elif cfg.hyperplane_sums is None:
+            seen.add((dim, "dependent"))
+        else:
+            seen.add((dim, "walk", got.get(dim, 0) > 0))
+    # the walk for D = 2..5, with and without D vectors on a hyperplane, and
+    # each fallback: D = 1, fewer than D - 1 vectors, D - 1 dependent vectors
+    assert {(dim, "walk", True) for dim in (2, 3, 4, 5)} <= seen
+    assert {(dim, "walk", False) for dim in (2, 3, 4, 5)} <= seen
+    assert {(1, "no walk"), (4, "too few"), (5, "too few")} <= seen
+    assert {(dim, "dependent") for dim in (2, 3, 4, 5)} <= seen
+
+
+def test_count_circuits_at_the_edges():
+    # n = D - 1 independent vectors: no circuit, from the walk
+    cfg = VectorConfiguration(3, ((1, 0, 0), (0, 1, 0)))
+    assert (cfg.hyperplane_sums, matroid.count_circuits(cfg)) == ((0, 0), {})
+    # a loop stops the walk, and the scan counts it
+    cfg = VectorConfiguration(2, ((1, 2), (0, 0), (3, 1), (1, 1)))
+    assert (cfg.hyperplane_sums, matroid.count_circuits(cfg)) == (None, {1: 1, 3: 1})
+    # D = 2: parallel vectors are the groups of the empty prefix
+    cfg = VectorConfiguration(2, ((1, 2), (-2, -4), (3, 1), (0, 1), (0, -5)))
+    assert cfg.hyperplane_sums == (2, 0)
+    assert matroid.count_circuits(cfg) == {2: 2, 3: 4}
