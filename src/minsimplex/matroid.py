@@ -27,8 +27,8 @@ carrying each later row, and nothing else, reduced modulo the subset, so
 that at a (D-2)-subset each later row has 2 entries and the later vectors
 that span one hyperplane with it are the groups of parallel rows; a zero
 row is a dependent set, which stops the walk. A hyperplane with m_H
-vectors shows up at each (D-2)-subset of them as one group of its later
-m_H - (D-2) members, so the sums over every prefix and every group G,
+vectors shows up at each (D-2)-subset of them as one group of its members
+after the subset, so the sums over every prefix and every group G,
 A = sum C(|G|, 2) and B = sum C(|G|, 3), are sum C(m_H, D) and
 sum C(m_H, D+1) over the hyperplanes, with no hyperplane named.
 count_circuits reads A and B (VectorConfiguration.hyperplane_sums, one walk
@@ -173,7 +173,9 @@ class VectorConfiguration:
                     pairs += m * (m - 1) // 2
                     triples += m * (m - 1) * (m - 2) // 6
 
-        return (pairs, triples) if hyperplane_walk(self.integer_rows, self.dimension, visit) else None
+        if not hyperplane_walk(self.integer_rows, self.dimension, visit):
+            return None
+        return pairs, triples
 
 
 def load_vectors(path: str) -> VectorConfiguration:
@@ -381,14 +383,16 @@ def hyperplane_walk(
             carried.append((k, row))
         elif not keep_all:
             return False
-    identity = [[int(r == c) for c in range(dimension)] for r in range(dimension)]
+    unit_rows = None
+    if units:
+        unit_rows = [[int(r == c) for c in range(dimension)] for r in range(dimension)]
     if dimension == 2:  # the empty prefix: the rows have 2 entries already
         groups: dict[tuple[int, ...], list[int]] = {}
         for k, row in carried:
             groups.setdefault(tuple(primitive(row)), []).append(k)
-        visit((), groups, identity if units else None)
+        visit((), groups, unit_rows)
         return True
-    return _walk((), carried, identity if units else None, 1, dimension - 2, visit, keep_all)
+    return _walk((), carried, unit_rows, 1, dimension - 2, visit, keep_all)
 
 
 def _reduce(row: Sequence[int], pivot_row: Sequence[int], p: int, prev: int) -> list[int]:
@@ -439,7 +443,7 @@ def _walk(
                 if keep_all:
                     continue
                 return False
-            # exactla.primitive of (x, y), inline: the call makes the walk about 1.6x slower
+            # exactla.primitive of (x, y), inline: a call per row makes the walk 1.6-1.9x slower
             g = gcd(x, y)
             if x < 0 or not x and y < 0:
                 g = -g

@@ -176,6 +176,9 @@ def test_check_small_flat_hypothesis():
     line = PointSet(4, ((0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0)))
     assert check_small_flat_hypothesis(line)
     assert not check_small_flat_hypothesis(PointSet(4, line.points + ((0, 0, 0, 1),)))
+    # in R^0 and R^1 the hypothesis is vacuous: no points on a (-2)- or (-1)-flat
+    assert check_small_flat_hypothesis(PointSet(0, ((),)))
+    assert check_small_flat_hypothesis(PointSet(1, ((0,), (1,), (2,))))
 
 
 def _planted_point_set(rng, d):
@@ -230,7 +233,8 @@ def test_count_matches_scan_on_planted_flats():
         got, want = count_affine_simplexes(ps), enumerate_affine_simplexes(ps).counts
         assert list(got.items()) == list(want.items()), ps
         n, d = len(ps), ps.dimension
-        seen.add((d, n >= d and ps.lift.hyperplane_sums is not None, bool(from_point_set(ps).edges)))
+        walked = n >= d and ps.lift.hyperplane_sums is not None
+        seen.add((d, walked, bool(from_point_set(ps).edges)))
     # every d counts from the walk, d = 2, 3, 4 with sections of more than d
     # points (in R^1 a hyperplane is one point), and d = 3, 4 also fall back to the scan
     assert {(1, True, False), (2, True, True), (3, True, True), (4, True, True)} <= seen
