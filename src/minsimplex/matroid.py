@@ -154,12 +154,8 @@ class VectorConfiguration:
         """(sum of C(m_H, D), sum of C(m_H, D+1)) over the hyperplanes H of
         R^D, m_H being the number of vectors on H, from one hyperplane_walk;
         None unless n >= D - 1 >= 1 and every D - 1 of the vectors are
-        independent.
-
-        A hyperplane with m_H vectors shows up, at each prefix of D - 2 of
-        them, as one group of the later ones, so C(m_H, D) of its D-subsets
-        are the pairs, and C(m_H, D+1) of its (D+1)-subsets the triples, of
-        the groups of the walk.
+        independent. They are the sums of C(|G|, 2) and C(|G|, 3) over the
+        walk's groups G (see the module docstring).
         """
         if not len(self) >= self.dimension - 1 >= 1:
             return None
