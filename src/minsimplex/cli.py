@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import os
 import random
 import sys
@@ -33,8 +35,10 @@ def _dump_json(obj, newline: str = "\n") -> str:
     are written recursively (newline carries the current indent), a list of
     plain ints is one join, and keys and every other scalar go through the
     stdlib's C encoder, so floats, escapes and the TypeError for an
-    unsupported type are json's own. A circular value exhausts the recursion
-    limit instead of raising json's ValueError.
+    unsupported type are json's own. A list of flat records, such as the
+    circuits of a listing, is written from one row template (_records_body).
+    A circular value exhausts the recursion limit instead of raising json's
+    ValueError.
     """
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -43,7 +47,9 @@ def _dump_json(obj, newline: str = "\n") -> str:
         if {*map(type, obj)} == {int}:  # plain ints only: bools print as true/false
             body = ("," + inner).join(map(int.__repr__, obj))
         else:
-            body = ("," + inner).join([_dump_json(e, inner) for e in obj])
+            body = _records_body(obj, inner) if type(obj[0]) is dict else None
+            if body is None:
+                body = ("," + inner).join([_dump_json(e, inner) for e in obj])
         return "[" + inner + body + newline + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -54,6 +60,40 @@ def _dump_json(obj, newline: str = "\n") -> str:
         )
         return "{" + inner + body + newline + "}"
     return _encode_scalar(obj)
+
+
+def _records_body(records, newline: str) -> str | None:
+    """The items of a list joined at this indent, when every item is a dict
+    with the first one's str keys and every value a nonempty list or tuple
+    of plain ints; otherwise None.
+
+    Each item is one row template, with its keys written once, filled with
+    the joins of its values. Every check and join maps over a whole column
+    of values, so no Python code runs per item."""
+    first = records[0]
+    if not first or not {*map(type, first.values())} <= {list, tuple}:
+        return None  # decided on the first item, so that other lists of dicts cost little
+    keys = list(first)
+    if ({*map(type, records)} != {dict} or {*map(len, records)} != {len(keys)}
+            or not all(type(k) is str for k in keys)):
+        return None
+    keys.sort()
+    try:
+        columns = [list(map(operator.itemgetter(k), records)) for k in keys]
+    except KeyError:  # an item with other keys
+        return None
+    for column in columns:
+        if (not {*map(type, column)} <= {list, tuple} or not all(map(len, column))
+                or {*map(type, itertools.chain.from_iterable(column))} != {int}):
+            return None
+    inner = newline + " "
+    deeper = inner + " "
+    template = "{" + inner + ("," + inner).join(
+        [_encode_scalar(k).replace("%", "%%") + ": [" + deeper + "%s" + inner + "]" for k in keys]
+    ) + newline + "}"
+    sep = "," + deeper
+    joins = [map(sep.join, map(map, itertools.repeat(int.__repr__), c)) for c in columns]
+    return ("," + newline).join(map(template.__mod__, zip(*joins)))
 
 
 def _json_key(key) -> str:

@@ -68,39 +68,43 @@ def _collinear(p: tuple, q: tuple, r: tuple) -> bool:
     return (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
 
 
-def _no_new_collinear(placed: list[tuple], cand: tuple) -> bool:
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            if _collinear(placed[i], placed[j], cand):
-                return False
-    return True
+def _crossings(placed: list[tuple[int, int]], row: int) -> set[int]:
+    """The integers x at which a line through two placed points, not both on
+    one row, meets the row y = row."""
+    xs = set()
+    for i, (px, py) in enumerate(placed):
+        for qx, qy in placed[i + 1 :]:
+            dy = qy - py
+            if dy:
+                x, rem = divmod(px * dy + (row - py) * (qx - px), dy)
+                if not rem:
+                    xs.add(x)
+    return xs
 
 
 def _greedy_plane_rows(pair_rows: int, extra_point: bool) -> list[tuple[int, int]]:
     """Place point pairs on rows y = 1..pair_rows with no three collinear.
 
     Each pair sits on its own horizontal row, so all pair lines are parallel
-    to (1, 0); the x offsets are found greedily over small integers and each
-    candidate is validated exactly against every previously placed pair of
-    points.
+    to (1, 0); the x offsets are the least free integers from 0, left point
+    first. A candidate (x, row) is collinear with two placed points exactly
+    when x is where their line crosses the row: the placed points lie on
+    earlier rows, and a line through the left point and an earlier one
+    crosses the row only at the left point itself, so each row refuses the
+    candidates of one set of crossings.
     """
     placed: list[tuple[int, int]] = []
-    for row in range(1, pair_rows + 1):
-        x = 0
-        while not _no_new_collinear(placed, (x, row)):
-            x += 1
-        left = (x, row)
-        placed.append(left)
-        x = left[0] + 1
-        while not _no_new_collinear(placed, (x, row)):
-            x += 1
-        placed.append((x, row))
+    rows = [(row, 2) for row in range(1, pair_rows + 1)]
     if extra_point:
-        row = pair_rows + 1
+        rows.append((pair_rows + 1, 1))
+    for row, count in rows:
+        refused = _crossings(placed, row)
         x = 0
-        while not _no_new_collinear(placed, (x, row)):
+        for _ in range(count):
+            while x in refused:
+                x += 1
+            placed.append((x, row))
             x += 1
-        placed.append((x, row))
     return placed
 
 

@@ -457,15 +457,22 @@ def enumerate_circuits(cfg: VectorConfiguration) -> list[Circuit]:
     """All circuits, sorted by members.
 
     The coefficients are the scan's dependency over the integer rows,
-    rescaled by each vector's denominator lcm and put in exactla.primitive
-    form: the unique primitive dependency, with (1,) for a loop.
+    rescaled by each vector's denominator lcm (when one exceeds 1) and put
+    in exactla.primitive form: the unique primitive dependency, with (1,)
+    for a loop. A circuit's dependency has full support, so its first entry
+    gives the sign, and one gcd makes it primitive.
     """
     scales = [lcm(*(x.denominator for x in v)) for v in cfg.vectors]
+    rescale = any(s != 1 for s in scales)
     circuits: list[Circuit] = []
 
     def emit(members, comb):
-        coeffs = primitive([c * scales[i] for i, c in zip(members, comb)])
-        circuits.append(Circuit(members, tuple(coeffs)))
+        if rescale:
+            comb = [c * scales[i] for i, c in zip(members, comb)]
+        g = gcd(*comb)
+        if comb[0] < 0:
+            g = -g
+        circuits.append(Circuit(members, tuple([c // g for c in comb])))
 
     _scan(cfg, None, emit)
     return circuits

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .errors import InputError, InvariantError
@@ -161,15 +162,28 @@ class Reaction:
     def __post_init__(self):
         if not self.reactants or not self.products:
             raise InvariantError("a reaction needs both reactants and products")
-        for _, c in self.reactants + self.products:
+        # one net vector, reactants minus products: the signed coefficients
+        # against each atom's column of the compositions
+        signed, compositions = [], []
+        for sp, c in self.reactants:
             if c <= 0:
                 raise InvariantError("reaction coefficients must be positive")
-        width = len(self.reactants[0][0].composition)
-        for atom in range(width):
+            signed.append(c)
+            compositions.append(sp.composition)
+        for sp, c in self.products:
+            if c <= 0:
+                raise InvariantError("reaction coefficients must be positive")
+            signed.append(-c)
+            compositions.append(sp.composition)
+        widths = {*map(len, compositions)}
+        if len(widths) != 1:
+            raise InvariantError(f"species have mixed composition lengths {sorted(widths)}")
+        net = [sum(map(mul, signed, column)) for column in zip(*compositions)]
+        if any(net):
+            atom = next(i for i, x in enumerate(net) if x)
             lhs = sum(c * sp.composition[atom] for sp, c in self.reactants)
             rhs = sum(c * sp.composition[atom] for sp, c in self.products)
-            if lhs != rhs:
-                raise InvariantError(f"unbalanced atom index {atom}: {lhs} != {rhs}")
+            raise InvariantError(f"unbalanced atom index {atom}: {lhs} != {rhs}")
 
     @property
     def species_count(self) -> int:
@@ -199,9 +213,9 @@ def minimal_reactions(species: Sequence[Species]) -> list[Reaction]:
     """One reaction per circuit of the composition-vector configuration.
 
     The primitive dependency coefficients, whose first entry enumerate_circuits
-    makes positive, are negated so that the first listed participating species
-    lands on the reactant side, and split by sign into reactants (negative)
-    and products (positive). No species is the zero vector, so every circuit
+    makes positive, are split by sign into reactants (positive) and products
+    (negative, negated), so that the first listed participating species lands
+    on the reactant side. No species is the zero vector, so every circuit
     has at least two members.
     """
     if len(species) < 2:
@@ -212,13 +226,9 @@ def minimal_reactions(species: Sequence[Species]) -> list[Reaction]:
     cfg = VectorConfiguration(widths.pop(), tuple(sp.composition for sp in species))
     reactions = []
     for circuit in enumerate_circuits(cfg):
-        coeffs = [-c for c in circuit.coefficients]
-        reactants = tuple(
-            (species[i], -c) for i, c in zip(circuit.members, coeffs) if c < 0
-        )
-        products = tuple(
-            (species[i], c) for i, c in zip(circuit.members, coeffs) if c > 0
-        )
+        pairs = list(zip(circuit.members, circuit.coefficients))
+        reactants = tuple((species[i], c) for i, c in pairs if c > 0)
+        products = tuple((species[i], -c) for i, c in pairs if c < 0)
         reactions.append(Reaction(reactants, products))
     return reactions
 

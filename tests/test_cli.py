@@ -1,16 +1,17 @@
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from minsimplex import extremal, geometry, matroid
-from minsimplex.cli import _dump_json, _json_text, main
+from minsimplex.cli import _circuits_json, _dump_json, _json_text, main
 from minsimplex.errors import InputError
 from minsimplex.exactla import vector_to_json
 
-from support import random_json_value, run_python
+from support import JsonDict, random_deficient_rows, random_json_value, run_python
 
 
 def run(capsys, *argv):
@@ -485,6 +486,109 @@ def test_simplexes_json_output_equals_json_dumps(tmp_path, capsys):
         code, out, _ = run(capsys, "simplexes", *argv, "--format", "json")
         assert code == 0
         assert out == json.dumps(want, indent=1, sort_keys=True) + "\n"
+
+
+def _listing_rows(rng, kind: str, dim: int) -> list[list[Fraction]]:
+    """Seeded vectors for the listing test, by kind."""
+    if kind == "independent":  # triangular with a nonzero diagonal
+        return [
+            [Fraction(0)] * r + [Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))]
+            + [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 9)) for _ in range(dim - r - 1)]
+            for r in range(rng.randint(0, dim))
+        ]
+    span = 10**30 if kind == "huge" else 4
+    rows = random_deficient_rows(rng, rng.randint(2, 7), dim, span)
+    if kind == "integer":
+        rows = [[Fraction(x.numerator) for x in row] for row in rows]
+    # loops, and parallel pairs with an integer or a rational ratio
+    rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * dim)
+    ratio = Fraction(rng.choice((-3, -1, 2)), rng.choice((1, 1, 7)))
+    rows.append([ratio * x for x in rng.choice(rows)])
+    return rows
+
+
+def test_simplexes_vectors_json_listing_equals_json_dumps_on_seeded_configurations(
+    tmp_path, capsys
+):
+    # The listing of circuits with coefficients, on stdout and in the --out file,
+    # against json.dumps of its dict form; _dump_json is called directly as well,
+    # so that the writer is checked on interpreters where the commands use json.
+    rng = random.Random(2020)
+    seen = Counter()
+    for trial in range(24):
+        kind = ("integer", "rational", "huge", "independent")[trial % 4]
+        dim = rng.randint(1, 4)
+        rows = _listing_rows(rng, kind, dim)
+        cfg = matroid.VectorConfiguration(dim, tuple(tuple(r) for r in rows))
+        path, out_file = tmp_path / f"v{trial}.json", tmp_path / f"v{trial}.out.json"
+        path.write_text(json.dumps(
+            {"dimension": dim, "vectors": [vector_to_json(v) for v in cfg.vectors]}
+        ))
+        circuits = matroid.enumerate_circuits(cfg)
+        counts = Counter(len(c.members) for c in circuits)
+        dict_form = {
+            "dimension": dim,
+            "vector_count": len(rows),
+            "counts": {str(size): count for size, count in counts.items()},
+            "total": len(circuits),
+            "circuits": [
+                {"members": list(c.members), "coefficients": list(c.coefficients)}
+                for c in circuits
+            ],
+        }
+        want = json.dumps(dict_form, indent=1, sort_keys=True) + "\n"
+        code, out, _ = run(capsys, "simplexes", "--vectors", str(path), "--format", "json")
+        assert (code, out) == (0, want), (kind, rows)
+        code, out, _ = run(capsys, "simplexes", "--vectors", str(path), "--format", "json",
+                           "--out", str(out_file))
+        assert (code, out, out_file.read_text()) == (0, "", want)
+        assert _dump_json(_circuits_json(cfg, counts, circuits)) + "\n" == want
+        seen[kind] += 1
+        seen["loop"] += any(c.coefficients == (1,) for c in circuits)
+        seen["parallel pair"] += any(len(c.members) == 2 for c in circuits)
+        seen["no circuit"] += '"circuits": []' in want
+    assert all(seen[k] for k in ("loop", "parallel pair", "no circuit")), seen
+
+
+def _random_records(rng):
+    """A list of dicts with one set of keys and int-list values, which
+    _dump_json writes from one row template, sometimes with one record
+    that it must write the general way instead."""
+    keys = rng.sample(["members", "coefficients", "a%sb", 'q"\\', "é", "%d"], rng.randint(1, 3))
+    records = [
+        {k: rng.choice((list, tuple))(rng.randint(-10**20, 10**20) for _ in range(rng.randint(1, 4)))
+         for k in keys}
+        for _ in range(rng.randint(1, 6))
+    ]
+    spoil = rng.randrange(18)  # half of the lists are left clean
+    record = rng.choice(records)
+    key = rng.choice(keys)
+    if spoil == 0:
+        record[key] = []
+    elif spoil == 1:
+        record[key] = [1, True]
+    elif spoil == 2:
+        record[key] = 7
+    elif spoil == 3:
+        record["extra"] = [1]
+    elif spoil == 4:
+        del record[key]
+    elif spoil == 5:
+        records[records.index(record)] = JsonDict(record)
+    elif spoil == 6:
+        record[key] = [1, 2.5]
+    elif spoil == 7:
+        record["other"] = record.pop(key)
+    elif spoil == 8:  # int keys, which json writes as strings
+        records = [{len(k): v for k, v in r.items()} for r in records]
+    return records
+
+
+def test_dump_json_matches_json_dumps_on_record_lists():
+    rng = random.Random(2021)
+    for _ in range(2000):
+        value = {"rows": _random_records(rng)}
+        assert _dump_json(value) == json.dumps(value, indent=1, sort_keys=True), value
 
 
 class _ClosedPipe:

@@ -195,7 +195,10 @@ def test_scan_supports_and_coefficients_match_oracles_at_every_size_cap():
         oracle = oracle_circuits(cfg)
         seen.update(min(len(m), 3) for m in oracle)
         seen["huge"] += any(abs(x) > 10**29 for v in cfg.vectors for x in v)
-        seen["non-integer"] += any(x.denominator > 1 for v in cfg.vectors for x in v)
+        non_integer = any(x.denominator > 1 for v in cfg.vectors for x in v)
+        seen["non-integer"] += non_integer
+        # enumerate_circuits rescales the coefficients only when some row is not integral
+        seen["integer with a circuit"] += not non_integer and bool(oracle)
         for max_size in (None, *range(1, dim + 2)):
             want = [m for m in oracle if max_size is None or len(m) <= max_size]
             assert matroid.circuit_supports(cfg, max_size) == want
@@ -203,7 +206,8 @@ def test_scan_supports_and_coefficients_match_oracles_at_every_size_cap():
         assert [c.members for c in circuits] == oracle
         for c in circuits:
             assert c.coefficients == circuit_coefficients_oracle(cfg, c.members)
-    assert all(seen[kind] > 0 for kind in (1, 2, 3, "huge", "non-integer")), seen
+    kinds = (1, 2, 3, "huge", "non-integer", "integer with a circuit")
+    assert all(seen[kind] > 0 for kind in kinds), seen
 
 
 def _full_rank_rows(rng, n, dim, span):

@@ -8,6 +8,7 @@ from minsimplex.matroid import VectorConfiguration, enumerate_circuits
 from minsimplex.stoichiometry import (
     AtomUniverse,
     FormulaError,
+    Reaction,
     Species,
     format_formula,
     infer_universe,
@@ -129,6 +130,28 @@ def test_reaction_balance_verified():
             lhs = sum(c * sp.composition[atom] for sp, c in r.reactants)
             rhs = sum(c * sp.composition[atom] for sp, c in r.products)
             assert lhs == rhs
+
+
+def test_reaction_refuses_unbalanced_and_malformed_sides():
+    h2, o2, h2o = (parse_formula(f, CHO) for f in ("H2", "O2", "H2O"))
+    assert Reaction(((h2, 2), (o2, 1)), ((h2o, 2),)).equation() == "2 H2 + O2 -> 2 H2O"
+    for reactants, products, message in (
+        (((h2, 2), (o2, 1)), ((h2o, 1),), "unbalanced atom index 1: 4 != 2"),
+        (((h2, 1),), ((h2, 2),), "unbalanced atom index 1: 2 != 4"),
+        (((h2, 1),), (), "needs both reactants and products"),
+        (((h2, 0),), ((h2, 1),), "coefficients must be positive"),
+        (((h2, 1),), ((h2, -1),), "coefficients must be positive"),
+    ):
+        with pytest.raises(InvariantError, match=message):
+            Reaction(reactants, products)
+
+
+@pytest.mark.parametrize("widths", [(2, 3), (3, 2)])
+def test_reaction_refuses_mixed_composition_widths(widths):
+    # A -> B balances on the atoms that both have; B's or A's third atom must still count
+    a, b = (Species(name, (1, 0, 5)[:w]) for name, w in zip("AB", widths))
+    with pytest.raises(InvariantError, match=r"mixed composition lengths \[2, 3\]"):
+        Reaction(((a, 1),), ((b, 1),))
 
 
 def test_reaction_minimality_reverified():
