@@ -3,6 +3,7 @@
 Every generator returns exact coordinates (or an explicit hypergraph) and
 validates the construction's side conditions at build time, failing loudly
 rather than emitting a configuration whose count formula would not apply.
+General position is checked by the hyperplane walk, which the count reads.
 
   inplane-generic(d):    n points in general position inside a hyperplane
                          of R^d; exactly C(n, d+1) affine simplexes.
@@ -64,10 +65,6 @@ class ConstructionId:
         return self.kind
 
 
-def _collinear(p: tuple, q: tuple, r: tuple) -> bool:
-    return (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
-
-
 def _crossings(placed: list[tuple[int, int]], row: int) -> set[int]:
     """The integers x at which a line through two placed points, not both on
     one row, meets the row y = row."""
@@ -115,17 +112,11 @@ def _parallel_pairs_points(n: int) -> PointSet:
     # Apex pair off the plane, on a line parallel to every in-plane pair line.
     points.append((Fraction(0), Fraction(0), Fraction(1)))
     points.append((Fraction(1), Fraction(0), Fraction(1)))
-    ps = PointSet(3, tuple(points))
     for i in range(pair_rows):
         a, b = plane[2 * i], plane[2 * i + 1]
         if a[1] != b[1]:
             raise InvariantError(f"pair {i} is not on a common row")
-    for i in range(len(plane)):
-        for j in range(i + 1, len(plane)):
-            for l in range(j + 1, len(plane)):
-                if _collinear(plane[i], plane[j], plane[l]):
-                    raise InvariantError(f"collinear triple {(i, j, l)} in the plane part")
-    return ps
+    return _in_general_position(PointSet(3, tuple(points)), "parallel pairs")
 
 
 def _moment_points(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -134,20 +125,21 @@ def _moment_points(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(t) ** p for p in range(1, d)) + zero for t in range(1, n + 1))
 
 
-def _inplane_points(d: int, n: int) -> PointSet:
-    ps = PointSet(d, _moment_points(n, d))
+def _in_general_position(ps: PointSet, name: str) -> PointSet:
+    """ps, unless d of its points lie on a (d-2)-flat."""
     if not check_small_flat_hypothesis(ps):
-        raise InvariantError("in-plane moment points failed the general position check")
+        raise InvariantError(f"{name}: points {ps.lift.dependent_set} lie on a lower flat")
     return ps
+
+
+def _inplane_points(d: int, n: int) -> PointSet:
+    return _in_general_position(PointSet(d, _moment_points(n, d)), "in-plane moment points")
 
 
 def _cone_points(d: int, n: int) -> PointSet:
     apex = tuple(Fraction(0) for _ in range(d - 1)) + (Fraction(1),)
-    ps = PointSet(d, _moment_points(n - 1, d) + (apex,))
     # one check of all n points covers the n - 1 in-plane ones
-    if not check_small_flat_hypothesis(ps):
-        raise InvariantError("cone points failed the general position check")
-    return ps
+    return _in_general_position(PointSet(d, _moment_points(n - 1, d) + (apex,)), "cone points")
 
 
 def _two_lines_points(n: int) -> PointSet:

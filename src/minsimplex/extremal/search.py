@@ -28,13 +28,9 @@ Two regimes:
   candidate order. Every pair of candidates is tested once, up front:
   compat[j] is the bitmask of the later candidates compatible with j, and
   a child may choose only from its parent's remaining candidates ANDed
-  with compat[j]. The score depends on the edge sizes only. Lemma: in a
-  (k-1)-linear family no (k+1)-set contains k-subsets of two edges, since
-  two k-subsets of one (k+1)-set share k-1 vertices. So an edge of size s
-  adds C(s,k) distinct k-sets to the section and alone covers the
-  C(s,k+1) + C(s,k)(n-s) (k+1)-sets that meet it in k or more vertices.
-  The score numerator is C(n,k+1)*w_m0 plus one precomputed delta per
-  chosen edge, and each visited family costs O(1).
+  with compat[j]. The score depends on the edge sizes only
+  (hypergraph.linear_edge_counts): its numerator is C(n,k+1)*w_m0 plus one
+  precomputed delta per chosen edge, and each visited family costs O(1).
 
 Witnesses are deduplicated up to vertex relabeling via the minimum
 lexicographic incidence form over all relabelings. The relabeled copies
@@ -60,6 +56,7 @@ from math import comb
 
 from ..errors import BudgetError, InputError
 from ..hypergraph import Hypergraph, is_q_linear, k_section, semi_simplexes, yblm_sum
+from ..hypergraph import linear_edge_counts
 
 DEFAULT_BUDGET_BITS = 25
 _BLOCK = 1 << 18  # score entries per matrix product of the free scan
@@ -270,10 +267,10 @@ def _free_search(n: int, k: int) -> SearchResult:
 
 
 def _edge_delta(n: int, k: int, size: int) -> int:
-    """Score numerator change when an edge of `size` vertices joins a (k-1)-linear family
-    (the lemma in the module docstring)."""
+    """Score numerator change when an edge of `size` vertices joins a (k-1)-linear family."""
     w_mk, w_m0, _ = _objective_weights(n, k)
-    return comb(size, k) * w_mk - (comb(size, k + 1) + comb(size, k) * (n - size)) * w_m0
+    added, covered = linear_edge_counts(n, k, size)
+    return added * w_mk - covered * w_m0
 
 
 def _linear_search(n: int, k: int, budget_bits: int) -> SearchResult:

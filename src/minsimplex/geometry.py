@@ -9,17 +9,15 @@ lift's rank minus 1. PointSet.lift is built once per point set and kept,
 with its integer rows, for every later scan and rank of that set.
 
 The hypothesis of the dimension-d counting results, no d points on a
-(d-2)-flat, says that every d of the lifted vectors are independent, which
-the hyperplane walk of the lift answers (matroid.hyperplane_walk; its
-group sums are cached on the lift, so the check, the count and
-classify_r3_semi_simplexes share one walk per point set). Under it,
-count_affine_simplexes is the lift's matroid.count_circuits: the simplex
-counts by size come from the sizes of the walk's groups of points that
-span one hyperplane with d - 1 others, with no enumeration and no
-hyperplane named. Only listing the simplexes themselves, or counting them
-when d = 0, n < d or the hypothesis fails, runs the scan. This module
-also hosts the linear-to-affine projection (central projection of a vector
-configuration onto a hyperplane off the origin).
+(d-2)-flat, says that every d of the lifted vectors are independent. The
+hyperplane walk of the lift (matroid.hyperplane_walk) answers it; its
+group sums and the dependent set it stops at are cached on the lift, so
+the check, the count and classify_r3_semi_simplexes share one walk per
+point set. Under it, count_affine_simplexes enumerates nothing; only
+listing the simplexes, or counting them when d = 0, n < d or the
+hypothesis fails, runs the scan. This module also hosts the
+linear-to-affine projection (central projection of a vector configuration
+onto a hyperplane off the origin).
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from typing import Iterable
 
 from .errors import InputError, InvariantError
 from .exactla import rank  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-from .exactla import read_json, read_text, vector_to_json
+from .exactla import primitive, read_json, read_text, vector_to_json
 from .matroid import (
     VectorConfiguration,
     check_indices,
@@ -165,14 +163,11 @@ def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
 def count_affine_simplexes(ps: PointSet) -> dict[int, int]:
     """Affine simplexes by size: enumerate_affine_simplexes(ps).counts.
 
-    They are the circuit counts of the lift (matroid.count_circuits), with
-    D = d + 1. When n >= d >= 1 and no d points lie on a (d-2)-flat, every
-    simplex has d + 1 or d + 2 members, and, with m_H points on each
-    hyperplane H, there are sum C(m_H, d+1) of size d + 1 and
-    C(n, d+2) - sum [C(m_H, d+2) + C(m_H, d+1)(n - m_H)] of size d + 2,
-    from the group sizes of one hyperplane walk. Otherwise, that is for
-    d = 0, fewer than d points or d dependent points, the counts come from
-    the scan.
+    They are the circuit counts of the lift (matroid.count_circuits, with
+    D = d + 1): with m_H points on each hyperplane H, sum C(m_H, d+1) of
+    size d + 1 and C(n, d+2) - sum [C(m_H, d+2) + C(m_H, d+1)(n - m_H)] of
+    size d + 2 when n >= d >= 1 and no d points lie on a (d-2)-flat, from
+    one hyperplane walk, and the scan's counts otherwise.
     """
     return count_circuits(ps.lift)
 
@@ -194,14 +189,14 @@ def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
 
     Requires no three collinear points; under that hypothesis these two kinds
     exhaust the affine simplexes, so the counts sum to the total. A set that
-    fails it names its first collinear triple in member order, from the scan
-    capped at 3 members.
+    fails it names its first collinear triple in member order: distinct
+    points lift to rows of which no two are dependent, so the hyperplane
+    walk stops at that triple (ps.lift.dependent_set).
     """
     if ps.dimension != 3:
         raise InvariantError(f"classification needs dimension 3, got {ps.dimension}")
     if not check_small_flat_hypothesis(ps):
-        bad = circuit_supports(ps.lift, max_size=3)[0]  # the first triple, in member order
-        raise InvariantError(f"collinear triple at indices {bad}")
+        raise InvariantError(f"collinear triple at indices {ps.lift.dependent_set}")
     counts = count_affine_simplexes(ps)
     return counts.get(4, 0), counts.get(5, 0)
 
@@ -214,18 +209,19 @@ def project_to_affine(cfg: VectorConfiguration) -> PointSet:
     hyperplane come from the rational basis change that sends a to the last
     coordinate, which here amounts to dropping coordinate 0 (a starts with 1).
     Circuits of the input correspond one-to-one to affine simplexes of the
-    output.
+    output. The first zero vector, else the first pair in member order with
+    one exactla.primitive form (a circuit of size 1 or 2), is refused.
     """
     d = cfg.dimension
     vectors = cfg.vectors
-    # zero vectors and parallel pairs are exactly the circuits of size 1 and 2
-    small = circuit_supports(cfg, max_size=2)
-    for members in small:
-        if len(members) == 1:
-            raise InvariantError(f"zero vector at index {members[0]} cannot be projected")
-    if small:
-        i, j = small[0]
-        raise InvariantError(f"parallel vectors at indices {i} and {j}")
+    by_form: dict[tuple[int, ...], list[int]] = {}
+    for i, row in enumerate(cfg.integer_rows):
+        if not any(row):
+            raise InvariantError(f"zero vector at index {i} cannot be projected")
+        by_form.setdefault(tuple(primitive(row)), []).append(i)
+    for members in by_form.values():  # in order of their first members
+        if len(members) > 1:
+            raise InvariantError(f"parallel vectors at indices {members[0]} and {members[1]}")
     t = 1
     while True:
         a = [Fraction(t) ** p for p in range(d)]

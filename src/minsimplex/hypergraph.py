@@ -91,12 +91,20 @@ def k_section(h: Hypergraph, k: int) -> Family:
 
 def empty_section(h: Hypergraph, k: int) -> Family:
     """All (k+1)-sets of vertices containing no member of the k-section."""
-    section = set(k_section(h, k))
-    out = []
-    for cand in combinations(range(h.n), k + 1):
-        if not any(sub in section for sub in combinations(cand, k)):
-            out.append(cand)
-    return tuple(out)
+    return _empty_section(h.n, k, set(k_section(h, k)))
+
+
+def _empty_section(n: int, k: int, section: set) -> Family:
+    cands = combinations(range(n), k + 1)
+    return tuple(c for c in cands if not any(sub in section for sub in combinations(c, k)))
+
+
+def linear_edge_counts(n: int, k: int, size: int) -> tuple[int, int]:
+    """(k-sets added to E_k, (k+1)-sets kept out of E0_{k+1}) by an edge of
+    `size` vertices in a (k-1)-linear hypergraph on n vertices. Lemma: no
+    (k+1)-set holds k-subsets of two edges, which would share k-1 vertices,
+    so each edge adds and covers its own sets, whatever the other edges."""
+    return comb(size, k), comb(size, k + 1) + comb(size, k) * (n - size)
 
 
 @dataclass(frozen=True)
@@ -137,14 +145,15 @@ def semi_simplexes(h: Hypergraph, k: int) -> SemiSimplexReport:
     """Report with E_k, E0_{k+1} and their cardinalities."""
     if not 1 <= k <= h.n:
         raise InputError(f"k must be in 1..{h.n}, got {k}")
-    return SemiSimplexReport(h.n, k, k_section(h, k), empty_section(h, k))
+    section = k_section(h, k)
+    return SemiSimplexReport(h.n, k, section, _empty_section(h.n, k, set(section)))
 
 
 def semi_simplex_deficit(h: Hypergraph, k: int) -> Fraction:
     """Normalized deficit (C(n,k) - |E_k| - |E0_{k+1}|) / n^(k-1).
 
     Only defined for (k-1)-linear hypergraphs; used to probe the lower-bound
-    constant from below on concrete instances.
+    constant from below on concrete instances; computed from the edge sizes.
     """
     if k < 2:
         raise InputError("deficit needs k >= 2")
@@ -154,11 +163,13 @@ def semi_simplex_deficit(h: Hypergraph, k: int) -> Fraction:
             f"hypergraph is not {k - 1}-linear: edges {bad[0]} and {bad[1]} "
             f"share {len(set(bad[0]) & set(bad[1]))} vertices"
         )
-    report = semi_simplexes(h, k)
-    # under (k-1)-linearity a k-set lies in at most one edge, so the
-    # per-edge contributions to the section cannot overlap
-    assert len(report.sections) == sum(comb(len(e), k) for e in h.edges if len(e) >= k)
-    return Fraction(comb(h.n, k) - report.total, h.n ** (k - 1))
+    n = h.n
+    if not 1 <= k <= n:
+        raise InputError(f"k must be in 1..{n}, got {k}")
+    counts = [linear_edge_counts(n, k, len(e)) for e in h.edges]
+    sections = sum(added for added, _ in counts)
+    empty_sections = comb(n, k + 1) - sum(covered for _, covered in counts)
+    return Fraction(comb(n, k) - sections - empty_sections, n ** (k - 1))
 
 
 def is_sperner(family: Iterable[Sequence[int]]) -> bool:
@@ -239,7 +250,7 @@ def _hyperplane_sections(
             else:
                 section.update(prefix, group)
 
-    if not hyperplane_walk(rows, d + 1, visit, keep_all=keep_all, units=True):
+    if hyperplane_walk(rows, d + 1, visit, keep_all=keep_all, units=True):
         return None
     return tuple(tuple(sorted(m)) for m in members.values() if len(m) > d), independent
 

@@ -7,8 +7,8 @@ times vector is exactly zero).
 
 circuit_supports is the one scan for minimal dependent sets in the package:
 geometry enumerates the affine simplexes of a point set P as the circuits
-of its lift {(1, p) : p in P}, and checks general position with the same
-scan capped in size. The scan is a depth-first search over independent
+of its lift {(1, p) : p in P}, and tests general position with the walk
+below, not the scan. The scan is a depth-first search over independent
 sets in lexicographic order, in integer arithmetic (fraction-free row
 operations, as in Bareiss, Math. Comp. 22, 1968). Each node carries, for
 every later vector, one list of D entries: its row reduced modulo the
@@ -22,19 +22,16 @@ vectors outside its span are dependent with it, so the set tests each such
 pair's combination for full support and emits it, with no child node.
 
 Counting needs no scan when every D - 1 of the n >= D - 1 vectors are
-independent. hyperplane_walk visits the (D-2)-subsets in the same order,
-carrying each later row, and nothing else, reduced modulo the subset, so
-that at a (D-2)-subset each later row has 2 entries and the later vectors
-that span one hyperplane with it are the groups of parallel rows; a zero
-row is a dependent set, which stops the walk. A hyperplane with m_H
-vectors shows up at each (D-2)-subset of them as one group of its members
-after the subset, so the sums over every prefix and every group G,
-A = sum C(|G|, 2) and B = sum C(|G|, 3), are sum C(m_H, D) and
-sum C(m_H, D+1) over the hyperplanes, with no hyperplane named.
-count_circuits reads A and B (VectorConfiguration.hyperplane_sums, one walk
-per configuration): A circuits of size D and C(n, D+1) - (n - D) A + D B
-of size D + 1. hypergraph.from_point_set keys the groups of its own walk by
-their hyperplanes' normals, to merge them into sections.
+independent. hyperplane_walk visits the (D-2)-subsets in the same order
+and groups the later vectors by the hyperplane each spans with the subset.
+A hyperplane with m_H vectors shows up at each (D-2)-subset of them as one
+group of its members after the subset, so the sums over every prefix and
+every group G, A = sum C(|G|, 2) and B = sum C(|G|, 3), are sum C(m_H, D)
+and sum C(m_H, D+1) over the hyperplanes, with no hyperplane named;
+count_circuits reads them. A zero row stops the walk, which returns the
+dependent set it met: this is the package's one general-position test.
+hypergraph.from_point_set keys the groups of its own walk by their
+hyperplanes' normals, to merge them into sections.
 
 The checks on ordered rational rows, their labels and indices, and their
 JSON form are shared with geometry.PointSet.
@@ -150,15 +147,9 @@ class VectorConfiguration:
         return tuple(tuple(integer_row(v)) for v in self.vectors)
 
     @cached_property
-    def hyperplane_sums(self) -> tuple[int, int] | None:
-        """(sum of C(m_H, D), sum of C(m_H, D+1)) over the hyperplanes H of
-        R^D, m_H being the number of vectors on H, from one hyperplane_walk;
-        None unless n >= D - 1 >= 1 and every D - 1 of the vectors are
-        independent. They are the sums of C(|G|, 2) and C(|G|, 3) over the
-        walk's groups G (see the module docstring).
-        """
+    def _walk_outcome(self) -> tuple[tuple[int, int] | None, tuple[int, ...] | None]:
         if not len(self) >= self.dimension - 1 >= 1:
-            return None
+            return None, None
         pairs = triples = 0
 
         def visit(prefix, groups, units):
@@ -169,9 +160,23 @@ class VectorConfiguration:
                     pairs += m * (m - 1) // 2
                     triples += m * (m - 1) * (m - 2) // 6
 
-        if not hyperplane_walk(self.integer_rows, self.dimension, visit):
-            return None
-        return pairs, triples
+        stop = hyperplane_walk(self.integer_rows, self.dimension, visit)
+        return (None, stop) if stop else ((pairs, triples), None)
+
+    @property
+    def hyperplane_sums(self) -> tuple[int, int] | None:
+        """(sum of C(m_H, D), sum of C(m_H, D+1)) over the hyperplanes H of
+        R^D, m_H being the number of vectors on H, from one hyperplane_walk;
+        None unless n >= D - 1 >= 1 and every D - 1 of the vectors are
+        independent. They are the sums of C(|G|, 2) and C(|G|, 3) over the
+        walk's groups G (see the module docstring).
+        """
+        return self._walk_outcome[0]
+
+    @property
+    def dependent_set(self) -> tuple[int, ...] | None:
+        """The dependent set (at most D - 1 vectors) that stopped the same walk, or None."""
+        return self._walk_outcome[1]
 
 
 def load_vectors(path: str) -> VectorConfiguration:
@@ -212,7 +217,7 @@ def is_circuit(cfg: VectorConfiguration, subset: Iterable[int]) -> bool:
     return all(subset_rank(cfg, idx[:i] + idx[i + 1 :]) == k - 1 for i in range(k))
 
 
-def _visit(members: tuple[int, ...], carried: list, rlen: int, top: int, emit: Callable) -> None:
+def _visit(members: tuple[int, ...], carried: list, rlen: int, emit: Callable) -> None:
     """One node of the circuit scan: the independent set `members`, with
     rlen = D - len(members) columns left.
 
@@ -226,8 +231,7 @@ def _visit(members: tuple[int, ...], carried: list, rlen: int, top: int, emit: C
     members + (k,) without full support is not carried at all, since no
     circuit contains it.
 
-    Each live j is extended in turn, while members + (j,) can still hold
-    circuits of at most `top` members. Its child entries are the later live
+    Each live j is extended in turn. Its child entries are the later live
     rows reduced by j's row at j's first nonzero column p: one fused
     fraction-free update a*x - b*y over the whole of v, the removal of
     column p, and the append of j's coefficient -b*own_j; a row left
@@ -238,13 +242,10 @@ def _visit(members: tuple[int, ...], carried: list, rlen: int, top: int, emit: C
     Extending j in ascending order yields the circuits in ascending member
     order.
     """
-    grow = len(members) + 2 <= top
     r = rlen - 1
     for i, (j, vj, oj) in enumerate(carried):
         if vj is None:
             emit(members + (j,), oj)
-            continue
-        if not grow:
             continue
         head = members + (j,)
         if r == 0:
@@ -283,27 +284,22 @@ def _visit(members: tuple[int, ...], carried: list, rlen: int, top: int, emit: C
                 v = v[r:]
                 v.append(own)
                 child.append((k, None, v))
-        _visit(head, child, r, top, emit)
+        _visit(head, child, r, emit)
 
 
-def _scan(cfg: VectorConfiguration, max_size: int | None, emit: Callable) -> None:
-    """Call emit(members, comb) for every circuit with at most max_size
-    members, in ascending member order; comb is its integer dependency over
-    the configuration's integer rows, in member order."""
-    top = len(cfg) if max_size is None else max_size
-    if top < 1:
-        return
+def _scan(cfg: VectorConfiguration, emit: Callable) -> None:
+    """Call emit(members, comb) for every circuit, in ascending member
+    order; comb is its integer dependency over the configuration's integer
+    rows, in member order."""
     carried = [
         (k, list(row), 1) if any(row) else (k, None, [1])
         for k, row in enumerate(cfg.integer_rows)
     ]
-    _visit((), carried, cfg.dimension, top, emit)
+    _visit((), carried, cfg.dimension, emit)
 
 
-def circuit_supports(
-    cfg: VectorConfiguration, max_size: int | None = None
-) -> list[tuple[int, ...]]:
-    """Members of every circuit with at most max_size elements, sorted.
+def circuit_supports(cfg: VectorConfiguration) -> list[tuple[int, ...]]:
+    """Members of every circuit, sorted.
 
     A depth-first scan over the independent sets in lexicographic order
     (see _visit) that carries each later vector's row reduced modulo the
@@ -314,7 +310,7 @@ def circuit_supports(
     members on its own.
     """
     found: list[tuple[int, ...]] = []
-    _scan(cfg, max_size, lambda members, comb: found.append(members))
+    _scan(cfg, lambda members, comb: found.append(members))
     return found
 
 
@@ -348,10 +344,10 @@ def hyperplane_walk(
     visit: Callable,
     keep_all: bool = False,
     units: bool = False,
-) -> bool:
+) -> tuple[int, ...] | None:
     """Visit the (D-2)-subsets of the integer rows in R^D, D >= 2, in
     lexicographic order, with the later rows grouped by the hyperplane
-    that each spans with the subset; False at the first zero row.
+    that each spans with the subset; None, or the dependent set it stops at.
 
     The walk is depth-first, like the circuit scan (see _visit), and carries
     only rows, no combinations: each prefix holds every later row reduced
@@ -366,19 +362,22 @@ def hyperplane_walk(
     positive) to the later members in that direction, both in ascending
     member order.
 
-    A zero row, at any depth, is a dependent set of at most D - 1 rows:
-    the walk stops and returns False, unless keep_all, which drops it and
-    goes on. When units is set, the unit vectors e_0 .. e_(D-1) go through
-    the same maps, and unit_rows holds their 2-entry images u_c at P; the
-    hyperplane through P and a group of direction w then has the normal
-    (det(u_c, w))_c. Otherwise unit_rows is None.
+    A zero row k at prefix P, at any depth, makes P + (k,) a dependent set
+    of at most D - 1 rows: the walk stops and returns it, unless keep_all,
+    which drops the row and goes on. When no D - 2 rows are dependent
+    (distinct points lifted to R^4, say), that set is the first dependent
+    (D - 1)-subset in lexicographic order. When units is set, the unit
+    vectors e_0 .. e_(D-1) go through the same maps, and unit_rows holds
+    their 2-entry images u_c at P; the hyperplane through P and a group of
+    direction w then has the normal (det(u_c, w))_c. Otherwise unit_rows
+    is None.
     """
     carried = []
     for k, row in enumerate(rows):
         if any(row):
             carried.append((k, row))
         elif not keep_all:
-            return False
+            return (k,)
     unit_rows = None
     if units:
         unit_rows = [[int(r == c) for c in range(dimension)] for r in range(dimension)]
@@ -387,7 +386,7 @@ def hyperplane_walk(
         for k, row in carried:
             groups.setdefault(tuple(primitive(row)), []).append(k)
         visit((), groups, unit_rows)
-        return True
+        return None
     return _walk((), carried, unit_rows, 1, dimension - 2, visit, keep_all)
 
 
@@ -405,9 +404,10 @@ _OTHERS = ((1, 2), (0, 2), (0, 1))  # the columns of a 3-entry row besides its p
 def _walk(
     prefix: tuple[int, ...], carried: list, units: list | None, prev: int, left: int,
     visit: Callable, keep_all: bool,
-) -> bool:
+) -> tuple[int, ...] | None:
     """The prefixes of hyperplane_walk that extend `prefix` by `left` >= 1
-    more members; `prev` is the pivot of its last member (1 at the root)."""
+    more members, and the dependent set that stops them; `prev` is the
+    pivot of its last member (1 at the root)."""
     for i in range(len(carried) - left):  # room for left - 1 more members and one later row
         j, vj = carried[i]
         p = 0
@@ -422,9 +422,10 @@ def _walk(
                 if any(v):
                     child.append((k, v))
                 elif not keep_all:
-                    return False
-            if not _walk(head, child, reduced, vj[p], left - 1, visit, keep_all):
-                return False
+                    return head + (k,)
+            stop = _walk(head, child, reduced, vj[p], left - 1, visit, keep_all)
+            if stop:
+                return stop
             continue
         # head has D - 2 members: each later row has 3 entries and reduces to 2
         a = vj[p]
@@ -438,7 +439,7 @@ def _walk(
             if not (x or y):
                 if keep_all:
                     continue
-                return False
+                return head + (k,)
             # exactla.primitive of (x, y), inline: a call per row makes the walk 1.6-1.9x slower
             g = gcd(x, y)
             if x < 0 or not x and y < 0:
@@ -450,7 +451,7 @@ def _walk(
             else:
                 group.append(k)
         visit(head, groups, reduced)
-    return True
+    return None
 
 
 def enumerate_circuits(cfg: VectorConfiguration) -> list[Circuit]:
@@ -474,5 +475,5 @@ def enumerate_circuits(cfg: VectorConfiguration) -> list[Circuit]:
             g = -g
         circuits.append(Circuit(members, tuple([c // g for c in comb])))
 
-    _scan(cfg, None, emit)
+    _scan(cfg, emit)
     return circuits

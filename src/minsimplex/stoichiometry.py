@@ -276,6 +276,8 @@ def load_species(path: str, universe: AtomUniverse | None = None) -> list[Specie
     stripped = text.lstrip()
     if stripped.startswith("["):
         records = parse_json(text, path)
+        if not records:
+            raise InputError(f"{path}: no species found")
         if not all(isinstance(r, dict) for r in records):
             raise InputError(f"{path}: species JSON must be a list of objects")
         formulas = [r["formula"] for r in records if "formula" in r]

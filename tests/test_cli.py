@@ -221,6 +221,25 @@ def test_construct_self_check(tmp_path, capsys, monkeypatch):
     assert config["dimension"] == 3 and len(config["points"]) == 10
 
 
+def test_construct_parallel_pairs_validates_and_counts_from_one_walk(tmp_path, capsys, monkeypatch):
+    # the general-position check of the build caches the walk that the count reads
+    walks, walk = [], matroid.hyperplane_walk
+
+    def recording(*args, **kwargs):
+        walks.append(args[1])
+        return walk(*args, **kwargs)
+
+    def scan(*args, **kwargs):
+        raise AssertionError("circuit scan called")
+
+    monkeypatch.setattr(matroid, "hyperplane_walk", recording)
+    monkeypatch.setattr(matroid, "circuit_supports", scan)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "construct", "parallel-pairs", "30")
+    assert code == 0 and "expected 23401, enumerated 23401" in out
+    assert walks == [4]  # one walk of the lift in R^4
+
+
 def test_construct_cone(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "construct", "cone", "3", "9")
@@ -356,6 +375,15 @@ def test_react_single_species_empty(tmp_path, capsys):
     code, out, _ = run(capsys, "react", str(path))
     assert code == 0
     assert out.strip() == ""
+
+
+@pytest.mark.parametrize("name, text", [("species.txt", ""), ("species.json", "[]")])
+def test_react_refuses_an_empty_species_file(tmp_path, capsys, name, text):
+    # an empty JSON list used to print "species: 0, rank: 0, ..." at exit 0
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "react", str(path), "--report")
+    assert (code, out, err) == (2, "", f"input error: {path}: no species found\n")
 
 
 def test_react_bad_formula_exit_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -342,7 +343,7 @@ def test_a_dependent_set_takes_one_stopped_pass_before_the_scan(monkeypatch):
     walks.clear(), scans.clear()
     with pytest.raises(InvariantError, match=r"collinear triple at indices \(0, 1, 2\)"):
         classify_r3_semi_simplexes(PointSet(3, points))
-    assert (walks, scans) == ([{}], [{"max_size": 3}])  # only the scan that names the triple
+    assert (walks, scans) == ([{}], [])  # one walk, which names the triple; no scan
     walks.clear()
     assert len(from_point_set(PointSet(3, points)).edges) == 3  # the planes through the x-axis
     keyed = {"units": True}
@@ -419,6 +420,89 @@ def test_project_rejects_zero_and_parallel():
         project_to_affine(VectorConfiguration(2, ((1, 0), (0, 0))))
     with pytest.raises(InvariantError, match="parallel vectors at indices 0 and 2"):
         project_to_affine(VectorConfiguration(2, ((1, 0), (0, 1), (2, 0))))
+
+
+def _refusal(fn, arg):
+    """The InvariantError message of fn(arg), or None when it returns."""
+    try:
+        fn(arg)
+    except InvariantError as exc:
+        return str(exc)
+    return None
+
+
+def _vectors_with_small_circuits(rng, dim):
+    """1 to 9 vectors of R^dim: random ones, zero vectors, repeats, and
+    negative or fractional multiples of earlier ones."""
+    vecs = []
+    for _ in range(rng.randint(1, 9)):
+        kind = rng.random() if vecs else 1.0
+        if kind < 0.08:
+            vecs.append((0,) * dim)
+        elif kind < 0.25:
+            f = random_rational(rng) or Fraction(-1)
+            vecs.append(tuple(f * x for x in rng.choice(vecs)))
+        else:
+            vecs.append(tuple(random_rational(rng) for _ in range(dim)))
+    return VectorConfiguration(dim, tuple(vecs))
+
+
+def test_projection_refusal_matches_the_uncapped_scan():
+    # the oracle reads the loops and parallel pairs off the whole circuit
+    # list: the first loop, else the first circuit of size 2
+    rng = random.Random(89)
+    seen = Counter()
+    for trial in range(400):
+        cfg = _vectors_with_small_circuits(rng, 1 + trial % 4)
+        small = [m for m in matroid.circuit_supports(cfg) if len(m) <= 2]
+        loops = [m for m in small if len(m) == 1]
+        if loops:
+            want = f"zero vector at index {loops[0][0]} cannot be projected"
+            seen["zero"] += 1
+        elif small:
+            i, j = small[0]
+            want = f"parallel vectors at indices {i} and {j}"
+            p = next(c for c, x in enumerate(cfg.vectors[i]) if x)
+            ratio = cfg.vectors[j][p] / cfg.vectors[i][p]
+            seen["antiparallel" if ratio < 0 else "parallel"] += 1
+            seen["fractional multiple"] += ratio.denominator > 1
+            seen["a later pair ends first"] += any(m[1] < j for m in small[1:])
+        else:
+            want = None
+            seen["projected"] += 1
+        assert _refusal(project_to_affine, cfg) == want, cfg
+    kinds = ("zero", "antiparallel", "parallel", "fractional multiple",
+             "a later pair ends first", "projected")
+    assert all(seen[kind] > 0 for kind in kinds), seen
+
+
+def _points_on_planted_lines(rng):
+    """Random points of R^3 plus up to three planted lines of 3 or 4 points
+    each, in random order."""
+    pts = [tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)) for _ in range(rng.randint(0, 5))]
+    for _ in range(rng.randint(0, 3)):
+        base = [random_rational(rng) for _ in range(3)]
+        step = [Fraction(rng.randint(-2, 2)) for _ in range(3)]
+        for t in rng.sample(range(-4, 5), rng.randint(3, 4)):
+            pts.append(tuple(b + t * u for b, u in zip(base, step)))
+    pts = list(dict.fromkeys(pts))
+    rng.shuffle(pts)
+    return PointSet(3, tuple(pts))
+
+
+def test_classification_names_the_first_triple_of_the_uncapped_scan():
+    rng = random.Random(97)
+    seen = Counter()
+    for _ in range(300):
+        ps = _points_on_planted_lines(rng)
+        triples = [m for m in matroid.circuit_supports(ps.lift) if len(m) == 3]
+        want = f"collinear triple at indices {triples[0]}" if triples else None
+        assert _refusal(classify_r3_semi_simplexes, ps) == want, ps
+        seen["named" if triples else "classified"] += 1
+        # a later triple in member order with a smaller last member
+        seen["a later triple ends first"] += any(t[2] < triples[0][2] for t in triples[1:])
+    kinds = ("named", "classified", "a later triple ends first")
+    assert all(seen[kind] > 0 for kind in kinds), seen
 
 
 def test_projection_preserves_circuits_random():

@@ -283,6 +283,28 @@ def test_bridge_reproduces_r3_classification():
         assert len(report.empty_sections) == quints
 
 
+def test_deficit_from_edge_sizes_matches_the_built_families():
+    # semi_simplex_deficit reads only the edge sizes (the lemma of
+    # linear_edge_counts); here it meets the families semi_simplexes builds,
+    # on random (k-1)-linear hypergraphs and on hyperplane sections of point
+    # sets in general position, which are d-linear at k = d + 1
+    rng = random.Random(107)
+    cases = []
+    for _ in range(40):
+        k = rng.choice((2, 3, 4))
+        cases.append((random_linear_hypergraph(rng, rng.randint(k, 12), k), k))
+    for d in (2, 3):
+        while len(cases) < 40 + 10 * (d - 1):
+            ps = _sectioned_point_set(rng, d, rng.choice(_KINDS[:4]))
+            if len(ps) > d and check_small_flat_hypothesis(ps):
+                cases.append((from_point_set(ps), d + 1))
+    cases.append((from_point_set(construct(ConstructionId("parallel-pairs"), 14)), 4))
+    for h, k in cases:
+        total = semi_simplexes(h, k).total
+        assert semi_simplex_deficit(h, k) == Fraction(comb(h.n, k) - total, h.n ** (k - 1)), (h, k)
+    assert sum(len(h.edges) > 1 for h, _ in cases) >= 25
+
+
 def test_hypergraph_validation():
     with pytest.raises(InvariantError):
         Hypergraph(3, ((0, 3),))

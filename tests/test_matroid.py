@@ -180,9 +180,9 @@ def test_scan_matches_oracle_on_deficient_configurations():
     assert all(seen[kind] > 0 for kind in (1, 2, 3, "huge", "non-integer")), seen
 
 
-def test_scan_supports_and_coefficients_match_oracles_at_every_size_cap():
+def test_scan_supports_and_coefficients_match_oracles():
     # The depth-first scan against the brute-force oracles on the same kinds
-    # of vectors as above, for every size cap: the supports against
+    # of vectors as above: the supports against
     # oracle_circuits, and each circuit's coefficients against the primitive
     # kernel vector of its member columns.
     rng = random.Random(61)
@@ -199,9 +199,7 @@ def test_scan_supports_and_coefficients_match_oracles_at_every_size_cap():
         seen["non-integer"] += non_integer
         # enumerate_circuits rescales the coefficients only when some row is not integral
         seen["integer with a circuit"] += not non_integer and bool(oracle)
-        for max_size in (None, *range(1, dim + 2)):
-            want = [m for m in oracle if max_size is None or len(m) <= max_size]
-            assert matroid.circuit_supports(cfg, max_size) == want
+        assert matroid.circuit_supports(cfg) == oracle
         circuits = enumerate_circuits(cfg)
         assert [c.members for c in circuits] == oracle
         for c in circuits:
@@ -234,7 +232,7 @@ def _full_rank_rows(rng, n, dim, span):
             return rows
 
 
-def test_scan_last_level_pairs_match_oracles_at_every_size_cap():
+def test_scan_last_level_pairs_match_oracles():
     # Full-rank configurations, so the scan reaches independent sets of
     # dim - 1 members, which test their later pairs themselves: every circuit
     # of dim + 1 members comes from such a pair. A parallel or repeated pair
@@ -256,9 +254,7 @@ def test_scan_last_level_pairs_match_oracles_at_every_size_cap():
                 seen["rejected pair"] += rank(rows[: m[0]]) == dim
             seen["last level"] += len(m) == dim + 1
         seen["huge" if trial % 2 else "small"] += 1
-        for max_size in (None, *range(1, dim + 2)):
-            want = [m for m in oracle if max_size is None or len(m) <= max_size]
-            assert matroid.circuit_supports(cfg, max_size) == want
+        assert matroid.circuit_supports(cfg) == oracle
         circuits = enumerate_circuits(cfg)
         assert [c.members for c in circuits] == oracle
         for c in circuits:
@@ -328,6 +324,23 @@ def _planted_vectors(rng, dim):
         vecs.append(tuple(-2 * x for x in rng.choice(vecs)))
     rng.shuffle(vecs)
     return VectorConfiguration(dim, tuple(vecs[:9]))
+
+
+def test_walk_names_the_dependent_set_it_stops_at():
+    # a zero row at the root, a parallel pair one level down, a dependent
+    # triple at the last level, and no dependent set of at most D - 1 rows
+    e = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    cases = [
+        ((e[0], (0, 0, 0, 0), e[1]), (1,)),
+        (((1, 2, 0, 0), e[1], (-2, -4, 0, 0), e[2]), (0, 2)),
+        ((e[0], e[1], e[2], (1, 1, 0, 0)), (0, 1, 3)),
+        (e, None),
+    ]
+    for rows, stop in cases:
+        cfg = VectorConfiguration(4, rows)
+        assert cfg.dependent_set == stop
+        assert (cfg.hyperplane_sums is None) == (stop is not None)
+        assert matroid.hyperplane_walk(cfg.integer_rows, 4, lambda *a: None, keep_all=True) is None
 
 
 def test_count_circuits_matches_scan_on_planted_configurations():
