@@ -11,8 +11,8 @@ with its integer rows, for every later scan and rank of that set.
 The hypothesis of the dimension-d counting results, no d points on a
 (d-2)-flat, says that every d of the lifted vectors are independent. The
 hyperplane walk of the lift (matroid.hyperplane_walk) answers it; its
-group sums and the dependent set it stops at are cached on the lift, so
-the check, the count and classify_r3_semi_simplexes share one walk per
+group sums and the first dependent set it reports are cached on the lift,
+so the check, the count and classify_r3_semi_simplexes share one walk per
 point set. Under it, count_affine_simplexes enumerates nothing; only
 listing the simplexes, or counting them when d = 0, n < d or the
 hypothesis fails, runs the scan. This module also hosts the
@@ -190,8 +190,8 @@ def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
     Requires no three collinear points; under that hypothesis these two kinds
     exhaust the affine simplexes, so the counts sum to the total. A set that
     fails it names its first collinear triple in member order: distinct
-    points lift to rows of which no two are dependent, so the hyperplane
-    walk stops at that triple (ps.lift.dependent_set).
+    points lift to rows of which no two are dependent, so the first set the
+    hyperplane walk reports is that triple (ps.lift.dependent_set).
     """
     if ps.dimension != 3:
         raise InvariantError(f"classification needs dimension 3, got {ps.dimension}")

@@ -202,46 +202,37 @@ def from_point_set(ps: PointSet) -> Hypergraph:
     """Hypergraph of maximal hyperplane sections with at least d+1 points.
 
     Edges are the maximal subsets whose affine hull has dimension at most
-    d-1, kept only when they carry at least d+1 points. They come from the
+    d-1, kept only when they carry at least d+1 points. They come from one
     hyperplane walk of the lift (matroid.hyperplane_walk): each group of
     points that spans one hyperplane with a prefix of d - 1 points is keyed
     by the primitive normal of that hyperplane, and each key collects the
     members of its groups and prefixes, by basis exchange its whole section.
-    When no d points are dependent, a hyperplane with more than d points
-    shows up at its first d - 1 points as one group of all the others, so
-    only groups of two or more are keyed. A walk that stops at d dependent
-    points is followed by one that skips them and keys every group, since a
-    hyperplane may then only ever show up in groups of one. No d points
-    span a hyperplane exactly when the whole set lies on a lower flat; it is
-    then the unique maximal subset.
+    Groups of two or more are keyed, and every group once the walk has
+    reported d dependent points, which is exact. Let P0 be the lex-first
+    independent (d-1)-subset of a section S; S shows up only at independent
+    subsets of S, none of them before P0. If no dependent set was reported
+    before the visit of P0, each point of S outside P0 comes after P0 and
+    spans S with it (else it would lie on the flat of the members of P0
+    before it, a dependent set reported on the way to P0), so S shows up at
+    P0 as one group of its other points, at least 2. Otherwise every group
+    of S is keyed, as if the walk keyed all groups. No d points span a
+    hyperplane exactly when the whole set lies on a lower flat; it is then
+    the unique maximal subset.
     """
     n, d = len(ps), ps.dimension
     if n <= d or d == 0:
         return Hypergraph(n, ())
-    rows = ps.lift.integer_rows
-    found = _hyperplane_sections(rows, d, keep_all=False)
-    if found is None:
-        found = _hyperplane_sections(rows, d, keep_all=True)
-    sections, independent = found
-    if not independent:
-        return Hypergraph(n, (tuple(range(n)),))
-    return Hypergraph(n, sections)
-
-
-def _hyperplane_sections(
-    rows: Sequence[Sequence[int]], d: int, keep_all: bool
-) -> tuple[Family, bool] | None:
-    """(sections with more than d of the lifted rows, whether some d of them
-    are independent) from one keyed hyperplane walk in R^(d+1); None when it
-    stops at d dependent rows, unless keep_all."""
     members: dict[tuple[int, ...], set[int]] = {}
-    independent = False
+    dependent = independent = False
 
     def visit(prefix, groups, units):
-        nonlocal independent
+        nonlocal dependent, independent
+        if groups is None:
+            dependent = True
+            return
         independent = independent or bool(groups)
         for (x, y), group in groups.items():
-            if not keep_all and len(group) == 1:
+            if len(group) == 1 and not dependent:
                 continue
             key = tuple(primitive([ux * y - uy * x for ux, uy in units]))
             section = members.get(key)
@@ -250,9 +241,10 @@ def _hyperplane_sections(
             else:
                 section.update(prefix, group)
 
-    if hyperplane_walk(rows, d + 1, visit, keep_all=keep_all, units=True):
-        return None
-    return tuple(tuple(sorted(m)) for m in members.values() if len(m) > d), independent
+    hyperplane_walk(ps.lift.integer_rows, d + 1, visit, units=True)
+    if not independent:
+        return Hypergraph(n, (tuple(range(n)),))
+    return Hypergraph(n, tuple(tuple(sorted(m)) for m in members.values() if len(m) > d))
 
 
 def random_linear_hypergraph(rng: random.Random, n: int, k: int) -> Hypergraph:

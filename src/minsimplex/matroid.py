@@ -28,10 +28,12 @@ A hyperplane with m_H vectors shows up at each (D-2)-subset of them as one
 group of its members after the subset, so the sums over every prefix and
 every group G, A = sum C(|G|, 2) and B = sum C(|G|, 3), are sum C(m_H, D)
 and sum C(m_H, D+1) over the hyperplanes, with no hyperplane named;
-count_circuits reads them. A zero row stops the walk, which returns the
-dependent set it met: this is the package's one general-position test.
-hypergraph.from_point_set keys the groups of its own walk by their
-hyperplanes' normals, to merge them into sections.
+count_circuits reads them. The walk reports each zero row it meets, a
+dependent set of at most D - 1 vectors, and its reader decides whether to
+go on: the count records the first and stops, which makes the walk the
+package's one general-position test, while hypergraph.from_point_set goes
+on and keys the groups of its walk by their hyperplanes' normals, to merge
+them into sections.
 
 The checks on ordered rational rows, their labels and indices, and their
 JSON form are shared with geometry.PointSet.
@@ -151,16 +153,20 @@ class VectorConfiguration:
         if not len(self) >= self.dimension - 1 >= 1:
             return None, None
         pairs = triples = 0
+        stop = None
 
         def visit(prefix, groups, units):
-            nonlocal pairs, triples
+            nonlocal pairs, triples, stop
+            if groups is None:  # the first dependent set: record it and stop
+                stop = prefix
+                return True
             for group in groups.values():
                 m = len(group)
                 if m > 1:
                     pairs += m * (m - 1) // 2
                     triples += m * (m - 1) * (m - 2) // 6
 
-        stop = hyperplane_walk(self.integer_rows, self.dimension, visit)
+        hyperplane_walk(self.integer_rows, self.dimension, visit)
         return (None, stop) if stop else ((pairs, triples), None)
 
     @property
@@ -175,7 +181,7 @@ class VectorConfiguration:
 
     @property
     def dependent_set(self) -> tuple[int, ...] | None:
-        """The dependent set (at most D - 1 vectors) that stopped the same walk, or None."""
+        """The first dependent set (at most D - 1 vectors) the same walk reports, or None."""
         return self._walk_outcome[1]
 
 
@@ -339,15 +345,12 @@ def count_circuits(cfg: VectorConfiguration) -> dict[int, int]:
 
 
 def hyperplane_walk(
-    rows: Sequence[Sequence[int]],
-    dimension: int,
-    visit: Callable,
-    keep_all: bool = False,
-    units: bool = False,
-) -> tuple[int, ...] | None:
+    rows: Sequence[Sequence[int]], dimension: int, visit: Callable, units: bool = False
+) -> bool:
     """Visit the (D-2)-subsets of the integer rows in R^D, D >= 2, in
     lexicographic order, with the later rows grouped by the hyperplane
-    that each spans with the subset; None, or the dependent set it stops at.
+    that each spans with the subset, and report every dependent set met on
+    the way; True when a visit stopped the walk.
 
     The walk is depth-first, like the circuit scan (see _visit), and carries
     only rows, no combinations: each prefix holds every later row reduced
@@ -362,11 +365,12 @@ def hyperplane_walk(
     positive) to the later members in that direction, both in ascending
     member order.
 
-    A zero row k at prefix P, at any depth, makes P + (k,) a dependent set
-    of at most D - 1 rows: the walk stops and returns it, unless keep_all,
-    which drops the row and goes on. When no D - 2 rows are dependent
-    (distinct points lifted to R^4, say), that set is the first dependent
-    (D - 1)-subset in lexicographic order. When units is set, the unit
+    A zero row k at prefix P, at any depth (a loop at the root), makes
+    P + (k,) a dependent set of at most D - 1 rows with P independent: the
+    walk calls visit(P + (k,), None, None) and drops the row. When no D - 2
+    rows are dependent (distinct points lifted to R^4, say), the first such
+    set is the first dependent (D - 1)-subset in lexicographic order. A
+    visit that returns true stops the walk. When units is set, the unit
     vectors e_0 .. e_(D-1) go through the same maps, and unit_rows holds
     their 2-entry images u_c at P; the hyperplane through P and a group of
     direction w then has the normal (det(u_c, w))_c. Otherwise unit_rows
@@ -376,8 +380,8 @@ def hyperplane_walk(
     for k, row in enumerate(rows):
         if any(row):
             carried.append((k, row))
-        elif not keep_all:
-            return (k,)
+        elif visit((k,), None, None):
+            return True
     unit_rows = None
     if units:
         unit_rows = [[int(r == c) for c in range(dimension)] for r in range(dimension)]
@@ -385,9 +389,8 @@ def hyperplane_walk(
         groups: dict[tuple[int, ...], list[int]] = {}
         for k, row in carried:
             groups.setdefault(tuple(primitive(row)), []).append(k)
-        visit((), groups, unit_rows)
-        return None
-    return _walk((), carried, unit_rows, 1, dimension - 2, visit, keep_all)
+        return bool(visit((), groups, unit_rows))
+    return _walk((), carried, unit_rows, 1, dimension - 2, visit)
 
 
 def _reduce(row: Sequence[int], pivot_row: Sequence[int], p: int, prev: int) -> list[int]:
@@ -403,11 +406,11 @@ _OTHERS = ((1, 2), (0, 2), (0, 1))  # the columns of a 3-entry row besides its p
 
 def _walk(
     prefix: tuple[int, ...], carried: list, units: list | None, prev: int, left: int,
-    visit: Callable, keep_all: bool,
-) -> tuple[int, ...] | None:
+    visit: Callable,
+) -> bool:
     """The prefixes of hyperplane_walk that extend `prefix` by `left` >= 1
-    more members, and the dependent set that stops them; `prev` is the
-    pivot of its last member (1 at the root)."""
+    more members; True when a visit stopped them. `prev` is the pivot of
+    its last member (1 at the root)."""
     for i in range(len(carried) - left):  # room for left - 1 more members and one later row
         j, vj = carried[i]
         p = 0
@@ -421,11 +424,10 @@ def _walk(
                 v = _reduce(vk, vj, p, prev)
                 if any(v):
                     child.append((k, v))
-                elif not keep_all:
-                    return head + (k,)
-            stop = _walk(head, child, reduced, vj[p], left - 1, visit, keep_all)
-            if stop:
-                return stop
+                elif visit(head + (k,), None, None):
+                    return True
+            if _walk(head, child, reduced, vj[p], left - 1, visit):
+                return True
             continue
         # head has D - 2 members: each later row has 3 entries and reduces to 2
         a = vj[p]
@@ -437,9 +439,9 @@ def _walk(
             x = (a * vk[c] - b * jc) // prev
             y = (a * vk[e] - b * je) // prev
             if not (x or y):
-                if keep_all:
-                    continue
-                return head + (k,)
+                if visit(head + (k,), None, None):
+                    return True
+                continue
             # exactla.primitive of (x, y), inline: a call per row makes the walk 1.6-1.9x slower
             g = gcd(x, y)
             if x < 0 or not x and y < 0:
@@ -450,8 +452,9 @@ def _walk(
                 groups[key] = [k]
             else:
                 group.append(k)
-        visit(head, groups, reduced)
-    return None
+        if visit(head, groups, reduced):
+            return True
+    return False
 
 
 def enumerate_circuits(cfg: VectorConfiguration) -> list[Circuit]:

@@ -154,6 +154,24 @@ def test_simplexes_vectors_with_projection(tmp_path, capsys):
     assert obj["circuits"]["total"] == obj["projected"]["total"] == 1
 
 
+def test_simplexes_project_refuses_before_the_scan(tmp_path, capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("circuit scan called")
+
+    monkeypatch.setattr(matroid, "circuit_supports", scan)
+    monkeypatch.setattr(matroid, "enumerate_circuits", scan)
+    refusals = {
+        "zero vector at index 2 cannot be projected": [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]],
+        "parallel vectors at indices 0 and 4": [[1, 2, 0], [0, 1, 1], [0, -2, -2], [3, 0, 1], [-2, -4, 0]],
+    }
+    for message, vectors in refusals.items():
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps({"dimension": 3, "vectors": vectors}))
+        for fmt in (("text",), ("json",), ("json", "--counts-only")):
+            code, out, err = run(capsys, "simplexes", "--vectors", str(path), "--project", "--format", *fmt)
+            assert (code, out, err) == (3, "", f"invariant violation: {message}\n")
+
+
 def test_simplexes_vectors_computes_coefficients_only_when_printed(tmp_path, capsys, monkeypatch):
     path = tmp_path / "vecs.json"
     path.write_text(json.dumps({"dimension": 3, "vectors": [

@@ -29,6 +29,7 @@ from minsimplex.matroid import VectorConfiguration, enumerate_circuits
 from support import (
     oracle_affine_simplexes,
     oracle_small_flat_hypothesis,
+    plain_from_point_set,
     random_admissible_configuration,
     random_point_set,
     random_rational,
@@ -298,30 +299,47 @@ def test_walk_group_sums_are_the_section_sums():
     assert {(d, False, False) for d in (1, 2, 3, 4)} <= seen
 
 
+def _walk_reports(ps):
+    """(dependent sets, prefixes with groups) the keyed walk of the lift
+    reports to a reader that never stops, and whether it completed."""
+    dependent, grouped = [], []
+
+    def visit(prefix, groups, units):
+        if groups is None:
+            dependent.append(prefix)
+        elif groups:
+            grouped.append(prefix)
+
+    stopped = matroid.hyperplane_walk(ps.lift.integer_rows, ps.dimension + 1, visit, units=True)
+    return dependent, grouped, stopped
+
+
 def test_hyperplane_sections_with_dependent_points():
     # 0, 1, 2 lie on the x-axis, so each plane through it and one more point
-    # is spanned by three d-subsets, each of them missing one of 0, 1, 2
+    # is spanned by three d-subsets, each of them missing one of 0, 1, 2;
+    # the walk reports the triple and goes on past it
     ps = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)))
-    rows = ps.lift.integer_rows
-    assert ps.lift.hyperplane_sums is None
-    assert hypergraph._hyperplane_sections(rows, 3, keep_all=False) is None
-    sections = ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5))
-    assert hypergraph._hyperplane_sections(rows, 3, keep_all=True) == (sections, True)
-    assert from_point_set(ps).edges == sections
+    assert ps.lift.hyperplane_sums is None and ps.lift.dependent_set == (0, 1, 2)
+    dependent, grouped, stopped = _walk_reports(ps)
+    assert (dependent, stopped) == ([(0, 1, 2)], False)
+    assert grouped == list(combinations(range(5), 2))  # (0, 1) with its group of 3, 4, 5
+    assert from_point_set(ps).edges == ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5))
+    # every triple of a line is dependent, so no prefix has a group
     line = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)))
     assert line.lift.hyperplane_sums is None
-    assert hypergraph._hyperplane_sections(line.lift.integer_rows, 3, keep_all=True) == ((), False)
+    assert _walk_reports(line) == (list(combinations(range(4), 3)), [], False)
     assert from_point_set(line).edges == ((0, 1, 2, 3),)
 
 
 def _record_walks(monkeypatch):
-    """The keyword arguments of every hyperplane walk, from the count
-    (matroid) and from the sections (hypergraph)."""
+    """(keyword arguments, whether a visit stopped it) of every hyperplane
+    walk, from the count (matroid) and from the sections (hypergraph)."""
     walks, walk = [], matroid.hyperplane_walk
 
     def recording(*args, **kwargs):
-        walks.append(kwargs)
-        return walk(*args, **kwargs)
+        stopped = walk(*args, **kwargs)
+        walks.append((kwargs, stopped))
+        return stopped
 
     monkeypatch.setattr(matroid, "hyperplane_walk", recording)
     monkeypatch.setattr(hypergraph, "hyperplane_walk", recording)
@@ -339,15 +357,26 @@ def test_a_dependent_set_takes_one_stopped_pass_before_the_scan(monkeypatch):
         monkeypatch.setattr(module, "circuit_supports", recording)
     points = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
     assert count_affine_simplexes(PointSet(3, points)) == {3: 1, 5: 3}
-    assert (walks, scans) == ([{}], [{}])  # one stopped count walk, then the scan
+    assert (walks, scans) == ([({}, True)], [{}])  # one stopped count walk, then the scan
     walks.clear(), scans.clear()
     with pytest.raises(InvariantError, match=r"collinear triple at indices \(0, 1, 2\)"):
         classify_r3_semi_simplexes(PointSet(3, points))
-    assert (walks, scans) == ([{}], [])  # one walk, which names the triple; no scan
+    assert (walks, scans) == ([({}, True)], [])  # one walk, which names the triple; no scan
     walks.clear()
     assert len(from_point_set(PointSet(3, points)).edges) == 3  # the planes through the x-axis
-    keyed = {"units": True}
-    assert walks == [{"keep_all": False, **keyed}, {"keep_all": True, **keyed}]
+    assert walks == [({"units": True}, False)]  # one keyed walk, past the triple
+
+
+def test_from_point_set_takes_one_walk_with_a_collinear_triple(monkeypatch):
+    walks = _record_walks(monkeypatch)
+    pairs = construct(ConstructionId("parallel-pairs"), 10).points
+    triple = ((7, 0, 0), (7, 1, 0), (7, 2, 0))  # on a line of its own
+    for points in (triple + pairs, pairs + triple, pairs[:5] + triple + pairs[5:]):
+        walks.clear()
+        ps = PointSet(3, points)
+        assert from_point_set(ps) == plain_from_point_set(ps)
+        assert walks == [({"units": True}, False)]
+        assert ps.lift.dependent_set is not None
 
 
 def test_count_readers_share_one_hyperplane_walk(monkeypatch):
@@ -357,9 +386,9 @@ def test_count_readers_share_one_hyperplane_walk(monkeypatch):
     assert count_affine_simplexes(ps) == {4: 74, 5: 32}  # 106 in all, the closed form
     assert classify_r3_semi_simplexes(ps) == (74, 32)
     assert ps.lift.hyperplane_sums is ps.lift.hyperplane_sums
-    assert walks == [{}]  # one count walk, with no keys
+    assert walks == [({}, False)]  # one count walk, with no keys
     assert len(from_point_set(ps).edges) == 5
-    assert walks == [{}, {"keep_all": False, "units": True}]  # and one keyed walk
+    assert walks == [({}, False), ({"units": True}, False)]  # and one keyed walk
 
 
 def test_simplex_sizes_under_hypothesis():

@@ -242,6 +242,31 @@ def test_from_point_set_matches_closure_oracle():
     assert {(3, ("whole", True)), (4, ("whole", True))} <= seen
 
 
+def test_from_point_set_matches_closure_oracle_wherever_the_low_flat_lies():
+    # one walk keys only groups of two or more points until it reports a
+    # dependent set, so the oracle is run with the points of a planted flat
+    # of dimension 1 to d - 2 (a line in R^2, a section there) first, last,
+    # and shuffled among the others
+    rng = random.Random(4231)
+    seen = set()
+    for trial in range(135):
+        d, place = 2 + trial % 3, ("first", "last", "shuffled")[trial // 3 % 3]
+        k = rng.randint(1, max(1, d - 2))
+        flat = list(dict.fromkeys(_points_on_flat(rng, d, k, rng.randint(k + 2, k + 4))))
+        others = random_point_set(rng, rng.randint(2, 10 - len(flat)), d, span=2).points
+        others = [p for p in others if p not in flat]
+        pts = others + flat if place == "last" else flat + others
+        if place == "shuffled":
+            rng.shuffle(pts)
+        ps = PointSet(d, tuple(pts))
+        h = from_point_set(ps)
+        assert h == plain_from_point_set(ps), (d, place, ps.points)
+        seen.add((d, place, check_small_flat_hypothesis(ps), bool(h.edges)))
+    # in R^3 and R^4, sets that fail the hypothesis and still have sections,
+    # with the flat in each place
+    assert {(d, place, False, True) for d in (3, 4) for place in ("first", "last", "shuffled")} <= seen
+
+
 def test_bridge_semi_simplexes_are_affine_simplexes():
     # under "no d points on a (d-2)-flat" the affine simplexes are exactly
     # the semi-simplexes E_{d+1} and E0_{d+2} of the hyperplane sections

@@ -24,6 +24,7 @@ from support import (
     random_deficient_rows,
     random_point_set,
     random_rational,
+    rref,
 )
 
 
@@ -326,9 +327,28 @@ def _planted_vectors(rng, dim):
     return VectorConfiguration(dim, tuple(vecs[:9]))
 
 
+def _walk_events(cfg, stop_at=None):
+    """What hyperplane_walk gives a reader: ("dependent", set) and
+    ("groups", prefix, its groups by first member), in order, up to the
+    visit that returns true, the first one of kind stop_at; and whether the
+    walk stopped."""
+    events = []
+
+    def visit(prefix, groups, units):
+        if groups is None:
+            events.append(("dependent", prefix))
+        else:
+            events.append(("groups", prefix, sorted(groups.values())))
+        return events[-1][0] == stop_at
+
+    stopped = matroid.hyperplane_walk(cfg.integer_rows, cfg.dimension, visit)
+    return events, stopped
+
+
 def test_walk_names_the_dependent_set_it_stops_at():
     # a zero row at the root, a parallel pair one level down, a dependent
-    # triple at the last level, and no dependent set of at most D - 1 rows
+    # triple at the last level, and no dependent set of at most D - 1 rows;
+    # the count reads the first dependent set reported and stops there
     e = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     cases = [
         ((e[0], (0, 0, 0, 0), e[1]), (1,)),
@@ -340,7 +360,85 @@ def test_walk_names_the_dependent_set_it_stops_at():
         cfg = VectorConfiguration(4, rows)
         assert cfg.dependent_set == stop
         assert (cfg.hyperplane_sums is None) == (stop is not None)
-        assert matroid.hyperplane_walk(cfg.integer_rows, 4, lambda *a: None, keep_all=True) is None
+        events, stopped = _walk_events(cfg, "dependent")
+        assert stopped == (stop is not None)
+        if stop is not None:
+            assert events[-1] == ("dependent", stop)
+        # a reader that never stops sees the same set first, and the walk completes
+        events, stopped = _walk_events(cfg)
+        assert not stopped
+        assert next((e[1] for e in events if e[0] == "dependent"), None) == stop
+
+
+def _fraction_rank(cfg, members):
+    return len(rref([cfg.vectors[i] for i in members])[1])
+
+
+def _reference_walk_events(cfg):
+    """The walk's events from rank tests over Fractions, in its order: the
+    prefixes in lexicographic order, each extended by a member that leaves
+    room for the rest of the prefix and one later row; at each prefix P,
+    every later row k with P + (k,) dependent is reported and dropped before
+    P's extensions or groups; loops are reported at the root."""
+    dim, events = cfg.dimension, []
+
+    def independent(members):
+        return _fraction_rank(cfg, members) == len(members)
+
+    def groups(prefix, later):
+        classes = []
+        for k in later:
+            for cls in classes:
+                if not independent(prefix + (cls[0], k)):
+                    cls.append(k)
+                    break
+            else:
+                classes.append([k])
+        return ("groups", prefix, classes)
+
+    def node(prefix, later, left):
+        for i in range(len(later) - left):
+            head, rest = prefix + (later[i],), []
+            for k in later[i + 1 :]:
+                if independent(head + (k,)):
+                    rest.append(k)
+                else:
+                    events.append(("dependent", head + (k,)))
+            if left > 1:
+                node(head, rest, left - 1)
+            else:
+                events.append(groups(head, rest))
+
+    root = []
+    for k in range(len(cfg)):
+        if independent((k,)):
+            root.append(k)
+        else:
+            events.append(("dependent", (k,)))
+    if dim == 2:
+        events.append(groups((), root))
+    else:
+        node((), root, dim - 2)
+    return events
+
+
+def test_a_reader_that_never_stops_receives_every_dependent_set_in_walk_order():
+    rng = random.Random(89)
+    seen = set()
+    for trial in range(120):
+        cfg = _planted_vectors(rng, 2 + trial % 4)
+        if len(cfg) < cfg.dimension - 1:
+            continue
+        events, stopped = _walk_events(cfg)
+        assert not stopped
+        assert events == _reference_walk_events(cfg), cfg
+        dependent = [members for kind, members, *_ in events if kind == "dependent"]
+        for members in dependent:  # P + (k,) is dependent, P is independent
+            assert _fraction_rank(cfg, members) == _fraction_rank(cfg, members[:-1]) == len(members) - 1
+        assert cfg.dependent_set == (dependent[0] if dependent else None)
+        seen.add((cfg.dimension, min(len(dependent), 2)))
+    # no dependent set, one, and several, in R^2 to R^5
+    assert {(dim, count) for dim in (2, 3, 4, 5) for count in (0, 1, 2)} <= seen
 
 
 def test_count_circuits_matches_scan_on_planted_configurations():
