@@ -12,7 +12,6 @@ import argparse
 import functools
 import itertools
 import json
-import operator
 import os
 import random
 import sys
@@ -29,15 +28,14 @@ _encode_scalar = json.JSONEncoder(sort_keys=True).encode
 def _dump_json(obj, newline: str = "\n") -> str:
     """json.dumps(obj, indent=1, sort_keys=True), byte for byte.
 
-    With an indent, json runs its pure-Python encoder on Python < 3.13,
-    which dominates the output time of large circuit lists, so there the
-    commands write JSON through this function (`_json_text`). Here containers
-    are written recursively (newline carries the current indent), a list of
-    plain ints is one join, and keys and every other scalar go through the
-    stdlib's C encoder, so floats, escapes and the TypeError for an
-    unsupported type are json's own. A list of flat records, such as the
-    circuits of a listing, is written from one row template (_records_body).
-    A circular value exhausts the recursion limit instead of raising json's
+    With an indent, json runs its pure-Python encoder on Python < 3.13, so
+    there the commands write JSON through this function (`_json_text`).
+    Containers are written recursively (newline carries the current
+    indent), a list of plain ints is one join, and keys and every other
+    scalar go through the stdlib's C encoder, so floats, escapes and the
+    TypeError for an unsupported type are json's own. Listings of circuits
+    and simplexes are written from templates instead (`_listing_json`). A
+    circular value exhausts the recursion limit instead of raising json's
     ValueError.
     """
     if isinstance(obj, (list, tuple)):
@@ -47,9 +45,7 @@ def _dump_json(obj, newline: str = "\n") -> str:
         if {*map(type, obj)} == {int}:  # plain ints only: bools print as true/false
             body = ("," + inner).join(map(int.__repr__, obj))
         else:
-            body = _records_body(obj, inner) if type(obj[0]) is dict else None
-            if body is None:
-                body = ("," + inner).join([_dump_json(e, inner) for e in obj])
+            body = ("," + inner).join([_dump_json(e, inner) for e in obj])
         return "[" + inner + body + newline + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -60,40 +56,6 @@ def _dump_json(obj, newline: str = "\n") -> str:
         )
         return "{" + inner + body + newline + "}"
     return _encode_scalar(obj)
-
-
-def _records_body(records, newline: str) -> str | None:
-    """The items of a list joined at this indent, when every item is a dict
-    with the first one's str keys and every value a nonempty list or tuple
-    of plain ints; otherwise None.
-
-    Each item is one row template, with its keys written once, filled with
-    the joins of its values. Every check and join maps over a whole column
-    of values, so no Python code runs per item."""
-    first = records[0]
-    if not first or not {*map(type, first.values())} <= {list, tuple}:
-        return None  # decided on the first item, so that other lists of dicts cost little
-    keys = list(first)
-    if ({*map(type, records)} != {dict} or {*map(len, records)} != {len(keys)}
-            or not all(type(k) is str for k in keys)):
-        return None
-    keys.sort()
-    try:
-        columns = [list(map(operator.itemgetter(k), records)) for k in keys]
-    except KeyError:  # an item with other keys
-        return None
-    for column in columns:
-        if (not {*map(type, column)} <= {list, tuple} or not all(map(len, column))
-                or {*map(type, itertools.chain.from_iterable(column))} != {int}):
-            return None
-    inner = newline + " "
-    deeper = inner + " "
-    template = "{" + inner + ("," + inner).join(
-        [_encode_scalar(k).replace("%", "%%") + ": [" + deeper + "%s" + inner + "]" for k in keys]
-    ) + newline + "}"
-    sep = "," + deeper
-    joins = [map(sep.join, map(map, itertools.repeat(int.__repr__), c)) for c in columns]
-    return ("," + newline).join(map(template.__mod__, zip(*joins)))
 
 
 def _json_key(key) -> str:
@@ -112,6 +74,52 @@ _json_text = (
     if sys.version_info >= (3, 13)
     else _dump_json
 )
+
+
+def _ints_template(length: int, newline: str) -> str:
+    """A list of `length` ints as json indents it at `newline`, with %d for each int."""
+    inner = newline + " "
+    return "[" + inner + ("," + inner).join(["%d"] * length) + newline + "]"
+
+
+def _circuit_template(length: int, newline: str) -> str:
+    """A circuit as json indents its dict at `newline`, with %d for each of
+    its length // 2 coefficients, then for each member."""
+    inner = newline + " "
+    ints = _ints_template(length // 2, inner)
+    return "{" + inner + '"coefficients": ' + ints + "," + inner + '"members": ' + ints + newline + "}"
+
+
+def _listing_json(obj: dict, listings: dict[str, tuple]) -> str:
+    """json.dumps(obj, indent=1, sort_keys=True), byte for byte, where obj
+    holds the string "\\0" + name in place of listing `name`, a list of int
+    tuples at any depth: listings[name] is (template, records).
+
+    The rest of the document comes from _json_text. Each listing is one
+    format string, joined from template(len(r), indent) per record r, one
+    template per length, and filled with every record's ints at once. These
+    ints are the scan's results, bounded by the size of the input, so the
+    interpreter's limit on the digits of an int written as text is lifted
+    for them, and only for them."""
+    text = _json_text(obj)
+    for name, (template, records) in listings.items():
+        head, tail = text.split(_encode_scalar("\0" + name))
+        line = head[head.rindex("\n") + 1 :]
+        newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        inner = newline + " "
+        lengths = list(map(len, records))
+        templates = {length: template(length, inner) for length in set(lengths)}
+        body = "[" + inner + ("," + inner).join(map(templates.__getitem__, lengths)) + newline + "]"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            body = body % tuple(itertools.chain.from_iterable(records)) if records else "[]"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        text = "".join((head, body, tail))
+    return text
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -154,20 +162,14 @@ def _emit_counts(counts: dict[int, int], json_obj: dict, args) -> None:
         _emit("\n".join(_counts_lines(counts, sum(counts.values()))), args.out)
 
 
-def _circuits_json(cfg, counts: dict[int, int], circuits=None) -> dict:
-    """Circuit counts by size, plus the circuits with their coefficients
-    when they are given."""
-    obj = {
+def _circuits_json(cfg, counts: dict[int, int]) -> dict:
+    """Circuit counts by size, in their JSON form."""
+    return {
         "dimension": cfg.dimension,
         "vector_count": len(cfg),
         "counts": {str(size): count for size, count in counts.items()},
         "total": sum(counts.values()),
     }
-    if circuits is not None:
-        obj["circuits"] = [
-            {"members": c.members, "coefficients": c.coefficients} for c in circuits
-        ]
-    return obj
 
 
 def cmd_simplexes(args) -> int:
@@ -178,7 +180,9 @@ def cmd_simplexes(args) -> int:
             raise InputError("--project applies to --vectors only, not to --points")
         ps = geometry.load_points(args.points)
         if listed:
-            _emit(_json_text(geometry.enumerate_affine_simplexes(ps).to_json_obj()), args.out)
+            report = geometry.enumerate_affine_simplexes(ps)
+            obj = dict(report.to_json_obj(), simplexes="\0simplexes")
+            _emit(_listing_json(obj, {"simplexes": (_ints_template, report.supports)}), args.out)
             return 0
         counts = geometry.count_affine_simplexes(ps)
         _emit_counts(counts, geometry.counts_json_obj(ps.dimension, len(ps), counts), args)
@@ -192,26 +196,29 @@ def cmd_simplexes(args) -> int:
         _emit_counts(counts, _circuits_json(cfg, counts), args)
         return 0
     # Coefficients are computed only when they are printed.
-    circuits = None
+    listings = {}
     if listed:
         circuits = matroid.enumerate_circuits(cfg)
         supports = [c.members for c in circuits]
+        listings["circuits"] = (_circuit_template, [c.coefficients + c.members for c in circuits])
     else:
         supports = matroid.circuit_supports(cfg)
-    circuits_obj = _circuits_json(cfg, Counter(map(len, supports)), circuits)
+    circuits_obj = _circuits_json(cfg, Counter(map(len, supports)))
+    if listed:
+        circuits_obj["circuits"] = "\0circuits"
     if not args.project:
-        _emit(_json_text(circuits_obj), args.out)
+        _emit(_listing_json(circuits_obj, listings), args.out)
         return 0
 
     report = geometry.enumerate_affine_simplexes(ps)
     match = supports == list(report.supports)
     if args.format == "json":
-        obj = {
-            "circuits": circuits_obj,
-            "projected": report.to_json_obj(args.counts_only),
-            "match": match,
-        }
-        _emit(_json_text(obj), args.out)
+        projected = geometry.counts_json_obj(ps.dimension, len(ps), report.counts)
+        if listed:
+            projected["simplexes"] = "\0simplexes"
+            listings["simplexes"] = (_ints_template, report.supports)
+        obj = {"circuits": circuits_obj, "projected": projected, "match": match}
+        _emit(_listing_json(obj, listings), args.out)
     else:
         lines = [f"circuits: {len(supports)}", f"projected simplexes: {report.total}"]
         lines.append(f"match: {'yes' if match else 'NO'}")

@@ -38,12 +38,14 @@ def rational_from_string(s: str) -> Fraction:
     text = s.strip()
     if not _RATIONAL_RE.match(text):
         raise InputError(f"not an integer or p/q rational: {s!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InputError(f"zero denominator in rational: {s!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:  # int() refuses more digits than sys.get_int_max_str_digits(), as json does
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:
+        raise InputError(f"rational {text[:20]}...: {exc}") from exc
+    if den == 0:
+        raise InputError(f"zero denominator in rational: {s!r}")
+    return Fraction(num, den)
 
 
 def coerce_rational(value) -> Fraction:

@@ -134,11 +134,9 @@ class SimplexReport:
     def total(self) -> int:
         return len(self.supports)
 
-    def to_json_obj(self, counts_only: bool = False) -> dict:
+    def to_json_obj(self) -> dict:
         obj = counts_json_obj(self.dimension, self.point_count, self.counts)
-        if not counts_only:
-            obj["simplexes"] = self.supports
-        return obj
+        return {**obj, "simplexes": self.supports}
 
 
 def counts_json_obj(dimension: int, point_count: int, counts: dict[int, int]) -> dict:

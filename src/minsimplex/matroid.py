@@ -10,13 +10,14 @@ geometry enumerates the affine simplexes of a point set P as the circuits
 of its lift {(1, p) : p in P}, and tests general position with the walk
 below, not the scan. The scan is a depth-first search over independent
 sets in lexicographic order, in integer arithmetic (fraction-free row
-operations, as in Bareiss, Math. Comp. 22, 1968). Each node carries, for
-every later vector, one list of D entries: its row reduced modulo the
-current set, followed by the combination over the set that produced it.
-A child costs one fused update of that list per later vector. A row that
-reduces to zero is a dependency; it is a circuit when its combination has
-full support, and that combination, made primitive, is the circuit's
-coefficient vector, so no rank test or kernel is computed per candidate.
+operations divided by the previous pivot, as in Bareiss, Math. Comp. 22,
+1968). Each node carries, for every later vector, one list of D entries:
+its row reduced modulo the current set, followed by the combination of
+input vectors that produced it. A child costs one fused update of that
+list per later vector. A row that reduces to zero is a dependency; it is a
+circuit when its combination has full support, and that combination, made
+primitive, is the circuit's coefficient vector, so no rank test, kernel or
+rescaling is computed per candidate.
 A set of D - 1 members closes the last level itself: any two later
 vectors outside its span are dependent with it, so the set tests each such
 pair's combination for full support and emits it, with no child node.
@@ -223,30 +224,32 @@ def is_circuit(cfg: VectorConfiguration, subset: Iterable[int]) -> bool:
     return all(subset_rank(cfg, idx[:i] + idx[i + 1 :]) == k - 1 for i in range(k))
 
 
-def _visit(members: tuple[int, ...], carried: list, rlen: int, emit: Callable) -> None:
+def _visit(members: tuple[int, ...], carried: list, rlen: int, prev: int, emit: Callable) -> None:
     """One node of the circuit scan: the independent set `members`, with
-    rlen = D - len(members) columns left.
+    rlen = D - len(members) columns left and prev its last member's pivot.
 
     `carried` holds, in ascending index order, one entry per index k >
     max(members) that is still live or closes a circuit. A live entry is
     (k, v, own): v[:rlen] is k's integer row reduced modulo the span of the
     members, with the members' pivot columns removed, and nonzero; v[rlen:]
-    is k's combination over the members, so v always has D entries; own is
-    k's own coefficient, never zero. An entry (k, None, comb) says that
-    members + (k,) is a circuit with dependency comb; a dependent
-    members + (k,) without full support is not carried at all, since no
-    circuit contains it.
+    is k's combination of the members' input vectors, so v always has D
+    entries; own, never zero, is the coefficient of k's own input vector.
+    An entry (k, None, comb) says that members + (k,) is a circuit with
+    dependency comb; a dependent members + (k,) without full support is not
+    carried at all, since no circuit contains it.
 
     Each live j is extended in turn. Its child entries are the later live
-    rows reduced by j's row at j's first nonzero column p: one fused
-    fraction-free update a*x - b*y over the whole of v, the removal of
-    column p, and the append of j's coefficient -b*own_j; a row left
-    nonzero is divided, with its combination, by their gcd to stop entry
-    growth. When one column is left (rlen == 1) every later row reduces to
-    zero modulo members + (j,), so the node tests each later pair's
-    full-support combination itself and emits it, with no child node.
-    Extending j in ascending order yields the circuits in ascending member
-    order.
+    rows reduced by j's row at j's first nonzero column p, which is then
+    removed: every entry, own and the appended coefficient of j included,
+    becomes (a*x - b*y) // prev. This is Bareiss's step, exact because every
+    row at a node is the image of its row of [integer rows | diag(s)] (s_k
+    the lcm of vector k's denominators) under one elimination: each entry is
+    a minor of that matrix, so Hadamard-bounded, though on rows of large
+    content it can exceed a gcd-reduced entry. When one column is left
+    (rlen == 1) every later row reduces to zero modulo members + (j,), so
+    the node tests each later pair's full-support combination itself and
+    emits it, with no child node. Extending j in ascending order yields the
+    circuits in ascending member order.
     """
     r = rlen - 1
     for i, (j, vj, oj) in enumerate(carried):
@@ -276,32 +279,27 @@ def _visit(members: tuple[int, ...], carried: list, rlen: int, emit: Callable) -
             if vk is None:
                 continue
             b = vk[p]
-            v = [a * x - b * y for x, y in zip(vk, vj)]
+            v = [(a * x - b * y) // prev for x, y in zip(vk, vj)]
             del v[p]
-            v.append(-b * oj)
-            own = a * ok
+            v.append(-b * oj // prev)
             if any(v[:r]):
-                g = gcd(*v, own)
-                if g != 1:
-                    v = [x // g for x in v]
-                    own //= g
-                child.append((k, v, own))
+                child.append((k, v, a * ok // prev))
             elif all(v[r:]):
                 v = v[r:]
-                v.append(own)
+                v.append(a * ok // prev)
                 child.append((k, None, v))
-        _visit(head, child, r, emit)
+        _visit(head, child, r, a, emit)
 
 
 def _scan(cfg: VectorConfiguration, emit: Callable) -> None:
-    """Call emit(members, comb) for every circuit, in ascending member
-    order; comb is its integer dependency over the configuration's integer
-    rows, in member order."""
+    """Call emit(members, comb) for every circuit, in ascending member order;
+    comb is an integer dependency of its input vectors, in member order.
+    Vector k enters as its integer row s_k v_k, with own coefficient s_k."""
     carried = [
-        (k, list(row), 1) if any(row) else (k, None, [1])
-        for k, row in enumerate(cfg.integer_rows)
+        (k, list(row), lcm(*(x.denominator for x in v))) if any(row) else (k, None, [1])
+        for k, (v, row) in enumerate(zip(cfg.vectors, cfg.integer_rows))
     ]
-    _visit((), carried, cfg.dimension, emit)
+    _visit((), carried, cfg.dimension, 1, emit)
 
 
 def circuit_supports(cfg: VectorConfiguration) -> list[tuple[int, ...]]:
@@ -460,19 +458,14 @@ def _walk(
 def enumerate_circuits(cfg: VectorConfiguration) -> list[Circuit]:
     """All circuits, sorted by members.
 
-    The coefficients are the scan's dependency over the integer rows,
-    rescaled by each vector's denominator lcm (when one exceeds 1) and put
-    in exactla.primitive form: the unique primitive dependency, with (1,)
-    for a loop. A circuit's dependency has full support, so its first entry
+    The coefficients are the scan's dependency over the input vectors in
+    exactla.primitive form: the unique primitive dependency, with (1,) for
+    a loop. A circuit's dependency has full support, so its first entry
     gives the sign, and one gcd makes it primitive.
     """
-    scales = [lcm(*(x.denominator for x in v)) for v in cfg.vectors]
-    rescale = any(s != 1 for s in scales)
     circuits: list[Circuit] = []
 
     def emit(members, comb):
-        if rescale:
-            comb = [c * scales[i] for i, c in zip(members, comb)]
         g = gcd(*comb)
         if comb[0] < 0:
             g = -g

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from minsimplex import extremal, geometry, matroid
-from minsimplex.cli import _circuits_json, _dump_json, _json_text, main
+from minsimplex.cli import _dump_json, _json_text, main
 from minsimplex.errors import InputError
 from minsimplex.exactla import vector_to_json
 
@@ -557,8 +558,8 @@ def test_simplexes_vectors_json_listing_equals_json_dumps_on_seeded_configuratio
     tmp_path, capsys
 ):
     # The listing of circuits with coefficients, on stdout and in the --out file,
-    # against json.dumps of its dict form; _dump_json is called directly as well,
-    # so that the writer is checked on interpreters where the commands use json.
+    # against json.dumps of its dict form; _dump_json, which the commands use for
+    # the rest of the document before Python 3.13, writes the dict form as well.
     rng = random.Random(2020)
     seen = Counter()
     for trial in range(24):
@@ -588,7 +589,7 @@ def test_simplexes_vectors_json_listing_equals_json_dumps_on_seeded_configuratio
         code, out, _ = run(capsys, "simplexes", "--vectors", str(path), "--format", "json",
                            "--out", str(out_file))
         assert (code, out, out_file.read_text()) == (0, "", want)
-        assert _dump_json(_circuits_json(cfg, counts, circuits)) + "\n" == want
+        assert _dump_json(dict_form) + "\n" == want
         seen[kind] += 1
         seen["loop"] += any(c.coefficients == (1,) for c in circuits)
         seen["parallel pair"] += any(len(c.members) == 2 for c in circuits)
@@ -597,9 +598,10 @@ def test_simplexes_vectors_json_listing_equals_json_dumps_on_seeded_configuratio
 
 
 def _random_records(rng):
-    """A list of dicts with one set of keys and int-list values, which
-    _dump_json writes from one row template, sometimes with one record
-    that it must write the general way instead."""
+    """A list of dicts with one set of keys and int-list values, like a
+    circuit listing, sometimes with one record spoiled (an empty list, a
+    bool or float, other keys, int keys): _dump_json writes every such list
+    the general way, one recursion per record."""
     keys = rng.sample(["members", "coefficients", "a%sb", 'q"\\', "é", "%d"], rng.randint(1, 3))
     records = [
         {k: rng.choice((list, tuple))(rng.randint(-10**20, 10**20) for _ in range(rng.randint(1, 4)))
@@ -635,6 +637,115 @@ def test_dump_json_matches_json_dumps_on_record_lists():
     for _ in range(2000):
         value = {"rows": _random_records(rng)}
         assert _dump_json(value) == json.dumps(value, indent=1, sort_keys=True), value
+
+
+def _listed(capsys, tmp_path, argv, want):
+    """The command's output on stdout and in an --out file, each against
+    json.dumps(want, indent=1, sort_keys=True)."""
+    text = json.dumps(want, indent=1, sort_keys=True) + "\n"
+    assert run(capsys, *argv) == (0, text, ""), argv
+    out_file = tmp_path / "listing.out"
+    assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text() == text
+    return text
+
+
+def _random_grid_points(rng, d):
+    """Distinct points of a small grid, so that collinear triples and coplanar
+    quadruples are common; or d + 1 - j affinely independent points, with no
+    simplex."""
+    if rng.random() < 0.2:
+        basis = [[int(r == c) for c in range(d)] for r in range(d)]
+        return rng.sample([[0] * d] + basis, d + 1 - rng.randint(0, d))
+    grid = list(itertools.product(range(5 if d == 1 else 3), repeat=d))
+    return [list(p) for p in rng.sample(grid, rng.randint(1, min(len(grid), 9)))]
+
+
+def test_listings_equal_json_dumps_on_seeded_point_sets_and_projections(tmp_path, capsys):
+    # simplexes --points and --vectors --project, whose lists of simplexes and
+    # circuits are written from one template per record size and spliced into
+    # the rest of the document, at the top level and one level deeper.
+    rng = random.Random(2023)
+    seen = Counter()
+    for trial in range(40):
+        d = rng.randint(1, 3)
+        points = _random_grid_points(rng, d)
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"dimension": d, "points": points}))
+        ps = geometry.load_points(str(path))
+        supports = geometry.enumerate_affine_simplexes(ps).supports
+        want = {
+            "dimension": d,
+            "point_count": len(points),
+            "counts": {str(size): count for size, count in Counter(map(len, supports)).items()},
+            "total": len(supports),
+            "simplexes": [list(m) for m in supports],
+        }
+        text = _listed(capsys, tmp_path, ("simplexes", "--points", str(path), "--format", "json"), want)
+        seen["mixed sizes"] += len(want["counts"]) > 1
+        seen["no simplex"] += '"simplexes": []' in text
+        # the same points as vectors: (1, p) times a nonzero rational each
+        scales = [Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 7)) for _ in points]
+        vectors = [[f * x for x in [1, *p]] for f, p in zip(scales, points)]
+        path = tmp_path / "vecs.json"
+        path.write_text(json.dumps({"dimension": d + 1, "vectors": [vector_to_json(v) for v in vectors]}))
+        cfg = matroid.load_vectors(str(path))
+        circuits = matroid.enumerate_circuits(cfg)
+        assert [c.members for c in circuits] == list(supports)
+        circuits_form = {
+            "dimension": d + 1,
+            "vector_count": len(vectors),
+            "counts": want["counts"],
+            "total": len(circuits),
+            "circuits": [
+                {"members": list(c.members), "coefficients": list(c.coefficients)} for c in circuits
+            ],
+        }
+        argv = ("simplexes", "--vectors", str(path), "--project", "--format", "json")
+        _listed(capsys, tmp_path, argv, {"circuits": circuits_form, "projected": want, "match": True})
+        del circuits_form["circuits"], want["simplexes"]
+        _listed(capsys, tmp_path, argv + ("--counts-only",),
+                {"circuits": circuits_form, "projected": want, "match": True})
+    assert seen["mixed sizes"] and seen["no simplex"], seen
+
+
+def test_integers_beyond_the_digit_limit(tmp_path, capsys):
+    # A 5000-digit string entry is refused like the same JSON integer (exit 2).
+    # 900-digit vectors in R^5 are read, and their circuit's ~4500-digit
+    # coefficients are written: the listing lifts the interpreter's digit limit
+    # for its own ints only.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    path = tmp_path / "long.json"
+    for entry in ("9" * 5000, "1/" + "7" * 5000):
+        path.write_text(json.dumps({"dimension": 2, "vectors": [[entry, 1], [1, 2]]}))
+        for out in ((), ("--out", str(tmp_path / "long.out"))):
+            code, printed, err = run(capsys, "simplexes", "--vectors", str(path), "--format", "json", *out)
+            assert (code, printed) == (2, "") and err.startswith("input error:"), err
+            assert "Exceeds the limit" in err or not limit
+    assert not (tmp_path / "long.out").exists()
+    rng = random.Random(900)
+    vectors = [[str(rng.randint(10**899, 10**900)) for _ in range(5)] for _ in range(6)]
+    path.write_text(json.dumps({"dimension": 5, "vectors": vectors}))
+    assert run(capsys, "simplexes", "--vectors", str(path)) == (0, "size 6: 1\ntotal: 1\n", "")
+    cfg = matroid.load_vectors(str(path))
+    (circuit,) = matroid.enumerate_circuits(cfg)
+    assert max(map(abs, circuit.coefficients)) > 10**4300
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        want = json.dumps({
+            "dimension": 5, "vector_count": 6, "counts": {"6": 1}, "total": 1,
+            "circuits": [{"members": list(circuit.members), "coefficients": list(circuit.coefficients)}],
+        }, indent=1, sort_keys=True) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    out_file = tmp_path / "big.out"
+    assert run(capsys, "simplexes", "--vectors", str(path), "--format", "json") == (0, want, "")
+    assert run(capsys, "simplexes", "--vectors", str(path), "--format", "json",
+               "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text() == want
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 class _ClosedPipe:

@@ -6,7 +6,7 @@ import pytest
 
 from minsimplex import matroid
 from minsimplex.errors import InputError, InvariantError
-from minsimplex.exactla import rank
+from minsimplex.exactla import primitive_integer_vector, rank
 from minsimplex.extremal import ConstructionId, construct
 from minsimplex.matroid import (
     VectorConfiguration,
@@ -198,7 +198,7 @@ def test_scan_supports_and_coefficients_match_oracles():
         seen["huge"] += any(abs(x) > 10**29 for v in cfg.vectors for x in v)
         non_integer = any(x.denominator > 1 for v in cfg.vectors for x in v)
         seen["non-integer"] += non_integer
-        # enumerate_circuits rescales the coefficients only when some row is not integral
+        # a row that is not integral enters the scan with its own coefficient above 1
         seen["integer with a circuit"] += not non_integer and bool(oracle)
         assert matroid.circuit_supports(cfg) == oracle
         circuits = enumerate_circuits(cfg)
@@ -207,6 +207,39 @@ def test_scan_supports_and_coefficients_match_oracles():
             assert c.coefficients == circuit_coefficients_oracle(cfg, c.members)
     kinds = (1, 2, 3, "huge", "non-integer", "integer with a circuit")
     assert all(seen[kind] > 0 for kind in kinds), seen
+
+
+def test_scan_coefficients_follow_a_rescaling_of_the_vectors():
+    # Vector k times a rational lambda_k: the supports stay, and each circuit's
+    # coefficients become the primitive form of c_k / lambda_k. Factors of
+    # 10**20 give rows of large content, and denominators up to 97 an own
+    # coefficient that starts above 1: there the scan's Bareiss entries are
+    # not gcd-reduced, and its dependency must still come out over the input.
+    rng = random.Random(1968)
+    seen = Counter()
+    for trial in range(80):
+        n, dim = rng.randint(2, 8), rng.randint(1, 4)
+        rows = random_deficient_rows(rng, n, dim, span=10**30 if trial % 3 == 0 else 4)
+        cfg = VectorConfiguration(dim, tuple(tuple(r) for r in rows))
+        common = 10**20 if trial % 2 else 1
+        scales = [
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 12) * common, rng.randint(1, 97))
+            for _ in rows
+        ]
+        scaled = VectorConfiguration(
+            dim, tuple(tuple(f * x for x in row) for f, row in zip(scales, rows))
+        )
+        circuits = enumerate_circuits(cfg)
+        assert matroid.circuit_supports(scaled) == [c.members for c in circuits]
+        rescaled = enumerate_circuits(scaled)
+        assert [c.members for c in rescaled] == [c.members for c in circuits]
+        for c, base in zip(rescaled, circuits):
+            want = [Fraction(x) / scales[i] for i, x in zip(base.members, base.coefficients)]
+            assert list(c.coefficients) == primitive_integer_vector(want)
+        seen["large content"] += common > 1 and any(len(c.members) > 1 for c in circuits)
+        seen["denominator"] += any(f.denominator > 1 for f in scales) and bool(circuits)
+        seen["size 3+"] += any(len(c.members) > 2 for c in circuits)
+    assert all(seen[kind] > 0 for kind in ("large content", "denominator", "size 3+")), seen
 
 
 def _full_rank_rows(rng, n, dim, span):
