@@ -22,58 +22,7 @@ from . import extremal, geometry, hypergraph, matroid, stoichiometry
 from .errors import BudgetError, InputError, InvariantError
 
 
-_encode_scalar = json.JSONEncoder(sort_keys=True).encode
-
-
-def _dump_json(obj, newline: str = "\n") -> str:
-    """json.dumps(obj, indent=1, sort_keys=True), byte for byte.
-
-    With an indent, json runs its pure-Python encoder on Python < 3.13, so
-    there the commands write JSON through this function (`_json_text`).
-    Containers are written recursively (newline carries the current
-    indent), a list of plain ints is one join, and keys and every other
-    scalar go through the stdlib's C encoder, so floats, escapes and the
-    TypeError for an unsupported type are json's own. Listings of circuits
-    and simplexes are written from templates instead (`_listing_json`). A
-    circular value exhausts the recursion limit instead of raising json's
-    ValueError.
-    """
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = newline + " "
-        if {*map(type, obj)} == {int}:  # plain ints only: bools print as true/false
-            body = ("," + inner).join(map(int.__repr__, obj))
-        else:
-            body = ("," + inner).join([_dump_json(e, inner) for e in obj])
-        return "[" + inner + body + newline + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = newline + " "
-        body = ("," + inner).join(
-            [_json_key(k) + ": " + _dump_json(v, inner) for k, v in sorted(obj.items())]
-        )
-        return "{" + inner + body + newline + "}"
-    return _encode_scalar(obj)
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a string, or an int, float, bool or None
-    converted to the string of its JSON value."""
-    if isinstance(key, str):
-        return _encode_scalar(key)
-    if isinstance(key, (int, float)) or key is None:
-        return '"' + _encode_scalar(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-# Python 3.13's json indents in C and outruns the writer above; older ones run the writer.
-_json_text = (
-    functools.partial(json.dumps, indent=1, sort_keys=True)
-    if sys.version_info >= (3, 13)
-    else _dump_json
-)
+_json_text = functools.partial(json.dumps, indent=1, sort_keys=True)
 
 
 def _ints_template(length: int, newline: str) -> str:
@@ -95,15 +44,15 @@ def _listing_json(obj: dict, listings: dict[str, tuple]) -> str:
     holds the string "\\0" + name in place of listing `name`, a list of int
     tuples at any depth: listings[name] is (template, records).
 
-    The rest of the document comes from _json_text. Each listing is one
-    format string, joined from template(len(r), indent) per record r, one
-    template per length, and filled with every record's ints at once. These
+    json.dumps writes the rest of the document. Each listing is one format
+    string, joined from template(len(r), indent) per record r, one template
+    per length, and filled with every record's ints at once. These
     ints are the scan's results, bounded by the size of the input, so the
     interpreter's limit on the digits of an int written as text is lifted
     for them, and only for them."""
     text = _json_text(obj)
     for name, (template, records) in listings.items():
-        head, tail = text.split(_encode_scalar("\0" + name))
+        head, tail = text.split(json.dumps("\0" + name))
         line = head[head.rindex("\n") + 1 :]
         newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
         inner = newline + " "
@@ -292,11 +241,13 @@ def cmd_search(args) -> int:
     result = extremal.brute_force_s(args.n, args.k, args.linear, budget_bits=budget)
     if result.witnesses_truncated:
         print("note: witnesses truncated: not every minimizing family was kept", file=sys.stderr)
+    if args.out or args.format == "json":
+        text = _json_text(result.to_json_obj())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(result.to_json_obj()) + "\n")
+            fh.write(text + "\n")
     if args.format == "json":
-        print(_json_text(result.to_json_obj()))
+        print(text)
         return 0
     if args.format == "csv":
         m = result.minimum
@@ -356,14 +307,20 @@ def cmd_sperner(args) -> int:
     h = hypergraph.load_hypergraph(args.hypergraph)
     report = hypergraph.semi_simplexes(h, args.k)
     total = hypergraph.yblm_sum(report.family, h.n)
-    obj = report.to_json_obj(args.counts_only)
+    obj = report.to_json_obj()
     obj["sperner"] = True  # E_k and E0_{k+1} form a Sperner family by construction
     obj["yblm_sum"] = f"{total.numerator}/{total.denominator}"
     if args.deficit:
         deficit = hypergraph.semi_simplex_deficit(h, args.k)
         obj["deficit"] = f"{deficit.numerator}/{deficit.denominator}"
     if args.format == "json":
-        _emit(_json_text(obj), args.out)
+        listings = {}
+        for name in ("sections", "empty_sections"):
+            records = obj.pop(name)
+            if not args.counts_only:
+                obj[name] = "\0" + name
+                listings[name] = (_ints_template, records)
+        _emit(_listing_json(obj, listings), args.out)
         return 0
     if args.format == "csv":
         _emit(_counts_csv(report.counts), args.out)

@@ -23,7 +23,6 @@ onto a hyperplane off the origin).
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,18 +87,6 @@ def load_points(path: str) -> PointSet:
         check_lengths(rows, len(rows[0]), "point", InputError)
         return PointSet(len(rows[0]), tuple(rows))
     return PointSet(*rows_from_json(read_json(path), "points"))
-
-
-def save_points(ps: PointSet, path: str) -> None:
-    if path.endswith(".csv"):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            for p in ps.points:
-                writer.writerow(vector_to_json(p))
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ps.to_json_obj(), fh, indent=1)
-        fh.write("\n")
 
 
 def affine_rank(ps: PointSet, subset: Iterable[int]) -> int:

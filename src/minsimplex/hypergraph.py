@@ -128,17 +128,15 @@ class SemiSimplexReport:
     def total(self) -> int:
         return len(self.sections) + len(self.empty_sections)
 
-    def to_json_obj(self, counts_only: bool = False) -> dict:
-        obj = {
+    def to_json_obj(self) -> dict:
+        return {
             "n": self.n,
             "k": self.k,
             "counts": {str(size): c for size, c in self.counts.items()},
             "total": self.total,
+            "sections": self.sections,
+            "empty_sections": self.empty_sections,
         }
-        if not counts_only:
-            obj["sections"] = [list(s) for s in self.sections]
-            obj["empty_sections"] = [list(s) for s in self.empty_sections]
-        return obj
 
 
 def semi_simplexes(h: Hypergraph, k: int) -> SemiSimplexReport:

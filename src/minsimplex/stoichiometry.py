@@ -73,6 +73,17 @@ class Species:
             raise InvariantError(f"species {self.name!r} has an all-zero composition")
 
 
+def _read_count(formula: str, i: int) -> tuple[int, int]:
+    """The count written at formula[i:], 1 if there is none, and the position after it."""
+    m = _COUNT_RE.match(formula, i)
+    if not m:
+        return 1, i
+    try:  # int() refuses more digits than sys.get_int_max_str_digits(), as json does
+        return int(m.group()), m.end()
+    except ValueError as exc:
+        raise FormulaError(f"count {m.group()[:20]}...: {exc}", i) from exc
+
+
 def _parse_counts(formula: str) -> dict[str, int]:
     """Element -> count map, insertion-ordered by first appearance."""
     counts: dict[str, int] = {}
@@ -95,11 +106,7 @@ def _parse_counts(formula: str) -> dict[str, int]:
                 raise FormulaError("unmatched ')'", i)
             if not current:
                 raise FormulaError("empty group", i)
-            i += 1
-            m = _COUNT_RE.match(formula, i)
-            mult = int(m.group()) if m else 1
-            if m:
-                i = m.end()
+            mult, i = _read_count(formula, i + 1)
             group = current
             current = stack.pop()
             for sym, cnt in group.items():
@@ -109,11 +116,7 @@ def _parse_counts(formula: str) -> dict[str, int]:
             if not m:
                 raise FormulaError(f"unexpected character {ch!r}", i)
             sym = m.group()
-            i = m.end()
-            c = _COUNT_RE.match(formula, i)
-            cnt = int(c.group()) if c else 1
-            if c:
-                i = c.end()
+            cnt, i = _read_count(formula, m.end())
             current[sym] = current.get(sym, 0) + cnt
     if stack:
         raise FormulaError("unclosed '('", n)

@@ -285,55 +285,3 @@ def free_scan_python(n: int, k: int) -> tuple[Fraction, list[int]]:
         if score == best:
             argmins.append(mask)
     return Fraction(best, ck * ck1), argmins
-
-
-_JSON_STRINGS = (
-    "", "plain", 'quote " and backslash \\', "tab\tnewline\n", "\x00\x1f\x7f",
-    "é ü", "☃", "\U0001f600", "</script>",
-)
-_JSON_FLOATS = (
-    0.0, -0.0, 0.1, -2.5, 1e300, -1e-300, 2.0 ** 70,
-    float("nan"), float("inf"), float("-inf"),
-)
-
-
-class JsonDict(dict):
-    """A dict subclass, which json writes as a dict."""
-
-
-def _random_json_int(rng: random.Random) -> int:
-    bound = 10 ** rng.randrange(31)
-    return rng.randint(-bound, bound)
-
-
-def random_json_value(rng: random.Random, depth: int = 0):
-    """A random value that json.dumps accepts: nested lists, tuples, dicts and
-    dict subclasses (some empty), keyed by strings, by ints, floats and bools,
-    or by None; ints up to 10^30 of either sign, bools and None inside int
-    lists, special floats, and strings that need escapes or are not ASCII."""
-    kind = rng.randrange(6) if depth < 4 else 0
-    if kind == 0:
-        return rng.choice((
-            _random_json_int(rng), rng.choice(_JSON_FLOATS), rng.choice(_JSON_STRINGS),
-            True, False, None,
-        ))
-    if kind == 1:
-        ints = [_random_json_int(rng) for _ in range(rng.randrange(5))]
-        if rng.random() < 0.5:
-            ints.insert(rng.randrange(len(ints) + 1), rng.choice((True, False, None)))
-        return ints
-    if kind in (2, 3):
-        items = [random_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
-        return items if kind == 2 else tuple(items)
-    # keys of one kind per dict, so that sorting them can succeed
-    key_kind = rng.randrange(3)
-    out = JsonDict() if kind == 5 else {}
-    for _ in range(rng.randrange(5)):
-        if key_kind == 0:
-            key = rng.choice(_JSON_STRINGS)
-        elif key_kind == 1:
-            key = rng.choice((rng.randint(-50, 50), rng.choice(_JSON_FLOATS[:7]), True, False))
-        else:
-            key = None
-        out[key] = random_json_value(rng, depth + 1)
-    return out

@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from minsimplex import extremal, geometry, matroid
-from minsimplex.cli import _dump_json, _json_text, main
+from minsimplex import extremal, geometry, hypergraph, matroid
+from minsimplex.cli import main
 from minsimplex.errors import InputError
 from minsimplex.exactla import vector_to_json
 
-from support import JsonDict, random_deficient_rows, random_json_value, run_python
+from support import random_deficient_rows, random_set_family, run_python
 
 
 def run(capsys, *argv):
@@ -98,6 +98,8 @@ _REACT = ("react",)
     (_REACT, '[{"name": "a", "composition": [1, 0]}, {"name": "b", "composition": [1]}]'),
     (_HYPERGRAPH, '{"n": -2, "edges": []}'),
     (_REACT, '[{"name": "hydrogen", "formula": "H2"}, {"name": "mystery", "composition": [0, 2]}]'),
+    pytest.param(_REACT, '[{"formula": "C' + "9" * 5000 + 'H4"}]', id="count-of-5000-digits"),
+    pytest.param(_REACT, '[{"formula": "(CH2)' + "9" * 5000 + '"}]', id="group-multiplier-of-5000-digits"),
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv, text):
     path = tmp_path / "bad.json"
@@ -443,6 +445,52 @@ def test_sperner_deficit_requires_linearity(tmp_path, capsys):
     assert "not 2-linear" in err
 
 
+def test_sperner_json_equals_json_dumps_on_seeded_hypergraphs(tmp_path, capsys):
+    # E_k and E0_{k+1} are written from the listing templates; on stdout and in
+    # the --out file, with and without the counts, against json.dumps of the
+    # dict form. The first two hypergraphs have E_3 = [] and E0_3 = [].
+    rng = random.Random(2024)
+    Hypergraph = hypergraph.Hypergraph
+    hypergraphs = [(3, Hypergraph(5, ((0, 1), (2, 3)))), (2, Hypergraph(4, ((0, 1, 2, 3),)))]
+    for trial in range(30):
+        k = rng.randint(2, 4)
+        n = rng.randint(k + 1, 9)
+        if trial % 2:
+            hypergraphs.append((k, Hypergraph(n, random_set_family(rng, n))))
+        else:
+            hypergraphs.append((k, hypergraph.random_linear_hypergraph(rng, n, k)))
+    seen = Counter()
+    for k, h in hypergraphs:
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(h.to_json_obj()))
+        report = hypergraph.semi_simplexes(h, k)
+        total = hypergraph.yblm_sum(report.family, h.n)
+        want = {
+            "n": h.n,
+            "k": k,
+            "counts": {str(k): len(report.sections), str(k + 1): len(report.empty_sections)},
+            "total": len(report.family),
+            "sections": [list(s) for s in report.sections],
+            "empty_sections": [list(s) for s in report.empty_sections],
+            "sperner": True,
+            "yblm_sum": f"{total.numerator}/{total.denominator}",
+        }
+        argv = ("sperner", "--hypergraph", str(path), "-k", str(k), "--format", "json")
+        if hypergraph.is_q_linear(h, k - 1):
+            deficit = hypergraph.semi_simplex_deficit(h, k)
+            _listed(capsys, tmp_path, argv + ("--deficit",),
+                    dict(want, deficit=f"{deficit.numerator}/{deficit.denominator}"))
+            seen["linear"] += 1
+        else:
+            seen["not linear"] += 1
+        _listed(capsys, tmp_path, argv, want)
+        del want["sections"], want["empty_sections"]
+        _listed(capsys, tmp_path, argv + ("--counts-only",), want)
+        seen["no section"] += not report.sections
+        seen["no empty section"] += not report.empty_sections
+    assert all(seen[key] for key in ("linear", "not linear", "no section", "no empty section")), seen
+
+
 def test_verify_s_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "s-small", "--workers", "1")
     assert code == 0
@@ -480,30 +528,6 @@ def test_cli_import_does_not_import_numpy():
     # only the free search uses numpy; every other command skips its import
     proc = run_python("import minsimplex.cli, sys; assert 'numpy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
-
-
-def test_dump_json_matches_json_dumps_on_random_values():
-    rng = random.Random(1414)
-    for _ in range(3000):
-        value = random_json_value(rng)
-        assert _dump_json(value) == json.dumps(value, indent=1, sort_keys=True), value
-
-
-def test_commands_write_json_with_json_dumps_from_python_3_13():
-    # 3.13's json indents in C; before it, the commands use _dump_json
-    value = {"b": [1, 2, [True, None]], "a": {"c": "1/2"}}
-    assert _json_text(value) == json.dumps(value, indent=1, sort_keys=True)
-    assert (_json_text is _dump_json) == (sys.version_info < (3, 13))
-
-
-@pytest.mark.parametrize("value", [
-    Fraction(1, 2), [1, Fraction(1, 2)], {"a": [0, {1, 2}]}, {(1, 2): 0}, {"a": 0, 1: 0},
-])
-def test_dump_json_raises_type_error_where_json_does(value):
-    with pytest.raises(TypeError):
-        json.dumps(value, indent=1, sort_keys=True)
-    with pytest.raises(TypeError):
-        _dump_json(value)
 
 
 def test_simplexes_json_output_equals_json_dumps(tmp_path, capsys):
@@ -558,8 +582,7 @@ def test_simplexes_vectors_json_listing_equals_json_dumps_on_seeded_configuratio
     tmp_path, capsys
 ):
     # The listing of circuits with coefficients, on stdout and in the --out file,
-    # against json.dumps of its dict form; _dump_json, which the commands use for
-    # the rest of the document before Python 3.13, writes the dict form as well.
+    # against json.dumps of its dict form.
     rng = random.Random(2020)
     seen = Counter()
     for trial in range(24):
@@ -589,54 +612,11 @@ def test_simplexes_vectors_json_listing_equals_json_dumps_on_seeded_configuratio
         code, out, _ = run(capsys, "simplexes", "--vectors", str(path), "--format", "json",
                            "--out", str(out_file))
         assert (code, out, out_file.read_text()) == (0, "", want)
-        assert _dump_json(dict_form) + "\n" == want
         seen[kind] += 1
         seen["loop"] += any(c.coefficients == (1,) for c in circuits)
         seen["parallel pair"] += any(len(c.members) == 2 for c in circuits)
         seen["no circuit"] += '"circuits": []' in want
     assert all(seen[k] for k in ("loop", "parallel pair", "no circuit")), seen
-
-
-def _random_records(rng):
-    """A list of dicts with one set of keys and int-list values, like a
-    circuit listing, sometimes with one record spoiled (an empty list, a
-    bool or float, other keys, int keys): _dump_json writes every such list
-    the general way, one recursion per record."""
-    keys = rng.sample(["members", "coefficients", "a%sb", 'q"\\', "é", "%d"], rng.randint(1, 3))
-    records = [
-        {k: rng.choice((list, tuple))(rng.randint(-10**20, 10**20) for _ in range(rng.randint(1, 4)))
-         for k in keys}
-        for _ in range(rng.randint(1, 6))
-    ]
-    spoil = rng.randrange(18)  # half of the lists are left clean
-    record = rng.choice(records)
-    key = rng.choice(keys)
-    if spoil == 0:
-        record[key] = []
-    elif spoil == 1:
-        record[key] = [1, True]
-    elif spoil == 2:
-        record[key] = 7
-    elif spoil == 3:
-        record["extra"] = [1]
-    elif spoil == 4:
-        del record[key]
-    elif spoil == 5:
-        records[records.index(record)] = JsonDict(record)
-    elif spoil == 6:
-        record[key] = [1, 2.5]
-    elif spoil == 7:
-        record["other"] = record.pop(key)
-    elif spoil == 8:  # int keys, which json writes as strings
-        records = [{len(k): v for k, v in r.items()} for r in records]
-    return records
-
-
-def test_dump_json_matches_json_dumps_on_record_lists():
-    rng = random.Random(2021)
-    for _ in range(2000):
-        value = {"rows": _random_records(rng)}
-        assert _dump_json(value) == json.dumps(value, indent=1, sort_keys=True), value
 
 
 def _listed(capsys, tmp_path, argv, want):

@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 
 from minsimplex import geometry, hypergraph, matroid
 from minsimplex.errors import InputError, InvariantError
-from minsimplex.exactla import rank
+from minsimplex.exactla import rank, vector_to_json
 from minsimplex.extremal import ConstructionId, construct, expected_count
 from minsimplex.hypergraph import from_point_set
 from minsimplex.geometry import (
@@ -22,7 +23,6 @@ from minsimplex.geometry import (
     is_affine_simplex,
     load_points,
     project_to_affine,
-    save_points,
 )
 from minsimplex.matroid import VectorConfiguration, enumerate_circuits
 
@@ -598,13 +598,16 @@ def test_json_and_csv_round_trip(tmp_path):
         ((Fraction(1, 2), Fraction(3)), (Fraction(-2), Fraction(5, 7))),
         labels=("a", "b"),
     )
-    jpath = str(tmp_path / "pts.json")
-    save_points(ps, jpath)
-    back = load_points(jpath)
+    jpath = tmp_path / "pts.json"
+    jpath.write_text(json.dumps(ps.to_json_obj()))
+    back = load_points(str(jpath))
     assert back == ps
-    cpath = str(tmp_path / "pts.csv")
-    save_points(ps, cpath)
-    back_csv = load_points(cpath)
+    assert back.labels == ("a", "b")
+    assert all(type(x) is Fraction for p in back.points for x in p)
+    cpath = tmp_path / "pts.csv"
+    with open(cpath, "w", newline="") as fh:
+        csv.writer(fh).writerows(vector_to_json(p) for p in ps.points)
+    back_csv = load_points(str(cpath))
     assert back_csv.points == ps.points  # CSV carries no labels
 
 
