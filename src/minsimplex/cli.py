@@ -201,7 +201,7 @@ def _construction_id(args) -> tuple[extremal.ConstructionId, int]:
 def _enumerated_count(cid: extremal.ConstructionId, built):
     """Simplex count of a point set, or the YBLM sum of a hypergraph's semi-simplexes."""
     if isinstance(built, hypergraph.Hypergraph):
-        return hypergraph.yblm_sum(hypergraph.semi_simplexes(built, cid.k).family, built.n)
+        return hypergraph.semi_simplexes(built, cid.k).yblm_sum
     return sum(geometry.count_affine_simplexes(built).values())
 
 
@@ -306,7 +306,7 @@ def cmd_react(args) -> int:
 def cmd_sperner(args) -> int:
     h = hypergraph.load_hypergraph(args.hypergraph)
     report = hypergraph.semi_simplexes(h, args.k)
-    total = hypergraph.yblm_sum(report.family, h.n)
+    total = report.yblm_sum
     obj = report.to_json_obj()
     obj["sperner"] = True  # E_k and E0_{k+1} form a Sperner family by construction
     obj["yblm_sum"] = f"{total.numerator}/{total.denominator}"
@@ -373,7 +373,7 @@ def _suite_sperner() -> list[tuple[str, bool]]:
             h = hypergraph.random_linear_hypergraph(rng, n, k)
             report = hypergraph.semi_simplexes(h, k)
             ok = hypergraph.is_sperner(report.family)
-            total = hypergraph.yblm_sum(report.family, n)
+            total = report.yblm_sum
             checks.append(
                 (f"random k={k} n={n} trial={trial}: sperner and sum {total} <= 1",
                  ok and total <= 1)
@@ -383,7 +383,7 @@ def _suite_sperner() -> list[tuple[str, bool]]:
         h = hypergraph.from_point_set(ps)
         report = hypergraph.semi_simplexes(h, 4)
         ok = hypergraph.is_sperner(report.family)
-        total = hypergraph.yblm_sum(report.family, h.n)
+        total = report.yblm_sum
         deficit = hypergraph.semi_simplex_deficit(h, 4)
         checks.append(
             (f"parallel-pairs n={n} as hypergraph: sperner, sum {total} <= 1, "

@@ -55,7 +55,7 @@ from itertools import combinations
 from math import comb
 
 from ..errors import BudgetError, InputError
-from ..hypergraph import Hypergraph, is_q_linear, k_section, semi_simplexes, yblm_sum
+from ..hypergraph import Hypergraph, is_q_linear, k_section, semi_simplexes
 from ..hypergraph import linear_edge_counts
 
 DEFAULT_BUDGET_BITS = 25
@@ -353,7 +353,7 @@ def brute_force_s(
 def verify_witness(result: SearchResult, witness: Hypergraph) -> bool:
     """Recompute the witness's semi-simplex sum against the reported minimum."""
     report = semi_simplexes(witness, result.k)
-    if yblm_sum(report.family, witness.n) != result.minimum:
+    if report.yblm_sum != result.minimum:
         return False
     if result.linear_constrained:
         return is_q_linear(witness, result.k - 1)

@@ -161,9 +161,10 @@ def check_small_flat_hypothesis(ps: PointSet) -> bool:
     """True iff no d points lie on a (d-2)-dimensional flat (vacuous below d points).
 
     d points lie on a (d-2)-flat exactly when they are affinely dependent,
-    that is when their lifted rows are dependent: the hyperplane walk of
-    the lift then stops (ps.lift.hyperplane_sums is None). Below d points
-    there is no d-subset, so a collinear triple among them does not count.
+    that is when their lifted rows are dependent: the count then leaves
+    the hyperplane walk of the lift at the first dependent set it yields
+    (ps.lift.hyperplane_sums is None). Below d points there is no d-subset,
+    so a collinear triple among them does not count.
     """
     n, d = len(ps), ps.dimension
     return n < d or d == 0 or ps.lift.hyperplane_sums is not None

@@ -96,7 +96,7 @@ def empty_section(h: Hypergraph, k: int) -> Family:
 
 def _empty_section(n: int, k: int, section: set) -> Family:
     cands = combinations(range(n), k + 1)
-    return tuple(c for c in cands if not any(sub in section for sub in combinations(c, k)))
+    return tuple(c for c in cands if section.isdisjoint(combinations(c, k)))
 
 
 def linear_edge_counts(n: int, k: int, size: int) -> tuple[int, int]:
@@ -127,6 +127,13 @@ class SemiSimplexReport:
     @property
     def total(self) -> int:
         return len(self.sections) + len(self.empty_sections)
+
+    @property
+    def yblm_sum(self) -> Fraction:
+        """yblm_sum(self.family, n) from the counts: |E_k| / C(n, k) + |E0| / C(n, k+1),
+        with no E0 term at k = n, where no (k+1)-set exists."""
+        sizes = self.counts.items()
+        return sum((Fraction(c, comb(self.n, size)) for size, c in sizes if c), Fraction(0))
 
     def to_json_obj(self) -> dict:
         return {
@@ -209,7 +216,7 @@ def from_point_set(ps: PointSet) -> Hypergraph:
     reported d dependent points, which is exact. Let P0 be the lex-first
     independent (d-1)-subset of a section S; S shows up only at independent
     subsets of S, none of them before P0. If no dependent set was reported
-    before the visit of P0, each point of S outside P0 comes after P0 and
+    before the walk yields P0, each point of S outside P0 comes after P0 and
     spans S with it (else it would lie on the flat of the members of P0
     before it, a dependent set reported on the way to P0), so S shows up at
     P0 as one group of its other points, at least 2. Otherwise every group
@@ -222,12 +229,10 @@ def from_point_set(ps: PointSet) -> Hypergraph:
         return Hypergraph(n, ())
     members: dict[tuple[int, ...], set[int]] = {}
     dependent = independent = False
-
-    def visit(prefix, groups, units):
-        nonlocal dependent, independent
+    for prefix, groups, units in hyperplane_walk(ps.lift.integer_rows, d + 1, units=True):
         if groups is None:
             dependent = True
-            return
+            continue
         independent = independent or bool(groups)
         for (x, y), group in groups.items():
             if len(group) == 1 and not dependent:
@@ -238,8 +243,6 @@ def from_point_set(ps: PointSet) -> Hypergraph:
                 members[key] = {*prefix, *group}
             else:
                 section.update(prefix, group)
-
-    hyperplane_walk(ps.lift.integer_rows, d + 1, visit, units=True)
     if not independent:
         return Hypergraph(n, (tuple(range(n)),))
     return Hypergraph(n, tuple(tuple(sorted(m)) for m in members.values() if len(m) > d))

@@ -23,18 +23,19 @@ vectors outside its span are dependent with it, so the set tests each such
 pair's combination for full support and emits it, with no child node.
 
 Counting needs no scan when every D - 1 of the n >= D - 1 vectors are
-independent. hyperplane_walk visits the (D-2)-subsets in the same order
+independent. hyperplane_walk walks the (D-2)-subsets in the same order
 and groups the later vectors by the hyperplane each spans with the subset.
 A hyperplane with m_H vectors shows up at each (D-2)-subset of them as one
 group of its members after the subset, so the sums over every prefix and
 every group G, A = sum C(|G|, 2) and B = sum C(|G|, 3), are sum C(m_H, D)
 and sum C(m_H, D+1) over the hyperplanes, with no hyperplane named;
-count_circuits reads them. The walk reports each zero row it meets, a
-dependent set of at most D - 1 vectors, and its reader decides whether to
-go on: the count records the first and stops, which makes the walk the
-package's one general-position test, while hypergraph.from_point_set goes
-on and keys the groups of its walk by their hyperplanes' normals, to merge
-them into sections.
+count_circuits reads them. The walk is an iterator: it yields each
+(D-2)-subset with its groups, and each zero row it meets, a dependent set
+of at most D - 1 vectors, and its reader stops it by leaving its loop. The
+count returns at the first dependent set, which makes the walk the
+package's one general-position test, while hypergraph.from_point_set reads
+on to the end and keys the groups of its walk by their hyperplanes'
+normals, to merge them into sections.
 
 The checks on ordered rational rows, their labels and indices, and their
 JSON form are shared with geometry.PointSet.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, InvariantError
 from .exactla import (
@@ -154,21 +155,15 @@ class VectorConfiguration:
         if not len(self) >= self.dimension - 1 >= 1:
             return None, None
         pairs = triples = 0
-        stop = None
-
-        def visit(prefix, groups, units):
-            nonlocal pairs, triples, stop
-            if groups is None:  # the first dependent set: record it and stop
-                stop = prefix
-                return True
+        for prefix, groups, _ in hyperplane_walk(self.integer_rows, self.dimension):
+            if groups is None:  # the first dependent set: the count stops here
+                return None, prefix
             for group in groups.values():
                 m = len(group)
                 if m > 1:
                     pairs += m * (m - 1) // 2
                     triples += m * (m - 1) * (m - 2) // 6
-
-        hyperplane_walk(self.integer_rows, self.dimension, visit)
-        return (None, stop) if stop else ((pairs, triples), None)
+        return (pairs, triples), None
 
     @property
     def hyperplane_sums(self) -> tuple[int, int] | None:
@@ -343,12 +338,11 @@ def count_circuits(cfg: VectorConfiguration) -> dict[int, int]:
 
 
 def hyperplane_walk(
-    rows: Sequence[Sequence[int]], dimension: int, visit: Callable, units: bool = False
-) -> bool:
-    """Visit the (D-2)-subsets of the integer rows in R^D, D >= 2, in
+    rows: Sequence[Sequence[int]], dimension: int, units: bool = False
+) -> Iterator[tuple]:
+    """Yield the (D-2)-subsets of the integer rows in R^D, D >= 2, in
     lexicographic order, with the later rows grouped by the hyperplane
-    that each spans with the subset, and report every dependent set met on
-    the way; True when a visit stopped the walk.
+    that each spans with the subset, and every dependent set met on the way.
 
     The walk is depth-first, like the circuit scan (see _visit), and carries
     only rows, no combinations: each prefix holds every later row reduced
@@ -358,17 +352,17 @@ def hyperplane_walk(
     of its original under one linear map. At a prefix P of D - 2 members
     each later row k has 2 entries, nonzero exactly when P + (k,) is
     independent, and two such rows are parallel exactly when they span one
-    hyperplane with P. visit(P, groups, unit_rows) receives groups, a dict
-    from the primitive form of each direction (first nonzero entry
+    hyperplane with P. The walk yields (P, groups, unit_rows), groups being
+    a dict from the primitive form of each direction (first nonzero entry
     positive) to the later members in that direction, both in ascending
     member order.
 
     A zero row k at prefix P, at any depth (a loop at the root), makes
     P + (k,) a dependent set of at most D - 1 rows with P independent: the
-    walk calls visit(P + (k,), None, None) and drops the row. When no D - 2
+    walk yields (P + (k,), None, None) and drops the row. When no D - 2
     rows are dependent (distinct points lifted to R^4, say), the first such
     set is the first dependent (D - 1)-subset in lexicographic order. A
-    visit that returns true stops the walk. When units is set, the unit
+    reader stops the walk by leaving its loop. When units is set, the unit
     vectors e_0 .. e_(D-1) go through the same maps, and unit_rows holds
     their 2-entry images u_c at P; the hyperplane through P and a group of
     direction w then has the normal (det(u_c, w))_c. Otherwise unit_rows
@@ -378,8 +372,8 @@ def hyperplane_walk(
     for k, row in enumerate(rows):
         if any(row):
             carried.append((k, row))
-        elif visit((k,), None, None):
-            return True
+        else:
+            yield (k,), None, None
     unit_rows = None
     if units:
         unit_rows = [[int(r == c) for c in range(dimension)] for r in range(dimension)]
@@ -387,8 +381,9 @@ def hyperplane_walk(
         groups: dict[tuple[int, ...], list[int]] = {}
         for k, row in carried:
             groups.setdefault(tuple(primitive(row)), []).append(k)
-        return bool(visit((), groups, unit_rows))
-    return _walk((), carried, unit_rows, 1, dimension - 2, visit)
+        yield (), groups, unit_rows
+    else:
+        yield from _walk((), carried, unit_rows, 1, dimension - 2)
 
 
 def _reduce(row: Sequence[int], pivot_row: Sequence[int], p: int, prev: int) -> list[int]:
@@ -403,12 +398,11 @@ _OTHERS = ((1, 2), (0, 2), (0, 1))  # the columns of a 3-entry row besides its p
 
 
 def _walk(
-    prefix: tuple[int, ...], carried: list, units: list | None, prev: int, left: int,
-    visit: Callable,
-) -> bool:
-    """The prefixes of hyperplane_walk that extend `prefix` by `left` >= 1
-    more members; True when a visit stopped them. `prev` is the pivot of
-    its last member (1 at the root)."""
+    prefix: tuple[int, ...], carried: list, units: list | None, prev: int, left: int
+) -> Iterator[tuple]:
+    """The events of hyperplane_walk at the prefixes that extend `prefix`
+    by `left` >= 1 more members. `prev` is the pivot of its last member
+    (1 at the root)."""
     for i in range(len(carried) - left):  # room for left - 1 more members and one later row
         j, vj = carried[i]
         p = 0
@@ -422,10 +416,9 @@ def _walk(
                 v = _reduce(vk, vj, p, prev)
                 if any(v):
                     child.append((k, v))
-                elif visit(head + (k,), None, None):
-                    return True
-            if _walk(head, child, reduced, vj[p], left - 1, visit):
-                return True
+                else:
+                    yield head + (k,), None, None
+            yield from _walk(head, child, reduced, vj[p], left - 1)
             continue
         # head has D - 2 members: each later row has 3 entries and reduces to 2
         a = vj[p]
@@ -437,8 +430,7 @@ def _walk(
             x = (a * vk[c] - b * jc) // prev
             y = (a * vk[e] - b * je) // prev
             if not (x or y):
-                if visit(head + (k,), None, None):
-                    return True
+                yield head + (k,), None, None
                 continue
             # exactla.primitive of (x, y), inline: a call per row makes the walk 1.6-1.9x slower
             g = gcd(x, y)
@@ -450,9 +442,7 @@ def _walk(
                 groups[key] = [k]
             else:
                 group.append(k)
-        if visit(head, groups, reduced):
-            return True
-    return False
+        yield head, groups, reduced
 
 
 def enumerate_circuits(cfg: VectorConfiguration) -> list[Circuit]:

@@ -145,16 +145,6 @@ def infer_universe(formulas: Sequence[str]) -> AtomUniverse:
     return AtomUniverse(tuple(order))
 
 
-def format_formula(composition: Sequence[int], universe: AtomUniverse) -> str:
-    """Hill-style rendering: C first, then H, then the rest alphabetically."""
-    pairs = [(sym, c) for sym, c in zip(universe.symbols, composition) if c]
-    if any(sym == "C" for sym, _ in pairs):
-        key = lambda p: (0, "") if p[0] == "C" else ((1, "") if p[0] == "H" else (2, p[0]))
-    else:
-        key = lambda p: p[0]
-    return "".join(f"{sym}{c if c > 1 else ''}" for sym, c in sorted(pairs, key=key))
-
-
 @dataclass(frozen=True)
 class Reaction:
     """Balanced minimal reaction with primitive positive coefficients per side."""

@@ -247,8 +247,9 @@ def test_construct_parallel_pairs_validates_and_counts_from_one_walk(tmp_path, c
     walks, walk = [], matroid.hyperplane_walk
 
     def recording(*args, **kwargs):
-        walks.append(args[1])
-        return walk(*args, **kwargs)
+        walks.append((args[1], False))
+        yield from walk(*args, **kwargs)
+        walks[-1] = (args[1], True)
 
     def scan(*args, **kwargs):
         raise AssertionError("circuit scan called")
@@ -258,7 +259,7 @@ def test_construct_parallel_pairs_validates_and_counts_from_one_walk(tmp_path, c
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "construct", "parallel-pairs", "30")
     assert code == 0 and "expected 23401, enumerated 23401" in out
-    assert walks == [4]  # one walk of the lift in R^4
+    assert walks == [(4, True)]  # one walk of the lift in R^4, read to its end
 
 
 def test_construct_cone(tmp_path, capsys, monkeypatch):

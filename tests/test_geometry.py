@@ -301,17 +301,14 @@ def test_walk_group_sums_are_the_section_sums():
 
 def _walk_reports(ps):
     """(dependent sets, prefixes with groups) the keyed walk of the lift
-    reports to a reader that never stops, and whether it completed."""
+    yields to a reader that reads it to its end."""
     dependent, grouped = [], []
-
-    def visit(prefix, groups, units):
+    for prefix, groups, _ in matroid.hyperplane_walk(ps.lift.integer_rows, ps.dimension + 1, units=True):
         if groups is None:
             dependent.append(prefix)
         elif groups:
             grouped.append(prefix)
-
-    stopped = matroid.hyperplane_walk(ps.lift.integer_rows, ps.dimension + 1, visit, units=True)
-    return dependent, grouped, stopped
+    return dependent, grouped
 
 
 def test_hyperplane_sections_with_dependent_points():
@@ -320,26 +317,30 @@ def test_hyperplane_sections_with_dependent_points():
     # the walk reports the triple and goes on past it
     ps = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)))
     assert ps.lift.hyperplane_sums is None and ps.lift.dependent_set == (0, 1, 2)
-    dependent, grouped, stopped = _walk_reports(ps)
-    assert (dependent, stopped) == ([(0, 1, 2)], False)
+    dependent, grouped = _walk_reports(ps)
+    assert dependent == [(0, 1, 2)]
     assert grouped == list(combinations(range(5), 2))  # (0, 1) with its group of 3, 4, 5
     assert from_point_set(ps).edges == ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5))
     # every triple of a line is dependent, so no prefix has a group
     line = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)))
     assert line.lift.hyperplane_sums is None
-    assert _walk_reports(line) == (list(combinations(range(4), 3)), [], False)
+    assert _walk_reports(line) == (list(combinations(range(4), 3)), [])
     assert from_point_set(line).edges == ((0, 1, 2, 3),)
 
 
 def _record_walks(monkeypatch):
-    """(keyword arguments, whether a visit stopped it) of every hyperplane
-    walk, from the count (matroid) and from the sections (hypergraph)."""
+    """(keyword arguments, the event its reader left it at, or None when
+    it ran to its end) of every hyperplane walk, from the count (matroid)
+    and from the sections (hypergraph)."""
     walks, walk = [], matroid.hyperplane_walk
 
     def recording(*args, **kwargs):
-        stopped = walk(*args, **kwargs)
-        walks.append((kwargs, stopped))
-        return stopped
+        i = len(walks)
+        walks.append((kwargs, None))
+        for event in walk(*args, **kwargs):
+            walks[i] = (kwargs, event)
+            yield event
+        walks[i] = (kwargs, None)
 
     monkeypatch.setattr(matroid, "hyperplane_walk", recording)
     monkeypatch.setattr(hypergraph, "hyperplane_walk", recording)
@@ -357,14 +358,15 @@ def test_a_dependent_set_takes_one_stopped_pass_before_the_scan(monkeypatch):
         monkeypatch.setattr(module, "circuit_supports", recording)
     points = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
     assert count_affine_simplexes(PointSet(3, points)) == {3: 1, 5: 3}
-    assert (walks, scans) == ([({}, True)], [{}])  # one stopped count walk, then the scan
+    left = ((0, 1, 2), None, None)  # the collinear triple, the first dependent set
+    assert (walks, scans) == ([({}, left)], [{}])  # one count walk, left at the triple; the scan
     walks.clear(), scans.clear()
     with pytest.raises(InvariantError, match=r"collinear triple at indices \(0, 1, 2\)"):
         classify_r3_semi_simplexes(PointSet(3, points))
-    assert (walks, scans) == ([({}, True)], [])  # one walk, which names the triple; no scan
+    assert (walks, scans) == ([({}, left)], [])  # one walk, which names the triple; no scan
     walks.clear()
     assert len(from_point_set(PointSet(3, points)).edges) == 3  # the planes through the x-axis
-    assert walks == [({"units": True}, False)]  # one keyed walk, past the triple
+    assert walks == [({"units": True}, None)]  # one keyed walk, read to its end past the triple
 
 
 def test_from_point_set_takes_one_walk_with_a_collinear_triple(monkeypatch):
@@ -375,7 +377,7 @@ def test_from_point_set_takes_one_walk_with_a_collinear_triple(monkeypatch):
         walks.clear()
         ps = PointSet(3, points)
         assert from_point_set(ps) == plain_from_point_set(ps)
-        assert walks == [({"units": True}, False)]
+        assert walks == [({"units": True}, None)]
         assert ps.lift.dependent_set is not None
 
 
@@ -386,9 +388,9 @@ def test_count_readers_share_one_hyperplane_walk(monkeypatch):
     assert count_affine_simplexes(ps) == {4: 74, 5: 32}  # 106 in all, the closed form
     assert classify_r3_semi_simplexes(ps) == (74, 32)
     assert ps.lift.hyperplane_sums is ps.lift.hyperplane_sums
-    assert walks == [({}, False)]  # one count walk, with no keys
+    assert walks == [({}, None)]  # one count walk, with no keys, read to its end
     assert len(from_point_set(ps).edges) == 5
-    assert walks == [({}, False), ({"units": True}, False)]  # and one keyed walk
+    assert walks == [({}, None), ({"units": True}, None)]  # and one keyed walk
 
 
 def test_simplex_sizes_under_hypothesis():

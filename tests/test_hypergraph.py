@@ -26,7 +26,7 @@ from minsimplex.hypergraph import (
     yblm_sum,
 )
 
-from support import plain_from_point_set, random_linear_hypergraph, random_point_set
+from support import plain_from_point_set, random_linear_hypergraph, random_point_set, random_set_family
 
 
 def two_disjoint(n):
@@ -121,10 +121,33 @@ def test_semi_simplexes_always_sperner_and_yblm_random():
         report = semi_simplexes(h, k)
         assert is_sperner(report.family)
         assert yblm_sum(report.family, n) <= 1
+        assert report.yblm_sum == yblm_sum(report.family, n)
         # disjointness of the two families is definitional
         section = set(report.sections)
         for f in report.empty_sections:
             assert not any(sub in section for sub in combinations(f, k))
+
+
+def test_empty_sections_are_the_sets_meeting_every_edge_in_fewer_than_k():
+    # a (k+1)-set has a k-subset in E_k exactly when it shares k vertices
+    # with an edge, so E0_{k+1} is every (k+1)-set that meets each edge in
+    # fewer than k; linear and arbitrary families alike
+    rng = random.Random(71)
+    seen = set()
+    for trial in range(90):
+        k = 2 + trial % 3
+        n = rng.randint(k + 1, 10)
+        if trial % 2:
+            h = random_linear_hypergraph(rng, n, k)
+        else:
+            h = Hypergraph(n, random_set_family(rng, n))
+        oracle = tuple(
+            c for c in combinations(range(n), k + 1) if all(len(set(c) & set(e)) < k for e in h.edges)
+        )
+        assert semi_simplexes(h, k).empty_sections == oracle, (h, k)
+        seen.add((k, is_q_linear(h, k - 1), bool(oracle)))
+    # linear and non-linear families, with and without E0, for k = 2, 3, 4
+    assert {(k, linear, e0) for k in (2, 3, 4) for linear in (True, False) for e0 in (True, False)} <= seen
 
 
 def test_yblm_sum_examples():
@@ -133,6 +156,10 @@ def test_yblm_sum_examples():
     single = Hypergraph(k + 1, (tuple(range(k)),))
     report = semi_simplexes(single, k)
     assert yblm_sum(report.family, k + 1) == Fraction(1, k + 1)
+    # at k = n there is no (k+1)-set, so E0 adds nothing to the report's sum
+    for edges in ((tuple(range(k)),), ()):
+        report = semi_simplexes(Hypergraph(k, edges), k)
+        assert report.yblm_sum == yblm_sum(report.family, k) == len(edges)
     full = tuple(combinations(range(6), 3))
     assert yblm_sum(full, 6) == 1
 

@@ -361,21 +361,19 @@ def _planted_vectors(rng, dim):
 
 
 def _walk_events(cfg, stop_at=None):
-    """What hyperplane_walk gives a reader: ("dependent", set) and
+    """What hyperplane_walk yields to a reader: ("dependent", set) and
     ("groups", prefix, its groups by first member), in order, up to the
-    visit that returns true, the first one of kind stop_at; and whether the
-    walk stopped."""
+    first one of kind stop_at, where the reader leaves the walk; and
+    whether it left before the walk's end."""
     events = []
-
-    def visit(prefix, groups, units):
+    for prefix, groups, _ in matroid.hyperplane_walk(cfg.integer_rows, cfg.dimension):
         if groups is None:
             events.append(("dependent", prefix))
         else:
             events.append(("groups", prefix, sorted(groups.values())))
-        return events[-1][0] == stop_at
-
-    stopped = matroid.hyperplane_walk(cfg.integer_rows, cfg.dimension, visit)
-    return events, stopped
+        if events[-1][0] == stop_at:
+            return events, True
+    return events, False
 
 
 def test_walk_names_the_dependent_set_it_stops_at():

@@ -10,7 +10,6 @@ from minsimplex.stoichiometry import (
     FormulaError,
     Reaction,
     Species,
-    format_formula,
     infer_universe,
     load_species,
     minimal_reactions,
@@ -188,18 +187,6 @@ def test_report_counts():
 def test_universe_inference_order():
     universe = infer_universe(["H2O", "CO2", "NaCl"])
     assert universe.symbols == ("H", "O", "C", "Na", "Cl")
-
-
-def test_hill_format_round_trip():
-    rng = random.Random(101)
-    symbols = ("C", "H", "O", "N", "Cl")
-    for _ in range(30):
-        comp = tuple(rng.randint(0, 5) for _ in symbols)
-        if not any(comp):
-            continue
-        universe = AtomUniverse(symbols)
-        rendered = format_formula(comp, universe)
-        assert parse_formula(rendered, universe).composition == comp
 
 
 def test_load_species_text_and_json(tmp_path):
