@@ -101,24 +101,25 @@ def _counts_csv(counts: dict[int, int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _emit_counts(counts: dict[int, int], json_obj: dict, args) -> None:
-    """Print counts by size in the requested format; json_obj is their JSON form."""
+def _counts_json(dimension: int, noun: str, n: int, counts: dict[int, int]) -> dict:
+    """Counts by size of the circuits of n vectors, or of the affine simplexes
+    of n points, in R^dimension: the head of every simplexes document."""
+    return {
+        "dimension": dimension,
+        f"{noun}_count": n,
+        "counts": {str(size): count for size, count in counts.items()},
+        "total": sum(counts.values()),
+    }
+
+
+def _emit_counts(args, dimension: int, noun: str, n: int, counts: dict[int, int]) -> None:
+    """Print counts by size in the requested format, as _counts_json in JSON."""
     if args.format == "json":
-        _emit(_json_text(json_obj), args.out)
+        _emit(_json_text(_counts_json(dimension, noun, n, counts)), args.out)
     elif args.format == "csv":
         _emit(_counts_csv(counts), args.out)
     else:
         _emit("\n".join(_counts_lines(counts, sum(counts.values()))), args.out)
-
-
-def _circuits_json(cfg, counts: dict[int, int]) -> dict:
-    """Circuit counts by size, in their JSON form."""
-    return {
-        "dimension": cfg.dimension,
-        "vector_count": len(cfg),
-        "counts": {str(size): count for size, count in counts.items()},
-        "total": sum(counts.values()),
-    }
 
 
 def cmd_simplexes(args) -> int:
@@ -130,11 +131,12 @@ def cmd_simplexes(args) -> int:
         ps = geometry.load_points(args.points)
         if listed:
             report = geometry.enumerate_affine_simplexes(ps)
-            obj = dict(report.to_json_obj(), simplexes="\0simplexes")
+            obj = _counts_json(ps.dimension, "point", len(ps), report.counts)
+            obj["simplexes"] = "\0simplexes"
             _emit(_listing_json(obj, {"simplexes": (_ints_template, report.supports)}), args.out)
             return 0
         counts = geometry.count_affine_simplexes(ps)
-        _emit_counts(counts, geometry.counts_json_obj(ps.dimension, len(ps), counts), args)
+        _emit_counts(args, ps.dimension, "point", len(ps), counts)
         return 0
 
     cfg = matroid.load_vectors(args.vectors)
@@ -142,7 +144,7 @@ def cmd_simplexes(args) -> int:
         ps = geometry.project_to_affine(cfg)  # a refused configuration costs no scan
     elif not listed:
         counts = matroid.count_circuits(cfg)
-        _emit_counts(counts, _circuits_json(cfg, counts), args)
+        _emit_counts(args, cfg.dimension, "vector", len(cfg), counts)
         return 0
     # Coefficients are computed only when they are printed.
     listings = {}
@@ -152,7 +154,7 @@ def cmd_simplexes(args) -> int:
         listings["circuits"] = (_circuit_template, [c.coefficients + c.members for c in circuits])
     else:
         supports = matroid.circuit_supports(cfg)
-    circuits_obj = _circuits_json(cfg, Counter(map(len, supports)))
+    circuits_obj = _counts_json(cfg.dimension, "vector", len(cfg), Counter(map(len, supports)))
     if listed:
         circuits_obj["circuits"] = "\0circuits"
     if not args.project:
@@ -162,7 +164,7 @@ def cmd_simplexes(args) -> int:
     report = geometry.enumerate_affine_simplexes(ps)
     match = supports == list(report.supports)
     if args.format == "json":
-        projected = geometry.counts_json_obj(ps.dimension, len(ps), report.counts)
+        projected = _counts_json(ps.dimension, "point", len(ps), report.counts)
         if listed:
             projected["simplexes"] = "\0simplexes"
             listings["simplexes"] = (_ints_template, report.supports)
@@ -277,7 +279,10 @@ def cmd_search(args) -> int:
 def cmd_react(args) -> int:
     universe = None
     if args.universe:
-        universe = stoichiometry.AtomUniverse(tuple(s.strip() for s in args.universe.split(",")))
+        symbols = tuple(s.strip() for s in args.universe.split(","))
+        if not all(symbols) or len(set(symbols)) != len(symbols):
+            raise InputError(f"--universe needs distinct, non-empty atom symbols: {args.universe!r}")
+        universe = stoichiometry.AtomUniverse(symbols)
     species = stoichiometry.load_species(args.species_file, universe)
     reactions = stoichiometry.minimal_reactions(species)
     if args.format == "json":
@@ -307,19 +312,24 @@ def cmd_sperner(args) -> int:
     h = hypergraph.load_hypergraph(args.hypergraph)
     report = hypergraph.semi_simplexes(h, args.k)
     total = report.yblm_sum
-    obj = report.to_json_obj()
-    obj["sperner"] = True  # E_k and E0_{k+1} form a Sperner family by construction
-    obj["yblm_sum"] = f"{total.numerator}/{total.denominator}"
     if args.deficit:
         deficit = hypergraph.semi_simplex_deficit(h, args.k)
-        obj["deficit"] = f"{deficit.numerator}/{deficit.denominator}"
     if args.format == "json":
+        obj = {
+            "n": h.n,
+            "k": args.k,
+            "counts": {str(size): c for size, c in report.counts.items()},
+            "total": report.total,
+            "sperner": True,  # E_k and E0_{k+1} form a Sperner family by construction
+            "yblm_sum": f"{total.numerator}/{total.denominator}",
+        }
+        if args.deficit:
+            obj["deficit"] = f"{deficit.numerator}/{deficit.denominator}"
         listings = {}
-        for name in ("sections", "empty_sections"):
-            records = obj.pop(name)
-            if not args.counts_only:
+        if not args.counts_only:
+            for name in ("sections", "empty_sections"):
                 obj[name] = "\0" + name
-                listings[name] = (_ints_template, records)
+                listings[name] = (_ints_template, getattr(report, name))
         _emit(_listing_json(obj, listings), args.out)
         return 0
     if args.format == "csv":

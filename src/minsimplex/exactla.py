@@ -4,11 +4,13 @@ All arithmetic here is exact. The core works on integer rows: one
 fraction-free Bareiss elimination (Math. Comp. 22, 1968) gives
 `rank_int_rows` and `kernel_int_rows`, whose vectors are in `primitive`
 form (entry gcd 1, first nonzero entry positive), the package's one
-normal form for hyperplane normals and circuit coefficients. Rationals are
-`fractions.Fraction` and appear only in the views `rank`, `nullspace_basis`
-and `primitive_integer_vector`: they take rows of exact entries (int,
-Fraction or "p/q" string), clear denominators row by row, which changes
-neither rank nor kernel, and call the core.
+normal form for hyperplane normals and circuit coefficients; the primitive
+form of a row of Fractions is `primitive(integer_row(row))`. Rationals are
+`fractions.Fraction` and appear only in the views `rank` and
+`nullspace_basis`: they take rows of exact entries (int, Fraction or "p/q"
+string), clear denominators row by row, which changes neither rank nor
+kernel, and call the core. The package itself calls neither view; they
+stay because perfbench/tracing.py wraps them by name.
 
 No floating point is accepted anywhere: external numeric input must be an
 integer or a "p/q" string (see `rational_from_string`). `read_json` reads
@@ -216,8 +218,3 @@ def nullspace_basis(rows: Sequence[Sequence]) -> list[tuple[Fraction, ...]]:
         x_f = next(x for x in reversed(v) if x)
         basis.append(tuple(Fraction(x, x_f) for x in v))
     return basis
-
-
-def primitive_integer_vector(v: Sequence) -> list[int]:
-    """The unique parallel integer vector with entry gcd 1, first nonzero > 0."""
-    return primitive(integer_row([coerce_rational(x) for x in v]))

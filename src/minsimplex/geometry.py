@@ -1,12 +1,15 @@
-"""Affine simplex detection, enumeration and counting in exact rational point sets.
+"""Affine simplex enumeration and counting in exact rational point sets.
 
 An affine simplex is k >= 3 points lying on a (k-2)-dimensional flat while
 every proper subset is affinely independent; it is the affine analogue of a
 matroid circuit. Points p are affinely dependent exactly when their lifts
 (1, p) are linearly dependent, so the affine simplexes are the circuits of
-the lift and are enumerated by matroid.circuit_supports; affine rank is the
-lift's rank minus 1. PointSet.lift is built once per point set and kept,
-with its integer rows, for every later scan and rank of that set.
+the lift, enumerated by matroid.circuit_supports: a set of points is an
+affine simplex exactly when it is a member of
+enumerate_affine_simplexes(ps).supports. Affine rank is the lift's rank
+minus 1. PointSet.lift is built once per point set and kept, with its
+integer rows, for every later scan and rank of that set. The JSON forms
+of the counts and of the simplex listings are built by cli.
 
 The hypothesis of the dimension-d counting results, no d points on a
 (d-2)-flat, says that every d of the lifted vectors are independent. The
@@ -40,7 +43,6 @@ from .matroid import (
     circuit_supports,
     count_circuits,
     exact_rows,
-    is_circuit,
     rows_from_json,
     subset_rank,
 )
@@ -55,6 +57,8 @@ class PointSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if self.dimension < 0:
+            raise InvariantError(f"points need a non-negative dimension, got {self.dimension}")
         object.__setattr__(self, "points", exact_rows(self.points, self.dimension, "point"))
         seen: dict[tuple, int] = {}
         for i, p in enumerate(self.points):
@@ -97,20 +101,10 @@ def affine_rank(ps: PointSet, subset: Iterable[int]) -> int:
     return subset_rank(ps.lift, idx) - 1
 
 
-def is_affine_simplex(ps: PointSet, subset: Iterable[int]) -> bool:
-    """True iff the points span a (k-2)-flat and all proper subsets are independent."""
-    idx = check_indices(subset, len(ps), "point")
-    if len(idx) < 3:
-        raise InvariantError(f"affine simplexes have at least 3 points, got {len(idx)}")
-    return is_circuit(ps.lift, idx)
-
-
 @dataclass(frozen=True)
 class SimplexReport:
     """Enumerated affine simplexes, as sorted member tuples, grouped by cardinality."""
 
-    dimension: int
-    point_count: int
     supports: tuple[tuple[int, ...], ...]
 
     @property
@@ -121,20 +115,6 @@ class SimplexReport:
     def total(self) -> int:
         return len(self.supports)
 
-    def to_json_obj(self) -> dict:
-        obj = counts_json_obj(self.dimension, self.point_count, self.counts)
-        return {**obj, "simplexes": self.supports}
-
-
-def counts_json_obj(dimension: int, point_count: int, counts: dict[int, int]) -> dict:
-    """The JSON form of simplex counts by size, as SimplexReport writes them."""
-    return {
-        "dimension": dimension,
-        "point_count": point_count,
-        "counts": {str(k): v for k, v in counts.items()},
-        "total": sum(counts.values()),
-    }
-
 
 def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
     """All affine simplexes, sorted by members: the circuits of the lift (1, p).
@@ -142,7 +122,7 @@ def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
     Points are distinct, so the lift has no loops and no parallel pairs and
     every simplex has at least 3 points; at most rank(lift) + 1 <= d + 2.
     """
-    return SimplexReport(ps.dimension, len(ps), tuple(circuit_supports(ps.lift)))
+    return SimplexReport(tuple(circuit_supports(ps.lift)))
 
 
 def count_affine_simplexes(ps: PointSet) -> dict[int, int]:
@@ -195,10 +175,13 @@ def project_to_affine(cfg: VectorConfiguration) -> PointSet:
     hyperplane come from the rational basis change that sends a to the last
     coordinate, which here amounts to dropping coordinate 0 (a starts with 1).
     Circuits of the input correspond one-to-one to affine simplexes of the
-    output. The first zero vector, else the first pair in member order with
-    one exactla.primitive form (a circuit of size 1 or 2), is refused.
+    output. A configuration in R^0, which has no hyperplane to project onto,
+    is refused; so are the first zero vector, else the first pair in member
+    order with one exactla.primitive form (a circuit of size 1 or 2).
     """
     d = cfg.dimension
+    if d == 0:
+        raise InvariantError("a configuration in R^0 cannot be projected")
     vectors = cfg.vectors
     by_form: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(cfg.integer_rows):

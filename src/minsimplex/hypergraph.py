@@ -57,9 +57,13 @@ class Hypergraph:
             n = int_from_json(obj["n"], "'n'")
             if n < 0:
                 raise InputError(f"'n' must be non-negative, got {n}")
-            return cls(n, tuple(tuple(int_from_json(v, "vertex") for v in e) for e in obj["edges"]))
+            edges = tuple(tuple(int_from_json(v, "vertex") for v in e) for e in obj["edges"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"hypergraph needs 'n' and 'edges': {exc}") from exc
+        for e in edges:
+            if not e or len(set(e)) != len(e) or not all(0 <= v < n for v in e):
+                raise InputError(f"edge {list(e)} must be distinct vertices in 0..{n - 1}")
+        return cls(n, edges)
 
 
 def load_hypergraph(path: str) -> Hypergraph:
@@ -89,12 +93,8 @@ def k_section(h: Hypergraph, k: int) -> Family:
     return tuple(sorted(out))
 
 
-def empty_section(h: Hypergraph, k: int) -> Family:
-    """All (k+1)-sets of vertices containing no member of the k-section."""
-    return _empty_section(h.n, k, set(k_section(h, k)))
-
-
 def _empty_section(n: int, k: int, section: set) -> Family:
+    """All (k+1)-sets of vertices containing no member of the k-section."""
     cands = combinations(range(n), k + 1)
     return tuple(c for c in cands if section.isdisjoint(combinations(c, k)))
 
@@ -134,16 +134,6 @@ class SemiSimplexReport:
         with no E0 term at k = n, where no (k+1)-set exists."""
         sizes = self.counts.items()
         return sum((Fraction(c, comb(self.n, size)) for size, c in sizes if c), Fraction(0))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "counts": {str(size): c for size, c in self.counts.items()},
-            "total": self.total,
-            "sections": self.sections,
-            "empty_sections": self.empty_sections,
-        }
 
 
 def semi_simplexes(h: Hypergraph, k: int) -> SemiSimplexReport:

@@ -208,17 +208,6 @@ def configuration_rank(cfg: VectorConfiguration) -> int:
     return subset_rank(cfg, range(len(cfg)))
 
 
-def is_circuit(cfg: VectorConfiguration, subset: Iterable[int]) -> bool:
-    """True iff the subset is dependent and every proper subset is independent."""
-    idx = check_indices(subset, len(cfg), "vector")
-    if len(idx) < 1:
-        raise InputError("is_circuit needs at least one index")
-    k = len(idx)
-    if subset_rank(cfg, idx) != k - 1:
-        return False
-    return all(subset_rank(cfg, idx[:i] + idx[i + 1 :]) == k - 1 for i in range(k))
-
-
 def _visit(members: tuple[int, ...], carried: list, rlen: int, prev: int, emit: Callable) -> None:
     """One node of the circuit scan: the independent set `members`, with
     rlen = D - len(members) columns left and prev its last member's pivot.

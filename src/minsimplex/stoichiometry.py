@@ -273,9 +273,10 @@ def load_species(path: str, universe: AtomUniverse | None = None) -> list[Specie
             raise InputError(f"{path}: no species found")
         if not all(isinstance(r, dict) for r in records):
             raise InputError(f"{path}: species JSON must be a list of objects")
+        for key in ("formula", "name"):
+            if not all(isinstance(r[key], str) for r in records if key in r):
+                raise InputError(f"{path}: every '{key}' must be a string")
         formulas = [r["formula"] for r in records if "formula" in r]
-        if not all(isinstance(f, str) for f in formulas):
-            raise InputError(f"{path}: every 'formula' must be a string")
         if universe is None and formulas:
             universe = infer_universe(formulas)
         out = []

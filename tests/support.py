@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from minsimplex import geometry, hypergraph, matroid
-from minsimplex.exactla import nullspace_basis, primitive_integer_vector, rank
+from minsimplex.exactla import integer_row, nullspace_basis, primitive, rank
 from minsimplex.hypergraph import random_linear_hypergraph  # noqa: F401  (shared by test modules)
 
 
@@ -176,7 +176,7 @@ def circuit_coefficients_oracle(
         return (1,)
     basis = nullspace_basis([list(col) for col in zip(*(cfg.vectors[i] for i in members))])
     assert len(basis) == 1, f"{members} has nullity {len(basis)}"
-    coeffs = tuple(primitive_integer_vector(basis[0]))
+    coeffs = tuple(primitive(integer_row(basis[0])))
     assert all(coeffs), f"{members} is not minimal"
     return coeffs
 

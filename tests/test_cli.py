@@ -100,6 +100,13 @@ _REACT = ("react",)
     (_REACT, '[{"name": "hydrogen", "formula": "H2"}, {"name": "mystery", "composition": [0, 2]}]'),
     pytest.param(_REACT, '[{"formula": "C' + "9" * 5000 + 'H4"}]', id="count-of-5000-digits"),
     pytest.param(_REACT, '[{"formula": "(CH2)' + "9" * 5000 + '"}]', id="group-multiplier-of-5000-digits"),
+    (_HYPERGRAPH, '{"n": 3, "edges": [[0, 5]]}'),
+    (_HYPERGRAPH, '{"n": 3, "edges": [[0, 0]]}'),
+    (_HYPERGRAPH, '{"n": 3, "edges": [[]]}'),
+    (_REACT, '[{"name": 5, "formula": "H2"}, {"formula": "H"}]'),
+    (_REACT, '[{"name": 5, "composition": [1]}, {"composition": [2]}]'),
+    pytest.param(("react", "--universe", "H,O,H"), '[{"formula": "H2O"}]', id="universe-repeats-a-symbol"),
+    pytest.param(("react", "--universe", "H,,O"), '[{"formula": "H2O"}]', id="universe-with-an-empty-symbol"),
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv, text):
     path = tmp_path / "bad.json"
@@ -164,12 +171,13 @@ def test_simplexes_project_refuses_before_the_scan(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(matroid, "circuit_supports", scan)
     monkeypatch.setattr(matroid, "enumerate_circuits", scan)
     refusals = {
-        "zero vector at index 2 cannot be projected": [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]],
-        "parallel vectors at indices 0 and 4": [[1, 2, 0], [0, 1, 1], [0, -2, -2], [3, 0, 1], [-2, -4, 0]],
+        "zero vector at index 2 cannot be projected": (3, [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]]),
+        "parallel vectors at indices 0 and 4": (3, [[1, 2, 0], [0, 1, 1], [0, -2, -2], [3, 0, 1], [-2, -4, 0]]),
+        "a configuration in R^0 cannot be projected": (0, []),
     }
-    for message, vectors in refusals.items():
+    for message, (dimension, vectors) in refusals.items():
         path = tmp_path / "refused.json"
-        path.write_text(json.dumps({"dimension": 3, "vectors": vectors}))
+        path.write_text(json.dumps({"dimension": dimension, "vectors": vectors}))
         for fmt in (("text",), ("json",), ("json", "--counts-only")):
             code, out, err = run(capsys, "simplexes", "--vectors", str(path), "--project", "--format", *fmt)
             assert (code, out, err) == (3, "", f"invariant violation: {message}\n")
@@ -542,6 +550,13 @@ def test_simplexes_json_output_equals_json_dumps(tmp_path, capsys):
     ))
     report = geometry.enumerate_affine_simplexes(ps)
     circuits = matroid.enumerate_circuits(cfg)
+    want_points = {
+        "dimension": ps.dimension,
+        "point_count": len(ps),
+        "counts": {str(k): v for k, v in report.counts.items()},
+        "total": report.total,
+        "simplexes": [list(m) for m in report.supports],
+    }
     want_vectors = {
         "dimension": cfg.dimension,
         "vector_count": len(cfg),
@@ -552,7 +567,7 @@ def test_simplexes_json_output_equals_json_dumps(tmp_path, capsys):
         ],
     }
     for argv, want in (
-        (("--points", str(points)), report.to_json_obj()),
+        (("--points", str(points)), want_points),
         (("--vectors", str(vectors)), want_vectors),
     ):
         code, out, _ = run(capsys, "simplexes", *argv, "--format", "json")

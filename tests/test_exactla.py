@@ -10,7 +10,6 @@ from minsimplex.exactla import (
     kernel_int_rows,
     nullspace_basis,
     primitive,
-    primitive_integer_vector,
     rank,
     rank_int_rows,
     rational_from_string,
@@ -76,14 +75,15 @@ def test_nullspace_composition_example():
 
 
 def test_primitive_integer_vector_examples():
-    assert primitive_integer_vector([Fraction(1), Fraction(1, 2), Fraction(-1)]) == [2, 1, -2]
-    assert primitive_integer_vector([3, 6]) == [1, 2]
-    assert primitive_integer_vector([0, -5]) == [0, 1]
+    # the primitive integer vector parallel to a row of exact rationals
+    assert primitive(integer_row([Fraction(1), Fraction(1, 2), Fraction(-1)])) == [2, 1, -2]
+    assert primitive(integer_row([3, 6])) == [1, 2]
+    assert primitive(integer_row([0, -5])) == [0, 1]
 
 
 def test_primitive_integer_vector_zero_errors():
     with pytest.raises(InvariantError, match="zero vector has no primitive form"):
-        primitive_integer_vector([0, 0, 0])
+        primitive(integer_row([Fraction(0), Fraction(0), Fraction(0)]))
 
 
 def test_primitive_idempotent():
@@ -92,8 +92,8 @@ def test_primitive_idempotent():
         v = [random_rational(rng) for _ in range(rng.randint(1, 5))]
         if all(x == 0 for x in v):
             continue
-        p = primitive_integer_vector(v)
-        assert primitive_integer_vector(p) == p
+        p = primitive(integer_row(v))
+        assert primitive(integer_row(p)) == p
 
 
 def test_rank_invariances_random():

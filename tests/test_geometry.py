@@ -20,7 +20,6 @@ from minsimplex.geometry import (
     classify_r3_semi_simplexes,
     count_affine_simplexes,
     enumerate_affine_simplexes,
-    is_affine_simplex,
     load_points,
     project_to_affine,
 )
@@ -70,14 +69,15 @@ def test_affine_rank_base_point_independent():
 
 
 def test_is_affine_simplex_examples():
+    # a set of points is an affine simplex exactly when the enumeration lists it;
+    # no pair is one
     collinear = PointSet(2, ((0, 0), (1, 1), (2, 2)))
-    assert is_affine_simplex(collinear, (0, 1, 2))
+    assert enumerate_affine_simplexes(collinear).supports == ((0, 1, 2),)
     coplanar = PointSet(3, ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 2, 0)))
-    assert is_affine_simplex(coplanar, (0, 1, 2, 3))
+    assert enumerate_affine_simplexes(coplanar).supports == ((0, 1, 2, 3),)
+    # the four coplanar points hold a collinear triple, the only simplex
     with_triple = PointSet(3, ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)))
-    assert not is_affine_simplex(with_triple, (0, 1, 2, 3))
-    with pytest.raises(InvariantError):
-        is_affine_simplex(collinear, (0, 1))
+    assert enumerate_affine_simplexes(with_triple).supports == ((0, 1, 2),)
 
 
 def test_is_affine_simplex_per_base_equivalence():
@@ -87,9 +87,10 @@ def test_is_affine_simplex_per_base_equivalence():
     rng = random.Random(29)
     for _ in range(15):
         ps = random_point_set(rng, rng.randint(3, 6), rng.randint(2, 3))
+        supports = set(enumerate_affine_simplexes(ps).supports)
         for size in range(3, len(ps) + 1):
             for members in combinations(range(len(ps)), size):
-                direct = is_affine_simplex(ps, members)
+                direct = members in supports
                 per_base = []
                 for b_pos in range(size):
                     base = ps.points[members[b_pos]]
@@ -451,6 +452,9 @@ def test_project_rejects_zero_and_parallel():
         project_to_affine(VectorConfiguration(2, ((1, 0), (0, 0))))
     with pytest.raises(InvariantError, match="parallel vectors at indices 0 and 2"):
         project_to_affine(VectorConfiguration(2, ((1, 0), (0, 1), (2, 0))))
+    for vectors in ((), ((),)):
+        with pytest.raises(InvariantError, match=r"^a configuration in R\^0 cannot be projected$"):
+            project_to_affine(VectorConfiguration(0, vectors))
 
 
 def _refusal(fn, arg):
@@ -576,6 +580,8 @@ def test_duplicate_points_rejected():
 def test_row_label_and_index_checks_name_points():
     with pytest.raises(InvariantError, match="^point 1 has length 3, expected 2$"):
         PointSet(2, ((1, 0), (0, 1, 2)))
+    with pytest.raises(InvariantError, match="^points need a non-negative dimension, got -1$"):
+        PointSet(-1, ())
     with pytest.raises(InvariantError, match="^label count does not match point count$"):
         PointSet(1, ((1,), (2,)), labels=("a",))
     with pytest.raises(InvariantError, match="^labels must be unique$"):

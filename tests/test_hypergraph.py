@@ -15,7 +15,6 @@ from minsimplex.geometry import (
 )
 from minsimplex.hypergraph import (
     Hypergraph,
-    empty_section,
     first_linearity_violation,
     from_point_set,
     is_q_linear,
@@ -55,10 +54,10 @@ def test_k_section_ignores_small_edges():
 
 
 def test_empty_section_examples():
-    assert len(empty_section(Hypergraph(4, ()), 2)) == 4
+    assert len(semi_simplexes(Hypergraph(4, ()), 2).empty_sections) == 4
     # two disjoint 3-sets on 6 vertices: C(6,3) - 2*C(3,3) - 2*3*C(3,2) = 0
-    assert empty_section(two_disjoint(3), 2) == ()
-    assert empty_section(Hypergraph(5, ((0, 1, 2, 3, 4),)), 3) == ()
+    assert semi_simplexes(two_disjoint(3), 2).empty_sections == ()
+    assert semi_simplexes(Hypergraph(5, ((0, 1, 2, 3, 4),)), 3).empty_sections == ()
 
 
 def test_semi_simplexes_counts():
@@ -364,6 +363,14 @@ def test_hypergraph_validation():
         Hypergraph(3, ((),))
     with pytest.raises(InvariantError):
         Hypergraph(3, ((0, 1), (1, 0)))
+    with pytest.raises(InvariantError):
+        Hypergraph(3, ((0, 0),))
+    # the same edges read from a file are input errors, except a repeated edge
+    for edges in ([[0, 3]], [[0, 0]], [[]]):
+        with pytest.raises(InputError, match=r"^edge \[.*\] must be distinct vertices in 0\.\.2$"):
+            Hypergraph.from_json_obj({"n": 3, "edges": edges})
+    with pytest.raises(InvariantError, match="pairwise distinct"):
+        Hypergraph.from_json_obj({"n": 3, "edges": [[0, 1], [1, 0]]})
 
 
 def test_json_round_trip():

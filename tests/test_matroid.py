@@ -6,13 +6,12 @@ import pytest
 
 from minsimplex import matroid
 from minsimplex.errors import InputError, InvariantError
-from minsimplex.exactla import primitive_integer_vector, rank
+from minsimplex.exactla import integer_row, primitive, rank
 from minsimplex.extremal import ConstructionId, construct
 from minsimplex.matroid import (
     VectorConfiguration,
     configuration_rank,
     enumerate_circuits,
-    is_circuit,
     subset_rank,
 )
 
@@ -35,18 +34,10 @@ def moment_vectors(n, dim):
 
 
 def test_is_circuit_examples():
-    cfg = VectorConfiguration(2, ((1, 0), (0, 1), (1, 1)))
-    assert is_circuit(cfg, (0, 1, 2))
-    assert not is_circuit(cfg, (0, 1))
-    cfg2 = VectorConfiguration(2, ((1, 0), (2, 0), (0, 1)))
-    assert not is_circuit(cfg2, (0, 1, 2))  # contains the dependent pair {0,1}
-    assert is_circuit(cfg2, (0, 1))
-
-
-def test_is_circuit_invalid_index():
-    cfg = VectorConfiguration(2, ((1, 0),))
-    with pytest.raises(InputError):
-        is_circuit(cfg, (0, 5))
+    # a set is a circuit exactly when the scan lists it
+    assert matroid.circuit_supports(VectorConfiguration(2, ((1, 0), (0, 1), (1, 1)))) == [(0, 1, 2)]
+    # (0, 1, 2) contains the dependent pair (0, 1), so only the pair is a circuit
+    assert matroid.circuit_supports(VectorConfiguration(2, ((1, 0), (2, 0), (0, 1)))) == [(0, 1)]
 
 
 def test_three_nonparallel_vectors_one_circuit():
@@ -235,7 +226,7 @@ def test_scan_coefficients_follow_a_rescaling_of_the_vectors():
         assert [c.members for c in rescaled] == [c.members for c in circuits]
         for c, base in zip(rescaled, circuits):
             want = [Fraction(x) / scales[i] for i, x in zip(base.members, base.coefficients)]
-            assert list(c.coefficients) == primitive_integer_vector(want)
+            assert list(c.coefficients) == primitive(integer_row(want))
         seen["large content"] += common > 1 and any(len(c.members) > 1 for c in circuits)
         seen["denominator"] += any(f.denominator > 1 for f in scales) and bool(circuits)
         seen["size 3+"] += any(len(c.members) > 2 for c in circuits)
