@@ -7,13 +7,13 @@ the k-uniform Turan numbers themselves is a famous open problem).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from ..errors import InputError, InvariantError
 from ..hypergraph import Hypergraph
+from ..record import Record
 
 
 def turan_k2(n: int) -> int:
@@ -30,11 +30,16 @@ def s2_exact(n: int) -> Fraction:
     return 1 - Fraction(turan_k2(n), comb(n, 2))
 
 
-@dataclass(frozen=True)
-class ReferenceBounds:
-    upper_sk: Fraction        # limit of constrained minima is at most 1 - k/2^k
-    upper_s_prime_k: Fraction  # unconstrained limit is at most (1 - 1/k)^(k-1)
-    lower_start: Fraction      # first sequence value: s(k+1, k) = 1/(k+1)
+class ReferenceBounds(Record):
+    def __init__(
+        self,
+        upper_sk: Fraction,  # limit of constrained minima is at most 1 - k/2^k
+        upper_s_prime_k: Fraction,  # unconstrained limit is at most (1 - 1/k)^(k-1)
+        lower_start: Fraction,  # first sequence value: s(k+1, k) = 1/(k+1)
+    ):
+        self.__dict__.update(
+            upper_sk=upper_sk, upper_s_prime_k=upper_s_prime_k, lower_start=lower_start
+        )
 
 
 def reference_bounds(k: int) -> ReferenceBounds:

@@ -21,13 +21,13 @@ General position is checked by the hyperplane walk, which the count reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from ..errors import InputError, InvariantError
 from ..geometry import PointSet, check_small_flat_hypothesis
 from ..hypergraph import Hypergraph
+from ..record import Record
 
 KINDS = ("inplane-generic", "cone", "parallel-pairs", "two-lines", "two-disjoint-edges")
 # the least n at which each kind is built and its closed form holds
@@ -35,27 +35,23 @@ _MIN_N = {"inplane-generic": 0, "cone": 2, "parallel-pairs": 6, "two-lines": 5,
           "two-disjoint-edges": 1}
 
 
-@dataclass(frozen=True)
-class ConstructionId:
-    kind: str
-    d: int | None = None
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InputError(f"unknown construction {self.kind!r}; known: {', '.join(KINDS)}")
-        if self.kind in ("inplane-generic", "cone"):
-            if self.d is None or self.d < 2:
-                raise InputError(f"{self.kind} needs a dimension d >= 2")
-            if self.k is not None:
-                raise InputError(f"{self.kind} takes no level parameter k")
-        elif self.kind == "two-disjoint-edges":
-            if self.k is None or self.k < 1:
+class ConstructionId(Record):
+    def __init__(self, kind: str, d: int | None = None, k: int | None = None):
+        if kind not in KINDS:
+            raise InputError(f"unknown construction {kind!r}; known: {', '.join(KINDS)}")
+        if kind in ("inplane-generic", "cone"):
+            if d is None or d < 2:
+                raise InputError(f"{kind} needs a dimension d >= 2")
+            if k is not None:
+                raise InputError(f"{kind} takes no level parameter k")
+        elif kind == "two-disjoint-edges":
+            if k is None or k < 1:
                 raise InputError("two-disjoint-edges needs a level k >= 1")
-            if self.d is not None:
+            if d is not None:
                 raise InputError("two-disjoint-edges takes no dimension parameter d")
-        elif self.d is not None or self.k is not None:
-            raise InputError(f"{self.kind} takes no extra parameter")
+        elif d is not None or k is not None:
+            raise InputError(f"{kind} takes no extra parameter")
+        self.__dict__.update(kind=kind, d=d, k=k)
 
     def __str__(self) -> str:
         if self.d is not None:

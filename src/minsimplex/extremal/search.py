@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -57,6 +56,7 @@ from math import comb
 from ..errors import BudgetError, InputError
 from ..hypergraph import Hypergraph, is_q_linear, k_section, semi_simplexes
 from ..hypergraph import linear_edge_counts
+from ..record import Record
 
 DEFAULT_BUDGET_BITS = 25
 _BLOCK = 1 << 18  # score entries per matrix product of the free scan
@@ -67,15 +67,16 @@ _MAX_FREE_BITS = 62  # masks and the mask count 2^bits must fit in int64
 _FLOAT_EXACT_BITS = 24  # float32 holds every integer below 2^24 exactly
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    n: int
-    k: int
-    linear_constrained: bool
-    minimum: Fraction
-    witnesses: tuple[Hypergraph, ...]
-    search_space_size: int
-    witnesses_truncated: bool = False  # minimizers beyond _MAX_RAW_WITNESSES were dropped
+class SearchResult(Record):
+    def __init__(
+        self, n: int, k: int, linear_constrained: bool, minimum: Fraction,
+        witnesses: tuple[Hypergraph, ...], search_space_size: int,
+        witnesses_truncated: bool = False,  # minimizers beyond _MAX_RAW_WITNESSES were dropped
+    ):
+        self.__dict__.update(
+            n=n, k=k, linear_constrained=linear_constrained, minimum=minimum, witnesses=witnesses,
+            search_space_size=search_space_size, witnesses_truncated=witnesses_truncated,
+        )
 
     def to_json_obj(self) -> dict:
         return {

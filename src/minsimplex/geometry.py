@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
@@ -46,26 +45,28 @@ from .matroid import (
     rows_from_json,
     subset_rank,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     """Ordered list of exact points in R^d; duplicate points are rejected."""
 
-    dimension: int
-    points: tuple[tuple[Fraction, ...], ...]
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.dimension < 0:
-            raise InvariantError(f"points need a non-negative dimension, got {self.dimension}")
-        object.__setattr__(self, "points", exact_rows(self.points, self.dimension, "point"))
+    def __init__(
+        self,
+        dimension: int,
+        points: tuple[tuple[Fraction, ...], ...],
+        labels: tuple[str, ...] | None = None,
+    ):
+        if dimension < 0:
+            raise InvariantError(f"points need a non-negative dimension, got {dimension}")
+        points = exact_rows(points, dimension, "point")
         seen: dict[tuple, int] = {}
-        for i, p in enumerate(self.points):
+        for i, p in enumerate(points):
             if p in seen:
                 raise InvariantError(f"duplicate points at indices {seen[p]} and {i}")
             seen[p] = i
-        object.__setattr__(self, "labels", check_labels(self.labels, len(self), "point"))
+        labels = check_labels(labels, len(points), "point")
+        self.__dict__.update(dimension=dimension, points=points, labels=labels)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -101,11 +102,11 @@ def affine_rank(ps: PointSet, subset: Iterable[int]) -> int:
     return subset_rank(ps.lift, idx) - 1
 
 
-@dataclass(frozen=True)
-class SimplexReport:
+class SimplexReport(Record):
     """Enumerated affine simplexes, as sorted member tuples, grouped by cardinality."""
 
-    supports: tuple[tuple[int, ...], ...]
+    def __init__(self, supports: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(supports=supports)
 
     @property
     def counts(self) -> dict[int, int]:

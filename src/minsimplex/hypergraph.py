@@ -9,7 +9,6 @@ union is always a Sperner family, so its YBLM sum is at most 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -19,34 +18,31 @@ from .errors import InputError, InvariantError
 from .exactla import int_from_json, primitive, read_json
 from .geometry import PointSet
 from .matroid import hyperplane_walk
+from .record import Record
 
 Family = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Record):
     """Vertex set {0..n-1} plus a family of distinct non-empty edges."""
 
-    n: int
-    edges: Family
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: Family):
+        if n < 0:
             raise InvariantError("vertex count must be non-negative")
         norm = []
-        for e in self.edges:
+        for e in edges:
             raw = tuple(e)
             edge = tuple(sorted(set(raw)))
             if not edge:
                 raise InvariantError("empty edge")
-            if edge[0] < 0 or edge[-1] >= self.n:
-                raise InvariantError(f"edge {edge} out of vertex range 0..{self.n - 1}")
+            if edge[0] < 0 or edge[-1] >= n:
+                raise InvariantError(f"edge {edge} out of vertex range 0..{n - 1}")
             if len(edge) != len(raw):
                 raise InvariantError(f"repeated vertex in edge {raw}")
             norm.append(edge)
         if len(set(norm)) != len(norm):
             raise InvariantError("edges must be pairwise distinct")
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
+        self.__dict__.update(n=n, edges=tuple(sorted(norm)))
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -107,14 +103,11 @@ def linear_edge_counts(n: int, k: int, size: int) -> tuple[int, int]:
     return comb(size, k), comb(size, k + 1) + comb(size, k) * (n - size)
 
 
-@dataclass(frozen=True)
-class SemiSimplexReport:
+class SemiSimplexReport(Record):
     """The two semi-simplex families E_k and E0_{k+1} with their cardinalities."""
 
-    n: int
-    k: int
-    sections: Family
-    empty_sections: Family
+    def __init__(self, n: int, k: int, sections: Family, empty_sections: Family):
+        self.__dict__.update(n=n, k=k, sections=sections, empty_sections=empty_sections)
 
     @property
     def counts(self) -> dict[int, int]:

@@ -44,7 +44,6 @@ JSON form are shared with geometry.PointSet.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
@@ -61,6 +60,7 @@ from .exactla import (
     rank_int_rows,
     read_json,
 )
+from .record import Record
 
 
 def check_lengths(
@@ -126,17 +126,18 @@ def rows_from_json(obj, key: str) -> tuple[int, list, tuple[str, ...] | None]:
     return dimension, rows, check_labels(labels or None, len(rows), noun, InputError)
 
 
-@dataclass(frozen=True)
-class VectorConfiguration:
+class VectorConfiguration(Record):
     """Ordered list of vectors in R^D with optional display labels."""
 
-    dimension: int
-    vectors: tuple[tuple[Fraction, ...], ...]
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", exact_rows(self.vectors, self.dimension, "vector"))
-        object.__setattr__(self, "labels", check_labels(self.labels, len(self), "vector"))
+    def __init__(
+        self,
+        dimension: int,
+        vectors: tuple[tuple[Fraction, ...], ...],
+        labels: tuple[str, ...] | None = None,
+    ):
+        vectors = exact_rows(vectors, dimension, "vector")
+        labels = check_labels(labels, len(vectors), "vector")
+        self.__dict__.update(dimension=dimension, vectors=vectors, labels=labels)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -185,12 +186,11 @@ def load_vectors(path: str) -> VectorConfiguration:
     return VectorConfiguration(*rows_from_json(read_json(path), "vectors"))
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Record):
     """Minimal dependent subset plus its primitive dependency coefficients."""
 
-    members: tuple[int, ...]
-    coefficients: tuple[int, ...]
+    def __init__(self, members: tuple[int, ...], coefficients: tuple[int, ...]):
+        self.__dict__.update(members=members, coefficients=coefficients)
 
     @property
     def size(self) -> int:

@@ -10,7 +10,6 @@ participating species is always a reactant.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb
 from operator import mul
 from typing import Sequence
@@ -18,6 +17,7 @@ from typing import Sequence
 from .errors import InputError, InvariantError
 from .exactla import parse_json, read_text
 from .matroid import VectorConfiguration, configuration_rank, enumerate_circuits
+from .record import Record
 
 _ELEMENT_RE = re.compile(r"[A-Z][a-z]?")
 _COUNT_RE = re.compile(r"[1-9][0-9]*")
@@ -32,16 +32,14 @@ class FormulaError(InputError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class AtomUniverse:
+class AtomUniverse(Record):
     """Fixed-order list of distinct atom symbols."""
 
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if len(set(self.symbols)) != len(self.symbols):
+    def __init__(self, symbols: tuple[str, ...]):
+        symbols = tuple(symbols)
+        if len(set(symbols)) != len(symbols):
             raise InvariantError("atom symbols must be distinct")
+        self.__dict__.update(symbols=symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -56,21 +54,17 @@ class AtomUniverse:
             raise InputError(f"element {symbol!r} not in universe {list(self.symbols)}") from None
 
 
-@dataclass(frozen=True)
-class Species:
-    name: str
-    composition: tuple[int, ...]
-
-    def __post_init__(self):
-        comp = self.composition
+class Species(Record):
+    def __init__(self, name: str, composition: tuple[int, ...]):
+        comp = composition
         if not isinstance(comp, (list, tuple)) or not all(type(x) is int for x in comp):
-            raise InputError(f"composition of {self.name!r} must be a list of integers: {comp!r}")
+            raise InputError(f"composition of {name!r} must be a list of integers: {comp!r}")
         comp = tuple(comp)
-        object.__setattr__(self, "composition", comp)
         if any(x < 0 for x in comp):
-            raise InvariantError(f"negative atom count in {self.name}: {comp}")
+            raise InvariantError(f"negative atom count in {name}: {comp}")
         if not any(comp):
-            raise InvariantError(f"species {self.name!r} has an all-zero composition")
+            raise InvariantError(f"species {name!r} has an all-zero composition")
+        self.__dict__.update(name=name, composition=comp)
 
 
 def _read_count(formula: str, i: int) -> tuple[int, int]:
@@ -145,25 +139,23 @@ def infer_universe(formulas: Sequence[str]) -> AtomUniverse:
     return AtomUniverse(tuple(order))
 
 
-@dataclass(frozen=True)
-class Reaction:
+class Reaction(Record):
     """Balanced minimal reaction with primitive positive coefficients per side."""
 
-    reactants: tuple[tuple[Species, int], ...]
-    products: tuple[tuple[Species, int], ...]
-
-    def __post_init__(self):
-        if not self.reactants or not self.products:
+    def __init__(
+        self, reactants: tuple[tuple[Species, int], ...], products: tuple[tuple[Species, int], ...]
+    ):
+        if not reactants or not products:
             raise InvariantError("a reaction needs both reactants and products")
         # one net vector, reactants minus products: the signed coefficients
         # against each atom's column of the compositions
         signed, compositions = [], []
-        for sp, c in self.reactants:
+        for sp, c in reactants:
             if c <= 0:
                 raise InvariantError("reaction coefficients must be positive")
             signed.append(c)
             compositions.append(sp.composition)
-        for sp, c in self.products:
+        for sp, c in products:
             if c <= 0:
                 raise InvariantError("reaction coefficients must be positive")
             signed.append(-c)
@@ -174,9 +166,10 @@ class Reaction:
         net = [sum(map(mul, signed, column)) for column in zip(*compositions)]
         if any(net):
             atom = next(i for i, x in enumerate(net) if x)
-            lhs = sum(c * sp.composition[atom] for sp, c in self.reactants)
-            rhs = sum(c * sp.composition[atom] for sp, c in self.products)
+            lhs = sum(c * sp.composition[atom] for sp, c in reactants)
+            rhs = sum(c * sp.composition[atom] for sp, c in products)
             raise InvariantError(f"unbalanced atom index {atom}: {lhs} != {rhs}")
+        self.__dict__.update(reactants=reactants, products=products)
 
     @property
     def species_count(self) -> int:
@@ -226,13 +219,16 @@ def minimal_reactions(species: Sequence[Species]) -> list[Reaction]:
     return reactions
 
 
-@dataclass(frozen=True)
-class ReactionReport:
-    species_count: int
-    atom_kinds: int
-    configuration_rank: int
-    counts_by_size: dict[int, int]
-    benchmark: int  # C(n, r+1): the generic-count scale for this rank
+class ReactionReport(Record):
+    # benchmark is C(n, r+1): the generic-count scale for this rank
+    def __init__(
+        self, species_count: int, atom_kinds: int, configuration_rank: int,
+        counts_by_size: dict[int, int], benchmark: int,
+    ):
+        self.__dict__.update(
+            species_count=species_count, atom_kinds=atom_kinds,
+            configuration_rank=configuration_rank, counts_by_size=counts_by_size, benchmark=benchmark,
+        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -263,7 +259,9 @@ def load_species(path: str, universe: AtomUniverse | None = None) -> list[Specie
 
     JSON records carry either a "formula" or a raw "composition"; raw
     vectors require an explicit universe only for formula-less files when
-    none can be inferred.
+    none can be inferred. A species is named by its "name", else by its
+    formula, else "?". A name given twice is an InputError that names both
+    species' positions, counted from 0: the reactions could not tell them apart.
     """
     text = read_text(path)
     stripped = text.lstrip()
@@ -291,11 +289,17 @@ def load_species(path: str, universe: AtomUniverse | None = None) -> list[Specie
         widths = {len(sp.composition) for sp in out}
         if len(widths) > 1:
             raise InputError(f"{path}: compositions of mixed lengths {sorted(widths)}")
-        return out
-    lines = [line.strip() for line in text.splitlines()]
-    formulas = [line for line in lines if line and not line.startswith("#")]
-    if not formulas:
-        raise InputError(f"{path}: no species found")
-    if universe is None:
-        universe = infer_universe(formulas)
-    return [parse_formula(f, universe) for f in formulas]
+    else:
+        lines = [line.strip() for line in text.splitlines()]
+        formulas = [line for line in lines if line and not line.startswith("#")]
+        if not formulas:
+            raise InputError(f"{path}: no species found")
+        if universe is None:
+            universe = infer_universe(formulas)
+        out = [parse_formula(f, universe) for f in formulas]
+    first: dict[str, int] = {}
+    for j, sp in enumerate(out):
+        i = first.setdefault(sp.name, j)
+        if i != j:
+            raise InputError(f"{path}: species {i} and {j} are both named {sp.name!r}")
+    return out

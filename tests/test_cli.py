@@ -416,6 +416,23 @@ def test_react_refuses_an_empty_species_file(tmp_path, capsys, name, text):
     assert (code, out, err) == (2, "", f"input error: {path}: no species found\n")
 
 
+@pytest.mark.parametrize("name, text, first, second, species", [
+    pytest.param("species.json", '[{"name": "a", "composition": [1]}, {"name": "a", "composition": [2]}]',
+                 0, 1, "a", id="json-names"),
+    pytest.param("species.txt", "H2O\nH2\n# again\nH2O\n", 0, 2, "H2O", id="text-formulas"),
+    pytest.param("species.json", '[{"name": "H2O", "formula": "H2O2"}, {"formula": "H2O"}]',
+                 0, 1, "H2O", id="formula-repeats-a-name"),
+])
+def test_react_refuses_a_repeated_species_name(tmp_path, capsys, name, text, first, second, species):
+    # two species of one name printed "2 a -> a" and "H2O -> H2O" at exit 0; the
+    # last file repeats an explicit name as a formula-derived one
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "react", str(path))
+    message = f"input error: {path}: species {first} and {second} are both named {species!r}\n"
+    assert (code, out, err) == (2, "", message)
+
+
 def test_react_bad_formula_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("H2*\n")
@@ -537,6 +554,20 @@ def test_cli_import_does_not_import_numpy():
     # only the free search uses numpy; every other command skips its import
     proc = run_python("import minsimplex.cli, sys; assert 'numpy' not in sys.modules")
     assert proc.returncode == 0, proc.stderr
+
+
+def _loaded_modules(imports: str) -> set[str]:
+    proc = run_python(f"import sys, {imports}; print(' '.join(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every cold command pays for what importing cli loads; dataclasses alone pulls in
+    # inspect, ast, dis and tokenize. A new interpreter, since pytest imports dataclasses,
+    # compared with one importing stdlib modules cli needs, so a site hook cannot fail it
+    added = _loaded_modules("minsimplex.cli") - _loaded_modules("argparse, csv, fractions, json")
+    assert not {"dataclasses", "inspect"} & added, sorted(added)
 
 
 def test_simplexes_json_output_equals_json_dumps(tmp_path, capsys):
