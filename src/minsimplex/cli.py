@@ -309,11 +309,13 @@ def cmd_react(args) -> int:
 
 
 def cmd_sperner(args) -> int:
+    if args.deficit and args.format == "csv":
+        raise InputError("--deficit has no csv form; use --format text or json")
     h = hypergraph.load_hypergraph(args.hypergraph)
+    if args.deficit:  # refuses a k out of range, then a non-linear h, before E0 is listed
+        deficit = hypergraph.semi_simplex_deficit(h, args.k)
     report = hypergraph.semi_simplexes(h, args.k)
     total = report.yblm_sum
-    if args.deficit:
-        deficit = hypergraph.semi_simplex_deficit(h, args.k)
     if args.format == "json":
         obj = {
             "n": h.n,
@@ -432,7 +434,9 @@ def _suite_s_small() -> list[tuple[str, bool]]:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "s-small" and args.format == "csv":
+    if args.format == "csv":
+        if args.suite != "s-small":
+            raise InputError(f"--format csv applies to --suite s-small only, not {args.suite}")
         # plot-ready table of searched minima against the closed forms
         print("n,k,s,s_prime,closed_form")
         failures = 0
@@ -511,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hypergraph", required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--deficit", action="store_true",
-                   help="also report the normalized deficit (needs (k-1)-linearity)")
+                   help="also report the normalized deficit (needs (k-1)-linearity; text or json)")
     p.add_argument("--counts-only", action="store_true")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out")

@@ -1,16 +1,18 @@
 """Generators for the extremal configurations with closed-form counts.
 
-Every generator returns exact coordinates (or an explicit hypergraph) and
-validates the construction's side conditions at build time, failing loudly
-rather than emitting a configuration whose count formula would not apply.
-General position is checked by the hyperplane walk, which the count reads.
+Every generator returns exact coordinates (or an explicit hypergraph) from
+a literal formula, with no search. The point sets whose formula needs
+general position (no d points on a (d-2)-flat) are checked at build time
+by the hyperplane walk, which the count then reads, and fail loudly rather
+than emit a configuration whose count formula would not apply.
 
   inplane-generic(d):    n points in general position inside a hyperplane
                          of R^d; exactly C(n, d+1) affine simplexes.
   cone(d):               n-1 such points plus one apex off the hyperplane;
                          exactly C(n-1, d+1) simplexes.
-  parallel-pairs:        planar rows of parallel point pairs plus an
-                         off-plane pair parallel to them (d = 3);
+  parallel-pairs:        point pairs (-i, i^2), (i, i^2) on the parabola
+                         y = x^2 in the plane z = 0, each on its own row,
+                         plus an off-plane pair parallel to the rows (d = 3);
                          C(n-1,4) - (n-2)(n-5)/2 simplexes for even n and
                          C(n-1,4) - (n-3)(n-5)/2 for odd n.
   two-lines:             n-2 points on one line and 3 on another, sharing
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import comb
 
 from ..errors import InputError, InvariantError
-from ..geometry import PointSet, check_small_flat_hypothesis
+from ..geometry import PointSet
 from ..hypergraph import Hypergraph
 from ..record import Record
 
@@ -61,57 +63,17 @@ class ConstructionId(Record):
         return self.kind
 
 
-def _crossings(placed: list[tuple[int, int]], row: int) -> set[int]:
-    """The integers x at which a line through two placed points, not both on
-    one row, meets the row y = row."""
-    xs = set()
-    for i, (px, py) in enumerate(placed):
-        for qx, qy in placed[i + 1 :]:
-            dy = qy - py
-            if dy:
-                x, rem = divmod(px * dy + (row - py) * (qx - px), dy)
-                if not rem:
-                    xs.add(x)
-    return xs
-
-
-def _greedy_plane_rows(pair_rows: int, extra_point: bool) -> list[tuple[int, int]]:
-    """Place point pairs on rows y = 1..pair_rows with no three collinear.
-
-    Each pair sits on its own horizontal row, so all pair lines are parallel
-    to (1, 0); the x offsets are the least free integers from 0, left point
-    first. A candidate (x, row) is collinear with two placed points exactly
-    when x is where their line crosses the row: the placed points lie on
-    earlier rows, and a line through the left point and an earlier one
-    crosses the row only at the left point itself, so each row refuses the
-    candidates of one set of crossings.
-    """
-    placed: list[tuple[int, int]] = []
-    rows = [(row, 2) for row in range(1, pair_rows + 1)]
-    if extra_point:
-        rows.append((pair_rows + 1, 1))
-    for row, count in rows:
-        refused = _crossings(placed, row)
-        x = 0
-        for _ in range(count):
-            while x in refused:
-                x += 1
-            placed.append((x, row))
-            x += 1
-    return placed
-
-
 def _parallel_pairs_points(n: int) -> PointSet:
-    pair_rows = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
-    plane = _greedy_plane_rows(pair_rows, extra_point=n % 2 == 1)
-    points = [(Fraction(x), Fraction(y), Fraction(0)) for x, y in plane]
-    # Apex pair off the plane, on a line parallel to every in-plane pair line.
-    points.append((Fraction(0), Fraction(0), Fraction(1)))
-    points.append((Fraction(1), Fraction(0), Fraction(1)))
-    for i in range(pair_rows):
-        a, b = plane[2 * i], plane[2 * i + 1]
-        if a[1] != b[1]:
-            raise InvariantError(f"pair {i} is not on a common row")
+    """Pairs (-i, i^2, 0), (i, i^2, 0) for i = 1..m on the parabola y = x^2,
+    then its vertex (0, 0, 0) when n is odd, then the apex pair (0, 0, 1),
+    (1, 0, 1) on a line parallel to every pair's row. A line meets the
+    parabola in at most two points, so no three in-plane points are
+    collinear; any plane through the apex line meets z = 0 in one row."""
+    m = (n - 2) // 2  # for odd n, (n - 3) // 2 pairs and the vertex
+    points = [(x, i * i, 0) for i in range(1, m + 1) for x in (-i, i)]
+    if n % 2:
+        points.append((0, 0, 0))
+    points += [(0, 0, 1), (1, 0, 1)]
     return _in_general_position(PointSet(3, tuple(points)), "parallel pairs")
 
 
@@ -123,8 +85,9 @@ def _moment_points(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def _in_general_position(ps: PointSet, name: str) -> PointSet:
     """ps, unless d of its points lie on a (d-2)-flat."""
-    if not check_small_flat_hypothesis(ps):
-        raise InvariantError(f"{name}: points {ps.lift.dependent_set} lie on a lower flat")
+    dependent = ps.lift.dependent_set
+    if dependent is not None:
+        raise InvariantError(f"{name}: points {dependent} lie on a lower flat")
     return ps
 
 
@@ -141,10 +104,7 @@ def _cone_points(d: int, n: int) -> PointSet:
 def _two_lines_points(n: int) -> PointSet:
     line_a = [(Fraction(i), Fraction(0)) for i in range(n - 2)]
     line_b = [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))]
-    ps = PointSet(2, tuple(line_a + line_b))
-    if sum(1 for p in ps.points if p[1] == 0) != n - 2 or sum(1 for p in ps.points if p[0] == 0) != 3:
-        raise InvariantError("two-lines incidence layout broken")
-    return ps
+    return PointSet(2, tuple(line_a + line_b))
 
 
 def _check_n(cid: ConstructionId, n: int) -> None:

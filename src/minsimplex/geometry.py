@@ -142,13 +142,12 @@ def check_small_flat_hypothesis(ps: PointSet) -> bool:
     """True iff no d points lie on a (d-2)-dimensional flat (vacuous below d points).
 
     d points lie on a (d-2)-flat exactly when they are affinely dependent,
-    that is when their lifted rows are dependent: the count then leaves
-    the hyperplane walk of the lift at the first dependent set it yields
-    (ps.lift.hyperplane_sums is None). Below d points there is no d-subset,
-    so a collinear triple among them does not count.
+    that is when their lifted rows are dependent: the hyperplane walk of
+    the lift then reports a first dependent set (ps.lift.dependent_set),
+    where the count leaves it. The walk runs only when n >= d >= 1, so
+    below d points, where no d-subset exists, and in R^0 there is none.
     """
-    n, d = len(ps), ps.dimension
-    return n < d or d == 0 or ps.lift.hyperplane_sums is not None
+    return ps.lift.dependent_set is None
 
 
 def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
@@ -162,8 +161,9 @@ def classify_r3_semi_simplexes(ps: PointSet) -> tuple[int, int]:
     """
     if ps.dimension != 3:
         raise InvariantError(f"classification needs dimension 3, got {ps.dimension}")
-    if not check_small_flat_hypothesis(ps):
-        raise InvariantError(f"collinear triple at indices {ps.lift.dependent_set}")
+    triple = ps.lift.dependent_set
+    if triple is not None:
+        raise InvariantError(f"collinear triple at indices {triple}")
     counts = count_affine_simplexes(ps)
     return counts.get(4, 0), counts.get(5, 0)
 

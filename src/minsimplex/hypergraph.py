@@ -142,7 +142,11 @@ def semi_simplex_deficit(h: Hypergraph, k: int) -> Fraction:
 
     Only defined for (k-1)-linear hypergraphs; used to probe the lower-bound
     constant from below on concrete instances; computed from the edge sizes.
+    k is checked as semi_simplexes checks it, then k >= 2, then linearity.
     """
+    n = h.n
+    if not 1 <= k <= n:
+        raise InputError(f"k must be in 1..{n}, got {k}")
     if k < 2:
         raise InputError("deficit needs k >= 2")
     bad = first_linearity_violation(h, k - 1)
@@ -151,9 +155,6 @@ def semi_simplex_deficit(h: Hypergraph, k: int) -> Fraction:
             f"hypergraph is not {k - 1}-linear: edges {bad[0]} and {bad[1]} "
             f"share {len(set(bad[0]) & set(bad[1]))} vertices"
         )
-    n = h.n
-    if not 1 <= k <= n:
-        raise InputError(f"k must be in 1..{n}, got {k}")
     counts = [linear_edge_counts(n, k, len(e)) for e in h.edges]
     sections = sum(added for added, _ in counts)
     empty_sections = comb(n, k + 1) - sum(covered for _, covered in counts)

@@ -471,6 +471,37 @@ def test_sperner_deficit_requires_linearity(tmp_path, capsys):
     assert "not 2-linear" in err
 
 
+def test_sperner_deficit_refuses_before_it_lists_e0(tmp_path, capsys, monkeypatch):
+    # E0_5 of 40 vertices is C(40, 5) = 658,008 candidates; the refusals come first,
+    # k's range before linearity
+    def listed(*args):
+        raise AssertionError("E0 listed")
+
+    monkeypatch.setattr(hypergraph, "_empty_section", listed)
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"n": 40, "edges": [[0, 1, 2, 3], [0, 1, 2, 4]]}))
+    code, out, err = run(capsys, "sperner", "--hypergraph", str(path), "-k", "4", "--deficit")
+    assert (code, out) == (3, "")
+    assert err == ("invariant violation: hypergraph is not 3-linear: "
+                   "edges (0, 1, 2, 3) and (0, 1, 2, 4) share 3 vertices\n")
+    code, out, err = run(capsys, "sperner", "--hypergraph", str(path), "-k", "41", "--deficit")
+    assert (code, out, err) == (2, "", "input error: k must be in 1..40, got 41\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sperner", "--hypergraph", "missing.json", "-k", "2", "--deficit", "--format", "csv"),
+    ("verify", "--suite", "constructions", "--format", "csv"),
+    ("verify", "--suite", "sperner", "--format", "csv"),
+])
+def test_format_combinations_that_would_drop_output_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # csv has no deficit column and no form of a pass/fail report; refused before
+    # the input file is read or a check runs
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "csv" in err
+
+
 def test_sperner_json_equals_json_dumps_on_seeded_hypergraphs(tmp_path, capsys):
     # E_k and E0_{k+1} are written from the listing templates; on stdout and in
     # the --out file, with and without the counts, against json.dumps of the

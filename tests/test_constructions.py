@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -68,33 +69,15 @@ def test_parallel_pairs_counts_and_layout():
         construct(cid, 5)
 
 
-def _plane_rows_candidate_by_candidate(n: int) -> list[tuple[Fraction, Fraction]]:
-    """The in-plane points of parallel pairs placed greedily, each candidate
-    tested against every pair of placed points: the slow oracle."""
-    def free(placed, c):
-        return not any(
-            (q[0] - p[0]) * (c[1] - p[1]) == (q[1] - p[1]) * (c[0] - p[0])
-            for i, p in enumerate(placed) for q in placed[i + 1 :]
-        )
-
-    pair_rows = (n - 2) // 2 if n % 2 == 0 else (n - 3) // 2
-    counts = [2] * pair_rows + [1] * (n % 2)
-    placed = []
-    for row, count in enumerate(counts, 1):
-        x = 0
-        for _ in range(count):
-            while not free(placed, (x, row)):
-                x += 1
-            placed.append((x, row))
-            x += 1
-    return [(Fraction(x), Fraction(y)) for x, y in placed]
-
-
-def test_parallel_pairs_plane_points_match_candidate_by_candidate_placement():
+def test_parallel_pairs_plane_points_are_pairs_on_the_parabola():
     cid = ConstructionId("parallel-pairs")
     for n in range(6, 41):
         plane = [p[:2] for p in construct(cid, n).points[:-2]]
-        assert plane == _plane_rows_candidate_by_candidate(n), n
+        want = [(x, i * i) for i in range(1, (n - 2) // 2 + 1) for x in (-i, i)]
+        assert plane == want + [(0, 0)] * (n % 2), n
+        # brute force: no three of them collinear
+        for p, q, r in combinations(plane, 3):
+            assert (q[0] - p[0]) * (r[1] - p[1]) != (q[1] - p[1]) * (r[0] - p[0]), (n, p, q, r)
 
 
 def test_parallel_pairs_expected_values():

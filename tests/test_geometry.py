@@ -206,6 +206,7 @@ def test_small_flat_hypothesis_matches_d_subset_oracle():
         ps = _planted_point_set(rng, d)
         holds = check_small_flat_hypothesis(ps)
         assert holds == oracle_small_flat_hypothesis(ps)
+        assert holds == (ps.lift.dependent_set is None)
         seen.add((d, holds, len(ps) < d))
     # both outcomes in R^3 and R^4, and sets below d points
     assert {(3, True, False), (3, False, False), (4, True, False), (4, False, False)} <= seen
