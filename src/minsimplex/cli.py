@@ -139,6 +139,8 @@ def cmd_simplexes(args) -> int:
         _emit_counts(args, ps.dimension, "point", len(ps), counts)
         return 0
 
+    if args.project and args.format == "csv":
+        raise InputError("--project has no csv form; use --format text or json")
     cfg = matroid.load_vectors(args.vectors)
     if args.project:
         ps = geometry.project_to_affine(cfg)  # a refused configuration costs no scan
@@ -475,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--points", help="point set file (JSON or CSV)")
     src.add_argument("--vectors", help="vector configuration file (JSON)")
     p.add_argument("--project", action="store_true",
-                   help="project vectors to points and compare circuit/simplex families")
+                   help="project vectors to points and compare circuit/simplex families "
+                        "(text or json)")
     p.add_argument("--counts-only", action="store_true")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--out")
@@ -523,8 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("constructions", "sperner", "s-small"), required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted and ignored: the free scan runs in-process")
     p.add_argument("--format", choices=("text", "csv"), default="text",
                    help="csv (s-small only) emits the plot-ready value table")
     p.set_defaults(func=cmd_verify)
@@ -553,7 +554,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

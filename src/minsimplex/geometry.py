@@ -37,7 +37,6 @@ from .exactla import primitive, read_json, read_text, vector_to_json
 from .matroid import (
     VectorConfiguration,
     check_indices,
-    check_labels,
     check_lengths,
     circuit_supports,
     count_circuits,
@@ -51,31 +50,20 @@ from .record import Record
 class PointSet(Record):
     """Ordered list of exact points in R^d; duplicate points are rejected."""
 
-    def __init__(
-        self,
-        dimension: int,
-        points: tuple[tuple[Fraction, ...], ...],
-        labels: tuple[str, ...] | None = None,
-    ):
-        if dimension < 0:
-            raise InvariantError(f"points need a non-negative dimension, got {dimension}")
+    def __init__(self, dimension: int, points: tuple[tuple[Fraction, ...], ...]):
         points = exact_rows(points, dimension, "point")
         seen: dict[tuple, int] = {}
         for i, p in enumerate(points):
             if p in seen:
                 raise InvariantError(f"duplicate points at indices {seen[p]} and {i}")
             seen[p] = i
-        labels = check_labels(labels, len(points), "point")
-        self.__dict__.update(dimension=dimension, points=points, labels=labels)
+        self.__dict__.update(dimension=dimension, points=points)
 
     def __len__(self) -> int:
         return len(self.points)
 
     def to_json_obj(self) -> dict:
-        obj = {"dimension": self.dimension, "points": [vector_to_json(p) for p in self.points]}
-        if self.labels:
-            obj["labels"] = list(self.labels)
-        return obj
+        return {"dimension": self.dimension, "points": [vector_to_json(p) for p in self.points]}
 
     @cached_property
     def lift(self) -> VectorConfiguration:
@@ -202,4 +190,4 @@ def project_to_affine(cfg: VectorConfiguration) -> PointSet:
     points = tuple(
         tuple(x / dot for x in v[1:]) for v, dot in zip(vectors, dots)
     )
-    return PointSet(d - 1, points, cfg.labels)
+    return PointSet(d - 1, points)

@@ -37,8 +37,8 @@ package's one general-position test, while hypergraph.from_point_set reads
 on to the end and keys the groups of its walk by their hyperplanes'
 normals, to merge them into sections.
 
-The checks on ordered rational rows, their labels and indices, and their
-JSON form are shared with geometry.PointSet.
+The checks on ordered rational rows, their indices and their JSON form
+are shared with geometry.PointSet.
 """
 
 from __future__ import annotations
@@ -74,27 +74,12 @@ def check_lengths(
 
 
 def exact_rows(rows: Iterable, dimension: int, noun: str) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows as exact rationals (exactla.coerce_rational), each of length dimension."""
+    """The rows as exact rationals (exactla.coerce_rational), each of length dimension >= 0."""
+    if dimension < 0:
+        raise InvariantError(f"{noun}s need a non-negative dimension, got {dimension}")
     out = tuple(tuple(coerce_rational(x) for x in row) for row in rows)
     check_lengths(out, dimension, noun)
     return out
-
-
-def check_labels(
-    labels: Iterable[str] | None, count: int, noun: str, error: type[Exception] = InvariantError
-) -> tuple[str, ...] | None:
-    """None, or count distinct string labels as a tuple; otherwise raise `error`:
-    InvariantError for labels given in code, InputError for labels read from a file."""
-    if labels is None:
-        return None
-    labels = tuple(labels)
-    if not all(isinstance(label, str) for label in labels):
-        raise error("labels must be strings")
-    if len(labels) != count:
-        raise error(f"label count does not match {noun} count")
-    if len(set(labels)) != len(labels):
-        raise error("labels must be unique")
-    return labels
 
 
 def check_indices(subset: Iterable[int], count: int, noun: str) -> tuple[int, ...]:
@@ -106,38 +91,29 @@ def check_indices(subset: Iterable[int], count: int, noun: str) -> tuple[int, ..
     return idx
 
 
-def rows_from_json(obj, key: str) -> tuple[int, list, tuple[str, ...] | None]:
-    """(dimension, rows, labels) of {"dimension": d, key: [[entry, ...], ...], "labels": [...]};
-    a negative dimension, a row of another length, or labels that are not one
-    distinct string per row are an InputError, and the class that receives
-    them coerces the entries. An empty label list means no labels."""
+def rows_from_json(obj, key: str) -> tuple[int, list]:
+    """(dimension, rows) of {"dimension": d, key: [[entry, ...], ...]}; other
+    keys are ignored. A negative dimension or a row of another length is an
+    InputError, and the class that receives them coerces the entries."""
     noun = key[:-1]
     if not isinstance(obj, dict) or "dimension" not in obj or key not in obj:
         raise InputError(f"{noun} file needs 'dimension' and '{key}'")
-    rows, labels = obj[key], obj.get("labels")
+    rows = obj[key]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError(f"'{key}' must be a list of {noun}s, each a list of entries")
-    if not isinstance(labels, (list, type(None))):
-        raise InputError("'labels' must be a list")
     dimension = int_from_json(obj["dimension"], "'dimension'")
     if dimension < 0:
         raise InputError(f"'dimension' must be non-negative, got {dimension}")
     check_lengths(rows, dimension, noun, InputError)
-    return dimension, rows, check_labels(labels or None, len(rows), noun, InputError)
+    return dimension, rows
 
 
 class VectorConfiguration(Record):
-    """Ordered list of vectors in R^D with optional display labels."""
+    """Ordered list of vectors in R^D."""
 
-    def __init__(
-        self,
-        dimension: int,
-        vectors: tuple[tuple[Fraction, ...], ...],
-        labels: tuple[str, ...] | None = None,
-    ):
+    def __init__(self, dimension: int, vectors: tuple[tuple[Fraction, ...], ...]):
         vectors = exact_rows(vectors, dimension, "vector")
-        labels = check_labels(labels, len(vectors), "vector")
-        self.__dict__.update(dimension=dimension, vectors=vectors, labels=labels)
+        self.__dict__.update(dimension=dimension, vectors=vectors)
 
     def __len__(self) -> int:
         return len(self.vectors)

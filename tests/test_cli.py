@@ -74,7 +74,7 @@ _REACT = ("react",)
     (_VECTORS, '{"dimension": 2.5, "vectors": [[1, 2]]}'),
     (_VECTORS, '{"dimension": true, "vectors": [[1]]}'),
     (_VECTORS, '{"dimension": 2, "vectors": [1, 2]}'),
-    (_VECTORS, '{"dimension": 1, "vectors": [[1]], "labels": 5}'),
+    (_VECTORS, '{"vectors": [[1]]}'),
     (_VECTORS, '[[1, 0]]'),
     (_VECTORS, '{"dimension": 2,'),
     (_HYPERGRAPH, '{"n": "x", "edges": [[0, 1]]}'),
@@ -91,10 +91,10 @@ _REACT = ("react",)
     (_REACT, '[1, 2]'),
     (_REACT, '[{"formula": 5}]'),
     (_REACT, '[{"formula": "H2O"'),
-    (_VECTORS, '{"dimension": 1, "vectors": [[1], [2]], "labels": [[1], [2]]}'),
-    (_POINTS, '{"dimension": 1, "points": [[1], [2], [3]], "labels": [1, 2, 3]}'),
-    (_VECTORS, '{"dimension": 1, "vectors": [[1], [2]], "labels": ["a"]}'),
-    (_POINTS, '{"dimension": 1, "points": [[1], [2]], "labels": ["a", "a"]}'),
+    (_VECTORS, '{"dimension": 1, "vectors": [["x"], [2]]}'),
+    (_POINTS, '{"dimension": 1, "points": [[1], [2], ["1/0"]]}'),
+    (_VECTORS, '{"dimension": 1, "vectors": [[1], [0.5]]}'),
+    (_POINTS, '{"dimension": 1, "vectors": [[1], [2]]}'),
     (_REACT, '[{"name": "a", "composition": [1, 0]}, {"name": "b", "composition": [1]}]'),
     (_HYPERGRAPH, '{"n": -2, "edges": []}'),
     (_REACT, '[{"name": "hydrogen", "formula": "H2"}, {"name": "mystery", "composition": [0, 2]}]'),
@@ -183,6 +183,28 @@ def test_simplexes_project_refuses_before_the_scan(tmp_path, capsys, monkeypatch
             assert (code, out, err) == (3, "", f"invariant violation: {message}\n")
 
 
+@pytest.mark.parametrize("labels", [["a", "b", "c", "d"], ["a", "a"], [1, 2, 3, 4], 5, None])
+def test_a_labels_key_changes_no_output(tmp_path, capsys, labels):
+    # rows are named by their indices; a "labels" key, well-formed or not, is
+    # ignored like any other key that is not read
+    files = {
+        "--points": {"dimension": 2, "points": [[0, 0], [1, 0], [2, 0], [0, 1]]},
+        "--vectors": {"dimension": 3, "vectors": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]},
+    }
+    path = tmp_path / "rows.json"
+    for option, obj in files.items():
+        for project in ((), ("--project",)) if option == "--vectors" else ((),):
+            for fmt in (("text",), ("csv",), ("json",), ("json", "--counts-only")):
+                if project and fmt == ("csv",):
+                    continue
+                argv = ("simplexes", option, str(path), *project, "--format", *fmt)
+                path.write_text(json.dumps(obj))
+                plain = run(capsys, *argv)
+                path.write_text(json.dumps(dict(obj, labels=labels)))
+                assert run(capsys, *argv) == plain
+                assert plain[0] == 0 and plain[1]
+
+
 def test_simplexes_vectors_computes_coefficients_only_when_printed(tmp_path, capsys, monkeypatch):
     path = tmp_path / "vecs.json"
     path.write_text(json.dumps({"dimension": 3, "vectors": [
@@ -197,6 +219,8 @@ def test_simplexes_vectors_computes_coefficients_only_when_printed(tmp_path, cap
     outputs, enumerations = {}, {}
     for project in ((), ("--project",)):
         for fmt in (("text",), ("csv",), ("json", "--counts-only"), ("json",)):
+            if project and fmt == ("csv",):  # refused: --project has no csv form
+                continue
             calls.clear()
             code, out, _ = run(capsys, "simplexes", "--vectors", str(path), *project, "--format", *fmt)
             assert code == 0
@@ -364,8 +388,7 @@ def test_search_csv(capsys):
 
 
 def test_verify_s_small_csv(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "s-small", "--format", "csv",
-                       "--workers", "1")
+    code, out, _ = run(capsys, "verify", "--suite", "s-small", "--format", "csv")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "n,k,s,s_prime,closed_form"
@@ -492,10 +515,11 @@ def test_sperner_deficit_refuses_before_it_lists_e0(tmp_path, capsys, monkeypatc
     ("sperner", "--hypergraph", "missing.json", "-k", "2", "--deficit", "--format", "csv"),
     ("verify", "--suite", "constructions", "--format", "csv"),
     ("verify", "--suite", "sperner", "--format", "csv"),
+    ("simplexes", "--vectors", "missing.json", "--project", "--format", "csv"),
 ])
 def test_format_combinations_that_would_drop_output_exit_2(tmp_path, capsys, monkeypatch, argv):
-    # csv has no deficit column and no form of a pass/fail report; refused before
-    # the input file is read or a check runs
+    # csv has no deficit column and no form of a pass/fail report or of a
+    # projection comparison; refused before the input file is read or a check runs
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -549,9 +573,14 @@ def test_sperner_json_equals_json_dumps_on_seeded_hypergraphs(tmp_path, capsys):
 
 
 def test_verify_s_small(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "s-small", "--workers", "1")
+    code, out, _ = run(capsys, "verify", "--suite", "s-small")
     assert code == 0
     assert "FAIL" not in out
+    # --workers belongs to `search` only
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "s-small", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_verify_constructions(capsys):

@@ -583,10 +583,6 @@ def test_row_label_and_index_checks_name_points():
         PointSet(2, ((1, 0), (0, 1, 2)))
     with pytest.raises(InvariantError, match="^points need a non-negative dimension, got -1$"):
         PointSet(-1, ())
-    with pytest.raises(InvariantError, match="^label count does not match point count$"):
-        PointSet(1, ((1,), (2,)), labels=("a",))
-    with pytest.raises(InvariantError, match="^labels must be unique$"):
-        PointSet(1, ((1,), (2,)), labels=("a", "a"))
     with pytest.raises(InputError, match="^point index 2 out of range 0..1$"):
         affine_rank(PointSet(1, ((1,), (2,))), (0, 2))
 
@@ -602,22 +598,17 @@ def test_lift_is_built_once():
 
 
 def test_json_and_csv_round_trip(tmp_path):
-    ps = PointSet(
-        2,
-        ((Fraction(1, 2), Fraction(3)), (Fraction(-2), Fraction(5, 7))),
-        labels=("a", "b"),
-    )
+    ps = PointSet(2, ((Fraction(1, 2), Fraction(3)), (Fraction(-2), Fraction(5, 7))))
     jpath = tmp_path / "pts.json"
     jpath.write_text(json.dumps(ps.to_json_obj()))
     back = load_points(str(jpath))
     assert back == ps
-    assert back.labels == ("a", "b")
     assert all(type(x) is Fraction for p in back.points for x in p)
     cpath = tmp_path / "pts.csv"
     with open(cpath, "w", newline="") as fh:
         csv.writer(fh).writerows(vector_to_json(p) for p in ps.points)
     back_csv = load_points(str(cpath))
-    assert back_csv.points == ps.points  # CSV carries no labels
+    assert back_csv == ps
 
 
 def test_json_rejects_floats(tmp_path):

@@ -33,7 +33,8 @@ INPUTS = {
     "vecs.json": json.dumps({"dimension": 3, "vectors": [
         [1, 0, 0], [0, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, "1/2"], [1, 2, 3],
     ]}),
-    # no zero vector and no parallel pair: admissible for --project
+    # no zero vector and no parallel pair: admissible for --project; the
+    # "labels" key is ignored like any other key that is not read
     "admissible.json": json.dumps({"dimension": 3, "vectors": [
         [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 2, 3], [2, 1, "1/2"],
     ], "labels": ["a", "b", "c", "d", "e", "f"]}),
@@ -83,7 +84,7 @@ CASES = [
      ["search", "6", "3", "--free", "--workers", "1", "--format", "json"], 0, ""),
     ("search-7-2-linear-json", ["search", "7", "2", "--linear", "--format", "json"], 0, ""),
     ("search-6-3-linear-text", ["search", "6", "3", "--linear"], 0, ""),
-    ("verify-s-small", ["verify", "--suite", "s-small", "--workers", "1"], 0, ""),
+    ("verify-s-small", ["verify", "--suite", "s-small"], 0, ""),
 ]
 
 

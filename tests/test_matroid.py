@@ -130,13 +130,9 @@ def test_subset_rank_transposition_free():
     assert subset_rank(cfg, (0, 1, 2)) == 2
 
 
-def test_labels_validated():
-    with pytest.raises(InvariantError, match="^labels must be unique$"):
-        VectorConfiguration(1, ((1,), (2,)), labels=("a", "a"))
-    with pytest.raises(InvariantError, match="^label count does not match vector count$"):
-        VectorConfiguration(1, ((1,), (2,)), labels=("a",))
-    with pytest.raises(InvariantError, match="^labels must be strings$"):
-        VectorConfiguration(1, ((1,), (2,)), labels=(1, 2))
+def test_row_and_index_checks_name_vectors():
+    with pytest.raises(InvariantError, match="^vectors need a non-negative dimension, got -1$"):
+        VectorConfiguration(-1, ())
     with pytest.raises(InvariantError, match="^vector 1 has length 3, expected 2$"):
         VectorConfiguration(2, ((1, 0), (0, 1, 2)))
     with pytest.raises(InputError, match="^vector index 2 out of range 0..1$"):

@@ -21,9 +21,9 @@ ZERO, ONE = Fraction(0), Fraction(1)
 # one value of each record class, its fields in constructor order, already in
 # the form the constructor stores
 RECORDS = [
-    (VectorConfiguration, {"dimension": 2, "vectors": ((ONE, ZERO), (ZERO, ONE)), "labels": None}),
+    (VectorConfiguration, {"dimension": 2, "vectors": ((ONE, ZERO), (ZERO, ONE))}),
     (Circuit, {"members": (0, 1, 2), "coefficients": (1, 1, -1)}),
-    (PointSet, {"dimension": 1, "points": ((ZERO,), (Fraction(1, 2),)), "labels": ("a", "b")}),
+    (PointSet, {"dimension": 1, "points": ((ZERO,), (Fraction(1, 2),))}),
     (SimplexReport, {"supports": ((0, 1, 2),)}),
     (AtomUniverse, {"symbols": ("H", "O")}),
     (Species, {"name": "H2O", "composition": (2, 1)}),
@@ -57,11 +57,6 @@ def test_positional_and_keyword_construction_agree(cls, fields):
 
 
 def test_defaults():
-    points = ((0,), (1,))
-    assert PointSet(1, points).labels is None
-    assert PointSet(1, points) == PointSet(1, points, labels=None)
-    assert VectorConfiguration(1, points).labels is None
-    assert VectorConfiguration(1, points) == VectorConfiguration(1, points, labels=None)
     fields = (3, 2, False, Fraction(1, 2), (), 8)
     assert SearchResult(*fields).witnesses_truncated is False
     assert SearchResult(*fields) == SearchResult(*fields, witnesses_truncated=False)
@@ -73,7 +68,7 @@ def test_defaults():
 
 def test_constructors_normalise_their_fields():
     assert PointSet(1, [["1/2"]]).points == ((Fraction(1, 2),),)
-    assert VectorConfiguration(1, [[2]], ["v"]).labels == ("v",)
+    assert VectorConfiguration(1, [[2]]).vectors == ((Fraction(2),),)
     assert AtomUniverse(["H"]).symbols == ("H",)
     assert Species("H2", [2]).composition == (2,)
     assert Hypergraph(3, [(2, 1), [1, 0]]).edges == ((0, 1), (1, 2))
@@ -98,7 +93,7 @@ def test_equality_ignores_a_cached_lift_and_needs_one_class():
     assert "lift" in vars(walked) and "_walk_outcome" in vars(walked.lift)
     assert walked == PointSet(2, points) and hash(walked) == hash(PointSet(2, points))
     assert walked.lift == VectorConfiguration(3, tuple((1,) + p for p in points))
-    assert walked != PointSet(2, points, ("a", "b", "c", "d"))
+    assert walked != PointSet(2, points[:3])
     assert Circuit((0, 1, 2), (1, 1, -1)) != Circuit((0, 1, 2), (-1, -1, 1))
     # the same field values in another record class
     assert PointSet(2, points) != VectorConfiguration(2, points)
@@ -121,7 +116,7 @@ def test_fields_cannot_be_assigned_or_deleted(cls, fields):
 def test_repr_is_unchanged():
     # the strings the frozen dataclasses printed
     assert repr(Circuit((0, 1, 2), (1, -2, 1))) == "Circuit(members=(0, 1, 2), coefficients=(1, -2, 1))"
-    assert repr(PointSet(1, [[0], ["1/2"]], ["a", "b"])) == (
-        "PointSet(dimension=1, points=((Fraction(0, 1),), (Fraction(1, 2),)), labels=('a', 'b'))"
+    assert repr(PointSet(1, [[0], ["1/2"]])) == (
+        "PointSet(dimension=1, points=((Fraction(0, 1),), (Fraction(1, 2),)))"
     )
     assert repr(ConstructionId("cone", d=3)) == "ConstructionId(kind='cone', d=3, k=None)"
