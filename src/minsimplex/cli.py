@@ -216,8 +216,7 @@ def cmd_construct(args) -> int:
     enumerated = _enumerated_count(cid, built)
     agree = enumerated == expected
     prefix = args.out or f"{args.kind}-{n}"
-    with open(f"{prefix}.json", "w", encoding="utf-8") as fh:
-        fh.write(_json_text(built.to_json_obj()) + "\n")
+    _emit(_json_text(built.to_json_obj()), f"{prefix}.json")
     sidecar = {
         "construction": str(cid),
         "n": n,
@@ -225,8 +224,7 @@ def cmd_construct(args) -> int:
         "enumerated": str(enumerated),
         "agree": agree,
     }
-    with open(f"{prefix}.counts.json", "w", encoding="utf-8") as fh:
-        fh.write(_json_text(sidecar) + "\n")
+    _emit(_json_text(sidecar), f"{prefix}.counts.json")
     print(f"{cid} n={n}: expected {expected}, enumerated {enumerated}")
     print(f"wrote {prefix}.json and {prefix}.counts.json")
     if not agree:
@@ -248,10 +246,9 @@ def cmd_search(args) -> int:
     if args.out or args.format == "json":
         text = _json_text(result.to_json_obj())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _emit(text, args.out)
     if args.format == "json":
-        print(text)
+        _emit(text, None)
         return 0
     if args.format == "csv":
         m = result.minimum

@@ -1,14 +1,20 @@
 """Generators for the extremal configurations with closed-form counts.
 
-Every generator returns exact coordinates (or an explicit hypergraph) from
-a literal formula, with no search. The point sets whose formula needs
-general position (no d points on a (d-2)-flat) are checked at build time
-by the hyperplane walk, which the count then reads, and fail loudly rather
-than emit a configuration whose count formula would not apply.
+Every generator returns integer coordinates (or an explicit hypergraph)
+from a literal formula, with no search and no check. The point sets whose
+count needs general position (no d points on a (d-2)-flat) have it by two
+classical facts. Without their last coordinate, 0, the lifts
+(1, t, ..., t^(d-1)) of any d moment points form a Vandermonde matrix,
+whose determinant is the product of the differences of the t, so d moment
+points are affinely independent; the apex lies off x_d = 0, their
+hyperplane. A line meets the parabola y = x^2 at most
+twice, and the apex pair's line lies in z = 1, off the plane z = 0 of the
+other points. The CLI counts each set and compares the count with its
+closed form.
 
-  inplane-generic(d):    n points in general position inside a hyperplane
-                         of R^d; exactly C(n, d+1) affine simplexes.
-  cone(d):               n-1 such points plus one apex off the hyperplane;
+  inplane-generic(d):    the moment points (t, ..., t^(d-1), 0), t = 1..n,
+                         inside a hyperplane of R^d; C(n, d+1) simplexes.
+  cone(d):               n-1 such points plus the apex (0, ..., 0, 1);
                          exactly C(n-1, d+1) simplexes.
   parallel-pairs:        point pairs (-i, i^2), (i, i^2) on the parabola
                          y = x^2 in the plane z = 0, each on its own row,
@@ -26,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from ..errors import InputError, InvariantError
+from ..errors import InputError
 from ..geometry import PointSet
 from ..hypergraph import Hypergraph
 from ..record import Record
@@ -74,37 +80,12 @@ def _parallel_pairs_points(n: int) -> PointSet:
     if n % 2:
         points.append((0, 0, 0))
     points += [(0, 0, 1), (1, 0, 1)]
-    return _in_general_position(PointSet(3, tuple(points)), "parallel pairs")
+    return PointSet(3, tuple(points))
 
 
-def _moment_points(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
+def _moment_points(n: int, d: int) -> list[tuple[int, ...]]:
     """(t, t^2, ..., t^(d-1), 0) for t = 1..n: the moment curve inside x_d = 0."""
-    zero = (Fraction(0),)
-    return tuple(tuple(Fraction(t) ** p for p in range(1, d)) + zero for t in range(1, n + 1))
-
-
-def _in_general_position(ps: PointSet, name: str) -> PointSet:
-    """ps, unless d of its points lie on a (d-2)-flat."""
-    dependent = ps.lift.dependent_set
-    if dependent is not None:
-        raise InvariantError(f"{name}: points {dependent} lie on a lower flat")
-    return ps
-
-
-def _inplane_points(d: int, n: int) -> PointSet:
-    return _in_general_position(PointSet(d, _moment_points(n, d)), "in-plane moment points")
-
-
-def _cone_points(d: int, n: int) -> PointSet:
-    apex = tuple(Fraction(0) for _ in range(d - 1)) + (Fraction(1),)
-    # one check of all n points covers the n - 1 in-plane ones
-    return _in_general_position(PointSet(d, _moment_points(n - 1, d) + (apex,)), "cone points")
-
-
-def _two_lines_points(n: int) -> PointSet:
-    line_a = [(Fraction(i), Fraction(0)) for i in range(n - 2)]
-    line_b = [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2))]
-    return PointSet(2, tuple(line_a + line_b))
+    return [tuple(t**p for p in range(1, d)) + (0,) for t in range(1, n + 1)]
 
 
 def _check_n(cid: ConstructionId, n: int) -> None:
@@ -116,13 +97,14 @@ def construct(cid: ConstructionId, n: int):
     """Build the named configuration at size n; PointSet or Hypergraph."""
     _check_n(cid, n)
     if cid.kind == "inplane-generic":
-        return _inplane_points(cid.d, n)
+        return PointSet(cid.d, tuple(_moment_points(n, cid.d)))
     if cid.kind == "cone":
-        return _cone_points(cid.d, n)
+        apex = (0,) * (cid.d - 1) + (1,)
+        return PointSet(cid.d, tuple(_moment_points(n - 1, cid.d) + [apex]))
     if cid.kind == "parallel-pairs":
         return _parallel_pairs_points(n)
-    if cid.kind == "two-lines":
-        return _two_lines_points(n)
+    if cid.kind == "two-lines":  # n - 2 points on y = 0, and two more on x = 0
+        return PointSet(2, tuple([(i, 0) for i in range(n - 2)] + [(0, 1), (0, 2)]))
     # two disjoint n-edges; k only matters for the expected YBLM value
     return Hypergraph(2 * n, (tuple(range(n)), tuple(range(n, 2 * n))))
 

@@ -16,11 +16,12 @@ The hypothesis of the dimension-d counting results, no d points on a
 hyperplane walk of the lift (matroid.hyperplane_walk) answers it; its
 group sums and the first dependent set it reports are cached on the lift,
 so the check, the count and classify_r3_semi_simplexes share one walk per
-point set. Under it, count_affine_simplexes enumerates nothing; only
-listing the simplexes, or counting them when d = 0, n < d or the
-hypothesis fails, runs the scan. This module also hosts the
-linear-to-affine projection (central projection of a vector configuration
-onto a hyperplane off the origin).
+point set. The point sets of extremal.construct meet the hypothesis by
+their formulas and are built with no walk. Under it,
+count_affine_simplexes enumerates nothing; only listing the simplexes, or
+counting them when d = 0, n < d or the hypothesis fails, runs the scan.
+This module also hosts the linear-to-affine projection (central
+projection of a vector configuration onto a hyperplane off the origin).
 """
 
 from __future__ import annotations

@@ -130,15 +130,6 @@ def parse_formula(formula: str, universe: AtomUniverse) -> Species:
     return Species(formula, tuple(vec))
 
 
-def infer_universe(formulas: Sequence[str]) -> AtomUniverse:
-    """Universe from the union of elements, ordered by first appearance."""
-    order: dict[str, None] = {}
-    for f in formulas:
-        for sym in _parse_counts(f):
-            order.setdefault(sym)
-    return AtomUniverse(tuple(order))
-
-
 class Reaction(Record):
     """Balanced minimal reaction with primitive positive coefficients per side."""
 
@@ -254,49 +245,61 @@ def reaction_count_report(species: Sequence[Species], reactions: Sequence[Reacti
     return ReactionReport(len(species), width, r, counts, comb(len(species), r + 1))
 
 
+def _located(path: str, noun: str, j: int, build, *args):
+    """build(*args), where an input error, or a composition that Species
+    refuses, becomes an InputError naming the file and the 0-based index j
+    of the formula or record."""
+    try:
+        return build(*args)
+    except (InputError, InvariantError) as exc:
+        raise InputError(f"{path}: {noun} {j}: {exc}") from exc
+
+
+def _species(record: dict, universe: AtomUniverse | None) -> Species:
+    if "composition" in record:
+        return Species(record.get("name", "?"), record["composition"])
+    if "formula" in record:
+        composition = parse_formula(record["formula"], universe).composition
+        return Species(record.get("name", record["formula"]), composition)
+    raise InputError(f"needs 'formula' or 'composition': {record}")
+
+
 def load_species(path: str, universe: AtomUniverse | None = None) -> list[Species]:
     """Read species from plain text (one formula per line) or JSON.
 
     JSON records carry either a "formula" or a raw "composition"; raw
     vectors require an explicit universe only for formula-less files when
     none can be inferred. A species is named by its "name", else by its
-    formula, else "?". A name given twice is an InputError that names both
-    species' positions, counted from 0: the reactions could not tell them apart.
+    formula, else "?". A malformed formula, an element outside the universe
+    and a negative or all-zero composition are InputErrors that name the
+    file and the formula's or record's position, counted from 0, and so is
+    a name given twice, with both species' positions: the reactions could
+    not tell them apart.
     """
     text = read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    if text.lstrip().startswith("["):
         records = parse_json(text, path)
-        if not records:
-            raise InputError(f"{path}: no species found")
         if not all(isinstance(r, dict) for r in records):
             raise InputError(f"{path}: species JSON must be a list of objects")
         for key in ("formula", "name"):
             if not all(isinstance(r[key], str) for r in records if key in r):
                 raise InputError(f"{path}: every '{key}' must be a string")
-        formulas = [r["formula"] for r in records if "formula" in r]
-        if universe is None and formulas:
-            universe = infer_universe(formulas)
-        out = []
-        for rec in records:
-            if "composition" in rec:
-                out.append(Species(rec.get("name", "?"), rec["composition"]))
-            elif "formula" in rec:
-                sp = parse_formula(rec["formula"], universe)
-                out.append(Species(rec.get("name", rec["formula"]), sp.composition))
-            else:
-                raise InputError(f"{path}: record needs 'formula' or 'composition': {rec}")
-        widths = {len(sp.composition) for sp in out}
-        if len(widths) > 1:
-            raise InputError(f"{path}: compositions of mixed lengths {sorted(widths)}")
+        noun = "record"
     else:
         lines = [line.strip() for line in text.splitlines()]
-        formulas = [line for line in lines if line and not line.startswith("#")]
-        if not formulas:
-            raise InputError(f"{path}: no species found")
-        if universe is None:
-            universe = infer_universe(formulas)
-        out = [parse_formula(f, universe) for f in formulas]
+        records = [{"formula": line} for line in lines if line and not line.startswith("#")]
+        noun = "formula"
+    if not records:
+        raise InputError(f"{path}: no species found")
+    formulas = [(j, r["formula"]) for j, r in enumerate(records) if "formula" in r]
+    if universe is None and formulas:  # the elements in order of first appearance
+        universe = AtomUniverse(tuple(dict.fromkeys(
+            sym for j, f in formulas for sym in _located(path, noun, j, _parse_counts, f)
+        )))
+    out = [_located(path, noun, j, _species, r, universe) for j, r in enumerate(records)]
+    widths = {len(sp.composition) for sp in out}
+    if len(widths) > 1:
+        raise InputError(f"{path}: compositions of mixed lengths {sorted(widths)}")
     first: dict[str, int] = {}
     for j, sp in enumerate(out):
         i = first.setdefault(sp.name, j)

@@ -107,6 +107,10 @@ _REACT = ("react",)
     (_REACT, '[{"name": 5, "composition": [1]}, {"composition": [2]}]'),
     pytest.param(("react", "--universe", "H,O,H"), '[{"formula": "H2O"}]', id="universe-repeats-a-symbol"),
     pytest.param(("react", "--universe", "H,,O"), '[{"formula": "H2O"}]', id="universe-with-an-empty-symbol"),
+    pytest.param(_REACT, '[{"name": "a", "composition": [1, -1]}, {"name": "b", "composition": [2, 0]}]',
+                 id="negative-atom-count"),
+    pytest.param(_REACT, '[{"name": "a", "composition": [0, 0]}, {"name": "b", "composition": [2, 0]}]',
+                 id="all-zero-composition"),
 ])
 def test_malformed_input_exit_2(tmp_path, capsys, argv, text):
     path = tmp_path / "bad.json"
@@ -274,8 +278,8 @@ def test_construct_self_check(tmp_path, capsys, monkeypatch):
     assert config["dimension"] == 3 and len(config["points"]) == 10
 
 
-def test_construct_parallel_pairs_validates_and_counts_from_one_walk(tmp_path, capsys, monkeypatch):
-    # the general-position check of the build caches the walk that the count reads
+def test_construct_parallel_pairs_counts_from_one_walk(tmp_path, capsys, monkeypatch):
+    # the build is a formula; the count takes the one walk and checks the closed form
     walks, walk = [], matroid.hyperplane_walk
 
     def recording(*args, **kwargs):
@@ -462,6 +466,33 @@ def test_react_bad_formula_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "react", str(path))
     assert code == 2
     assert "position 2" in err
+
+
+@pytest.mark.parametrize("name, text, options, located", [
+    pytest.param("species.txt", '# not JSON\nH2\n{"a": 1}\n', (),
+                 "formula 1: unexpected character '{' (position 0)", id="text-formula"),
+    pytest.param("species.txt", "H2\nO2\nNaCl\n", ("--universe", "H,O"),
+                 "formula 2: unknown element 'Na' in 'NaCl'; universe is ['H', 'O']",
+                 id="text-unknown-element"),
+    pytest.param("species.json", '[{"formula": "H2"}, {"formula": "H2)"}]', (),
+                 "record 1: unmatched ')' (position 2)", id="json-formula"),
+    pytest.param("species.json", '[{"formula": "H2"}, {"formula": "NaCl"}]', ("--universe", "H"),
+                 "record 1: unknown element 'Na' in 'NaCl'; universe is ['H']",
+                 id="json-unknown-element"),
+    pytest.param("species.json", '[{"formula": "H2"}, {"name": "a", "composition": [1, -1]}]', (),
+                 "record 1: negative atom count in a: (1, -1)", id="json-negative-atom-count"),
+    pytest.param("species.json", '[{"name": "z", "composition": [0]}, {"formula": "H2"}]', (),
+                 "record 0: species 'z' has an all-zero composition", id="json-all-zero-composition"),
+])
+def test_react_names_the_file_and_position_of_a_bad_species(
+    tmp_path, capsys, name, text, options, located
+):
+    # a formula error used to name neither the file nor the formula, and a
+    # refused composition exited 3 as an invariant violation
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "react", str(path), *options)
+    assert (code, out, err) == (2, "", f"input error: {path}: {located}\n")
 
 
 def test_react_json_with_report(tmp_path, capsys):

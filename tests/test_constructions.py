@@ -13,6 +13,8 @@ from minsimplex.geometry import (
 )
 from minsimplex.hypergraph import Hypergraph, semi_simplexes, yblm_sum
 
+from support import oracle_small_flat_hypothesis
+
 
 def total(ps: PointSet) -> int:
     return enumerate_affine_simplexes(ps).total
@@ -78,6 +80,18 @@ def test_parallel_pairs_plane_points_are_pairs_on_the_parabola():
         # brute force: no three of them collinear
         for p, q, r in combinations(plane, 3):
             assert (q[0] - p[0]) * (r[1] - p[1]) != (q[1] - p[1]) * (r[0] - p[0]), (n, p, q, r)
+
+
+def test_point_constructions_are_in_general_position():
+    # the closed forms need no d points on a (d-2)-flat, which construct does
+    # not check: brute force over every d-subset, sharing no code with the walk
+    for d in range(2, 6):
+        for kind, least in (("inplane-generic", 0), ("cone", 2)):
+            cid = ConstructionId(kind, d=d)
+            for n in range(least, 13):
+                assert oracle_small_flat_hypothesis(construct(cid, n)), (kind, d, n)
+    for n in range(6, 25):
+        assert oracle_small_flat_hypothesis(construct(ConstructionId("parallel-pairs"), n)), n
 
 
 def test_parallel_pairs_expected_values():

@@ -395,6 +395,25 @@ def test_count_readers_share_one_hyperplane_walk(monkeypatch):
     assert walks == [({}, None), ({"units": True}, None)]  # and one keyed walk
 
 
+def test_construct_takes_no_walk(monkeypatch):
+    # every construction is a formula; only its count or its sections walk
+    walks = _record_walks(monkeypatch)
+    for cid, n in (
+        (ConstructionId("parallel-pairs"), 30),
+        (ConstructionId("inplane-generic", d=3), 12),
+        (ConstructionId("cone", d=4), 12),
+        (ConstructionId("two-lines"), 9),
+    ):
+        construct(cid, n)
+    assert walks == []
+
+
+def test_sections_of_a_construction_take_one_walk(monkeypatch):
+    walks = _record_walks(monkeypatch)
+    assert len(from_point_set(construct(ConstructionId("parallel-pairs"), 10)).edges) == 5
+    assert walks == [({"units": True}, None)]  # the keyed walk alone, read to its end
+
+
 def test_simplex_sizes_under_hypothesis():
     rng = random.Random(43)
     found = 0

@@ -2,8 +2,10 @@
 
 Each case runs `minsimplex.cli.main` inside a temporary directory holding
 the small input files below and compares stdout byte for byte with
-`tests/golden/<case>.out`. A change that means to alter an output
-regenerates the files with `PYTHONPATH=src python tests/test_golden.py`
+`tests/golden/<case>.out`, and each file the command writes there byte
+for byte with the file of that name in `tests/golden/<case>/` (a case
+with no such directory writes none). A change that means to alter an
+output regenerates the files with `PYTHONPATH=src python tests/test_golden.py`
 and shows the diff in review.
 """
 
@@ -70,6 +72,11 @@ CASES = [
     ("project-parallel", SIMPLEXES + ["--vectors", "parallel.json", "--project"], 3,
      "invariant violation: parallel vectors at indices 0 and 4\n"),
     ("construct-parallel-pairs-10", ["construct", "parallel-pairs", "10"], 0, ""),
+    ("construct-parallel-pairs-11", ["construct", "parallel-pairs", "11"], 0, ""),
+    ("construct-inplane-generic-3-9", ["construct", "inplane-generic", "3", "9"], 0, ""),
+    ("construct-cone-2-7", ["construct", "cone", "2", "7"], 0, ""),
+    ("construct-two-lines-7", ["construct", "two-lines", "7"], 0, ""),
+    ("construct-two-disjoint-edges-2-3", ["construct", "two-disjoint-edges", "2", "3"], 0, ""),
     ("verify-constructions", ["verify", "--suite", "constructions"], 0, ""),
     ("verify-sperner", ["verify", "--suite", "sperner"], 0, ""),
     ("react-report-text", ["react", "species.txt", "--report"], 0, ""),
@@ -98,6 +105,20 @@ def _golden_path(case: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{case}.out")
 
 
+def _written(directory) -> dict[str, bytes]:
+    """The bytes of each file in directory that is not one of the inputs."""
+    out = {}
+    for name in sorted(set(os.listdir(directory)) - set(INPUTS)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+def _golden_files(case: str) -> dict[str, bytes]:
+    directory = os.path.join(GOLDEN_DIR, case)
+    return _written(directory) if os.path.isdir(directory) else {}
+
+
 @pytest.mark.parametrize("case,argv,code,err", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(case, argv, code, err, tmp_path, monkeypatch, capsys):
     _write_inputs(tmp_path)
@@ -107,6 +128,7 @@ def test_golden_output(case, argv, code, err, tmp_path, monkeypatch, capsys):
     with open(_golden_path(case), encoding="utf-8") as fh:
         assert captured.out == fh.read()
     assert (got_code, captured.err) == (code, err)
+    assert _written(tmp_path) == _golden_files(case)
 
 
 @pytest.mark.parametrize("points", ["plane.csv", "flat.json"])
@@ -198,6 +220,14 @@ if __name__ == "__main__":
                     main(argv)
             finally:
                 os.chdir(cwd)
+            files = _written(tmp)
         with open(_golden_path(case), "w", encoding="utf-8") as fh:
             fh.write(out.getvalue())
         print(f"wrote {_golden_path(case)}", file=sys.stderr)
+        directory = os.path.join(GOLDEN_DIR, case)
+        if files:
+            os.makedirs(directory, exist_ok=True)
+        for name, data in files.items():
+            with open(os.path.join(directory, name), "wb") as fh:
+                fh.write(data)
+            print(f"wrote {os.path.join(directory, name)}", file=sys.stderr)

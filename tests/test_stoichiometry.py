@@ -10,7 +10,6 @@ from minsimplex.stoichiometry import (
     FormulaError,
     Reaction,
     Species,
-    infer_universe,
     load_species,
     minimal_reactions,
     parse_formula,
@@ -184,9 +183,12 @@ def test_report_counts():
     assert empty.species_count == 0 and empty.counts_by_size == {}
 
 
-def test_universe_inference_order():
-    universe = infer_universe(["H2O", "CO2", "NaCl"])
-    assert universe.symbols == ("H", "O", "C", "Na", "Cl")
+def test_universe_inference_order(tmp_path):
+    # with no universe given, the atom order is H, O, C, Na, Cl: first appearance
+    path = tmp_path / "species.txt"
+    path.write_text("H2O\nCO2\nNaCl\n")
+    compositions = [sp.composition for sp in load_species(str(path))]
+    assert compositions == [(2, 1, 0, 0, 0), (0, 2, 1, 0, 0), (0, 0, 0, 1, 1)]
 
 
 def test_load_species_text_and_json(tmp_path):
