@@ -5,12 +5,18 @@ fraction-free Bareiss elimination (Math. Comp. 22, 1968) gives
 `rank_int_rows` and `kernel_int_rows`, whose vectors are in `primitive`
 form (entry gcd 1, first nonzero entry positive), the package's one
 normal form for hyperplane normals and circuit coefficients; the primitive
-form of a row of Fractions is `primitive(integer_row(row))`. Rationals are
-`fractions.Fraction` and appear only in the views `rank` and
-`nullspace_basis`: they take rows of exact entries (int, Fraction or "p/q"
-string), clear denominators row by row, which changes neither rank nor
-kernel, and call the core. The package itself calls neither view; they
-stay because perfbench/tracing.py wraps them by name.
+form of a row of exact entries is `primitive(integer_row(row))`.
+
+An exact entry is an `int` or a `fractions.Fraction`: `coerce_rational`
+keeps an integral entry as the `int` it arrived as and parses a "p/q"
+string to a `Fraction`, so integer point sets never box their entries.
+Both types have `.numerator` and `.denominator`, which is all that
+`integer_row` and `vector_to_json` read. Code that divides exact entries
+must make sure one operand is a `Fraction`, since int / int is a float.
+The views `rank` and `nullspace_basis` take rows of exact entries, clear
+denominators row by row, which changes neither rank nor kernel, and call
+the core. The package itself calls neither view; they stay because
+perfbench/tracing.py wraps them by name.
 
 No floating point is accepted anywhere: external numeric input must be an
 integer or a "p/q" string (see `rational_from_string`). `read_json` reads
@@ -50,12 +56,19 @@ def rational_from_string(s: str) -> Fraction:
     return Fraction(num, den)
 
 
-def coerce_rational(value) -> Fraction:
-    """Accept int, Fraction, or an exact string; refuse floats and bools."""
-    if isinstance(value, Fraction):
+def coerce_rational(value) -> int | Fraction:
+    """An exact entry: an int or a Fraction as it is, another int subclass as
+    a plain int, a "p/q" string as a Fraction; floats and bools are refused.
+
+    The exact type tests come first, so the common entries skip the
+    isinstance checks against the numbers ABCs.
+    """
+    if type(value) is int or type(value) is Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, str):
         return rational_from_string(value)
     raise InputError(f"expected exact rational, got {type(value).__name__}: {value!r}")
@@ -90,8 +103,8 @@ def read_json(path: str):
     return parse_json(read_text(path), path)
 
 
-def vector_to_json(v: Sequence[Fraction]) -> list:
-    """Fractions to JSON-friendly entries: plain ints where exact, else "p/q"."""
+def vector_to_json(v: Sequence[int | Fraction]) -> list:
+    """Exact entries to JSON-friendly ones: plain ints where integral, else "p/q"."""
     return [int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}" for x in v]
 
 
@@ -140,8 +153,8 @@ def rank_int_rows(rows: Sequence[Sequence[int]], ncols: int) -> int:
     return len(_echelon(rows, ncols)[1])
 
 
-def integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The row of Fractions times the lcm of its denominators, as ints.
+def integer_row(row: Sequence[int | Fraction]) -> list[int]:
+    """The row of exact entries times the lcm of its denominators, as ints.
 
     Row scaling never changes rank, so rows and their integer rows have the
     same rank, as do any subsets of them.

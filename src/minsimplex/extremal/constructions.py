@@ -24,7 +24,9 @@ closed form.
   two-lines:             n-2 points on one line and 3 on another, sharing
                          one point (d = 2); C(n-2,3) + C(n-3,2) + 1.
   two-disjoint-edges(k): hypergraph with two disjoint n-edges; its k-level
-                         YBLM sum is 1 - (C(n,k)/C(2n,k)) * 2nk/(2n-k).
+                         YBLM sum is 1 - (C(n,k)/C(2n,k)) * 2nk/(2n-k) for
+                         2 <= k <= n. At k = 1 the form counts each pair
+                         across the edges twice, so k = 1 is refused.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from ..record import Record
 KINDS = ("inplane-generic", "cone", "parallel-pairs", "two-lines", "two-disjoint-edges")
 # the least n at which each kind is built and its closed form holds
 _MIN_N = {"inplane-generic": 0, "cone": 2, "parallel-pairs": 6, "two-lines": 5,
-          "two-disjoint-edges": 1}
+          "two-disjoint-edges": 2}
 
 
 class ConstructionId(Record):
@@ -53,8 +55,8 @@ class ConstructionId(Record):
             if k is not None:
                 raise InputError(f"{kind} takes no level parameter k")
         elif kind == "two-disjoint-edges":
-            if k is None or k < 1:
-                raise InputError("two-disjoint-edges needs a level k >= 1")
+            if k is None or k < 2:
+                raise InputError("two-disjoint-edges needs a level k >= 2")
             if d is not None:
                 raise InputError("two-disjoint-edges takes no dimension parameter d")
         elif d is not None or k is not None:
@@ -123,6 +125,6 @@ def expected_count(cid: ConstructionId, n: int):
     if cid.kind == "two-lines":
         return comb(n - 2, 3) + comb(n - 3, 2) + 1
     k = cid.k
-    if not 1 <= k <= n:
-        raise InputError(f"two-disjoint-edges closed form needs 1 <= k <= n, got k={k}, n={n}")
+    if not 2 <= k <= n:
+        raise InputError(f"two-disjoint-edges closed form needs 2 <= k <= n, got k={k}, n={n}")
     return 1 - Fraction(comb(n, k), comb(2 * n, k)) * Fraction(2 * n * k, 2 * n - k)

@@ -49,9 +49,15 @@ from .record import Record
 
 
 class PointSet(Record):
-    """Ordered list of exact points in R^d; duplicate points are rejected."""
+    """Ordered list of exact points in R^d; duplicate points are rejected.
 
-    def __init__(self, dimension: int, points: tuple[tuple[Fraction, ...], ...]):
+    Entries are ints or Fractions (matroid.exact_rows): integral input stays
+    int, in the points, in their hash for the duplicate check and in the
+    lift. An int equals the Fraction of the same value and hashes alike, so
+    a point given both ways is still a duplicate.
+    """
+
+    def __init__(self, dimension: int, points: tuple[tuple[int | Fraction, ...], ...]):
         points = exact_rows(points, dimension, "point")
         seen: dict[tuple, int] = {}
         for i, p in enumerate(points):
@@ -188,6 +194,9 @@ def project_to_affine(cfg: VectorConfiguration) -> PointSet:
         if all(dot != 0 for dot in dots):
             break
         t += 1
+    # The vectors may hold ints, where int / int would be a float. Each dot
+    # is a Fraction, since d >= 1 and every a_i is one, so x / dot is an
+    # exact Fraction whatever the type of x.
     points = tuple(
         tuple(x / dot for x in v[1:]) for v, dot in zip(vectors, dots)
     )

@@ -73,8 +73,11 @@ def check_lengths(
             raise error(f"{noun} {i} has length {len(row)}, expected {dimension}")
 
 
-def exact_rows(rows: Iterable, dimension: int, noun: str) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows as exact rationals (exactla.coerce_rational), each of length dimension >= 0."""
+def exact_rows(
+    rows: Iterable, dimension: int, noun: str
+) -> tuple[tuple[int | Fraction, ...], ...]:
+    """The rows as exact entries, each of length dimension >= 0: ints stay ints
+    and "p/q" strings become Fractions (exactla.coerce_rational)."""
     if dimension < 0:
         raise InvariantError(f"{noun}s need a non-negative dimension, got {dimension}")
     out = tuple(tuple(coerce_rational(x) for x in row) for row in rows)
@@ -109,9 +112,10 @@ def rows_from_json(obj, key: str) -> tuple[int, list]:
 
 
 class VectorConfiguration(Record):
-    """Ordered list of vectors in R^D."""
+    """Ordered list of vectors in R^D, with exact entries (exact_rows): an
+    integral configuration holds ints, with no Fraction per entry."""
 
-    def __init__(self, dimension: int, vectors: tuple[tuple[Fraction, ...], ...]):
+    def __init__(self, dimension: int, vectors: tuple[tuple[int | Fraction, ...], ...]):
         vectors = exact_rows(vectors, dimension, "vector")
         self.__dict__.update(dimension=dimension, vectors=vectors)
 
@@ -123,9 +127,12 @@ class VectorConfiguration(Record):
         """The vectors with denominators cleared per vector (exactla.integer_row).
 
         Scaling a vector never changes the rank of a subset, so every rank
-        test runs on these, computed once per configuration.
+        test runs on these, computed once per configuration. A vector of
+        ints is its own integer row.
         """
-        return tuple(tuple(integer_row(v)) for v in self.vectors)
+        return tuple(
+            v if all(type(x) is int for x in v) else tuple(integer_row(v)) for v in self.vectors
+        )
 
     @cached_property
     def _walk_outcome(self) -> tuple[tuple[int, int] | None, tuple[int, ...] | None]:

@@ -342,6 +342,40 @@ def test_construct_infeasible_exit_2(tmp_path, capsys, monkeypatch):
     assert "expected 0, enumerated 0" in out
 
 
+def test_construct_two_disjoint_edges_refuses_level_1(tmp_path, capsys):
+    # at k = 1 the closed form counts each cross pair twice (2/5 at n = 3, where the sum is 1)
+    code, out, err = run(capsys, "construct", "two-disjoint-edges", "1", "3",
+                         "--out", str(tmp_path / "tde"))
+    assert (code, out) == (2, "")
+    assert err == "input error: two-disjoint-edges needs a level k >= 2\n"
+    assert not list(tmp_path.iterdir())
+
+
+# (kind, the box of its parameter lists), 198 runs in all
+_CONSTRUCT_BOX = (
+    ("inplane-generic", [(d, n) for d in range(6) for n in range(10)]),
+    ("cone", [(d, n) for d in range(6) for n in range(10)]),
+    ("parallel-pairs", [(n,) for n in range(12)]),
+    ("two-lines", [(n,) for n in range(12)]),
+    ("two-disjoint-edges", [(k, n) for k in range(6) for n in range(9)]),
+)
+
+
+@pytest.mark.parametrize("kind, box", _CONSTRUCT_BOX, ids=[kind for kind, _ in _CONSTRUCT_BOX])
+def test_construct_box_sweep_computes_or_refuses(tmp_path, capsys, kind, box):
+    # every accepted parameter list meets its closed form; the rest are input errors
+    for params in box:
+        argv = ["construct", kind, *map(str, params), "--out", str(tmp_path / "c")]
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2), (argv, code, err)
+        if code == 2:
+            assert out == "" and err.startswith("input error: "), (argv, out, err)
+            continue
+        head = out.splitlines()[0]
+        expected, enumerated = head.split(": expected ")[1].split(", enumerated ")
+        assert expected == enumerated, (argv, head)
+
+
 def test_search_free(capsys):
     code, out, _ = run(capsys, "search", "5", "2", "--free", "--workers", "1")
     assert code == 0

@@ -29,6 +29,8 @@ def test_construction_id_validation():
         ConstructionId("two-lines", d=2)  # takes no parameter
     with pytest.raises(InputError):
         ConstructionId("two-disjoint-edges")  # missing k
+    with pytest.raises(InputError, match="k >= 2"):
+        ConstructionId("two-disjoint-edges", k=1)  # the closed form fails at k = 1
     with pytest.raises(InputError):
         ConstructionId("cone", d=3, k=2)  # stray k
     with pytest.raises(InputError):

@@ -6,6 +6,7 @@ import pytest
 
 from minsimplex.errors import InputError, InvariantError
 from minsimplex.exactla import (
+    coerce_rational,
     integer_row,
     kernel_int_rows,
     nullspace_basis,
@@ -129,6 +130,22 @@ def test_matrix_shape_validation():
         rank([[1], [2, 3]])
     with pytest.raises(InvariantError):
         nullspace_basis([[1, 2], [3]])
+
+
+def test_coerce_rational_keeps_the_type_of_exact_entries():
+    class Count(int):
+        pass
+
+    half = Fraction(1, 2)
+    assert coerce_rational(half) is half
+    cases = [(7, 7, int), (Count(7), 7, int), (Fraction(4, 2), 2, Fraction),
+             ("4/2", 2, Fraction), ("-3", -3, Fraction), ("5/3", Fraction(5, 3), Fraction)]
+    for value, want, kind in cases:
+        got = coerce_rational(value)
+        assert (got, type(got)) == (want, kind), value
+    for bad in (True, False, 0.5, 2.0, None, "0.5", [1]):
+        with pytest.raises(InputError, match="expected exact rational|not an integer or p/q"):
+            coerce_rational(bad)
 
 
 def test_float_entries_refused():

@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from minsimplex import geometry, hypergraph, matroid
+from minsimplex.cli import main
 from minsimplex.errors import InputError, InvariantError
 from minsimplex.exactla import rank, vector_to_json
 from minsimplex.extremal import ConstructionId, construct, expected_count
@@ -23,7 +24,7 @@ from minsimplex.geometry import (
     load_points,
     project_to_affine,
 )
-from minsimplex.matroid import VectorConfiguration, enumerate_circuits
+from minsimplex.matroid import VectorConfiguration, count_circuits, enumerate_circuits
 
 from support import (
     oracle_affine_simplexes,
@@ -622,12 +623,15 @@ def test_json_and_csv_round_trip(tmp_path):
     jpath.write_text(json.dumps(ps.to_json_obj()))
     back = load_points(str(jpath))
     assert back == ps
-    assert all(type(x) is Fraction for p in back.points for x in p)
+    # JSON ints stay ints and "p/q" strings become Fractions
+    assert [[type(x) for x in p] for p in back.points] == [[Fraction, int], [int, Fraction]]
     cpath = tmp_path / "pts.csv"
     with open(cpath, "w", newline="") as fh:
         csv.writer(fh).writerows(vector_to_json(p) for p in ps.points)
     back_csv = load_points(str(cpath))
     assert back_csv == ps
+    # every CSV cell is a string, so every entry is a Fraction
+    assert all(type(x) is Fraction for p in back_csv.points for x in p)
 
 
 def test_json_rejects_floats(tmp_path):
@@ -635,3 +639,86 @@ def test_json_rejects_floats(tmp_path):
     path.write_text(json.dumps({"dimension": 1, "points": [[0.5]]}))
     with pytest.raises(InputError):
         load_points(str(path))
+
+
+# Integral entries are kept as ints; the same values as Fractions must give the same results.
+
+
+def _as_fractions(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def _simplexes_json(capsys, path, rows, dimension, entry):
+    path.write_text(json.dumps({"dimension": dimension, "points": [[entry(x) for x in p] for p in rows]}))
+    assert main(["simplexes", "--points", str(path), "--format", "json"]) == 0
+    return capsys.readouterr().out
+
+
+def test_int_and_fraction_point_sets_agree(tmp_path, capsys):
+    rng = random.Random(71)
+    seen = set()
+    for trial in range(60):
+        d = 1 + trial % 3
+        rows = tuple(tuple(int(x) for x in p) for p in _planted_point_set(rng, d).points)
+        ints, fracs = PointSet(d, rows), PointSet(d, _as_fractions(rows))
+        assert {type(x) for p in ints.points + ints.lift.vectors for x in p} <= {int}
+        assert {type(x) for p in fracs.points for x in p} <= {Fraction}
+        assert ints == fracs
+        counts = count_affine_simplexes(ints)
+        assert list(counts.items()) == list(count_affine_simplexes(fracs).items())
+        assert enumerate_affine_simplexes(ints) == enumerate_affine_simplexes(fracs)
+        holds = check_small_flat_hypothesis(ints)
+        assert holds == check_small_flat_hypothesis(fracs)
+        assert from_point_set(ints) == from_point_set(fracs)
+        if trial % 4 == 0:
+            as_int = _simplexes_json(capsys, tmp_path / "int.json", rows, d, int)
+            as_str = _simplexes_json(capsys, tmp_path / "str.json", rows, d, lambda x: f"{x}/1")
+            assert as_int == as_str
+        seen.add((d, holds, bool(counts)))
+    # sets with and without simplexes in each dimension; distinct points always meet
+    # the hypothesis in R^1 and R^2, and a planted collinear triple fails it in R^3
+    assert seen == {(d, True, s) for d in (1, 2, 3) for s in (False, True)} | {(3, False, True)}
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the InvariantError it raises."""
+    try:
+        return f(*args)
+    except InvariantError as exc:
+        return str(exc)
+
+
+def test_int_and_fraction_vector_configurations_agree():
+    rng = random.Random(73)
+    seen = set()
+    for trial in range(80):
+        dim = 1 + trial % 4
+        rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(len(rows) + 1), (0,) * dim)
+        if rng.random() < 0.4:
+            scale = rng.choice([-2, -1, 2, 3])
+            rows.insert(rng.randrange(len(rows) + 1), tuple(scale * x for x in rng.choice(rows)))
+        ints, fracs = VectorConfiguration(dim, tuple(rows)), VectorConfiguration(dim, _as_fractions(rows))
+        assert {type(x) for v in ints.vectors for x in v} <= {int}
+        assert ints == fracs and ints.integer_rows == fracs.integer_rows
+        assert list(count_circuits(ints).items()) == list(count_circuits(fracs).items())
+        assert enumerate_circuits(ints) == enumerate_circuits(fracs)
+        projected = _outcome(project_to_affine, ints)
+        assert projected == _outcome(project_to_affine, fracs)
+        if isinstance(projected, PointSet):  # never a float from int / int
+            assert all(type(x) is Fraction or type(x) is int for p in projected.points for x in p)
+        seen.add(type(projected))
+    assert seen == {PointSet, str}
+
+
+def test_refused_and_duplicate_entries_through_the_cli(tmp_path, capsys):
+    path = tmp_path / "pts.json"
+    for bad in ([[True, 0], [1, 2]], [[0.5, 0], [1, 2]], [[1, 0], [1, 2.0]]):
+        path.write_text(json.dumps({"dimension": 2, "points": bad}))
+        assert main(["simplexes", "--points", str(path)]) == 2, bad
+        assert capsys.readouterr().err.startswith("input error: expected exact rational")
+    # an int point equal to a Fraction point is still a duplicate
+    path.write_text(json.dumps({"dimension": 2, "points": [[1, 2], [0, 0], ["2/2", "4/2"]]}))
+    assert main(["simplexes", "--points", str(path)]) == 3
+    assert capsys.readouterr().err == "invariant violation: duplicate points at indices 0 and 2\n"

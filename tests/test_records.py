@@ -114,9 +114,10 @@ def test_fields_cannot_be_assigned_or_deleted(cls, fields):
 
 
 def test_repr_is_unchanged():
-    # the strings the frozen dataclasses printed
+    # the strings the frozen dataclasses printed, but for an integral entry
+    # of a PointSet, which is now kept as the int it was given as
     assert repr(Circuit((0, 1, 2), (1, -2, 1))) == "Circuit(members=(0, 1, 2), coefficients=(1, -2, 1))"
     assert repr(PointSet(1, [[0], ["1/2"]])) == (
-        "PointSet(dimension=1, points=((Fraction(0, 1),), (Fraction(1, 2),)))"
+        "PointSet(dimension=1, points=((0,), (Fraction(1, 2),)))"
     )
     assert repr(ConstructionId("cone", d=3)) == "ConstructionId(kind='cone', d=3, k=None)"
