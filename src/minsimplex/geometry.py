@@ -18,8 +18,10 @@ group sums and the first dependent set it reports are cached on the lift,
 so the check, the count and classify_r3_semi_simplexes share one walk per
 point set. The point sets of extremal.construct meet the hypothesis by
 their formulas and are built with no walk. Under it,
-count_affine_simplexes enumerates nothing; only listing the simplexes, or
-counting them when d = 0, n < d or the hypothesis fails, runs the scan.
+count_affine_simplexes enumerates nothing. A set in general position (no
+d + 1 points on a (d-1)-flat, so its lift is uniform) lists its simplexes,
+the (d+2)-subsets, from the same walk; only listing any other set, or
+counting when d = 0, n < d or the hypothesis fails, runs the scan.
 This module also hosts the linear-to-affine projection (central
 projection of a vector configuration onto a hyperplane off the origin).
 """
@@ -115,7 +117,8 @@ class SimplexReport(Record):
 def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
     """All affine simplexes, sorted by members: the circuits of the lift (1, p).
 
-    Points are distinct, so the lift has no loops and no parallel pairs and
+    In general position they are the (d+2)-subsets, listed from the lift's
+    walk with no scan (matroid.circuit_supports). Points are distinct, so the lift has no loops and no parallel pairs and
     every simplex has at least 3 points; at most rank(lift) + 1 <= d + 2.
     """
     return SimplexReport(tuple(circuit_supports(ps.lift)))

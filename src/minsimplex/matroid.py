@@ -5,19 +5,24 @@ proper subset is independent. Each circuit carries its unique primitive
 integer coefficient vector as a dependency witness (sum of coefficient
 times vector is exactly zero).
 
-circuit_supports is the one scan for minimal dependent sets in the package:
-geometry enumerates the affine simplexes of a point set P as the circuits
-of its lift {(1, p) : p in P}, and tests general position with the walk
-below, not the scan. The scan is a depth-first search over independent
-sets in lexicographic order, in integer arithmetic (fraction-free row
-operations divided by the previous pivot, as in Bareiss, Math. Comp. 22,
-1968). Each node carries, for every later vector, one list of D entries:
-its row reduced modulo the current set, followed by the combination of
-input vectors that produced it. A child costs one fused update of that
-list per later vector. A row that reduces to zero is a dependency; it is a
-circuit when its combination has full support, and that combination, made
-primitive, is the circuit's coefficient vector, so no rank test, kernel or
-rescaling is computed per candidate.
+circuit_supports lists the circuits, and geometry enumerates the affine
+simplexes of a point set P as the circuits of its lift {(1, p) : p in P}.
+A uniform configuration, every D of whose vectors are independent, is
+listed from the walk below: its circuits are exactly the (D+1)-subsets,
+since any D + 1 vectors of R^D are dependent and their proper subsets are
+not. Every other configuration, and enumerate_circuits, which needs the
+coefficients, go through the one scan for minimal dependent sets in the
+package, and general position is tested with the walk, not the scan.
+The scan is a depth-first search over independent sets in lexicographic
+order, in integer arithmetic (fraction-free row operations divided by the
+previous pivot, as in Bareiss, Math. Comp. 22, 1968). Each node carries,
+for every later vector, one list of D entries: its row reduced modulo the
+current set, followed by the combination of input vectors that produced
+it. A child costs one fused update of that list per later vector. A row
+that reduces to zero is a dependency; it is a circuit when its combination
+has full support, and that combination, made primitive, is the circuit's
+coefficient vector, so no rank test, kernel or rescaling is computed per
+candidate.
 A set of D - 1 members closes the last level itself: any two later
 vectors outside its span are dependent with it, so the set tests each such
 pair's combination for full support and emits it, with no child node.
@@ -35,7 +40,13 @@ of at most D - 1 vectors, and its reader stops it by leaving its loop. The
 count returns at the first dependent set, which makes the walk the
 package's one general-position test, while hypergraph.from_point_set reads
 on to the end and keys the groups of its walk by their hyperplanes'
-normals, to merge them into sections.
+normals, to merge them into sections. For n >= D - 1 >= 1 the
+configuration is uniform exactly when the count's walk ends with no
+dependent set (every D - 1 vectors independent) and A = 0 (no D of them
+on a hyperplane). circuit_supports asks that first; with no count cached
+it pauses the count's walk at its first group of two or more (A > 0) and
+scans, and a later count reads on from there, so one configuration takes
+one count walk.
 
 The checks on ordered rational rows, their indices and their JSON form
 are shared with geometry.PointSet.
@@ -46,6 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import comb, gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -113,7 +125,10 @@ def rows_from_json(obj, key: str) -> tuple[int, list]:
 
 class VectorConfiguration(Record):
     """Ordered list of vectors in R^D, with exact entries (exact_rows): an
-    integral configuration holds ints, with no Fraction per entry."""
+    integral configuration holds ints, with no Fraction per entry. It keeps
+    its integer rows and what its one count walk learns: the group sums,
+    the first dependent set and whether it is uniform, which decides
+    whether circuit_supports lists it from the walk or scans it."""
 
     def __init__(self, dimension: int, vectors: tuple[tuple[int | Fraction, ...], ...]):
         vectors = exact_rows(vectors, dimension, "vector")
@@ -138,16 +153,29 @@ class VectorConfiguration(Record):
     def _walk_outcome(self) -> tuple[tuple[int, int] | None, tuple[int, ...] | None]:
         if not len(self) >= self.dimension - 1 >= 1:
             return None, None
-        pairs = triples = 0
-        for prefix, groups, _ in hyperplane_walk(self.integer_rows, self.dimension):
-            if groups is None:  # the first dependent set: the count stops here
-                return None, prefix
-            for group in groups.values():
-                m = len(group)
-                if m > 1:
-                    pairs += m * (m - 1) // 2
-                    triples += m * (m - 1) * (m - 2) // 6
-        return (pairs, triples), None
+        walk = self.__dict__.pop("_paused_walk", None)
+        if walk is None:
+            walk = _count_walk(self.integer_rows, self.dimension)
+        return next(walk) or next(walk)  # on past the pause, if `uniform` has not read it
+
+    @cached_property
+    def uniform(self) -> bool:
+        """True when the count's walk proves every D of the vectors
+        independent: it ends with no dependent set (every D - 1 are
+        independent) and A = 0 (no D lie on a hyperplane). Then the circuits
+        are the (D+1)-subsets (see circuit_supports). The walk does not run
+        below n >= D - 1 >= 1, where this is False and the scan lists. With no
+        outcome cached, the walk pauses at its first group of two or more
+        (A > 0), and the count reads on from there; an outcome it reaches
+        is the count's."""
+        if "_walk_outcome" not in self.__dict__ and len(self) >= self.dimension - 1 >= 1:
+            walk = _count_walk(self.integer_rows, self.dimension)
+            outcome = next(walk)
+            if outcome is None:
+                self.__dict__["_paused_walk"] = walk
+                return False
+            self.__dict__["_walk_outcome"] = outcome
+        return self.hyperplane_sums == (0, 0)
 
     @property
     def hyperplane_sums(self) -> tuple[int, int] | None:
@@ -189,6 +217,26 @@ def subset_rank(cfg: VectorConfiguration, subset: Iterable[int]) -> int:
 
 def configuration_rank(cfg: VectorConfiguration) -> int:
     return subset_rank(cfg, range(len(cfg)))
+
+
+def _count_walk(rows: Sequence[Sequence[int]], dimension: int) -> Iterator[tuple | None]:
+    """count_circuits' reading of one hyperplane_walk. It yields None once,
+    at the first group of two or more, and then the outcome: ((A, B), None)
+    at the walk's end, or (None, P) at its first dependent set P, where the
+    walk is left."""
+    pairs = triples = 0
+    for prefix, groups, _ in hyperplane_walk(rows, dimension):
+        if groups is None:
+            yield None, prefix
+            return
+        for group in groups.values():
+            m = len(group)
+            if m > 1:
+                if not pairs:
+                    yield None
+                pairs += m * (m - 1) // 2
+                triples += m * (m - 1) * (m - 2) // 6
+    yield (pairs, triples), None
 
 
 def _visit(members: tuple[int, ...], carried: list, rlen: int, prev: int, emit: Callable) -> None:
@@ -272,7 +320,11 @@ def _scan(cfg: VectorConfiguration, emit: Callable) -> None:
 def circuit_supports(cfg: VectorConfiguration) -> list[tuple[int, ...]]:
     """Members of every circuit, sorted.
 
-    A depth-first scan over the independent sets in lexicographic order
+    A uniform configuration (VectorConfiguration.uniform) lists its
+    (D+1)-subsets in lexicographic order, which is the scan's list in the
+    scan's order, with no scan: D + 1 vectors of R^D are dependent, and
+    every proper subset of them is independent. Otherwise,
+    a depth-first scan over the independent sets in lexicographic order
     (see _visit) that carries each later vector's row reduced modulo the
     span of the current set. Every circuit is found once, from itself minus
     its largest member, when that member's row reduces to zero with a
@@ -280,6 +332,8 @@ def circuit_supports(cfg: VectorConfiguration) -> list[tuple[int, ...]]:
     No independent set exceeds the rank, so the scan stops at rank + 1
     members on its own.
     """
+    if cfg.uniform:
+        return list(combinations(range(len(cfg)), cfg.dimension + 1))
     found: list[tuple[int, ...]] = []
     _scan(cfg, lambda members, comb: found.append(members))
     return found

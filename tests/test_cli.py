@@ -376,6 +376,74 @@ def test_construct_box_sweep_computes_or_refuses(tmp_path, capsys, kind, box):
         assert expected == enumerated, (argv, head)
 
 
+_REFUSALS = {2: "input error: ", 3: "invariant violation: "}
+
+
+def _sweep(capsys, runs) -> Counter:
+    """Exit codes of cli.main over the argument lists `runs`. An uncaught
+    exception, which would end the command in a traceback, fails the test;
+    so does any exit other than 0, 2 and 3 (README's success, input error
+    and invariant violation), a refusal without its message, or a json
+    document that does not parse."""
+    codes = Counter()
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2, 3), (argv, code, err)
+        if code:
+            assert err.startswith(_REFUSALS[code]), (argv, err)
+        elif "json" in argv:
+            json.loads(out)
+        codes[code] += 1
+    return codes
+
+
+def test_simplexes_box_sweep_exits_cleanly(tmp_path, capsys):
+    # points and vectors with entries in {-1, 0, 1}: duplicate points, loops,
+    # parallel pairs, R^0 and the empty set all meet every output form
+    rng = random.Random(2601)
+    runs = []
+    for key in ("points", "vectors"):
+        for dim in range(4):
+            for n in range(6):
+                for seed in range(2):
+                    rows = [[rng.choice((-1, 0, 1)) for _ in range(dim)] for _ in range(n)]
+                    path = tmp_path / f"{key}-{dim}-{n}-{seed}.json"
+                    path.write_text(json.dumps({"dimension": dim, key: rows}))
+                    for form in (["text"], ["json"], ["csv"], ["json", "--counts-only"]):
+                        for project in ([], ["--project"]):
+                            runs.append(["simplexes", f"--{key}", str(path), "--format", *form, *project])
+    codes = _sweep(capsys, runs)
+    assert set(codes) == {0, 2, 3}, codes
+
+
+def test_search_box_sweep_exits_cleanly(capsys, monkeypatch):
+    monkeypatch.delenv("MINSIMPLEX_BUDGET_BITS", raising=False)
+    runs = [
+        ["search", str(n), str(k), flavor, "--format", form]
+        for n in range(7) for k in range(5)
+        for flavor in ("--linear", "--free") for form in ("text", "json", "csv")
+    ]
+    codes = _sweep(capsys, runs)
+    assert set(codes) == {0, 2}, codes
+
+
+def test_sperner_box_sweep_exits_cleanly(tmp_path, capsys):
+    # empty, full-edge and one-pair hypergraphs; an empty edge (n = 0) and a
+    # pair on fewer than 2 vertices are refused
+    runs = []
+    for n in range(5):
+        for name, edges in (("empty", []), ("full", [list(range(n))]), ("pair", [[0, 1]])):
+            path = tmp_path / f"{name}-{n}.json"
+            path.write_text(json.dumps({"n": n, "edges": edges}))
+            for k in range(n + 2):
+                for options in ([], ["--counts-only"], ["--deficit"], ["--counts-only", "--deficit"]):
+                    for form in ("text", "json", "csv"):
+                        runs.append(["sperner", "--hypergraph", str(path), "-k", str(k),
+                                     "--format", form, *options])
+    codes = _sweep(capsys, runs)
+    assert set(codes) == {0, 2}, codes
+
+
 def test_search_free(capsys):
     code, out, _ = run(capsys, "search", "5", "2", "--free", "--workers", "1")
     assert code == 0
@@ -932,3 +1000,4 @@ def test_closed_stdout_exits_1_without_a_message(tmp_path, capsys, monkeypatch, 
     # a missing input file is still an input error
     code, out, err = run(capsys, "simplexes", "--points", str(tmp_path / "missing.json"))
     assert (code, out) == (2, "") and err.startswith("input error:")
+

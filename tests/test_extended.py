@@ -1,8 +1,9 @@
 """Heavier cross-checks beyond the acceptance ranges (still fast)."""
 
 from fractions import Fraction
+from itertools import combinations
 
-from minsimplex import geometry, hypergraph
+from minsimplex import geometry, hypergraph, matroid
 from minsimplex.extremal import (
     ConstructionId,
     brute_force_s,
@@ -35,6 +36,16 @@ def test_count_matches_closed_forms_beyond_enumeration():
     for cid, n in cases:
         ps = construct(cid, n)
         assert sum(geometry.count_affine_simplexes(ps).values()) == expected_count(cid, n)
+
+
+def test_uniform_listing_of_30_moment_vectors_equals_the_scan():
+    # (1, t, t^2, t^3) for t = 1..30: every 4 are independent (Vandermonde),
+    # so the listing is the 5-subsets, and the scan finds the same 142,506
+    cfg = matroid.VectorConfiguration(4, tuple((1, t, t * t, t**3) for t in range(1, 31)))
+    scanned = []
+    matroid._scan(cfg, lambda members, comb: scanned.append(members))
+    assert len(scanned) == 142506
+    assert matroid.circuit_supports(cfg) == scanned == list(combinations(range(30), 5))
 
 
 def test_two_lines_large():

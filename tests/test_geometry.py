@@ -372,6 +372,53 @@ def test_a_dependent_set_takes_one_stopped_pass_before_the_scan(monkeypatch):
     assert walks == [({"units": True}, None)]  # one keyed walk, read to its end past the triple
 
 
+def _first_grouped_event(ps):
+    """The first event of the lift's walk with a group of two or more."""
+    for event in matroid.hyperplane_walk(ps.lift.integer_rows, ps.dimension + 1):
+        if event[1] and max(map(len, event[1].values())) > 1:
+            return event
+
+
+_TRIPLE = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+
+def test_a_non_uniform_listing_leaves_its_walk_early(monkeypatch):
+    # with no walk cached, the uniformity test stops at the first group of
+    # two or more (A > 0) or at the first dependent set, then the scan lists
+    ps = construct(ConstructionId("parallel-pairs"), 10)
+    first = _first_grouped_event(ps)
+    assert first[0] == (0, 1)  # 0, 1 and the 6 other points of z = 0
+    walks = _record_walks(monkeypatch)
+    assert len(enumerate_affine_simplexes(ps).supports) == 106
+    assert walks == [({}, first)]
+    walks.clear()
+    assert len(enumerate_affine_simplexes(PointSet(3, _TRIPLE)).supports) == 4
+    assert walks == [({}, ((0, 1, 2), None, None))]
+
+
+def test_a_count_and_a_listing_share_one_walk_in_either_order(monkeypatch):
+    # a uniform set (the moment curve), one with A > 0, one with a dependent
+    # set; the second reader goes on from where the first left the walk
+    walks = _record_walks(monkeypatch)
+    moment = tuple((t, t * t, t**3) for t in range(1, 9))
+    sets = (
+        (moment, {5: 56}, None),
+        (construct(ConstructionId("parallel-pairs"), 10).points, {4: 74, 5: 32}, None),
+        (_TRIPLE, {3: 1, 5: 3}, ((0, 1, 2), None, None)),
+    )
+    for points, counts, left in sets:
+        for count_first in (True, False):
+            walks.clear()
+            ps = PointSet(3, points)
+            readers = [count_affine_simplexes, enumerate_affine_simplexes]
+            first, second = readers if count_first else readers[::-1]
+            results = first(ps), second(ps)
+            report = results[count_first]
+            assert (results[not count_first], report.counts) == (counts, counts)
+            assert list(report.supports) == oracle_affine_simplexes(ps)
+            assert walks == [({}, left)]
+
+
 def test_from_point_set_takes_one_walk_with_a_collinear_triple(monkeypatch):
     walks = _record_walks(monkeypatch)
     pairs = construct(ConstructionId("parallel-pairs"), 10).points

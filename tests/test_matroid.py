@@ -1,10 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from minsimplex import matroid
+from minsimplex import geometry, matroid
 from minsimplex.errors import InputError, InvariantError
 from minsimplex.exactla import integer_row, primitive, rank
 from minsimplex.extremal import ConstructionId, construct
@@ -295,7 +296,8 @@ def test_scan_of_lifted_points_matches_affine_simplex_oracle():
         assert matroid.circuit_supports(lift) == oracle_affine_simplexes(ps)
 
 
-def _scan_work(monkeypatch, cfg):
+def _record_scan_work(monkeypatch):
+    """Lists that record every _visit and subset_rank call from here on."""
     visits, rank_tests = [], []
     visit, subset_rank_ = matroid._visit, matroid.subset_rank
 
@@ -309,8 +311,22 @@ def _scan_work(monkeypatch, cfg):
 
     monkeypatch.setattr(matroid, "_visit", counting_visit)
     monkeypatch.setattr(matroid, "subset_rank", counting_rank)
-    supports = matroid.circuit_supports(cfg)
-    return len(visits), len(rank_tests), len(supports)
+    return visits, rank_tests
+
+
+def _scanned_supports(cfg):
+    """The supports the scan emits, in its order: circuit_supports lists a
+    uniform configuration without it."""
+    supports = []
+    matroid._scan(cfg, lambda members, comb: supports.append(members))
+    return supports
+
+
+def _scan_work(monkeypatch, cfg):
+    """(visits, rank tests, circuits) of the scan itself."""
+    visits, rank_tests = _record_scan_work(monkeypatch)
+    circuits = len(_scanned_supports(cfg))
+    return len(visits), len(rank_tests), circuits
 
 
 def test_scan_rank_test_counts_are_pinned(monkeypatch):
@@ -325,6 +341,80 @@ def test_scan_rank_test_counts_are_pinned(monkeypatch):
     assert _scan_work(monkeypatch, lift) == (299, 0, 295)
     generic = random_configuration(random.Random(2024), 12, 5)
     assert _scan_work(monkeypatch, generic) == (794, 0, 924)
+
+
+def test_only_a_uniform_listing_skips_the_scan(monkeypatch):
+    # every 5 of the generic vectors are independent, so its 924 circuits
+    # are the 6-subsets, listed with no visit; the lift of parallel pairs
+    # has 4 points on a plane (A > 0), so its listing is the full scan
+    visits, _ = _record_scan_work(monkeypatch)
+    generic = random_configuration(random.Random(2024), 12, 5)
+    assert matroid.circuit_supports(generic) == list(combinations(range(12), 6))
+    assert visits == []
+    ps = construct(ConstructionId("parallel-pairs"), 12)
+    lift = VectorConfiguration(4, tuple((1,) + p for p in ps.points))
+    assert len(matroid.circuit_supports(lift)) == 295
+    assert len(visits) == 299
+
+
+def _listing_cases(rng, dim):
+    """(kind, vectors) pairs in R^dim, for n = dim - 1 .. dim + 4: random
+    vectors with small entries, with denominators and with 10^30-size
+    entries, nearly all uniform, and ones with a planted dependent dim-subset
+    (A = 1), a dependent (dim - 1)-subset or a loop."""
+    entries = {
+        "small": lambda: rng.randint(-9, 9),
+        "denominators": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+        "huge": lambda: rng.randint(-10**30, 10**30),
+    }
+    for n in range(dim - 1, dim + 5):
+        for kind, entry in entries.items():
+            yield kind, [tuple(entry() for _ in range(dim)) for _ in range(n)]
+        vecs = [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(n)]
+        for kind, size in (("hyperplane", dim - 1), ("flat", dim - 2)):
+            if n > size:  # the last vector, a combination of the first `size` with no zero weight
+                weights = [rng.choice((-2, -1, 1, 3)) for _ in range(size)]
+                last = tuple(sum(w * v[i] for w, v in zip(weights, vecs)) for i in range(dim))
+                yield kind, vecs[:-1] + [last]
+        if n:
+            yield "loop", vecs[:-1] + [(0,) * dim]
+
+
+def test_uniform_listing_matches_the_scan_and_the_oracle():
+    # the (D+1)-subsets, listed with no scan, are the circuits exactly when
+    # every D vectors are independent; every other configuration is scanned
+    # either with no walk cached or after a count has read the whole walk
+    rng = random.Random(331)
+    seen = set()
+    for dim in (2, 3, 4, 5):
+        for kind, vecs in _listing_cases(rng, dim):
+            want = oracle_circuits(VectorConfiguration(dim, tuple(vecs)))
+            for counted in (False, True):
+                cfg = VectorConfiguration(dim, tuple(vecs))
+                if counted:
+                    matroid.count_circuits(cfg)
+                got = matroid.circuit_supports(cfg)
+                assert got == want == _scanned_supports(cfg), (kind, counted, cfg)
+                assert cfg.uniform == (got == list(combinations(range(len(cfg)), dim + 1)))
+                if kind == "hyperplane":
+                    assert cfg.hyperplane_sums == (1, 0) and not cfg.uniform
+                seen.add((dim, cfg.uniform))
+    assert seen == {(dim, uniform) for dim in (2, 3, 4, 5) for uniform in (True, False)}
+
+
+def test_general_position_point_sets_list_their_simplexes_from_the_walk():
+    # d + 1 points of a set in general position are affinely independent, so
+    # its lift is uniform; the moment curve (t, t^2, ..., t^d) is one
+    rng = random.Random(97)
+    for d in (1, 2, 3, 4):
+        for n in range(d, d + 5):
+            curve = tuple(tuple(t**p for p in range(1, d + 1)) for t in range(n))
+            moment = geometry.PointSet(d, curve)
+            for ps in (moment, random_point_set(rng, n, d, span=10**6)):
+                assert ps.lift.uniform
+                want = oracle_affine_simplexes(ps)
+                assert list(geometry.enumerate_affine_simplexes(ps).supports) == want
+                assert want == list(combinations(range(n), d + 2))
 
 
 def _planted_vectors(rng, dim):
@@ -465,7 +555,7 @@ def test_count_circuits_matches_scan_on_planted_configurations():
     for trial in range(400):
         cfg = _planted_vectors(rng, 1 + trial % 5)
         got = matroid.count_circuits(cfg)
-        want = dict(sorted(Counter(map(len, matroid.circuit_supports(cfg))).items()))
+        want = dict(sorted(Counter(map(len, _scanned_supports(cfg))).items()))
         assert list(got.items()) == list(want.items()), cfg
         n, dim = len(cfg), cfg.dimension
         if dim == 1:
