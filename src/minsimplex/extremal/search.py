@@ -21,16 +21,23 @@ Two regimes:
   limit is checked before the budget. numpy is imported by the free search
   only, so importing this module does not load it.
 
-* Linear-constrained (s): backtracking over families of edges of size >= k
-  with pairwise intersections below k-1 (smaller edges never change the
+* Linear-constrained (s): the families of edges of size >= k with
+  pairwise intersections below k-1 (smaller edges never change the
   semi-simplex family and only tighten the constraint, so they are omitted
-  without loss). Each family is visited exactly once, in ascending
-  candidate order. Every pair of candidates is tested once, up front:
-  compat[j] is the bitmask of the later candidates compatible with j, and
-  a child may choose only from its parent's remaining candidates ANDed
-  with compat[j]. The score depends on the edge sizes only
+  without loss). They form a tree: a family's children add one of its
+  remaining candidates each, in ascending order, and the child that adds j
+  keeps the remaining candidates ANDed with compat[j], the bitmask of the
+  later candidates compatible with j. Two candidates clash iff one holds a
+  (k-1)-subset of the other, so compat is built from the holders of each
+  (k-1)-set. The score depends on the edge sizes only
   (hypergraph.linear_edge_counts): its numerator is C(n,k+1)*w_m0 plus one
-  precomputed delta per chosen edge, and each visited family costs O(1).
+  delta per chosen edge. So a family's subtree depends only on its set of
+  remaining candidates, and these sets repeat (the 4,464,329 families of
+  s(8,4) share 125,609), so each distinct set is solved once, for the
+  number of families in its subtree and the least score they add, at one
+  step per candidate in it. A second walk descends only into subtrees that
+  reach the minimum, so it lists the minimizers in the tree's depth-first
+  order. The budget bounds the family count, and the steps too.
 
 Witnesses are deduplicated up to vertex relabeling via the minimum
 lexicographic incidence form over all relabelings. The relabeled copies
@@ -277,49 +284,97 @@ def _edge_delta(n: int, k: int, size: int) -> int:
 def _linear_search(n: int, k: int, budget_bits: int) -> SearchResult:
     max_families = 1 << budget_bits
     cands = [e for size in range(k, n + 1) for e in combinations(range(n), size)]
-    cand_masks = [sum(1 << v for v in e) for e in cands]
+    # two candidates clash iff they share at least k-1 vertices, iff one holds
+    # a (k-1)-subset of the other; holders[s] is the mask of candidates holding s
+    holders: dict[tuple[int, ...], int] = {}
+    for i, e in enumerate(cands):
+        for s in combinations(e, k - 1):
+            holders[s] = holders.get(s, 0) | 1 << i
+    full = (1 << len(cands)) - 1
     # compat[j]: the later candidates that share fewer than k-1 vertices with j
-    compat = [
-        sum(1 << i for i in range(j + 1, len(cands)) if (cand_masks[i] & mask).bit_count() < k - 1)
-        for j, mask in enumerate(cand_masks)
-    ]
-    delta = [_edge_delta(n, k, len(e)) for e in cands]
+    compat = []
+    for j, e in enumerate(cands):
+        clash = 0
+        for s in combinations(e, k - 1):
+            clash |= holders[s]
+        compat.append(full & ~clash & -(2 << j))  # -(2 << j): the bits above j
+    delta_of_size = {size: _edge_delta(n, k, size) for size in range(k, n + 1)}
+    delta = [delta_of_size[len(e)] for e in cands]
     _, w_m0, denom = _objective_weights(n, k)
 
-    best = comb(n, k + 1) * w_m0  # the empty family: m0 = C(n,k+1)
+    # A family's subtree depends only on avail, its remaining candidates, so
+    # each distinct avail is solved once: memo[avail] = (families in the
+    # subtree, least score numerator the subtree adds to its root's).
+    memo: dict[int, tuple[int, int]] = {}
+    steps = 0
+
+    def refuse() -> None:
+        raise BudgetError(
+            f"constrained search visited more than 2^{budget_bits} families "
+            f"(n={n}, k={k}); raise the budget to override"
+        )
+
+    def solve(avail: int) -> tuple[int, int]:
+        nonlocal steps
+        # one step per child; each distinct avail is some family's, whose
+        # children are distinct families, so the steps stay below the family
+        # count and bounding them too refuses no search within budget
+        steps += avail.bit_count()
+        if steps > max_families:
+            refuse()
+        count, least = 1, 0
+        rest = avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            child = avail & compat[j]
+            if child:
+                sub = memo.get(child) or solve(child)
+                count += sub[0]
+                if delta[j] + sub[1] < least:
+                    least = delta[j] + sub[1]
+            else:
+                count += 1
+                if delta[j] < least:
+                    least = delta[j]
+        if count > max_families:
+            refuse()
+        memo[avail] = count, least
+        return count, least
+
+    empty = comb(n, k + 1) * w_m0  # the empty family's score: m0 = C(n,k+1)
+    families, least = solve(full)
+    best = empty + least
+
+    # the minimizers in depth-first order: descend, in ascending j, only
+    # into subtrees whose least score reaches the minimum
     best_families: list[tuple[tuple[int, ...], ...]] = []
-    truncated = False
-    visited = 0
     chosen: list[int] = []
 
-    def rec(avail: int, score: int) -> None:
-        nonlocal best, truncated, visited
-        visited += 1
-        if visited > max_families:
-            raise BudgetError(
-                f"constrained search visited more than 2^{budget_bits} families "
-                f"(n={n}, k={k}); raise the budget to override"
-            )
-        if score < best:
-            best = score
-            best_families.clear()
-            truncated = False
+    def walk(avail: int, score: int) -> bool:
+        """Collect the subtree's minimizers; False once one too many was met."""
         if score == best:
-            if len(best_families) < _MAX_RAW_WITNESSES:
-                best_families.append(tuple(cands[i] for i in chosen))
-            else:
-                truncated = True
-        while avail:
-            low = avail & -avail
-            avail ^= low
+            if len(best_families) == _MAX_RAW_WITNESSES:
+                return False
+            best_families.append(tuple(cands[i] for i in chosen))
+        rest = avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
             j = low.bit_length() - 1
-            chosen.append(j)
-            rec(avail & compat[j], score + delta[j])
-            chosen.pop()
+            child = avail & compat[j]
+            if score + delta[j] + (memo[child][1] if child else 0) == best:
+                chosen.append(j)
+                more = walk(child, score + delta[j])
+                chosen.pop()
+                if not more:
+                    return False
+        return True
 
-    rec((1 << len(cands)) - 1, best)
+    truncated = not walk(full, empty)
     witnesses = _canonical_witnesses(n, best_families)
-    return SearchResult(n, k, True, Fraction(best, denom), witnesses, visited, truncated)
+    return SearchResult(n, k, True, Fraction(best, denom), witnesses, families, truncated)
 
 
 def brute_force_s(

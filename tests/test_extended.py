@@ -3,7 +3,10 @@
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from minsimplex import geometry, hypergraph, matroid
+from minsimplex.errors import BudgetError
 from minsimplex.extremal import (
     ConstructionId,
     brute_force_s,
@@ -77,13 +80,25 @@ def test_k3_pair_at_n6():
 
 
 def test_s_at_n8_with_verified_witnesses():
-    for k, value in ((3, Fraction(139, 280)), (4, Fraction(1, 5)), (5, Fraction(2, 7))):
+    cases = ((3, Fraction(139, 280), 433039), (4, Fraction(1, 5), 4464329), (5, Fraction(2, 7), 239174))
+    for k, value, families in cases:
         result = brute_force_s(8, k, True)
         assert result.minimum == value
+        assert result.search_space_size == families
         assert result.minimum >= brute_force_s(7, k, True).minimum
         assert result.witnesses and not result.witnesses_truncated
         for w in result.witnesses:
             assert verify_witness(result, w)
+
+
+def test_linear_budget_refuses_s_8_4_exactly_past_its_family_count():
+    # 2^22 = 4,194,304 < 4,464,329 families <= 2^23
+    with pytest.raises(BudgetError) as refused:
+        brute_force_s(8, 4, True, budget_bits=22)
+    assert str(refused.value) == (
+        "constrained search visited more than 2^22 families (n=8, k=4); raise the budget to override"
+    )
+    assert brute_force_s(8, 4, True, budget_bits=23).search_space_size == 4464329
 
 
 def test_s_prime_at_n8_k2():

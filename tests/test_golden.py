@@ -91,6 +91,9 @@ CASES = [
      ["search", "6", "3", "--free", "--workers", "1", "--format", "json"], 0, ""),
     ("search-7-2-linear-json", ["search", "7", "2", "--linear", "--format", "json"], 0, ""),
     ("search-6-3-linear-text", ["search", "6", "3", "--linear"], 0, ""),
+    ("search-7-3-linear-json", ["search", "7", "3", "--linear", "--format", "json"], 0, ""),
+    # two witness classes
+    ("search-8-5-linear-text", ["search", "8", "5", "--linear"], 0, ""),
     ("verify-s-small", ["verify", "--suite", "s-small"], 0, ""),
 ]
 

@@ -64,8 +64,10 @@ def relabeled_keys(n, family):
 
 
 def linear_search_recount(n: int, k: int):
-    """The backtracking search with its objective recounted in full for
-    every family: (minimum, canonical witness forms, families visited)."""
+    """The depth-first search with its objective recounted in full for every
+    family, each visited once in ascending candidate order: (minimum,
+    canonical witness forms, families visited, minimizing families in
+    visiting order)."""
     cands = []
     for size in range(k, n + 1):
         cands.extend(combinations(range(n), size))
@@ -111,7 +113,7 @@ def linear_search_recount(n: int, k: int):
 
     rec(0)
     forms = sorted({plain_canonical_family(n, f) for f in best_families})
-    return Fraction(best, denom), forms, visited
+    return Fraction(best, denom), forms, visited, best_families
 
 
 def test_smallest_case_both_flavors():
@@ -350,10 +352,41 @@ def test_incremental_linear_search_matches_recount_oracle(n):
     # at n = 7 the recount oracle takes seconds per k; k >= 5 is left out
     for k in range(2, n if n < 7 else 5):
         result = brute_force_s(n, k, True)
-        minimum, forms, visited = linear_search_recount(n, k)
+        minimum, forms, visited, _ = linear_search_recount(n, k)
         assert result.minimum == minimum
         assert [w.edges for w in result.witnesses] == forms
         assert result.search_space_size == visited
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 15, 16])
+def test_truncated_linear_witnesses_are_the_first_minimizers_visited(monkeypatch, cap):
+    # the search keeps the first `cap` minimizing families of the depth-first
+    # order, so its witnesses are the classes of the oracle's first `cap`; the
+    # 20 minimizers of s(5,3) are 15 of one class, then 5 of the other
+    monkeypatch.setattr(search, "_MAX_RAW_WITNESSES", cap)
+    for n in range(3, 7):
+        for k in range(2, n):
+            _, _, _, raw = linear_search_recount(n, k)
+            result = brute_force_s(n, k, True)
+            assert [w.edges for w in result.witnesses] == sorted(
+                {plain_canonical_family(n, f) for f in raw[:cap]}
+            )
+            assert result.witnesses_truncated == (len(raw) > cap)
+
+
+@pytest.mark.parametrize(
+    "n, k, families, bits", [(5, 3, 32, 4), (6, 3, 353, 8), (7, 2, 877, 9), (7, 3, 8390, 13)]
+)
+def test_linear_budget_refuses_exactly_past_the_family_count(n, k, families, bits):
+    # 2^bits < families <= 2^(bits + 1); s(5,3) has exactly 2^5 families
+    message = (
+        f"constrained search visited more than 2^{bits} families "
+        f"(n={n}, k={k}); raise the budget to override"
+    )
+    with pytest.raises(BudgetError) as refused:
+        brute_force_s(n, k, True, budget_bits=bits)
+    assert str(refused.value) == message
+    assert brute_force_s(n, k, True, budget_bits=bits + 1).search_space_size == families
 
 
 def test_edge_deltas_add_up_to_the_semi_simplex_sum():
