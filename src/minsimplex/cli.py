@@ -462,14 +462,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="minsimplex",
-        description="Exact minimal-dependency enumeration and extremal search",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simplexes", help="enumerate circuits or affine simplexes")
+def _simplexes_arguments(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--points", help="point set file (JSON or CSV)")
     src.add_argument("--vectors", help="vector configuration file (JSON)")
@@ -481,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_simplexes)
 
-    p = sub.add_parser("construct", help="build an extremal configuration and self-check it")
+
+def _construct_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=extremal.KINDS)
     p.add_argument("params", type=int, nargs="+", metavar="N",
                    help="size n, preceded by d (inplane-generic, cone) or "
@@ -489,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output prefix (default KIND-N)")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("search", help="exhaustive minimum of the semi-simplex sum")
+
+def _search_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     flavor = p.add_mutually_exclusive_group(required=True)
@@ -503,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the JSON SearchResult here")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("react", help="enumerate minimal balanced reactions")
+
+def _react_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("species_file")
     p.add_argument("--universe", help="comma-separated atom order, e.g. C,H,O")
     p.add_argument("--report", action="store_true", help="append the count report")
@@ -511,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_react)
 
-    p = sub.add_parser("sperner", help="semi-simplex families, Sperner check, YBLM sum")
+
+def _sperner_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hypergraph", required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--deficit", action="store_true",
@@ -521,19 +518,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_sperner)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--suite", choices=("constructions", "sperner", "s-small"), required=True)
     p.add_argument("--format", choices=("text", "csv"), default="text",
                    help="csv (s-small only) emits the plot-ready value table")
     p.set_defaults(func=cmd_verify)
 
+
+# subcommand name -> (help line, function adding its arguments), in help order
+_COMMANDS = {
+    "simplexes": ("enumerate circuits or affine simplexes", _simplexes_arguments),
+    "construct": ("build an extremal configuration and self-check it", _construct_arguments),
+    "search": ("exhaustive minimum of the semi-simplex sum", _search_arguments),
+    "react": ("enumerate minimal balanced reactions", _react_arguments),
+    "sperner": ("semi-simplex families, Sperner check, YBLM sum", _sperner_arguments),
+    "verify": ("run a verification suite", _verify_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `minsimplex` parser, with every subcommand, or with `command` only.
+
+    A parser for one subcommand parses that subcommand's argument lists as
+    the full one does, with the same output and exit codes. Its root usage
+    still lists every subcommand, so a root-level error reads alike.
+    """
+    parser = argparse.ArgumentParser(
+        prog="minsimplex",
+        description="Exact minimal-dependency enumeration and extremal search",
+    )
+    # Either way the usage line lists every subcommand. The full parser derives
+    # that list itself, and so still names a missing one "command" in its error.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
     # before numpy loads: a second BLAS thread only spins beside the free scan's products
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's own parser is all it needs; help, no command or an unknown one get them all
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

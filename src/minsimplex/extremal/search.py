@@ -97,8 +97,21 @@ class SearchResult(Record):
         }
 
 
+def _canonical_tables(n: int) -> tuple[tuple, list[tuple[int, ...]]]:
+    """What `canonical_family` reads at n: the two generators as maps of
+    vertex bitmasks (none for n <= 1), and the vertices of every bitmask."""
+    top = (1 << n) - 1
+    generators = ()
+    if n > 1:
+        swap = [m ^ 3 if (m ^ m >> 1) & 1 else m for m in range(top + 1)]
+        cycle = [(m << 1 & top) | m >> (n - 1) for m in range(top + 1)]
+        generators = (swap.__getitem__, cycle.__getitem__)
+    subsets = [tuple(v for v in range(n) if m >> v & 1) for m in range(top + 1)]
+    return generators, subsets
+
+
 def canonical_family(
-    n: int, edges: tuple[tuple[int, ...], ...], orbit: set[int] | None = None
+    n: int, edges: tuple[tuple[int, ...], ...], orbit: set[int] | None = None, tables=None
 ) -> tuple[tuple[int, ...], ...]:
     """Minimum-over-relabelings form of a family of distinct edges on n vertices.
 
@@ -106,16 +119,12 @@ def canonical_family(
     breadth-first from two generators acting on vertex bitmasks: the
     transposition (0 1) and the cycle v -> v+1 mod n. The cost is one step
     per distinct copy, n!/|Aut(F)|, not n!. If `orbit` is given, the
-    `_family_key` of every copy is added to it.
+    `_family_key` of every copy is added to it. `tables`, if given, is
+    `_canonical_tables(n)`, built once for many families.
     """
     if n > _CANONICAL_N_LIMIT:
         raise InputError(f"canonical labeling supported up to n = {_CANONICAL_N_LIMIT}")
-    top = (1 << n) - 1
-    generators = []
-    if n > 1:
-        swap = [m ^ 3 if (m ^ m >> 1) & 1 else m for m in range(top + 1)]
-        cycle = [(m << 1 & top) | m >> (n - 1) for m in range(top + 1)]
-        generators = [swap.__getitem__, cycle.__getitem__]
+    generators, subsets = tables or _canonical_tables(n)
     copies = [frozenset(sum(1 << v for v in e) for e in edges)]
     seen = set(copies)
     for fam in copies:  # grows while it is walked: breadth-first
@@ -124,7 +133,6 @@ def canonical_family(
             if image not in seen:
                 seen.add(image)
                 copies.append(image)
-    subsets = [tuple(v for v in range(n) if m >> v & 1) for m in range(top + 1)]
     if orbit is not None:
         orbit.update(sum(1 << m for m in fam) for fam in copies)
     return min(tuple(sorted(subsets[m] for m in fam)) for fam in copies)
@@ -138,16 +146,17 @@ def _family_key(edges: tuple[tuple[int, ...], ...]) -> int:
 def _canonical_witnesses(n: int, families: list[tuple[tuple[int, ...], ...]]) -> tuple[Hypergraph, ...]:
     """The distinct canonical forms of `families`, sorted, as hypergraphs.
 
-    `canonical_family` runs once per isomorphism class. Its orbit holds the
-    key of every relabeled copy, so each later family of the same class costs
-    one key and one dict lookup.
+    `canonical_family` runs once per isomorphism class, on tables built once
+    for the call. Its orbit holds the key of every relabeled copy, so each
+    later family of the same class costs one key and one dict lookup.
     """
     canonical_of: dict[int, tuple[tuple[int, ...], ...]] = {}
     classes = []
+    tables = _canonical_tables(n)
     for fam in families:
         if _family_key(fam) not in canonical_of:
             orbit: set[int] = set()
-            classes.append(canonical_family(n, fam, orbit))
+            classes.append(canonical_family(n, fam, orbit, tables))
             canonical_of.update(dict.fromkeys(orbit, classes[-1]))
     return tuple(Hypergraph(n, fam) for fam in sorted(classes))
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from minsimplex import extremal, geometry, hypergraph, matroid
+from minsimplex import cli, extremal, geometry, hypergraph, matroid
 from minsimplex.cli import main
 from minsimplex.errors import InputError
 from minsimplex.exactla import vector_to_json
@@ -444,6 +444,46 @@ def test_sperner_box_sweep_exits_cleanly(tmp_path, capsys):
     assert set(codes) == {0, 2}, codes
 
 
+# species files for the react sweep: empty, all-zero, negative and repeated
+# species, an element outside a universe, an isomer pair, and files with
+# reactions and without
+_SPECIES_FILES = {
+    "empty.txt": "",
+    "empty.json": "[]",
+    "one.txt": "H2O\n",
+    "water.txt": "H2\nO2\nH2O\n",
+    "isomers.json": '[{"name": "ethanol", "formula": "C2H6O"}, {"name": "ether", "formula": "C2H6O"}]',
+    "zero.json": '[{"name": "z", "composition": [0, 0]}, {"name": "w", "composition": [1, 0]}]',
+    "negative.json": '[{"name": "a", "composition": [1, -1]}, {"name": "b", "composition": [1, 1]}]',
+    "outside.txt": "H2\nO2\nNaCl\n",
+    "repeated.txt": "H2O\nH2\nH2O\n",
+    "raw.json": '[{"name": "a", "composition": [1, 0]}, {"name": "b", "composition": [0, 1]}, '
+                '{"name": "ab", "composition": [1, 1]}]',
+}
+
+
+def test_react_box_sweep_exits_cleanly(tmp_path, capsys):
+    # NaCl lies outside --universe H,O,C
+    runs = []
+    for name, text in _SPECIES_FILES.items():
+        path = tmp_path / name
+        path.write_text(text)
+        for universe in ([], ["--universe", "H,O,C"]):
+            for form in ("text", "json"):
+                for report in ([], ["--report"]):
+                    runs.append(["react", str(path), "--format", form, *universe, *report])
+    codes = _sweep(capsys, runs)
+    assert set(codes) == {0, 2}, codes
+
+
+def test_verify_box_sweep_exits_cleanly(capsys):
+    # csv is the s-small value table; the other suites refuse it
+    runs = [["verify", "--suite", suite, "--format", form]
+            for suite in ("constructions", "sperner", "s-small") for form in ("text", "csv")]
+    codes = _sweep(capsys, runs)
+    assert codes == Counter({0: 4, 2: 2}), codes
+
+
 def test_search_free(capsys):
     code, out, _ = run(capsys, "search", "5", "2", "--free", "--workers", "1")
     assert code == 0
@@ -761,6 +801,77 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # compared with one importing stdlib modules cli needs, so a site hook cannot fail it
     added = _loaded_modules("minsimplex.cli") - _loaded_modules("argparse, csv, fractions, json")
     assert not {"dataclasses", "inspect"} & added, sorted(added)
+
+
+# per subcommand: --help, each required argument left out, an unknown option,
+# an extra positional, a bad choice, a non-int where an int is due, a valid call
+_PARSER_CASES = {
+    "simplexes": [
+        ["--help"], [], ["--points", "p.json", "--zz"], ["--points", "p.json", "extra"],
+        ["--points", "p.json", "--vectors", "v.json"], ["--points", "p.json", "--format", "xml"],
+        ["--vectors", "v.json", "--project", "--counts-only", "--format", "json", "--out", "o"],
+    ],
+    "construct": [
+        ["--help"], [], ["cone"], ["cone", "3", "9", "--zz"], ["cone", "3", "9", "--out", "c", "extra"],
+        ["bad", "3"], ["cone", "x"], ["cone", "3", "x"], ["cone", "3", "9", "--out", "c"],
+    ],
+    "search": [
+        ["--help"], [], ["7"], ["7", "2"], ["7", "2", "--free", "--zz"], ["7", "2", "--free", "extra"],
+        ["7", "2", "--free", "--linear"], ["7", "2", "--free", "--format", "xml"],
+        ["x", "2", "--free"], ["7", "2", "--linear", "--budget", "q"], ["7", "2", "--free", "--workers", "q"],
+        ["7", "2", "--linear", "--budget", "20", "--workers", "2", "--format", "json", "--out", "o"],
+    ],
+    "react": [
+        ["--help"], [], ["s.txt", "--zz"], ["s.txt", "more"], ["s.txt", "--format", "csv"],
+        ["s.txt", "--universe", "H,O", "--report", "--format", "json", "--out", "o"],
+    ],
+    "sperner": [
+        ["--help"], [], ["-k", "3"], ["--hypergraph", "h.json"], ["--hypergraph", "h.json", "-k", "3", "--zz"],
+        ["--hypergraph", "h.json", "-k", "3", "extra"], ["--hypergraph", "h.json", "-k", "3", "--format", "xml"],
+        ["--hypergraph", "h.json", "-k", "x"],
+        ["--hypergraph", "h.json", "-k", "3", "--deficit", "--counts-only", "--format", "csv", "--out", "o"],
+    ],
+    "verify": [
+        ["--help"], [], ["--format", "csv"], ["--suite", "s-small", "--zz"], ["--suite", "s-small", "extra"],
+        ["--suite", "bad"], ["--suite", "s-small", "--workers", "2"], ["--suite", "s-small", "--format", "csv"],
+    ],
+}
+
+
+def _parsed(capsys, parser, argv):
+    """(exit code, stdout, stderr, Namespace or None) of parser.parse_args(argv)."""
+    try:
+        args, code = parser.parse_args(argv), 0
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, args
+
+
+@pytest.mark.parametrize("command", list(_PARSER_CASES))
+def test_a_commands_own_parser_parses_as_the_full_one(capsys, command):
+    # both builds in one interpreter, so argparse's wording, which differs
+    # between Python versions, is the same on both sides
+    for rest in _PARSER_CASES[command]:
+        argv = [command, *rest]
+        want = _parsed(capsys, cli.build_parser(), argv)
+        assert _parsed(capsys, cli.build_parser(command), argv) == want, argv
+    # the valid call comes last in each list
+    assert want[0] == 0 and want[3].command == command
+
+
+@pytest.mark.parametrize("argv, command", [
+    ([], None), (["--help"], None), (["bogus"], None), (["-h", "search"], None),
+    (["search", "--help"], "search"), (["verify", "--suite", "bogus"], "verify"),
+])
+def test_main_builds_the_full_parser_unless_argv_names_a_command(capsys, monkeypatch, argv, command):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or real(*a))
+    with pytest.raises(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    assert built == [(command,)]
 
 
 def test_simplexes_json_output_equals_json_dumps(tmp_path, capsys):

@@ -347,6 +347,25 @@ def test_canonical_witnesses_canonicalize_once_per_class(monkeypatch):
     assert len(calls) == 1
 
 
+def test_canonical_tables_are_built_once_per_search(monkeypatch):
+    # s(5,3) has two witness classes; both are canonicalized on one set of tables
+    tables = []
+    real = search._canonical_tables
+    monkeypatch.setattr(search, "_canonical_tables", lambda n: tables.append(n) or real(n))
+    result = brute_force_s(5, 3, True)
+    assert len(result.witnesses) == 2
+    assert tables == [5]
+
+
+def test_canonical_family_on_shared_tables_matches_plain_relabeling_minimum():
+    rng = random.Random(35)
+    for n in range(1, 8):
+        tables = search._canonical_tables(n)
+        for _ in range(15 if n < 7 else 4):
+            family = random_set_family(rng, n)
+            assert canonical_family(n, family, None, tables) == plain_canonical_family(n, family)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_incremental_linear_search_matches_recount_oracle(n):
     # at n = 7 the recount oracle takes seconds per k; k >= 5 is left out
