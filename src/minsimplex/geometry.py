@@ -170,7 +170,8 @@ def project_to_affine(cfg: VectorConfiguration) -> PointSet:
     """Central projection of a vector configuration onto a hyperplane a.x = 1.
 
     The functional is a = (1, t, t^2, ..., t^(D-1)) for the first t >= 1 with
-    a.v != 0 for every vector v; each v maps to v / (a.v). Coordinates on the
+    a.v != 0 for every vector v; each v maps to v / (a.v), which no scaling
+    of v changes, so it is read off v's integer row. Coordinates on the
     hyperplane come from the rational basis change that sends a to the last
     coordinate, which here amounts to dropping coordinate 0 (a starts with 1).
     Circuits of the input correspond one-to-one to affine simplexes of the
@@ -181,9 +182,9 @@ def project_to_affine(cfg: VectorConfiguration) -> PointSet:
     d = cfg.dimension
     if d == 0:
         raise InvariantError("a configuration in R^0 cannot be projected")
-    vectors = cfg.vectors
+    rows = cfg.integer_rows
     by_form: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(cfg.integer_rows):
+    for i, row in enumerate(rows):
         if not any(row):
             raise InvariantError(f"zero vector at index {i} cannot be projected")
         by_form.setdefault(tuple(primitive(row)), []).append(i)
@@ -192,15 +193,9 @@ def project_to_affine(cfg: VectorConfiguration) -> PointSet:
             raise InvariantError(f"parallel vectors at indices {members[0]} and {members[1]}")
     t = 1
     while True:
-        a = [Fraction(t) ** p for p in range(d)]
-        dots = [sum(ai * xi for ai, xi in zip(a, v)) for v in vectors]
-        if all(dot != 0 for dot in dots):
+        dots = [sum(x * t**p for p, x in enumerate(row)) for row in rows]
+        if all(dots):
             break
         t += 1
-    # The vectors may hold ints, where int / int would be a float. Each dot
-    # is a Fraction, since d >= 1 and every a_i is one, so x / dot is an
-    # exact Fraction whatever the type of x.
-    points = tuple(
-        tuple(x / dot for x in v[1:]) for v, dot in zip(vectors, dots)
-    )
+    points = tuple(tuple(Fraction(x, dot) for x in row[1:]) for row, dot in zip(rows, dots))
     return PointSet(d - 1, points)

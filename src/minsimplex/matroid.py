@@ -36,17 +36,17 @@ every group G, A = sum C(|G|, 2) and B = sum C(|G|, 3), are sum C(m_H, D)
 and sum C(m_H, D+1) over the hyperplanes, with no hyperplane named;
 count_circuits reads them. The walk is an iterator: it yields each
 (D-2)-subset with its groups, and each zero row it meets, a dependent set
-of at most D - 1 vectors, and its reader stops it by leaving its loop. The
-count returns at the first dependent set, which makes the walk the
-package's one general-position test, while hypergraph.from_point_set reads
-on to the end and keys the groups of its walk by their hyperplanes'
-normals, to merge them into sections. For n >= D - 1 >= 1 the
-configuration is uniform exactly when the count's walk ends with no
-dependent set (every D - 1 vectors independent) and A = 0 (no D of them
-on a hyperplane). circuit_supports asks that first; with no count cached
-it pauses the count's walk at its first group of two or more (A > 0) and
-scans, and a later count reads on from there, so one configuration takes
-one count walk.
+of at most D - 1 vectors, and its reader stops it by leaving its loop.
+Each reader runs its own walk. The count returns at the first dependent
+set, which makes the walk the package's one general-position test, while
+hypergraph.from_point_set reads on to the end and keys the groups of its
+walk by their hyperplanes' normals, to merge them into sections. For
+n >= D - 1 >= 1 the configuration is uniform exactly when the count's walk
+ends with no dependent set (every D - 1 vectors independent) and A = 0 (no
+D of them on a hyperplane). circuit_supports asks that first. With no
+count cached, the uniformity test walks on its own and leaves at its first
+group of two or more (A > 0); an outcome it reaches, the walk's end or a
+first dependent set, is kept as the count's.
 
 The checks on ordered rational rows, their indices and their JSON form
 are shared with geometry.PointSet.
@@ -54,7 +54,6 @@ are shared with geometry.PointSet.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -126,9 +125,9 @@ def rows_from_json(obj, key: str) -> tuple[int, list]:
 class VectorConfiguration(Record):
     """Ordered list of vectors in R^D, with exact entries (exact_rows): an
     integral configuration holds ints, with no Fraction per entry. It keeps
-    its integer rows and what its one count walk learns: the group sums,
-    the first dependent set and whether it is uniform, which decides
-    whether circuit_supports lists it from the walk or scans it."""
+    its integer rows and what its walk's two readers learn: the count's
+    group sums or first dependent set, and whether it is uniform, which
+    decides whether circuit_supports lists it from the walk or scans it."""
 
     def __init__(self, dimension: int, vectors: tuple[tuple[int | Fraction, ...], ...]):
         vectors = exact_rows(vectors, dimension, "vector")
@@ -151,29 +150,40 @@ class VectorConfiguration(Record):
 
     @cached_property
     def _walk_outcome(self) -> tuple[tuple[int, int] | None, tuple[int, ...] | None]:
+        """The count's reading of one hyperplane_walk: ((A, B), None) at
+        the walk's end, or (None, P) at its first dependent set P."""
         if not len(self) >= self.dimension - 1 >= 1:
             return None, None
-        walk = self.__dict__.pop("_paused_walk", None)
-        if walk is None:
-            walk = _count_walk(self.integer_rows, self.dimension)
-        return next(walk) or next(walk)  # on past the pause, if `uniform` has not read it
+        pairs = triples = 0
+        for prefix, groups, _ in hyperplane_walk(self.integer_rows, self.dimension):
+            if groups is None:
+                return None, prefix
+            for group in groups.values():
+                m = len(group)
+                if m > 1:
+                    pairs += m * (m - 1) // 2
+                    triples += m * (m - 1) * (m - 2) // 6
+        return (pairs, triples), None
 
     @cached_property
     def uniform(self) -> bool:
-        """True when the count's walk proves every D of the vectors
+        """True when a hyperplane walk proves every D of the vectors
         independent: it ends with no dependent set (every D - 1 are
         independent) and A = 0 (no D lie on a hyperplane). Then the circuits
         are the (D+1)-subsets (see circuit_supports). The walk does not run
         below n >= D - 1 >= 1, where this is False and the scan lists. With no
-        outcome cached, the walk pauses at its first group of two or more
-        (A > 0), and the count reads on from there; an outcome it reaches
-        is the count's."""
+        count cached, this reads its own walk and leaves it at the first
+        group of two or more (A > 0); the outcomes it reaches, ((0, 0), None)
+        at the walk's end and (None, P) at a first dependent set P, are the
+        count's, and are kept as such."""
         if "_walk_outcome" not in self.__dict__ and len(self) >= self.dimension - 1 >= 1:
-            walk = _count_walk(self.integer_rows, self.dimension)
-            outcome = next(walk)
-            if outcome is None:
-                self.__dict__["_paused_walk"] = walk
-                return False
+            outcome = (0, 0), None
+            for prefix, groups, _ in hyperplane_walk(self.integer_rows, self.dimension):
+                if groups is None:
+                    outcome = None, prefix
+                    break
+                if any(len(group) > 1 for group in groups.values()):
+                    return False
             self.__dict__["_walk_outcome"] = outcome
         return self.hyperplane_sums == (0, 0)
 
@@ -217,26 +227,6 @@ def subset_rank(cfg: VectorConfiguration, subset: Iterable[int]) -> int:
 
 def configuration_rank(cfg: VectorConfiguration) -> int:
     return subset_rank(cfg, range(len(cfg)))
-
-
-def _count_walk(rows: Sequence[Sequence[int]], dimension: int) -> Iterator[tuple | None]:
-    """count_circuits' reading of one hyperplane_walk. It yields None once,
-    at the first group of two or more, and then the outcome: ((A, B), None)
-    at the walk's end, or (None, P) at its first dependent set P, where the
-    walk is left."""
-    pairs = triples = 0
-    for prefix, groups, _ in hyperplane_walk(rows, dimension):
-        if groups is None:
-            yield None, prefix
-            return
-        for group in groups.values():
-            m = len(group)
-            if m > 1:
-                if not pairs:
-                    yield None
-                pairs += m * (m - 1) // 2
-                triples += m * (m - 1) * (m - 2) // 6
-    yield (pairs, triples), None
 
 
 def _visit(members: tuple[int, ...], carried: list, rlen: int, prev: int, emit: Callable) -> None:
@@ -352,11 +342,18 @@ def count_circuits(cfg: VectorConfiguration) -> dict[int, int]:
       such D-subsets share D - 1 independent vectors and so lie on the same
       one: C(n, D+1) minus the sum of C(m_H, D+1) + C(m_H, D)(n - m_H),
       which is C(n, D+1) - (n - D) A + D B with B = sum of C(m_H, D+1).
-    Otherwise the counts come from the scan.
+    Otherwise the scan counts the circuits by size as it finds them, and
+    keeps none of them.
     """
     sums = cfg.hyperplane_sums
     if sums is None:
-        return dict(sorted(Counter(map(len, circuit_supports(cfg))).items()))
+        counts: dict[int, int] = {}
+
+        def emit(members, comb):
+            counts[len(members)] = counts.get(len(members), 0) + 1
+
+        _scan(cfg, emit)
+        return dict(sorted(counts.items()))
     n, dim = len(cfg), cfg.dimension
     a, b = sums
     counts = {dim: a, dim + 1: comb(n, dim + 1) - (n - dim) * a + dim * b}

@@ -257,7 +257,13 @@ def _located(path: str, noun: str, j: int, build, *args):
 
 def _species(record: dict, universe: AtomUniverse | None) -> Species:
     if "composition" in record:
-        return Species(record.get("name", "?"), record["composition"])
+        species = Species(record.get("name", "?"), record["composition"])
+        if universe is not None and len(species.composition) != len(universe):
+            raise InputError(
+                f"composition of {species.name!r} has {len(species.composition)} atom counts;"
+                f" universe {list(universe.symbols)} has {len(universe)}"
+            )
+        return species
     if "formula" in record:
         composition = parse_formula(record["formula"], universe).composition
         return Species(record.get("name", record["formula"]), composition)
@@ -267,14 +273,15 @@ def _species(record: dict, universe: AtomUniverse | None) -> Species:
 def load_species(path: str, universe: AtomUniverse | None = None) -> list[Species]:
     """Read species from plain text (one formula per line) or JSON.
 
-    JSON records carry either a "formula" or a raw "composition"; raw
-    vectors require an explicit universe only for formula-less files when
-    none can be inferred. A species is named by its "name", else by its
-    formula, else "?". A malformed formula, an element outside the universe
-    and a negative or all-zero composition are InputErrors that name the
-    file and the formula's or record's position, counted from 0, and so is
-    a name given twice, with both species' positions: the reactions could
-    not tell them apart.
+    JSON records carry either a "formula" or a raw "composition". With no
+    universe given, the formulas' elements in order of first appearance are
+    the universe, and a file of compositions alone has none. A species is
+    named by its "name", else by its formula, else "?". A malformed formula,
+    an element outside the universe, a negative or all-zero composition and
+    a composition of another width than the universe are InputErrors that
+    name the file and the formula's or record's position, counted from 0,
+    and so is a name given twice, with both species' positions: the
+    reactions could not tell them apart.
     """
     text = read_text(path)
     if text.lstrip().startswith("["):

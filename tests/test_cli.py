@@ -174,6 +174,7 @@ def test_simplexes_project_refuses_before_the_scan(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(matroid, "circuit_supports", scan)
     monkeypatch.setattr(matroid, "enumerate_circuits", scan)
+    monkeypatch.setattr(matroid, "_scan", scan)  # the count's own scan
     refusals = {
         "zero vector at index 2 cannot be projected": (3, [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1]]),
         "parallel vectors at indices 0 and 4": (3, [[1, 2, 0], [0, 1, 1], [0, -2, -2], [3, 0, 1], [-2, -4, 0]]),
@@ -255,6 +256,7 @@ def test_simplexes_vectors_counts_make_no_scan_under_the_hypothesis(tmp_path, ca
     code, out, _ = run(capsys, "simplexes", "--vectors", str(path), "--format", "json")
     full = json.loads(out)  # the listing, from the scan with coefficients
     assert code == 0 and full["total"] == len(full["circuits"]) == 26
+    monkeypatch.setattr(matroid, "_scan", scan)  # the count's own scan
     counts = {int(size): count for size, count in full["counts"].items()}
     assert counts == {3: 4, 4: 22}
     outputs = {}
@@ -292,6 +294,7 @@ def test_construct_parallel_pairs_counts_from_one_walk(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(matroid, "hyperplane_walk", recording)
     monkeypatch.setattr(matroid, "circuit_supports", scan)
+    monkeypatch.setattr(matroid, "_scan", scan)  # the count's own scan
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "construct", "parallel-pairs", "30")
     assert code == 0 and "expected 23401, enumerated 23401" in out
@@ -317,6 +320,16 @@ def test_construct_wrong_arity_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "construct", "cone", "9")
     assert code == 2
     assert "two integers" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("two-disjoint-edges", "3"), "two-disjoint-edges takes two integers: k n"),
+    (("parallel-pairs", "8", "9"), "parallel-pairs takes a single integer n"),
+])
+def test_construct_wrong_arity_names_the_parameters(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "construct", *argv) == (2, "", f"input error: {message}\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_construct_two_lines(tmp_path, capsys, monkeypatch):
@@ -526,6 +539,25 @@ def test_search_negative_budget_exit_2(capsys, monkeypatch):
         assert "budget" in err
 
 
+def test_search_budget_env_that_is_no_integer_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("MINSIMPLEX_BUDGET_BITS", "abc")
+    message = "input error: MINSIMPLEX_BUDGET_BITS must be an integer, got 'abc'\n"
+    assert run(capsys, "search", "5", "2", "--free") == (2, "", message)
+
+
+@pytest.mark.parametrize("form", ["text", "csv", "json"])
+def test_search_out_writes_the_json_result_beside_any_format(tmp_path, capsys, monkeypatch, form):
+    # stdout is the same with and without --out, and the file is the json stdout
+    monkeypatch.chdir(tmp_path)
+    argv = ("search", "6", "2", "--free", "--workers", "1")
+    plain = run(capsys, *argv, "--format", form)
+    assert plain[0] == 0
+    assert run(capsys, *argv, "--format", form, "--out", "result.json") == plain
+    code, json_out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert (tmp_path / "result.json").read_text(encoding="utf-8") == json_out
+
+
 def test_search_csv(capsys):
     code, out, _ = run(capsys, "search", "5", "2", "--free", "--format", "csv",
                        "--workers", "1")
@@ -625,6 +657,12 @@ def test_react_bad_formula_exit_2(tmp_path, capsys):
                  "record 1: negative atom count in a: (1, -1)", id="json-negative-atom-count"),
     pytest.param("species.json", '[{"name": "z", "composition": [0]}, {"formula": "H2"}]', (),
                  "record 0: species 'z' has an all-zero composition", id="json-all-zero-composition"),
+    pytest.param("species.json", _SPECIES_FILES["raw.json"], ("--universe", "H,O,C"),
+                 "record 0: composition of 'a' has 2 atom counts; universe ['H', 'O', 'C'] has 3",
+                 id="json-composition-narrower-than-the-universe"),
+    pytest.param("species.json", '[{"name": "h", "formula": "H2"}, {"name": "m", "composition": [0, 2]}]',
+                 (), "record 1: composition of 'm' has 2 atom counts; universe ['H'] has 1",
+                 id="json-composition-wider-than-the-formulas-universe"),
 ])
 def test_react_names_the_file_and_position_of_a_bad_species(
     tmp_path, capsys, name, text, options, located
@@ -635,6 +673,16 @@ def test_react_names_the_file_and_position_of_a_bad_species(
     path.write_text(text)
     code, out, err = run(capsys, "react", str(path), *options)
     assert (code, out, err) == (2, "", f"input error: {path}: {located}\n")
+
+
+def test_react_runs_compositions_as_wide_as_the_universe(tmp_path, capsys):
+    path = tmp_path / "raw.json"
+    path.write_text(_SPECIES_FILES["raw.json"])
+    code, out, err = run(capsys, "react", str(path), "--universe", "H,O", "--report", "--format", "json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert [r["equation"] for r in obj["reactions"]] == ["a + b -> ab"]
+    assert obj["report"]["atom_kinds"] == 2
 
 
 def test_react_json_with_report(tmp_path, capsys):

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from minsimplex import geometry, hypergraph, matroid
+from minsimplex import hypergraph, matroid
 from minsimplex.cli import main
 from minsimplex.errors import InputError, InvariantError
 from minsimplex.exactla import rank, vector_to_json
@@ -273,8 +273,7 @@ def test_count_makes_no_scan_under_the_hypothesis(monkeypatch):
     sets.append(construct(ConstructionId("parallel-pairs"), 14))
     sets += [random_point_set(rng, 7, 3, span=9) for _ in range(3)]
     want = [enumerate_affine_simplexes(ps).counts for ps in sets]
-    for module in (geometry, matroid):
-        monkeypatch.setattr(module, "circuit_supports", scan)
+    monkeypatch.setattr(matroid, "_scan", scan)
     for ps, counts in zip(sets, want):
         assert check_small_flat_hypothesis(ps)
         assert count_affine_simplexes(ps) == counts
@@ -351,14 +350,13 @@ def _record_walks(monkeypatch):
 
 
 def test_a_dependent_set_takes_one_stopped_pass_before_the_scan(monkeypatch):
-    walks, scans, scan = _record_walks(monkeypatch), [], matroid.circuit_supports
+    walks, scans, scan = _record_walks(monkeypatch), [], matroid._scan
 
     def recording(*args, **kwargs):
         scans.append(kwargs)
         return scan(*args, **kwargs)
 
-    for module in (geometry, matroid):
-        monkeypatch.setattr(module, "circuit_supports", recording)
+    monkeypatch.setattr(matroid, "_scan", recording)
     points = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
     assert count_affine_simplexes(PointSet(3, points)) == {3: 1, 5: 3}
     left = ((0, 1, 2), None, None)  # the collinear triple, the first dependent set
@@ -398,15 +396,19 @@ def test_a_non_uniform_listing_leaves_its_walk_early(monkeypatch):
 
 def test_a_count_and_a_listing_share_one_walk_in_either_order(monkeypatch):
     # a uniform set (the moment curve), one with A > 0, one with a dependent
-    # set; the second reader goes on from where the first left the walk
-    walks = _record_walks(monkeypatch)
+    # set; the second reader takes the outcome the first one reached. A
+    # listing of the set with A > 0 leaves its walk at the first group of two
+    # or more, before any outcome, so a count after it walks on its own.
     moment = tuple((t, t * t, t**3) for t in range(1, 9))
+    pairs = construct(ConstructionId("parallel-pairs"), 10).points
+    stopped = _first_grouped_event(PointSet(3, pairs))
+    walks = _record_walks(monkeypatch)
     sets = (
-        (moment, {5: 56}, None),
-        (construct(ConstructionId("parallel-pairs"), 10).points, {4: 74, 5: 32}, None),
-        (_TRIPLE, {3: 1, 5: 3}, ((0, 1, 2), None, None)),
+        (moment, {5: 56}, None, [({}, None)]),
+        (pairs, {4: 74, 5: 32}, None, [({}, stopped), ({}, None)]),
+        (_TRIPLE, {3: 1, 5: 3}, ((0, 1, 2), None, None), [({}, ((0, 1, 2), None, None))]),
     )
-    for points, counts, left in sets:
+    for points, counts, left, listing_first in sets:
         for count_first in (True, False):
             walks.clear()
             ps = PointSet(3, points)
@@ -416,7 +418,7 @@ def test_a_count_and_a_listing_share_one_walk_in_either_order(monkeypatch):
             report = results[count_first]
             assert (results[not count_first], report.counts) == (counts, counts)
             assert list(report.supports) == oracle_affine_simplexes(ps)
-            assert walks == [({}, left)]
+            assert walks == ([({}, left)] if count_first else listing_first)
 
 
 def test_from_point_set_takes_one_walk_with_a_collinear_triple(monkeypatch):

@@ -87,6 +87,9 @@ CASES = [
     ("search-6-2-free-text", ["search", "6", "2", "--free", "--workers", "1"], 0, ""),
     ("search-6-2-free-json",
      ["search", "6", "2", "--free", "--workers", "1", "--format", "json"], 0, ""),
+    # text on stdout, the JSON SearchResult in the file
+    ("search-6-2-free-out",
+     ["search", "6", "2", "--free", "--workers", "1", "--out", "result.json"], 0, ""),
     ("search-6-3-free-json",
      ["search", "6", "3", "--free", "--workers", "1", "--format", "json"], 0, ""),
     ("search-7-2-linear-json", ["search", "7", "2", "--linear", "--format", "json"], 0, ""),
@@ -132,6 +135,14 @@ def test_golden_output(case, argv, code, err, tmp_path, monkeypatch, capsys):
         assert captured.out == fh.read()
     assert (got_code, captured.err) == (code, err)
     assert _written(tmp_path) == _golden_files(case)
+
+
+def test_search_out_writes_the_json_stdout():
+    with open(_golden_path("search-6-2-free-json"), "rb") as fh:
+        assert _golden_files("search-6-2-free-out") == {"result.json": fh.read()}
+    with open(_golden_path("search-6-2-free-text"), "rb") as fh, \
+            open(_golden_path("search-6-2-free-out"), "rb") as out:
+        assert out.read() == fh.read()
 
 
 @pytest.mark.parametrize("points", ["plane.csv", "flat.json"])
