@@ -23,12 +23,7 @@ from .hypergraph import (
     semi_simplex_deficit,
     yblm_sum,
 )
-from .matroid import (
-    Circuit,
-    VectorConfiguration,
-    count_circuits,
-    enumerate_circuits,
-)
+from .matroid import VectorConfiguration, count_circuits, enumerate_circuits
 from .stoichiometry import (
     AtomUniverse,
     Reaction,
@@ -43,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomUniverse",
     "BudgetError",
-    "Circuit",
     "Hypergraph",
     "InputError",
     "InvariantError",

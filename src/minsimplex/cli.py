@@ -151,9 +151,11 @@ def cmd_simplexes(args) -> int:
     # Coefficients are computed only when they are printed.
     listings = {}
     if listed:
-        circuits = matroid.enumerate_circuits(cfg)
-        supports = [c.members for c in circuits]
-        listings["circuits"] = (_circuit_template, [c.coefficients + c.members for c in circuits])
+        supports, rows = [], []
+        for members, coefficients in matroid.enumerate_circuits(cfg):
+            supports.append(members)
+            rows.append(coefficients + members)
+        listings["circuits"] = (_circuit_template, rows)
     else:
         supports = matroid.circuit_supports(cfg)
     circuits_obj = _counts_json(cfg.dimension, "vector", len(cfg), Counter(map(len, supports)))

@@ -1,9 +1,9 @@
 """Circuit enumeration for finite rational vector configurations.
 
 A circuit is a minimal linearly dependent subset: dependent, while every
-proper subset is independent. Each circuit carries its unique primitive
-integer coefficient vector as a dependency witness (sum of coefficient
-times vector is exactly zero).
+proper subset is independent. enumerate_circuits pairs its members with
+its unique primitive integer coefficient vector, a dependency witness (sum
+of coefficient times vector is exactly zero), in one plain tuple.
 
 circuit_supports lists the circuits, and geometry enumerates the affine
 simplexes of a point set P as the circuits of its lift {(1, p) : p in P}.
@@ -207,17 +207,6 @@ def load_vectors(path: str) -> VectorConfiguration:
     return VectorConfiguration(*rows_from_json(read_json(path), "vectors"))
 
 
-class Circuit(Record):
-    """Minimal dependent subset plus its primitive dependency coefficients."""
-
-    def __init__(self, members: tuple[int, ...], coefficients: tuple[int, ...]):
-        self.__dict__.update(members=members, coefficients=coefficients)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 def subset_rank(cfg: VectorConfiguration, subset: Iterable[int]) -> int:
     """Rank of the chosen vectors."""
     idx = check_indices(subset, len(cfg), "vector")
@@ -253,8 +242,10 @@ def _visit(members: tuple[int, ...], carried: list, rlen: int, prev: int, emit: 
     content it can exceed a gcd-reduced entry. When one column is left
     (rlen == 1) every later row reduces to zero modulo members + (j,), so
     the node tests each later pair's full-support combination itself and
-    emits it, with no child node. Extending j in ascending order yields the
-    circuits in ascending member order.
+    emits it, with no child node; that combination is the step applied to
+    the two rows' tails, past their one reduced entry, left undivided for
+    emit's gcd. Extending j in ascending order yields the circuits in
+    ascending member order.
     """
     r = rlen - 1
     for i, (j, vj, oj) in enumerate(carried):
@@ -264,12 +255,12 @@ def _visit(members: tuple[int, ...], carried: list, rlen: int, prev: int, emit: 
         head = members + (j,)
         if r == 0:
             a = vj[0]
+            tail = vj[1:]
             for k, vk, ok in carried[i + 1 :]:
                 if vk is None:
                     continue
                 b = vk[0]
-                comb = [a * x - b * y for x, y in zip(vk, vj)]
-                del comb[0]
+                comb = [a * x - b * y for x, y in zip(vk[1:], tail)]
                 if all(comb):
                     comb.append(-b * oj)
                     comb.append(a * ok)
@@ -468,21 +459,21 @@ def _walk(
         yield head, groups, reduced
 
 
-def enumerate_circuits(cfg: VectorConfiguration) -> list[Circuit]:
-    """All circuits, sorted by members.
+def enumerate_circuits(cfg: VectorConfiguration) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every circuit as a pair (members, coefficients), sorted by members.
 
-    The coefficients are the scan's dependency over the input vectors in
-    exactla.primitive form: the unique primitive dependency, with (1,) for
-    a loop. A circuit's dependency has full support, so its first entry
-    gives the sign, and one gcd makes it primitive.
+    The coefficients are the scan's dependency over the input vectors, in
+    member order and exactla.primitive form: the unique primitive dependency,
+    with (1,) for a loop. A circuit's dependency has full support, so its
+    first entry gives the sign, and one gcd makes it primitive.
     """
-    circuits: list[Circuit] = []
+    circuits: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def emit(members, comb):
         g = gcd(*comb)
         if comb[0] < 0:
             g = -g
-        circuits.append(Circuit(members, tuple([c // g for c in comb])))
+        circuits.append((members, tuple([c // g for c in comb])))
 
     _scan(cfg, emit)
     return circuits

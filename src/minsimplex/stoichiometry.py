@@ -3,7 +3,8 @@
 A species is an atom-count vector over a fixed, ordered atom universe; a
 balanced reaction is a zero-sum integer combination of species vectors, and
 it is minimal exactly when its support is a circuit of the composition
-configuration. Reactions are oriented deterministically: the first listed
+configuration, read as matroid.enumerate_circuits' (members, coefficients)
+pairs. Reactions are oriented deterministically: the first listed
 participating species is always a reactant.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import re
 from math import comb
-from operator import mul
 from typing import Sequence
 
 from .errors import InputError, InvariantError
@@ -130,6 +130,10 @@ def parse_formula(formula: str, universe: AtomUniverse) -> Species:
     return Species(formula, tuple(vec))
 
 
+def _side(parts: tuple[tuple[Species, int], ...]) -> str:
+    return " + ".join([f"{c} {sp.name}" if c != 1 else sp.name for sp, c in parts])
+
+
 class Reaction(Record):
     """Balanced minimal reaction with primitive positive coefficients per side."""
 
@@ -138,23 +142,25 @@ class Reaction(Record):
     ):
         if not reactants or not products:
             raise InvariantError("a reaction needs both reactants and products")
-        # one net vector, reactants minus products: the signed coefficients
-        # against each atom's column of the compositions
-        signed, compositions = [], []
-        for sp, c in reactants:
-            if c <= 0:
-                raise InvariantError("reaction coefficients must be positive")
-            signed.append(c)
-            compositions.append(sp.composition)
-        for sp, c in products:
-            if c <= 0:
-                raise InvariantError("reaction coefficients must be positive")
-            signed.append(-c)
-            compositions.append(sp.composition)
-        widths = {*map(len, compositions)}
-        if len(widths) != 1:
+        # one pass over both sides builds the net vector, reactants minus
+        # products, and notes the faults, refused after it in a fixed order
+        width = len(reactants[0][0].composition)
+        net = [0] * width
+        positive = same_width = True
+        for sign, parts in ((1, reactants), (-1, products)):
+            for sp, c in parts:
+                positive = positive and c > 0
+                if len(sp.composition) != width:
+                    same_width = False
+                    continue
+                c *= sign
+                for atom, x in enumerate(sp.composition):
+                    net[atom] += c * x
+        if not positive:
+            raise InvariantError("reaction coefficients must be positive")
+        if not same_width:
+            widths = {len(sp.composition) for sp, _ in [*reactants, *products]}
             raise InvariantError(f"species have mixed composition lengths {sorted(widths)}")
-        net = [sum(map(mul, signed, column)) for column in zip(*compositions)]
         if any(net):
             atom = next(i for i, x in enumerate(net) if x)
             lhs = sum(c * sp.composition[atom] for sp, c in reactants)
@@ -172,10 +178,7 @@ class Reaction(Record):
         return self.species_count == 2
 
     def equation(self) -> str:
-        def side(parts: tuple[tuple[Species, int], ...]) -> str:
-            return " + ".join(f"{c} {sp.name}" if c != 1 else sp.name for sp, c in parts)
-
-        return f"{side(self.reactants)} -> {side(self.products)}"
+        return f"{_side(self.reactants)} -> {_side(self.products)}"
 
     def to_json_obj(self) -> dict:
         return {
@@ -189,11 +192,11 @@ class Reaction(Record):
 def minimal_reactions(species: Sequence[Species]) -> list[Reaction]:
     """One reaction per circuit of the composition-vector configuration.
 
-    The primitive dependency coefficients, whose first entry enumerate_circuits
-    makes positive, are split by sign into reactants (positive) and products
-    (negative, negated), so that the first listed participating species lands
-    on the reactant side. No species is the zero vector, so every circuit
-    has at least two members.
+    Each circuit's primitive coefficients, whose first entry
+    enumerate_circuits makes positive, are split by sign, in member order,
+    into reactants (positive) and products (negative, negated), so that the
+    first listed participating species lands on the reactant side. No
+    species is the zero vector, so every circuit has at least two members.
     """
     if len(species) < 2:
         return []
@@ -202,11 +205,14 @@ def minimal_reactions(species: Sequence[Species]) -> list[Reaction]:
         raise InvariantError(f"species have mixed composition lengths {sorted(widths)}")
     cfg = VectorConfiguration(widths.pop(), tuple(sp.composition for sp in species))
     reactions = []
-    for circuit in enumerate_circuits(cfg):
-        pairs = list(zip(circuit.members, circuit.coefficients))
-        reactants = tuple((species[i], c) for i, c in pairs if c > 0)
-        products = tuple((species[i], -c) for i, c in pairs if c < 0)
-        reactions.append(Reaction(reactants, products))
+    for members, coefficients in enumerate_circuits(cfg):
+        reactants, products = [], []
+        for i, c in zip(members, coefficients):
+            if c > 0:
+                reactants.append((species[i], c))
+            else:
+                products.append((species[i], -c))
+        reactions.append(Reaction(tuple(reactants), tuple(products)))
     return reactions
 
 

@@ -151,7 +151,7 @@ def test_criterion_09_oracle_equivalence():
         n = rng.randint(4, 8)
         dim = rng.randint(1, 4)
         cfg = random_configuration(rng, n, dim)
-        got = [c.members for c in matroid.enumerate_circuits(cfg)]
+        got = [members for members, _ in matroid.enumerate_circuits(cfg)]
         assert got == oracle_circuits(cfg)
     for _ in range(50):
         n = rng.randint(4, 8)
@@ -170,7 +170,7 @@ def test_criterion_10_projection_correspondence():
         n = rng.randint(2, 8)
         dim = rng.randint(2, 4)
         cfg = random_admissible_configuration(rng, n, dim)
-        circuits = sorted(c.members for c in matroid.enumerate_circuits(cfg))
+        circuits = sorted(members for members, _ in matroid.enumerate_circuits(cfg))
         projected = geometry.project_to_affine(cfg)
         simplexes = sorted(geometry.enumerate_affine_simplexes(projected).supports)
         assert circuits == simplexes

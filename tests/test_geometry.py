@@ -616,7 +616,7 @@ def test_projection_preserves_circuits_random():
         n = rng.randint(2, 7)
         dim = rng.randint(2, 4)
         cfg = random_admissible_configuration(rng, n, dim)
-        circuits = sorted(c.members for c in enumerate_circuits(cfg))
+        circuits = sorted(members for members, _ in enumerate_circuits(cfg))
         simplexes = sorted(enumerate_affine_simplexes(project_to_affine(cfg)).supports)
         assert circuits == simplexes
 

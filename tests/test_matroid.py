@@ -43,17 +43,12 @@ def test_is_circuit_examples():
 
 def test_three_nonparallel_vectors_one_circuit():
     cfg = VectorConfiguration(2, ((1, 0), (0, 1), (1, 1)))
-    circuits = enumerate_circuits(cfg)
-    assert len(circuits) == 1
-    assert circuits[0].members == (0, 1, 2)
+    assert [members for members, _ in enumerate_circuits(cfg)] == [(0, 1, 2)]
 
 
 def test_parallel_pair_circuit_with_coefficients():
     cfg = VectorConfiguration(2, ((1, 0), (2, 0), (0, 1)))
-    circuits = enumerate_circuits(cfg)
-    assert len(circuits) == 1
-    assert circuits[0].members == (0, 1)
-    assert circuits[0].coefficients == (2, -1)
+    assert enumerate_circuits(cfg) == [((0, 1), (2, -1))]
 
 
 def test_generic_vectors_all_top_circuits():
@@ -61,24 +56,24 @@ def test_generic_vectors_all_top_circuits():
     cfg = moment_vectors(6, 3)
     circuits = enumerate_circuits(cfg)
     assert len(circuits) == 15  # C(6, 4)
-    assert all(c.size == 4 for c in circuits)
-    assert [c.members for c in circuits] == sorted(oracle_circuits(cfg))
+    assert all(len(members) == 4 for members, _ in circuits)
+    assert [members for members, _ in circuits] == sorted(oracle_circuits(cfg))
 
 
 def test_count_by_size_empty_configuration():
     cfg = VectorConfiguration(3, ())
-    assert Counter(c.size for c in enumerate_circuits(cfg)) == {}
+    assert enumerate_circuits(cfg) == []
 
 
 def test_count_by_size_parallel_example():
     cfg = VectorConfiguration(2, ((1, 0), (2, 0), (0, 1)))
-    assert Counter(c.size for c in enumerate_circuits(cfg)) == {2: 1}
+    assert Counter(len(members) for members, _ in enumerate_circuits(cfg)) == {2: 1}
 
 
 def test_count_by_size_matches_oracle_generic_r3():
     rng = random.Random(5)
     cfg = random_configuration(rng, 5, 3)
-    counts = Counter(c.size for c in enumerate_circuits(cfg))
+    counts = Counter(len(members) for members, _ in enumerate_circuits(cfg))
     oracle = oracle_circuits(cfg)
     expect = {}
     for members in oracle:
@@ -88,8 +83,7 @@ def test_count_by_size_matches_oracle_generic_r3():
 
 def test_zero_vector_is_loop_and_excluded_from_larger():
     cfg = VectorConfiguration(2, ((0, 0), (1, 0), (0, 1)))
-    circuits = enumerate_circuits(cfg)
-    assert [(c.members, c.coefficients) for c in circuits] == [((0,), (1,))]
+    assert enumerate_circuits(cfg) == [((0,), (1,))]
 
 
 def test_circuit_witnesses_and_axioms_random():
@@ -99,18 +93,18 @@ def test_circuit_witnesses_and_axioms_random():
         dim = rng.randint(1, 4)
         cfg = random_configuration(rng, n, dim)
         circuits = enumerate_circuits(cfg)
-        members = [set(c.members) for c in circuits]
+        members = [set(m) for m, _ in circuits]
         # no circuit properly contains another
         for i, a in enumerate(members):
             for j, b in enumerate(members):
                 assert i == j or not a < b
         top = configuration_rank(cfg) + 1
-        for c in circuits:
-            assert c.size <= top
-            if c.size > 1:
-                assert all(x != 0 for x in c.coefficients)
+        for m, coefficients in circuits:
+            assert len(m) <= top
+            if len(m) > 1:
+                assert all(x != 0 for x in coefficients)
                 total = [Fraction(0)] * dim
-                for i, coef in zip(c.members, c.coefficients):
+                for i, coef in zip(m, coefficients):
                     for p in range(dim):
                         total[p] += coef * cfg.vectors[i][p]
                 assert all(x == 0 for x in total)
@@ -122,7 +116,7 @@ def test_enumeration_matches_oracle_random():
         n = rng.randint(2, 7)
         dim = rng.randint(1, 4)
         cfg = random_configuration(rng, n, dim)
-        got = [c.members for c in enumerate_circuits(cfg)]
+        got = [members for members, _ in enumerate_circuits(cfg)]
         assert got == oracle_circuits(cfg)
 
 
@@ -153,13 +147,13 @@ def test_scan_matches_oracle_on_deficient_configurations():
         rows = random_deficient_rows(rng, n, dim, span=10**30 if trial % 2 else 4)
         cfg = VectorConfiguration(dim, tuple(tuple(r) for r in rows))
         circuits = enumerate_circuits(cfg)
-        assert [c.members for c in circuits] == oracle_circuits(cfg)
-        for c in circuits:
+        assert [members for members, _ in circuits] == oracle_circuits(cfg)
+        for members, coefficients in circuits:
             assert all(
-                sum(coef * cfg.vectors[i][p] for i, coef in zip(c.members, c.coefficients)) == 0
+                sum(coef * cfg.vectors[i][p] for i, coef in zip(members, coefficients)) == 0
                 for p in range(dim)
             )
-        seen.update(min(c.size, 3) for c in circuits)
+        seen.update(min(len(members), 3) for members, _ in circuits)
         seen["huge"] += any(abs(x) > 10**29 for v in cfg.vectors for x in v)
         seen["non-integer"] += any(x.denominator > 1 for v in cfg.vectors for x in v)
         for _ in range(5):
@@ -190,9 +184,9 @@ def test_scan_supports_and_coefficients_match_oracles():
         seen["integer with a circuit"] += not non_integer and bool(oracle)
         assert matroid.circuit_supports(cfg) == oracle
         circuits = enumerate_circuits(cfg)
-        assert [c.members for c in circuits] == oracle
-        for c in circuits:
-            assert c.coefficients == circuit_coefficients_oracle(cfg, c.members)
+        assert [members for members, _ in circuits] == oracle
+        for members, coefficients in circuits:
+            assert coefficients == circuit_coefficients_oracle(cfg, members)
     kinds = (1, 2, 3, "huge", "non-integer", "integer with a circuit")
     assert all(seen[kind] > 0 for kind in kinds), seen
 
@@ -218,15 +212,16 @@ def test_scan_coefficients_follow_a_rescaling_of_the_vectors():
             dim, tuple(tuple(f * x for x in row) for f, row in zip(scales, rows))
         )
         circuits = enumerate_circuits(cfg)
-        assert matroid.circuit_supports(scaled) == [c.members for c in circuits]
+        supports = [members for members, _ in circuits]
+        assert matroid.circuit_supports(scaled) == supports
         rescaled = enumerate_circuits(scaled)
-        assert [c.members for c in rescaled] == [c.members for c in circuits]
-        for c, base in zip(rescaled, circuits):
-            want = [Fraction(x) / scales[i] for i, x in zip(base.members, base.coefficients)]
-            assert list(c.coefficients) == primitive(integer_row(want))
-        seen["large content"] += common > 1 and any(len(c.members) > 1 for c in circuits)
+        assert [members for members, _ in rescaled] == supports
+        for (_, coefficients), (members, base) in zip(rescaled, circuits):
+            want = [Fraction(x) / scales[i] for i, x in zip(members, base)]
+            assert list(coefficients) == primitive(integer_row(want))
+        seen["large content"] += common > 1 and any(len(m) > 1 for m in supports)
         seen["denominator"] += any(f.denominator > 1 for f in scales) and bool(circuits)
-        seen["size 3+"] += any(len(c.members) > 2 for c in circuits)
+        seen["size 3+"] += any(len(m) > 2 for m in supports)
     assert all(seen[kind] > 0 for kind in ("large content", "denominator", "size 3+")), seen
 
 
@@ -278,9 +273,9 @@ def test_scan_last_level_pairs_match_oracles():
         seen["huge" if trial % 2 else "small"] += 1
         assert matroid.circuit_supports(cfg) == oracle
         circuits = enumerate_circuits(cfg)
-        assert [c.members for c in circuits] == oracle
-        for c in circuits:
-            assert c.coefficients == circuit_coefficients_oracle(cfg, c.members)
+        assert [members for members, _ in circuits] == oracle
+        for members, coefficients in circuits:
+            assert coefficients == circuit_coefficients_oracle(cfg, members)
     kinds = ("zero", "repeated", "parallel", "rejected pair", "last level", "huge", "small")
     assert all(seen[kind] > 0 for kind in kinds), seen
 

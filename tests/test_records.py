@@ -11,7 +11,7 @@ from minsimplex.extremal.constructions import ConstructionId
 from minsimplex.extremal.search import SearchResult
 from minsimplex.geometry import PointSet, SimplexReport
 from minsimplex.hypergraph import Hypergraph, SemiSimplexReport
-from minsimplex.matroid import Circuit, VectorConfiguration
+from minsimplex.matroid import VectorConfiguration
 from minsimplex.record import Record
 from minsimplex.stoichiometry import AtomUniverse, Reaction, ReactionReport, Species
 
@@ -22,7 +22,6 @@ ZERO, ONE = Fraction(0), Fraction(1)
 # the form the constructor stores
 RECORDS = [
     (VectorConfiguration, {"dimension": 2, "vectors": ((ONE, ZERO), (ZERO, ONE))}),
-    (Circuit, {"members": (0, 1, 2), "coefficients": (1, 1, -1)}),
     (PointSet, {"dimension": 1, "points": ((ZERO,), (Fraction(1, 2),))}),
     (SimplexReport, {"supports": ((0, 1, 2),)}),
     (AtomUniverse, {"symbols": ("H", "O")}),
@@ -94,7 +93,6 @@ def test_equality_ignores_a_cached_lift_and_needs_one_class():
     assert walked == PointSet(2, points) and hash(walked) == hash(PointSet(2, points))
     assert walked.lift == VectorConfiguration(3, tuple((1,) + p for p in points))
     assert walked != PointSet(2, points[:3])
-    assert Circuit((0, 1, 2), (1, 1, -1)) != Circuit((0, 1, 2), (-1, -1, 1))
     # the same field values in another record class
     assert PointSet(2, points) != VectorConfiguration(2, points)
 
@@ -116,7 +114,6 @@ def test_fields_cannot_be_assigned_or_deleted(cls, fields):
 def test_repr_is_unchanged():
     # the strings the frozen dataclasses printed, but for an integral entry
     # of a PointSet, which is now kept as the int it was given as
-    assert repr(Circuit((0, 1, 2), (1, -2, 1))) == "Circuit(members=(0, 1, 2), coefficients=(1, -2, 1))"
     assert repr(PointSet(1, [[0], ["1/2"]])) == (
         "PointSet(dimension=1, points=((0,), (Fraction(1, 2),)))"
     )

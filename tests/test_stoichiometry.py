@@ -1,10 +1,12 @@
 import json
 import random
+import re
+from collections import Counter
 
 import pytest
 
 from minsimplex.errors import InputError, InvariantError
-from minsimplex.matroid import VectorConfiguration, enumerate_circuits
+from minsimplex.matroid import VectorConfiguration
 from minsimplex.stoichiometry import (
     AtomUniverse,
     FormulaError,
@@ -15,6 +17,8 @@ from minsimplex.stoichiometry import (
     parse_formula,
     reaction_count_report,
 )
+
+from support import circuit_coefficients_oracle, oracle_circuits
 
 CHO = AtomUniverse(("C", "H", "O"))
 
@@ -100,23 +104,43 @@ def test_isomer_pair_tagged():
 
 
 def test_reaction_supports_match_circuits():
+    # One reaction per circuit of the compositions, in the circuits' order: its
+    # support is the circuit, and its signed coefficients, reactants positive
+    # and products negated, in member order, are the circuit's primitive
+    # dependency, so the first member is a reactant. Isomers (equal
+    # compositions) and multiples (parallel ones) give two-species reactions.
     rng = random.Random(97)
-    for _ in range(10):
-        n = rng.randint(2, 6)
-        width = rng.randint(1, 3)
+    seen = Counter()
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        width = rng.randint(1, 4)
         species = []
         for i in range(n):
-            comp = tuple(rng.randint(0, 3) for _ in range(width))
-            if not any(comp):
-                comp = comp[:-1] + (1,)
+            kind = rng.random() if species else 1.0
+            if kind < 0.15:
+                comp = rng.choice(species).composition
+            elif kind < 0.3:
+                comp = tuple(rng.randint(2, 3) * x for x in rng.choice(species).composition)
+            else:
+                comp = tuple(rng.randint(0, 3) for _ in range(width))
+                if not any(comp):
+                    comp = comp[:-1] + (1,)
             species.append(Species(f"s{i}", comp))
         cfg = VectorConfiguration(width, tuple(sp.composition for sp in species))
-        circuit_supports = [c.members for c in enumerate_circuits(cfg)]
-        reaction_supports = []
+        want = [(m, circuit_coefficients_oracle(cfg, m)) for m in oracle_circuits(cfg)]
+        got = []
         for r in minimal_reactions(species):
-            names = [sp.name for sp, _ in r.reactants] + [sp.name for sp, _ in r.products]
-            reaction_supports.append(tuple(sorted(int(nm[1:]) for nm in names)))
-        assert sorted(reaction_supports) == sorted(circuit_supports)
+            reactants = [(int(sp.name[1:]), c) for sp, c in r.reactants]
+            products = [(int(sp.name[1:]), -c) for sp, c in r.products]
+            assert reactants == sorted(reactants) and products == sorted(products)
+            assert all(c > 0 for _, c in reactants) and all(c < 0 for _, c in products)
+            members, coefficients = zip(*sorted(reactants + products))
+            got.append((members, coefficients))
+            seen["isomer" if coefficients == (1, -1) else "multiple" if len(members) == 2 else 3] += 1
+        assert got == want
+        seen[f"width {width}"] += bool(got)
+    kinds = ("isomer", "multiple", 3, "width 1", "width 2", "width 3", "width 4")
+    assert all(seen[kind] for kind in kinds), seen
 
 
 def test_reaction_balance_verified():
@@ -132,24 +156,39 @@ def test_reaction_balance_verified():
 
 def test_reaction_refuses_unbalanced_and_malformed_sides():
     h2, o2, h2o = (parse_formula(f, CHO) for f in ("H2", "O2", "H2O"))
+    w2 = Species("W", (1, 1))
     assert Reaction(((h2, 2), (o2, 1)), ((h2o, 2),)).equation() == "2 H2 + O2 -> 2 H2O"
+    empty = "a reaction needs both reactants and products"
+    positive = "reaction coefficients must be positive"
+    # with several faults, the first of: an empty side, a coefficient that is
+    # not positive, mixed widths, an unbalanced atom
     for reactants, products, message in (
         (((h2, 2), (o2, 1)), ((h2o, 1),), "unbalanced atom index 1: 4 != 2"),
         (((h2, 1),), ((h2, 2),), "unbalanced atom index 1: 2 != 4"),
-        (((h2, 1),), (), "needs both reactants and products"),
-        (((h2, 0),), ((h2, 1),), "coefficients must be positive"),
-        (((h2, 1),), ((h2, -1),), "coefficients must be positive"),
+        (((h2, 1),), (), empty),
+        (((h2, 0),), ((h2, 1),), positive),
+        (((h2, 1),), ((h2, -1),), positive),
+        (((h2, 0),), (), empty),
+        ((), ((w2, 1), (h2, 1)), empty),
+        (((h2, 1), (o2, 0)), ((h2o, 1),), positive),
+        (((w2, 1),), ((h2, 0),), positive),
+        (((w2, -1),), ((h2, 1),), positive),
+        (((h2, 1), (w2, 1)), ((h2o, -2),), positive),
+        (((h2, 1), (w2, 1)), ((h2o, 1),), "species have mixed composition lengths [2, 3]"),
     ):
-        with pytest.raises(InvariantError, match=message):
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
             Reaction(reactants, products)
 
 
-@pytest.mark.parametrize("widths", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("widths", [(2, 3), (3, 2), (3, 1, 2), (1, 3, 2, 3)])
 def test_reaction_refuses_mixed_composition_widths(widths):
-    # A -> B balances on the atoms that both have; B's or A's third atom must still count
-    a, b = (Species(name, (1, 0, 5)[:w]) for name, w in zip("AB", widths))
-    with pytest.raises(InvariantError, match=r"mixed composition lengths \[2, 3\]"):
-        Reaction(((a, 1),), ((b, 1),))
+    # A -> B balances on the atoms that both have; B's or A's third atom must
+    # still count. Each width is named once, in ascending order.
+    a, *rest = (Species(name, (1, 0, 5)[:w]) for name, w in zip("ABCD", widths))
+    listed = str(sorted(set(widths)))
+    assert listed == ("[2, 3]" if len(widths) == 2 else "[1, 2, 3]")
+    with pytest.raises(InvariantError, match=f"^species have mixed composition lengths {re.escape(listed)}$"):
+        Reaction(((a, 1),), tuple((sp, 1) for sp in rest))
 
 
 def test_reaction_minimality_reverified():
