@@ -15,13 +15,13 @@ The hypothesis of the dimension-d counting results, no d points on a
 (d-2)-flat, says that every d of the lifted vectors are independent. The
 hyperplane walk of the lift (matroid.hyperplane_walk) answers it; its
 group sums and the first dependent set it reports are cached on the lift,
-so the check, the count and classify_r3_semi_simplexes share one walk per
-point set. The point sets of extremal.construct meet the hypothesis by
-their formulas and are built with no walk. Under it,
-count_affine_simplexes enumerates nothing. A set in general position (no
-d + 1 points on a (d-1)-flat, so its lift is uniform) lists its simplexes,
-the (d+2)-subsets, from the same walk; only listing any other set, or
-counting when d = 0, n < d or the hypothesis fails, runs the scan.
+so the check, the count, the listing and classify_r3_semi_simplexes share
+one walk per point set, in any order. The point sets of extremal.construct
+meet the hypothesis by their formulas and are built with no walk. Under
+it, count_affine_simplexes enumerates nothing. A set in general position
+(no d + 1 points on a (d-1)-flat, so its lift is uniform) lists its
+simplexes, the (d+2)-subsets, from the same walk; only listing any other
+set, or counting when d = 0, n < d or the hypothesis fails, runs the scan.
 This module also hosts the linear-to-affine projection (central
 projection of a vector configuration onto a hyperplane off the origin).
 """

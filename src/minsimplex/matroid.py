@@ -37,16 +37,17 @@ and sum C(m_H, D+1) over the hyperplanes, with no hyperplane named;
 count_circuits reads them. The walk is an iterator: it yields each
 (D-2)-subset with its groups, and each zero row it meets, a dependent set
 of at most D - 1 vectors, and its reader stops it by leaving its loop.
-Each reader runs its own walk. The count returns at the first dependent
-set, which makes the walk the package's one general-position test, while
-hypergraph.from_point_set reads on to the end and keys the groups of its
-walk by their hyperplanes' normals, to merge them into sections. For
-n >= D - 1 >= 1 the configuration is uniform exactly when the count's walk
-ends with no dependent set (every D - 1 vectors independent) and A = 0 (no
-D of them on a hyperplane). circuit_supports asks that first. With no
-count cached, the uniformity test walks on its own and leaves at its first
-group of two or more (A > 0); an outcome it reaches, the walk's end or a
-first dependent set, is kept as the count's.
+The walk has two readers, each with a walk of its own. A
+VectorConfiguration walks once, returns at the first dependent set and
+keeps the sums or that set; its count, its uniformity test and its
+dependent set all read this one walk, in any order, which makes it the
+package's one general-position test. hypergraph.from_point_set reads on
+to the end and keys the groups of its walk by their hyperplanes' normals,
+to merge them into sections. For n >= D - 1 >= 1 the configuration is
+uniform exactly when its walk ends with no dependent set (every D - 1
+vectors independent) and A = 0 (no D of them on a hyperplane).
+circuit_supports asks that first, so any listing takes the walk, and a
+later count walks no more.
 
 The checks on ordered rational rows, their indices and their JSON form
 are shared with geometry.PointSet.
@@ -125,9 +126,10 @@ def rows_from_json(obj, key: str) -> tuple[int, list]:
 class VectorConfiguration(Record):
     """Ordered list of vectors in R^D, with exact entries (exact_rows): an
     integral configuration holds ints, with no Fraction per entry. It keeps
-    its integer rows and what its walk's two readers learn: the count's
-    group sums or first dependent set, and whether it is uniform, which
-    decides whether circuit_supports lists it from the walk or scans it."""
+    its integer rows and what its one hyperplane walk learns: the group
+    sums or the first dependent set. The count, the uniformity test (which
+    decides whether circuit_supports lists from the walk or scans) and the
+    dependent set all read that walk, in any order."""
 
     def __init__(self, dimension: int, vectors: tuple[tuple[int | Fraction, ...], ...]):
         vectors = exact_rows(vectors, dimension, "vector")
@@ -150,8 +152,8 @@ class VectorConfiguration(Record):
 
     @cached_property
     def _walk_outcome(self) -> tuple[tuple[int, int] | None, tuple[int, ...] | None]:
-        """The count's reading of one hyperplane_walk: ((A, B), None) at
-        the walk's end, or (None, P) at its first dependent set P."""
+        """The configuration's one hyperplane_walk: ((A, B), None) at the
+        walk's end, or (None, P) at its first dependent set P."""
         if not len(self) >= self.dimension - 1 >= 1:
             return None, None
         pairs = triples = 0
@@ -165,26 +167,13 @@ class VectorConfiguration(Record):
                     triples += m * (m - 1) * (m - 2) // 6
         return (pairs, triples), None
 
-    @cached_property
+    @property
     def uniform(self) -> bool:
-        """True when a hyperplane walk proves every D of the vectors
+        """True when the hyperplane walk proves every D of the vectors
         independent: it ends with no dependent set (every D - 1 are
         independent) and A = 0 (no D lie on a hyperplane). Then the circuits
         are the (D+1)-subsets (see circuit_supports). The walk does not run
-        below n >= D - 1 >= 1, where this is False and the scan lists. With no
-        count cached, this reads its own walk and leaves it at the first
-        group of two or more (A > 0); the outcomes it reaches, ((0, 0), None)
-        at the walk's end and (None, P) at a first dependent set P, are the
-        count's, and are kept as such."""
-        if "_walk_outcome" not in self.__dict__ and len(self) >= self.dimension - 1 >= 1:
-            outcome = (0, 0), None
-            for prefix, groups, _ in hyperplane_walk(self.integer_rows, self.dimension):
-                if groups is None:
-                    outcome = None, prefix
-                    break
-                if any(len(group) > 1 for group in groups.values()):
-                    return False
-            self.__dict__["_walk_outcome"] = outcome
+        below n >= D - 1 >= 1, where this is False and the scan lists."""
         return self.hyperplane_sums == (0, 0)
 
     @property

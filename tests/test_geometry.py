@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -370,55 +370,37 @@ def test_a_dependent_set_takes_one_stopped_pass_before_the_scan(monkeypatch):
     assert walks == [({"units": True}, None)]  # one keyed walk, read to its end past the triple
 
 
-def _first_grouped_event(ps):
-    """The first event of the lift's walk with a group of two or more."""
-    for event in matroid.hyperplane_walk(ps.lift.integer_rows, ps.dimension + 1):
-        if event[1] and max(map(len, event[1].values())) > 1:
-            return event
-
-
 _TRIPLE = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 
-def test_a_non_uniform_listing_leaves_its_walk_early(monkeypatch):
-    # with no walk cached, the uniformity test stops at the first group of
-    # two or more (A > 0) or at the first dependent set, then the scan lists
-    ps = construct(ConstructionId("parallel-pairs"), 10)
-    first = _first_grouped_event(ps)
-    assert first[0] == (0, 1)  # 0, 1 and the 6 other points of z = 0
-    walks = _record_walks(monkeypatch)
-    assert len(enumerate_affine_simplexes(ps).supports) == 106
-    assert walks == [({}, first)]
-    walks.clear()
-    assert len(enumerate_affine_simplexes(PointSet(3, _TRIPLE)).supports) == 4
-    assert walks == [({}, ((0, 1, 2), None, None))]
-
-
-def test_a_count_and_a_listing_share_one_walk_in_either_order(monkeypatch):
+def test_a_count_and_a_listing_share_one_walk_in_any_order(monkeypatch):
     # a uniform set (the moment curve), one with A > 0, one with a dependent
-    # set; the second reader takes the outcome the first one reached. A
-    # listing of the set with A > 0 leaves its walk at the first group of two
-    # or more, before any outcome, so a count after it walks on its own.
+    # set; whichever reader comes first takes the configuration's one walk,
+    # to its end or to the first dependent set, and the others read it
     moment = tuple((t, t * t, t**3) for t in range(1, 9))
     pairs = construct(ConstructionId("parallel-pairs"), 10).points
-    stopped = _first_grouped_event(PointSet(3, pairs))
     walks = _record_walks(monkeypatch)
     sets = (
-        (moment, {5: 56}, None, [({}, None)]),
-        (pairs, {4: 74, 5: 32}, None, [({}, stopped), ({}, None)]),
-        (_TRIPLE, {3: 1, 5: 3}, ((0, 1, 2), None, None), [({}, ((0, 1, 2), None, None))]),
+        (moment, {5: 56}, True, None),
+        (pairs, {4: 74, 5: 32}, True, None),
+        (_TRIPLE, {3: 1, 5: 3}, False, ((0, 1, 2), None, None)),
     )
-    for points, counts, left, listing_first in sets:
-        for count_first in (True, False):
+    readers = (
+        count_affine_simplexes,
+        lambda ps: enumerate_affine_simplexes(ps).supports,
+        check_small_flat_hypothesis,
+        lambda ps: tuple(matroid.circuit_supports(ps.lift)),
+    )
+    for points, counts, hypothesis, left in sets:
+        for order in permutations(range(4)):
             walks.clear()
             ps = PointSet(3, points)
-            readers = [count_affine_simplexes, enumerate_affine_simplexes]
-            first, second = readers if count_first else readers[::-1]
-            results = first(ps), second(ps)
-            report = results[count_first]
-            assert (results[not count_first], report.counts) == (counts, counts)
-            assert list(report.supports) == oracle_affine_simplexes(ps)
-            assert walks == ([({}, left)] if count_first else listing_first)
+            results = [None] * 4
+            for i in order:
+                results[i] = readers[i](ps)
+            want = tuple(oracle_affine_simplexes(ps))
+            assert results == [counts, want, hypothesis, want], order
+            assert walks == [({}, left)], order
 
 
 def test_from_point_set_takes_one_walk_with_a_collinear_triple(monkeypatch):

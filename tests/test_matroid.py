@@ -375,26 +375,38 @@ def _listing_cases(rng, dim):
             yield "loop", vecs[:-1] + [(0,) * dim]
 
 
-def test_uniform_listing_matches_the_scan_and_the_oracle():
+def test_uniform_listing_matches_the_scan_and_the_oracle(monkeypatch):
     # the (D+1)-subsets, listed with no scan, are the circuits exactly when
     # every D vectors are independent; every other configuration is scanned
-    # either with no walk cached or after a count has read the whole walk
+    # either with no walk cached or after a count has read the whole walk.
+    # Outside n >= D - 1 >= 1 (D = 1, or fewer than D - 1 vectors) no walk
+    # runs, the configuration is not uniform and the scan lists.
+    walks, walk = [], matroid.hyperplane_walk
+    monkeypatch.setattr(matroid, "hyperplane_walk", lambda *args: walks.append(args) or walk(*args))
     rng = random.Random(331)
+    cases = [(dim, kind, vecs) for dim in (2, 3, 4, 5) for kind, vecs in _listing_cases(rng, dim)]
+    cases.append((1, "loop and parallel", [(3,), (0,), (-6,), (Fraction(1, 2),), (-1,)]))
+    for n in (2, 3):
+        cases.append((5, "short", [tuple(rng.randint(-9, 9) for _ in range(5)) for _ in range(n)]))
     seen = set()
-    for dim in (2, 3, 4, 5):
-        for kind, vecs in _listing_cases(rng, dim):
-            want = oracle_circuits(VectorConfiguration(dim, tuple(vecs)))
-            for counted in (False, True):
-                cfg = VectorConfiguration(dim, tuple(vecs))
-                if counted:
-                    matroid.count_circuits(cfg)
-                got = matroid.circuit_supports(cfg)
-                assert got == want == _scanned_supports(cfg), (kind, counted, cfg)
+    for dim, kind, vecs in cases:
+        want = oracle_circuits(VectorConfiguration(dim, tuple(vecs)))
+        for counted in (False, True):
+            walks.clear()
+            cfg = VectorConfiguration(dim, tuple(vecs))
+            if counted:
+                matroid.count_circuits(cfg)
+            got = matroid.circuit_supports(cfg)
+            assert got == want == _scanned_supports(cfg), (kind, counted, cfg)
+            if len(cfg) >= dim - 1 >= 1:
                 assert cfg.uniform == (got == list(combinations(range(len(cfg)), dim + 1)))
-                if kind == "hyperplane":
-                    assert cfg.hyperplane_sums == (1, 0) and not cfg.uniform
-                seen.add((dim, cfg.uniform))
-    assert seen == {(dim, uniform) for dim in (2, 3, 4, 5) for uniform in (True, False)}
+            else:
+                assert walks == [] and not cfg.uniform, (kind, cfg)
+            if kind == "hyperplane":
+                assert cfg.hyperplane_sums == (1, 0) and not cfg.uniform
+            seen.add((dim, cfg.uniform))
+    both = {(dim, uniform) for dim in (2, 3, 4, 5) for uniform in (True, False)}
+    assert seen == both | {(1, False)}
 
 
 def test_general_position_point_sets_list_their_simplexes_from_the_walk():
