@@ -3,20 +3,27 @@
 Two regimes:
 
 * Unconstrained ("free", s'): the semi-simplex family depends only on the
-  k-section, and every k-uniform family is a k-section, so the search runs
-  over all 2^C(n,k) subsets of the k-level. Each family is a bitmask over
+  k-section, and every k-uniform family is a k-section, so the search
+  covers all 2^C(n,k) subsets of the k-level. Each family is a bitmask over
   the lexicographically ordered k-sets; the objective is compared through
   the integer numerator |E_k| * C(n,k+1) + |E0_{k+1}| * C(n,k) over the
-  common denominator. The scan meets in the middle (Horowitz & Sahni,
+  common denominator. The objective is invariant under relabeling, so the
+  scan breaks the symmetry (orderly generation; McKay, J. Algorithms 26,
+  1998): besides the empty family it scores only the families that hold
+  the k-set {0..k-1} and whose k-sets {0..k-2, j} have their j first in
+  k..n-1. Any family has such a copy: relabel an edge onto {0..k-1}, then
+  permute k..n-1. The scan meets in the middle (Horowitz & Sahni,
   J. ACM 21, 1974): a mask is a high half h and a low half l, and it misses
   a (k+1)-set exactly when both halves miss it, so the numerators of all
-  (h, l) are one 0/1 matrix product, computed in float32 blocks of _BLOCK
-  scores. Every partial sum is a non-negative integer of at most
-  2*C(n,k)*C(n,k+1), which is refused before the scan unless it is below
-  2^24, so BLAS computes each score exactly in any summation order. With
-  k >= 2 and at most 62 k-sets that sum is at most 2*55*165 = 18150, at
-  (11, 2). The scan runs in-process and visits masks in ascending order;
-  the command line runs its products on one BLAS thread (cli.main).
+  (h, l) are one 0/1 matrix product, computed in float32 blocks of at most
+  _BLOCK scores. Both rules read the low half only, so they drop columns
+  of the product and leave its rows. Every partial sum is a non-negative
+  integer of at most 2*C(n,k)*C(n,k+1), which is refused before the scan
+  unless it is below 2^24, so BLAS computes each score exactly in any
+  summation order. With k >= 2 and at most 62 k-sets that sum is at most
+  2*55*165 = 18150, at (11, 2). The scan runs in-process and visits its
+  masks in ascending order; the command line runs its products on one BLAS
+  thread (cli.main).
   C(n,k) is limited to 62 (int64 halves) whatever the budget, and that
   limit is checked before the budget. numpy is imported by the free search
   only, so importing this module does not load it.
@@ -48,8 +55,9 @@ walked once per isomorphism class: it records the key of every relabeled
 copy, and later members of the class are found by lookup. A class with a
 trivial automorphism group still has all n! copies, and n > 8 is refused
 before either search starts. Each search keeps at most
-_MAX_RAW_WITNESSES minimizing families; when it drops more, the result
-says so in `witnesses_truncated`.
+_MAX_RAW_WITNESSES minimizing families, in the free search the minimizers
+among the scanned masks; when it drops more, the result says so in
+`witnesses_truncated`.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ from ..hypergraph import linear_edge_counts
 from ..record import Record
 
 DEFAULT_BUDGET_BITS = 25
-_BLOCK = 1 << 18  # score entries per matrix product of the free scan
+_BLOCK = 1 << 18  # most score entries per matrix product of the free scan (whole rows)
 _LOW_BITS = 11  # at most 2^11 low halves, so the right-hand factor stays in cache
 _MAX_RAW_WITNESSES = 5000
 _CANONICAL_N_LIMIT = 8
@@ -185,13 +193,26 @@ def _objective_weights(n: int, k: int) -> tuple[int, int, int]:
 
 
 def _scan_free(n: int, k: int) -> tuple[int, list[int], bool]:
-    """Scan every family mask; returns (min numerator, ascending argmins, truncated).
+    """Scan the family masks of a domain that meets every relabeling orbit;
+    returns (min numerator, ascending argmins in the domain, truncated).
+
+    The domain is the empty family (mask 0) and the masks that hold bit 0,
+    the k-set {0..k-1}, and whose bits 1..t form a prefix 1..10..0. Bit
+    j - k + 1 is the k-set {0..k-2, j}, for j = k..n-1, and t is n - k, or
+    L - 1 if smaller. The domain meets every orbit: relabel any edge onto
+    {0..k-1}, then permute {k..n-1} so that the j whose {0..k-2, j} is an
+    edge come first. The score is an orbit invariant, so the domain's
+    minimum is the minimum, and every minimizing class has a representative
+    among the argmins. Truncated says that more than _MAX_RAW_WITNESSES
+    masks of the domain reach the minimum and only the smallest were kept.
 
     A mask is (h << L) | l. It misses a (k+1)-set t exactly when h misses
     t's high bits and l its low bits, so one float32 product A @ Bt per block
-    of consecutive high halves h scores every (h, l) of the block, and the
-    blocks visit the masks in ascending order. Scores are integers of at most
-    18150 (module docstring), exact in float32.
+    of consecutive high halves h scores every (h, l) of the block. Both
+    rules touch the low half only, so Bt keeps just the columns l in the
+    domain, a block is _BLOCK // len(cols) high halves, and the blocks visit
+    the masks in ascending order. Scores are integers of at most 18150
+    (module docstring), exact in float32.
     """
     import numpy as np
 
@@ -200,39 +221,44 @@ def _scan_free(n: int, k: int) -> tuple[int, list[int], bool]:
     bits = comb(n, k)
     low_bits = min(bits // 2, _LOW_BITS)
     low, high = 1 << low_bits, 1 << (bits - low_bits)
-    rows = min(high, max(1, _BLOCK >> low_bits))  # high halves per block
+    # the low halves in the domain: bit 0 set, and bits 1..t a run of ones from bit 1
+    cols = np.arange(1, low, 2, dtype=np.int64)
+    links = cols >> 1 & (1 << min(n - k, low_bits - 1)) - 1
+    cols = cols[(links & links + 1) == 0]
+    ncols = cols.size
+    rows = min(high, max(1, _BLOCK // ncols))  # high halves per block
     t_low = np.array([t & (low - 1) for t in super_masks], dtype=np.int64)
     t_high = np.array([t >> low_bits for t in super_masks], dtype=np.int64)
 
-    def popcounts(start: int, stop: int) -> np.ndarray:
-        return np.array([x.bit_count() for x in range(start, stop)], dtype=np.float32)
+    def popcounts(xs) -> np.ndarray:
+        return np.array([x.bit_count() for x in xs], dtype=np.float32)
 
     # A[h] = ([h misses t_high] per (k+1)-set t, |h| * w_mk, 1) and
     # Bt[:, l] = (w_m0 * [l misses t_low] per t, 1, |l| * w_mk), so A[h] . Bt[:, l]
     # is the score numerator |mask| * w_mk + m0 * w_m0 of mask (h << L) | l
-    ls = np.arange(low, dtype=np.int64)
-    bt = np.empty((len(super_masks) + 2, low), dtype=np.float32)
-    bt[:-2] = (ls & t_low[:, None]) == 0
+    bt = np.empty((len(super_masks) + 2, ncols), dtype=np.float32)
+    bt[:-2] = (cols & t_low[:, None]) == 0
     bt[:-2] *= w_m0
     bt[-2] = 1
-    bt[-1] = popcounts(0, low) * w_mk
+    bt[-1] = popcounts(cols.tolist()) * w_mk
 
     # one A and one score buffer serve every block; the last block may use fewer rows
     a_buf = np.empty((rows, len(super_masks) + 2), dtype=np.float32)
     a_buf[:, -1] = 1
-    s_buf = np.empty((rows, low), dtype=np.float32)
+    s_buf = np.empty((rows, ncols), dtype=np.float32)
 
-    best = None
-    argmins: list[int] = []
+    # the empty family misses every (k+1)-set; it is the smallest mask
+    best = w_m0 * len(super_masks)
+    argmins = [0]
     truncated = False
     for h0 in range(0, high, rows):
         hs = np.arange(h0, min(h0 + rows, high), dtype=np.int64)
         a, scores = a_buf[: hs.size], s_buf[: hs.size]
         a[:, :-2] = (hs[:, None] & t_high) == 0
-        a[:, -2] = popcounts(h0, h0 + hs.size) * w_mk
+        a[:, -2] = popcounts(range(h0, h0 + hs.size)) * w_mk
         np.matmul(a, bt, out=scores)
         block_best = int(scores.min())
-        if best is None or block_best < best:
+        if block_best < best:
             best = block_best
             argmins = []
             truncated = False
@@ -242,8 +268,9 @@ def _scan_free(n: int, k: int) -> tuple[int, list[int], bool]:
             if where.size > room:
                 where = where[:room]
                 truncated = True
-            # entry i of the block is row i // low, column i % low: mask (h0 << L) + i
-            argmins.extend((h0 << low_bits) + i for i in where.tolist())
+            # entry i of the block is row i // ncols, column i % ncols
+            masks = (h0 + where // ncols) << low_bits | cols[where % ncols]
+            argmins.extend(masks.tolist())
     return best, argmins, truncated
 
 

@@ -285,3 +285,15 @@ def free_scan_python(n: int, k: int) -> tuple[Fraction, list[int]]:
         if score == best:
             argmins.append(mask)
     return Fraction(best, ck * ck1), argmins
+
+
+def in_free_domain(n: int, k: int, family) -> bool:
+    """Whether a family of k-sets lies in the free scan's domain: it is empty,
+    or it holds the first k-set (0..k-1), and the j in k..n-1 whose k-set
+    (0..k-2, j) it holds are the first few of k..n-1."""
+    edges = set(family)
+    if not edges:
+        return True
+    head = tuple(range(k - 1))
+    present = [head + (j,) in edges for j in range(k, n)]
+    return tuple(range(k)) in edges and present == sorted(present, reverse=True)

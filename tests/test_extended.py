@@ -109,3 +109,13 @@ def test_s_prime_at_n8_k2():
     assert result.witnesses and not result.witnesses_truncated
     for w in result.witnesses:
         assert verify_witness(result, w)
+
+
+def test_s_prime_at_n7_k3():
+    # 2^35 families, covered by one scanned mask per relabeling orbit and more
+    result = brute_force_s(7, 3, False, budget_bits=35)
+    assert result.minimum == Fraction(12, 35)
+    assert result.search_space_size == 2**35
+    assert len(result.witnesses) == 5 and not result.witnesses_truncated
+    for w in result.witnesses:
+        assert verify_witness(result, w)

@@ -20,7 +20,7 @@ from minsimplex.extremal import (
 )
 from minsimplex.hypergraph import Hypergraph, is_q_linear, semi_simplexes, yblm_sum
 
-from support import free_scan_python, random_set_family, relabeled_family
+from support import free_scan_python, in_free_domain, random_set_family, relabeled_family
 
 
 def linear_families(n: int, k: int):
@@ -155,8 +155,35 @@ def test_free_witness_complement_is_complete_bipartite():
             assert canonical_family(n, complement_graph(w).edges) == want
 
 
+def mask_family(n, k, mask):
+    """The family of k-sets whose bits are set in mask (bit i is the i-th k-set)."""
+    ksets = list(combinations(range(n), k))
+    return tuple(ksets[i] for i in range(len(ksets)) if mask >> i & 1)
+
+
+def domain_masks(n, k, masks):
+    """The masks whose families lie in the free scan's domain, in their order."""
+    return [m for m in masks if in_free_domain(n, k, mask_family(n, k, m))]
+
+
+def test_every_family_has_a_relabeled_copy_in_the_free_scan_domain():
+    # every family for n <= 5, and seeded samples beyond, by brute force over the n! relabelings
+    cases = []
+    for n in range(3, 6):
+        for k in range(2, n):
+            cases += [(n, k, m) for m in range(1 << comb(n, k))]
+    rng = random.Random(2039)
+    for n, k in ((6, 2), (6, 3), (6, 4), (7, 2), (7, 5)):
+        cases += [(n, k, rng.getrandbits(comb(n, k))) for _ in range(25)]
+    assert len(cases) == 8 + 64 + 16 + 2 * 1024 + 32 + 5 * 25
+    for n, k, mask in cases:
+        family = mask_family(n, k, mask)
+        assert any(in_free_domain(n, k, copy) for copy in relabeled_copies(n, family)), family
+
+
 def test_numpy_engine_matches_python_oracle():
-    # every (n, k) with n <= 8 and C(n,k) <= 20: minimum and every minimizing mask, ascending
+    # every (n, k) with n <= 8 and C(n,k) <= 20: the minimum, every minimizing
+    # mask in the scan's domain, ascending, and through them every minimizing class
     pairs = [(n, k) for n in range(3, 9) for k in range(2, n) if comb(n, k) <= 20]
     assert (6, 3) in pairs and len(pairs) == 12
     for n, k in pairs:
@@ -164,7 +191,9 @@ def test_numpy_engine_matches_python_oracle():
         best, argmins, truncated = search._scan_free(n, k)
         assert Fraction(best, comb(n, k) * comb(n, k + 1)) == minimum
         assert brute_force_s(n, k, False).minimum == minimum
-        assert (argmins, truncated) == (masks, False)
+        assert (argmins, truncated) == (domain_masks(n, k, masks), False)
+        classes = {plain_canonical_family(n, mask_family(n, k, m)) for m in masks}
+        assert {plain_canonical_family(n, mask_family(n, k, m)) for m in argmins} == classes
 
 
 def test_backtracking_engine_matches_subset_oracle():
@@ -174,23 +203,31 @@ def test_backtracking_engine_matches_subset_oracle():
 
 
 def test_scan_blocks_keep_witnesses(monkeypatch):
-    # blocks of 2^10 masks: s'(6,2)'s 10 minimizers lie in 7 of them, and
-    # blocks 0..4 have worse local minima
-    unpatched = brute_force_s(6, 2, False)
-    _, masks = free_scan_python(6, 2)
-    monkeypatch.setattr(search, "_BLOCK", 1 << 10)
-    assert min(masks) >> 10 == 5 and len({m >> 10 for m in masks}) == 7
-    assert search._scan_free(6, 2)[1:] == (masks, False)
-    assert brute_force_s(6, 2, False) == unpatched
+    # the scan keeps 12 low halves per high half at (5,3) and 384 at (7,5), so
+    # blocks of 24 and 2^12 entries hold 2 and 10 high halves: the 8 and 57
+    # representatives lie in 5 and 23 blocks, and block 0 has a worse local minimum
+    for n, k, block, rows, reps, blocks in ((5, 3, 24, 2, 8, 5), (7, 5, 1 << 12, 10, 57, 23)):
+        unpatched = brute_force_s(n, k, False)
+        _, masks, truncated = search._scan_free(n, k)
+        assert len(masks) == reps and not truncated
+        low_bits = min(comb(n, k) // 2, search._LOW_BITS)
+        monkeypatch.setattr(search, "_BLOCK", block)
+        assert (masks[0] >> low_bits) // rows > 0
+        assert len({(m >> low_bits) // rows for m in masks}) == blocks
+        assert search._scan_free(n, k)[1:] == (masks, False)
+        assert brute_force_s(n, k, False) == unpatched
+        monkeypatch.undo()
 
 
 def test_scan_blocks_truncate_to_the_smallest_masks(monkeypatch):
-    # the two smallest minimizers lie in blocks 5 and 6; block 6 holds a third
-    _, masks = free_scan_python(6, 2)
-    monkeypatch.setattr(search, "_BLOCK", 1 << 10)
-    monkeypatch.setattr(search, "_MAX_RAW_WITNESSES", 2)
-    assert search._scan_free(6, 2)[1:] == (masks[:2], True)
-    result = brute_force_s(6, 2, False)
+    # the three smallest representatives of s'(5,3) lie in blocks 1, 2 and 4;
+    # block 4 holds two more
+    masks = domain_masks(5, 3, free_scan_python(5, 3)[1])
+    monkeypatch.setattr(search, "_BLOCK", 24)
+    monkeypatch.setattr(search, "_MAX_RAW_WITNESSES", 3)
+    assert [(m >> 5) // 2 for m in masks[:5]] == [1, 2, 4, 4, 4]
+    assert search._scan_free(5, 3)[1:] == (masks[:3], True)
+    result = brute_force_s(5, 3, False)
     assert result.witnesses_truncated
     for w in result.witnesses:
         assert verify_witness(result, w)
