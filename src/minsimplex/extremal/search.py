@@ -32,19 +32,21 @@ Two regimes:
   pairwise intersections below k-1 (smaller edges never change the
   semi-simplex family and only tighten the constraint, so they are omitted
   without loss). They form a tree: a family's children add one of its
-  remaining candidates each, in ascending order, and the child that adds j
+  remaining candidates each, in descending order, and the child that adds j
   keeps the remaining candidates ANDed with compat[j], the bitmask of the
-  later candidates compatible with j. Two candidates clash iff one holds a
-  (k-1)-subset of the other, so compat is built from the holders of each
-  (k-1)-set. The score depends on the edge sizes only
-  (hypergraph.linear_edge_counts): its numerator is C(n,k+1)*w_m0 plus one
-  delta per chosen edge. So a family's subtree depends only on its set of
-  remaining candidates, and these sets repeat (the 4,464,329 families of
-  s(8,4) share 125,609), so each distinct set is solved once, for the
-  number of families in its subtree and the least score they add, at one
-  step per candidate in it. A second walk descends only into subtrees that
-  reach the minimum, so it lists the minimizers in the tree's depth-first
-  order. The budget bounds the family count, and the steps too.
+  earlier candidates compatible with j. So every child's set holds lower
+  candidates only, and the largest edges, which clash with most others, are
+  placed first. Two candidates clash iff one holds a (k-1)-subset of the
+  other, so compat is built from the holders of each (k-1)-set. The score
+  depends on the edge sizes only (hypergraph.linear_edge_counts): its
+  numerator is C(n,k+1)*w_m0 plus one delta per chosen edge. So a family's
+  subtree depends only on its set of remaining candidates, and these sets
+  repeat (the 4,464,329 families of s(8,4) share 92,537 non-empty ones), so
+  each distinct set is solved once, for the number of families in its
+  subtree and the least score they add, at one step per candidate in it.
+  A second walk descends only into subtrees that reach the minimum, so it
+  lists the minimizers in the tree's depth-first order, highest candidate
+  first. The budget bounds the family count, and the steps too.
 
 Witnesses are deduplicated up to vertex relabeling via the minimum
 lexicographic incidence form over all relabelings. The relabeled copies
@@ -114,7 +116,10 @@ def _canonical_tables(n: int) -> tuple[tuple, list[tuple[int, ...]]]:
         swap = [m ^ 3 if (m ^ m >> 1) & 1 else m for m in range(top + 1)]
         cycle = [(m << 1 & top) | m >> (n - 1) for m in range(top + 1)]
         generators = (swap.__getitem__, cycle.__getitem__)
-    subsets = [tuple(v for v in range(n) if m >> v & 1) for m in range(top + 1)]
+    subsets = [()]
+    for m in range(1, top + 1):  # the lowest vertex of m, then those of m without it
+        low = m & -m
+        subsets.append((low.bit_length() - 1,) + subsets[m ^ low])
     return generators, subsets
 
 
@@ -192,6 +197,23 @@ def _objective_weights(n: int, k: int) -> tuple[int, int, int]:
     return ck1, ck, ck * ck1
 
 
+def _popcounts(xs):
+    """The set bits of each non-negative int64 in the array `xs`, as uint64.
+
+    SWAR: the bits are summed in pairs, then nibbles, then bytes, and one
+    multiplication adds the eight byte sums into the top byte. Every operand
+    is uint64, so no numpy version promotes the arithmetic to float64.
+    """
+    import numpy as np
+
+    u = np.uint64
+    x = xs.astype(u)
+    x = x - (x >> u(1) & u(0x5555555555555555))
+    x = (x & u(0x3333333333333333)) + (x >> u(2) & u(0x3333333333333333))
+    x = x + (x >> u(4)) & u(0x0F0F0F0F0F0F0F0F)
+    return x * u(0x0101010101010101) >> u(56)
+
+
 def _scan_free(n: int, k: int) -> tuple[int, list[int], bool]:
     """Scan the family masks of a domain that meets every relabeling orbit;
     returns (min numerator, ascending argmins in the domain, truncated).
@@ -229,9 +251,7 @@ def _scan_free(n: int, k: int) -> tuple[int, list[int], bool]:
     rows = min(high, max(1, _BLOCK // ncols))  # high halves per block
     t_low = np.array([t & (low - 1) for t in super_masks], dtype=np.int64)
     t_high = np.array([t >> low_bits for t in super_masks], dtype=np.int64)
-
-    def popcounts(xs) -> np.ndarray:
-        return np.array([x.bit_count() for x in xs], dtype=np.float32)
+    w_pop = np.uint64(w_mk)
 
     # A[h] = ([h misses t_high] per (k+1)-set t, |h| * w_mk, 1) and
     # Bt[:, l] = (w_m0 * [l misses t_low] per t, 1, |l| * w_mk), so A[h] . Bt[:, l]
@@ -240,7 +260,7 @@ def _scan_free(n: int, k: int) -> tuple[int, list[int], bool]:
     bt[:-2] = (cols & t_low[:, None]) == 0
     bt[:-2] *= w_m0
     bt[-2] = 1
-    bt[-1] = popcounts(cols.tolist()) * w_mk
+    bt[-1] = _popcounts(cols) * w_pop
 
     # one A and one score buffer serve every block; the last block may use fewer rows
     a_buf = np.empty((rows, len(super_masks) + 2), dtype=np.float32)
@@ -255,7 +275,7 @@ def _scan_free(n: int, k: int) -> tuple[int, list[int], bool]:
         hs = np.arange(h0, min(h0 + rows, high), dtype=np.int64)
         a, scores = a_buf[: hs.size], s_buf[: hs.size]
         a[:, :-2] = (hs[:, None] & t_high) == 0
-        a[:, -2] = popcounts(range(h0, h0 + hs.size)) * w_mk
+        a[:, -2] = _popcounts(hs) * w_pop
         np.matmul(a, bt, out=scores)
         block_best = int(scores.min())
         if block_best < best:
@@ -327,13 +347,13 @@ def _linear_search(n: int, k: int, budget_bits: int) -> SearchResult:
         for s in combinations(e, k - 1):
             holders[s] = holders.get(s, 0) | 1 << i
     full = (1 << len(cands)) - 1
-    # compat[j]: the later candidates that share fewer than k-1 vertices with j
+    # compat[j]: the earlier candidates that share fewer than k-1 vertices with j
     compat = []
     for j, e in enumerate(cands):
         clash = 0
         for s in combinations(e, k - 1):
             clash |= holders[s]
-        compat.append(full & ~clash & -(2 << j))  # -(2 << j): the bits above j
+        compat.append(~clash & ((1 << j) - 1))
     delta_of_size = {size: _edge_delta(n, k, size) for size in range(k, n + 1)}
     delta = [delta_of_size[len(e)] for e in cands]
     _, w_m0, denom = _objective_weights(n, k)
@@ -361,9 +381,8 @@ def _linear_search(n: int, k: int, budget_bits: int) -> SearchResult:
         count, least = 1, 0
         rest = avail
         while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
+            j = rest.bit_length() - 1
+            rest ^= 1 << j
             child = avail & compat[j]
             if child:
                 sub = memo.get(child) or solve(child)
@@ -383,7 +402,7 @@ def _linear_search(n: int, k: int, budget_bits: int) -> SearchResult:
     families, least = solve(full)
     best = empty + least
 
-    # the minimizers in depth-first order: descend, in ascending j, only
+    # the minimizers in depth-first order: descend, in descending j, only
     # into subtrees whose least score reaches the minimum
     best_families: list[tuple[tuple[int, ...], ...]] = []
     chosen: list[int] = []
@@ -396,9 +415,8 @@ def _linear_search(n: int, k: int, budget_bits: int) -> SearchResult:
             best_families.append(tuple(cands[i] for i in chosen))
         rest = avail
         while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
+            j = rest.bit_length() - 1
+            rest ^= 1 << j
             child = avail & compat[j]
             if score + delta[j] + (memo[child][1] if child else 0) == best:
                 chosen.append(j)

@@ -101,6 +101,42 @@ def test_linear_budget_refuses_s_8_4_exactly_past_its_family_count():
     assert brute_force_s(8, 4, True, budget_bits=23).search_space_size == 4464329
 
 
+@pytest.mark.parametrize(
+    "n, k, value, families, classes",
+    [
+        (3, 2, Fraction(1, 3), 5, 1),
+        (4, 2, Fraction(1, 3), 15, 1),
+        (4, 3, Fraction(1, 4), 6, 1),
+        (5, 2, Fraction(2, 5), 52, 1),
+        (5, 3, Fraction(2, 5), 32, 2),
+        (5, 4, Fraction(1, 5), 7, 1),
+        (6, 2, Fraction(2, 5), 203, 1),
+        (6, 3, Fraction(2, 5), 353, 1),
+        (6, 4, Fraction(1, 5), 83, 1),
+        (6, 5, Fraction(1, 6), 8, 1),
+        (7, 2, Fraction(3, 7), 877, 1),
+        (7, 3, Fraction(2, 5), 8390, 1),
+        (7, 4, Fraction(1, 5), 6150, 1),
+        (7, 5, Fraction(2, 7), 240, 2),
+        (7, 6, Fraction(1, 7), 9, 1),
+        (8, 2, Fraction(3, 7), 4140, 1),
+        (8, 3, Fraction(139, 280), 433039, 1),
+        (8, 4, Fraction(1, 5), 4464329, 1),
+        (8, 5, Fraction(2, 7), 239174, 2),
+        (8, 6, Fraction(1, 7), 773, 1),
+        (8, 7, Fraction(1, 8), 10, 1),
+    ],
+)
+def test_every_linear_search_the_cli_accepts(n, k, value, families, classes):
+    # every (n, k) with 3 <= n <= 8: the order in which the search visits its
+    # tree shows in none of the minimum, the family count or the witness classes
+    result = brute_force_s(n, k, True)
+    assert result.minimum == value
+    assert result.search_space_size == families
+    assert len(result.witnesses) == classes
+    assert result.witnesses_truncated is False
+
+
 def test_s_prime_at_n8_k2():
     # 2^28 masks: past the default budget
     result = brute_force_s(8, 2, False, budget_bits=28)

@@ -65,9 +65,10 @@ def relabeled_keys(n, family):
 
 def linear_search_recount(n: int, k: int):
     """The depth-first search with its objective recounted in full for every
-    family, each visited once in ascending candidate order: (minimum,
-    canonical witness forms, families visited, minimizing families in
-    visiting order)."""
+    family, each visited once in descending candidate order: a family's
+    children add one lower candidate each, the highest first. Returns
+    (minimum, canonical witness forms, families visited, minimizing families
+    in visiting order)."""
     cands = []
     for size in range(k, n + 1):
         cands.extend(combinations(range(n), size))
@@ -96,9 +97,9 @@ def linear_search_recount(n: int, k: int):
         if score == best:
             best_families.append(tuple(cands[i] for i in chosen))
 
-    def rec(start):
+    def rec(stop):
         evaluate()
-        for j in range(start, len(cands)):
+        for j in range(stop - 1, -1, -1):
             mask = cand_masks[j]
             if any((mask & m).bit_count() >= k - 1 for m in chosen_masks):
                 continue
@@ -106,12 +107,12 @@ def linear_search_recount(n: int, k: int):
             chosen.append(j)
             chosen_masks.append(mask)
             section.update(added)
-            rec(j + 1)
+            rec(j)
             section.difference_update(added)
             chosen_masks.pop()
             chosen.pop()
 
-    rec(0)
+    rec(len(cands))
     forms = sorted({plain_canonical_family(n, f) for f in best_families})
     return Fraction(best, denom), forms, visited, best_families
 
@@ -194,6 +195,18 @@ def test_numpy_engine_matches_python_oracle():
         assert (argmins, truncated) == (domain_masks(n, k, masks), False)
         classes = {plain_canonical_family(n, mask_family(n, k, m)) for m in masks}
         assert {plain_canonical_family(n, mask_family(n, k, m)) for m in argmins} == classes
+
+
+def test_swar_popcounts_match_int_bit_count():
+    # a high half holds up to 62 - 11 = 51 bits, a mask up to 62
+    import numpy as np
+
+    rng = random.Random(41)
+    values = [0, 1, (1 << 51) - 1, (1 << 62) - 1]
+    values += [rng.randrange(1 << rng.randint(1, 62)) for _ in range(2000)]
+    counts = search._popcounts(np.array(values, dtype=np.int64))
+    assert counts.dtype == np.uint64
+    assert counts.tolist() == [v.bit_count() for v in values]
 
 
 def test_backtracking_engine_matches_subset_oracle():
@@ -394,6 +407,12 @@ def test_canonical_tables_are_built_once_per_search(monkeypatch):
     assert tables == [5]
 
 
+def test_canonical_subsets_table_lists_the_vertices_of_every_mask():
+    for n in range(9):
+        subsets = search._canonical_tables(n)[1]
+        assert subsets == [tuple(v for v in range(n) if m >> v & 1) for m in range(1 << n)]
+
+
 def test_canonical_family_on_shared_tables_matches_plain_relabeling_minimum():
     rng = random.Random(35)
     for n in range(1, 8):
@@ -418,7 +437,7 @@ def test_incremental_linear_search_matches_recount_oracle(n):
 def test_truncated_linear_witnesses_are_the_first_minimizers_visited(monkeypatch, cap):
     # the search keeps the first `cap` minimizing families of the depth-first
     # order, so its witnesses are the classes of the oracle's first `cap`; the
-    # 20 minimizers of s(5,3) are 15 of one class, then 5 of the other
+    # 20 minimizers of s(5,3) are 5 of one class, then 15 of the other
     monkeypatch.setattr(search, "_MAX_RAW_WITNESSES", cap)
     for n in range(3, 7):
         for k in range(2, n):
