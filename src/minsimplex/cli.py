@@ -313,7 +313,7 @@ def cmd_sperner(args) -> int:
     if args.deficit and args.format == "csv":
         raise InputError("--deficit has no csv form; use --format text or json")
     h = hypergraph.load_hypergraph(args.hypergraph)
-    if args.deficit:  # refuses a k out of range, then a non-linear h, before E0 is listed
+    if args.deficit:  # refuses a k out of range, then a non-linear h, before any count
         deficit = hypergraph.semi_simplex_deficit(h, args.k)
     report = hypergraph.semi_simplexes(h, args.k)
     total = report.yblm_sum

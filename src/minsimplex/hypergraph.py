@@ -4,12 +4,17 @@ For a hypergraph H on n vertices, the k-section E_k collects every k-set
 contained in an edge, and E0_{k+1} collects the (k+1)-sets none of whose
 k-subsets appear in E_k. Members of the union are the semi-simplexes; the
 union is always a Sperner family, so its YBLM sum is at most 1.
+
+semi_simplexes counts the two families without listing them: from the edge
+sizes when H is (k-1)-linear, else from E_k and its up-shadow, so no
+(k+1)-set is tested. A family is listed only when it is read.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
@@ -68,8 +73,9 @@ def load_hypergraph(path: str) -> Hypergraph:
 
 def first_linearity_violation(h: Hypergraph, q: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """First edge pair with |E & E'| >= q, or None."""
-    for e1, e2 in combinations(h.edges, 2):
-        if len(set(e1) & set(e2)) >= q:
+    edges = [(e, set(e)) for e in h.edges]
+    for (e1, s1), (e2, s2) in combinations(edges, 2):
+        if len(s1 & s2) >= q:
             return e1, e2
     return None
 
@@ -103,23 +109,41 @@ def linear_edge_counts(n: int, k: int, size: int) -> tuple[int, int]:
     return comb(size, k), comb(size, k + 1) + comb(size, k) * (n - size)
 
 
+def _semi_simplex_counts(h: Hypergraph, k: int) -> tuple[int, int]:
+    """(|E_k|, |E0_{k+1}|) with E0_{k+1} not listed. A (k-1)-linear h, k >= 2,
+    is counted from its edge sizes (linear_edge_counts). Otherwise E_k is
+    listed, and E0_{k+1} is every (k+1)-set outside its up-shadow, the sets
+    S + {v} for S in E_k, so no (k+1)-set is tested."""
+    n = h.n
+    if k >= 2 and first_linearity_violation(h, k - 1) is None:
+        sizes = [linear_edge_counts(n, k, len(e)) for e in h.edges]
+        return sum(added for added, _ in sizes), comb(n, k + 1) - sum(covered for _, covered in sizes)
+    section = k_section(h, k)
+    masks = [sum(1 << v for v in s) for s in section]
+    shadow = {m | 1 << v for m in masks for v in range(n) if not m >> v & 1}
+    return len(section), comb(n, k + 1) - len(shadow)
+
+
 class SemiSimplexReport(Record):
-    """The two semi-simplex families E_k and E0_{k+1} with their cardinalities."""
+    """The semi-simplex families E_k and E0_{k+1} of a hypergraph. The counts,
+    the total and the YBLM sum come from one count that lists neither family;
+    sections, empty_sections and family list them on first access."""
 
-    def __init__(self, n: int, k: int, sections: Family, empty_sections: Family):
-        self.__dict__.update(n=n, k=k, sections=sections, empty_sections=empty_sections)
+    def __init__(self, hypergraph: Hypergraph, k: int):
+        self.__dict__.update(hypergraph=hypergraph, k=k)
 
     @property
+    def n(self) -> int:
+        return self.hypergraph.n
+
+    @cached_property
     def counts(self) -> dict[int, int]:
-        return {self.k: len(self.sections), self.k + 1: len(self.empty_sections)}
-
-    @property
-    def family(self) -> Family:
-        return self.sections + self.empty_sections
+        sections, empty_sections = _semi_simplex_counts(self.hypergraph, self.k)
+        return {self.k: sections, self.k + 1: empty_sections}
 
     @property
     def total(self) -> int:
-        return len(self.sections) + len(self.empty_sections)
+        return sum(self.counts.values())
 
     @property
     def yblm_sum(self) -> Fraction:
@@ -128,13 +152,25 @@ class SemiSimplexReport(Record):
         sizes = self.counts.items()
         return sum((Fraction(c, comb(self.n, size)) for size, c in sizes if c), Fraction(0))
 
+    @cached_property
+    def sections(self) -> Family:
+        return k_section(self.hypergraph, self.k)
+
+    @cached_property
+    def empty_sections(self) -> Family:
+        return _empty_section(self.n, self.k, set(self.sections))
+
+    @property
+    def family(self) -> Family:
+        return self.sections + self.empty_sections
+
 
 def semi_simplexes(h: Hypergraph, k: int) -> SemiSimplexReport:
-    """Report with E_k, E0_{k+1} and their cardinalities."""
+    """Report on E_k and E0_{k+1}: their counts, with neither family listed
+    until it is read."""
     if not 1 <= k <= h.n:
         raise InputError(f"k must be in 1..{h.n}, got {k}")
-    section = k_section(h, k)
-    return SemiSimplexReport(h.n, k, section, _empty_section(h.n, k, set(section)))
+    return SemiSimplexReport(h, k)
 
 
 def semi_simplex_deficit(h: Hypergraph, k: int) -> Fraction:
@@ -142,7 +178,8 @@ def semi_simplex_deficit(h: Hypergraph, k: int) -> Fraction:
 
     Only defined for (k-1)-linear hypergraphs; used to probe the lower-bound
     constant from below on concrete instances; computed from the edge sizes.
-    k is checked as semi_simplexes checks it, then k >= 2, then linearity.
+    k is checked as semi_simplexes checks it, then k >= 2, then linearity,
+    before anything is counted.
     """
     n = h.n
     if not 1 <= k <= n:
@@ -155,10 +192,7 @@ def semi_simplex_deficit(h: Hypergraph, k: int) -> Fraction:
             f"hypergraph is not {k - 1}-linear: edges {bad[0]} and {bad[1]} "
             f"share {len(set(bad[0]) & set(bad[1]))} vertices"
         )
-    counts = [linear_edge_counts(n, k, len(e)) for e in h.edges]
-    sections = sum(added for added, _ in counts)
-    empty_sections = comb(n, k + 1) - sum(covered for _, covered in counts)
-    return Fraction(comb(n, k) - sections - empty_sections, n ** (k - 1))
+    return Fraction(comb(n, k) - semi_simplexes(h, k).total, n ** (k - 1))
 
 
 def is_sperner(family: Iterable[Sequence[int]]) -> bool:

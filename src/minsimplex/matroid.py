@@ -92,7 +92,7 @@ def exact_rows(
     and "p/q" strings become Fractions (exactla.coerce_rational)."""
     if dimension < 0:
         raise InvariantError(f"{noun}s need a non-negative dimension, got {dimension}")
-    out = tuple(tuple(coerce_rational(x) for x in row) for row in rows)
+    out = tuple(tuple(map(coerce_rational, row)) for row in rows)
     check_lengths(out, dimension, noun)
     return out
 
@@ -353,7 +353,8 @@ def hyperplane_walk(
     the pivot column, which is then removed, divided exactly by the
     previous pivot (Bareiss), so that every row at one prefix is the image
     of its original under one linear map. At a prefix P of D - 2 members
-    each later row k has 2 entries, nonzero exactly when P + (k,) is
+    each later row k has 2 entries (the last step left undivided, so they
+    are scaled by that pivot), nonzero exactly when P + (k,) is
     independent, and two such rows are parallel exactly when they span one
     hyperplane with P. The walk yields (P, groups, unit_rows), groups being
     a dict from the primitive form of each direction (first nonzero entry
@@ -423,15 +424,17 @@ def _walk(
                     yield head + (k,), None, None
             yield from _walk(head, child, reduced, vj[p], left - 1)
             continue
-        # head has D - 2 members: each later row has 3 entries and reduces to 2
+        # head has D - 2 members: each later row has 3 entries and reduces to 2,
+        # left undivided by prev: scaling by that nonzero pivot changes neither
+        # the zero test nor the primitive key (gcd, then sign), so not the groups
         a = vj[p]
         c, e = _OTHERS[p]
         jc, je = vj[c], vj[e]
         groups: dict[tuple[int, int], list[int]] = {}
         for k, vk in carried[i + 1 :]:
             b = vk[p]
-            x = (a * vk[c] - b * jc) // prev
-            y = (a * vk[e] - b * je) // prev
+            x = a * vk[c] - b * jc
+            y = a * vk[e] - b * je
             if not (x or y):
                 yield head + (k,), None, None
                 continue

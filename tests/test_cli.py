@@ -732,6 +732,37 @@ def test_sperner_deficit_refuses_before_it_lists_e0(tmp_path, capsys, monkeypatc
     assert (code, out, err) == (2, "", "input error: k must be in 1..40, got 41\n")
 
 
+def test_counts_only_commands_list_no_family(tmp_path, capsys, monkeypatch):
+    # text, csv and --counts-only json read the counts, which list neither E_k nor
+    # E0_{k+1} on a (k-1)-linear hypergraph; so does the constructions suite, whose
+    # two-disjoint-edges checks read the YBLM sum. Their output is the same with
+    # both listings refused.
+    h = hypergraph.from_point_set(extremal.construct(extremal.ConstructionId("parallel-pairs"), 14))
+    report = hypergraph.semi_simplexes(h, 4)
+    sizes = (len(report.sections), len(report.empty_sections))
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(h.to_json_obj()))
+    base = ("sperner", "--hypergraph", str(path), "-k", "4")
+    commands = [base, base + ("--format", "csv"), base + ("--format", "json", "--counts-only")]
+    commands += [argv + ("--deficit",) for argv in commands]
+    want = {argv: run(capsys, *argv) for argv in commands}
+    want["verify"] = run(capsys, "verify", "--suite", "constructions")
+
+    def listed(*args):
+        raise AssertionError("a family listed")
+
+    monkeypatch.setattr(hypergraph, "k_section", listed)
+    monkeypatch.setattr(hypergraph, "_empty_section", listed)
+    for argv in commands:
+        assert run(capsys, *argv) == want[argv], argv
+    assert run(capsys, "verify", "--suite", "constructions") == want["verify"]
+    assert want[base][1].splitlines()[:2] == [f"size 4: {sizes[0]}", f"size 5: {sizes[1]}"]
+    assert json.loads(want[commands[2]][1])["counts"] == {"4": sizes[0], "5": sizes[1]}
+    assert want[commands[4]][0] == 2  # csv has no deficit column
+    assert [code for code, _, _ in want.values()].count(0) == len(want) - 1
+    assert want["verify"][1].endswith("48/48 checks passed\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("sperner", "--hypergraph", "missing.json", "-k", "2", "--deficit", "--format", "csv"),
     ("verify", "--suite", "constructions", "--format", "csv"),

@@ -66,6 +66,15 @@ def test_bridge_on_larger_parallel_pairs():
     assert (len(report.sections), len(report.empty_sections)) == (quads, quints)
 
 
+def test_bridge_counts_at_parallel_pairs_200():
+    # the semi-simplexes of the hyperplane sections, counted from the edge sizes,
+    # are the affine simplexes of the points, counted from the hyperplane walk;
+    # listing E0_5 would mean testing C(200, 5), about 2.5e9 sets
+    ps = construct(ConstructionId("parallel-pairs"), 200)
+    counts = hypergraph.semi_simplexes(hypergraph.from_point_set(ps), 4).counts
+    assert counts == geometry.count_affine_simplexes(ps) == {4: 62117154, 5: 1254792}
+
+
 def test_k3_pair_at_n6():
     free = brute_force_s(6, 3, False)
     constrained = brute_force_s(6, 3, True)

@@ -15,6 +15,7 @@ from minsimplex.geometry import (
 )
 from minsimplex.hypergraph import (
     Hypergraph,
+    _empty_section,
     first_linearity_violation,
     from_point_set,
     is_q_linear,
@@ -147,6 +148,47 @@ def test_empty_sections_are_the_sets_meeting_every_edge_in_fewer_than_k():
         seen.add((k, is_q_linear(h, k - 1), bool(oracle)))
     # linear and non-linear families, with and without E0, for k = 2, 3, 4
     assert {(k, linear, e0) for k in (2, 3, 4) for linear in (True, False) for e0 in (True, False)} <= seen
+
+
+def test_counts_meet_the_listed_families():
+    # the counts list neither family: from the edge sizes when h is (k-1)-linear
+    # and k >= 2, else from E_k's up-shadow. Here they meet the listings and the
+    # _empty_section oracle at every k in 1..n, k = n included, on linear and
+    # arbitrary edge sets, on no edges, and with an edge of k - 1 vertices inside
+    # a larger edge, which fails the linearity check though the sizes would count
+    rng = random.Random(113)
+    cases = [Hypergraph(n, ()) for n in (1, 4, 7)]
+    for trial in range(36):
+        n = rng.randint(2, 9)
+        if trial % 3 == 0:
+            h = random_linear_hypergraph(rng, n, rng.randint(2, min(n, 4)))
+        elif trial % 3 == 1:
+            h = Hypergraph(n, random_set_family(rng, n))
+        else:
+            big = tuple(sorted(rng.sample(range(n), rng.randint(2, n))))
+            h = Hypergraph(n, (big, big[: rng.randint(1, len(big) - 1)]))
+        cases.append(h)
+    seen = set()
+    for h in cases:
+        for k in range(1, h.n + 1):
+            report = semi_simplexes(h, k)
+            counts, total, ysum = report.counts, report.total, report.yblm_sum
+            assert not {"sections", "empty_sections"} & set(vars(report)), (h, k)
+            section = k_section(h, k)
+            oracle = _empty_section(h.n, k, set(section))
+            assert counts == {k: len(section), k + 1: len(oracle)}, (h, k)
+            assert (report.sections, report.empty_sections) == (section, oracle)
+            assert total == len(report.family) and ysum == yblm_sum(report.family, h.n)
+            bad = first_linearity_violation(h, k - 1) if k >= 2 else ()
+            if bad is None:
+                seen.add("linear")
+            elif bad and k - 1 in map(len, bad):
+                seen.add("k-1 edge inside an edge")
+            else:
+                seen.add("not linear")
+            seen.add("k = n" if k == h.n else "k < n")
+            seen.add("E0" if oracle else "no E0")
+    assert seen == {"linear", "k-1 edge inside an edge", "not linear", "k = n", "k < n", "E0", "no E0"}
 
 
 def test_yblm_sum_examples():
@@ -351,7 +393,9 @@ def test_deficit_from_edge_sizes_matches_the_built_families():
                 cases.append((from_point_set(ps), d + 1))
     cases.append((from_point_set(construct(ConstructionId("parallel-pairs"), 14)), 4))
     for h, k in cases:
-        total = semi_simplexes(h, k).total
+        # the listed families: .total reads the same edge sizes as the deficit
+        report = semi_simplexes(h, k)
+        total = len(report.sections) + len(report.empty_sections)
         assert semi_simplex_deficit(h, k) == Fraction(comb(h.n, k) - total, h.n ** (k - 1)), (h, k)
     assert sum(len(h.edges) > 1 for h, _ in cases) >= 25
 

@@ -30,7 +30,7 @@ RECORDS = [
     (ReactionReport, {"species_count": 3, "atom_kinds": 2, "configuration_rank": 2,
                       "counts_by_size": {3: 1}, "benchmark": 1}),
     (Hypergraph, {"n": 3, "edges": ((0, 1), (1, 2))}),
-    (SemiSimplexReport, {"n": 3, "k": 2, "sections": ((0, 1),), "empty_sections": ()}),
+    (SemiSimplexReport, {"hypergraph": Hypergraph(3, ((0, 1),)), "k": 2}),
     (SearchResult, {"n": 3, "k": 2, "linear_constrained": True, "minimum": Fraction(1, 3),
                     "witnesses": (Hypergraph(3, ()),), "search_space_size": 8,
                     "witnesses_truncated": True}),
