@@ -313,9 +313,9 @@ def cmd_sperner(args) -> int:
     if args.deficit and args.format == "csv":
         raise InputError("--deficit has no csv form; use --format text or json")
     h = hypergraph.load_hypergraph(args.hypergraph)
-    if args.deficit:  # refuses a k out of range, then a non-linear h, before any count
-        deficit = hypergraph.semi_simplex_deficit(h, args.k)
     report = hypergraph.semi_simplexes(h, args.k)
+    if args.deficit:  # refuses k < 2, then a non-linear h, before any count
+        deficit = report.deficit
     total = report.yblm_sum
     if args.format == "json":
         obj = {
@@ -397,41 +397,31 @@ def _suite_sperner() -> list[tuple[str, bool]]:
         report = hypergraph.semi_simplexes(h, 4)
         ok = hypergraph.is_sperner(report.family)
         total = report.yblm_sum
-        deficit = hypergraph.semi_simplex_deficit(h, 4)
         checks.append(
             (f"parallel-pairs n={n} as hypergraph: sperner, sum {total} <= 1, "
-             f"deficit {deficit}", ok and total <= 1)
+             f"deficit {report.deficit}", ok and total <= 1)
         )
     return checks
 
 
-def _s_small_rows() -> list[tuple[int, int, Fraction, Fraction, Fraction]]:
+def _s_small_rows() -> list[tuple[int, int, Fraction, Fraction, Fraction, bool]]:
+    """(n, k, s, s', closed form, whether s = s' = closed form), in search order."""
+    closed_forms = [(n, 2, extremal.s2_exact(n)) for n in range(3, 7)]
+    closed_forms += [(k + 1, k, Fraction(1, k + 1)) for k in (3, 4)]
     rows = []
-    for n in range(3, 7):
-        rows.append((
-            n, 2,
-            extremal.brute_force_s(n, 2, True).minimum,
-            extremal.brute_force_s(n, 2, False).minimum,
-            extremal.s2_exact(n),
-        ))
-    for k in (3, 4):
-        rows.append((
-            k + 1, k,
-            extremal.brute_force_s(k + 1, k, True).minimum,
-            extremal.brute_force_s(k + 1, k, False).minimum,
-            Fraction(1, k + 1),
-        ))
+    for n, k, closed in closed_forms:
+        s_val = extremal.brute_force_s(n, k, True).minimum
+        sp_val = extremal.brute_force_s(n, k, False).minimum
+        rows.append((n, k, s_val, sp_val, closed, s_val == closed and sp_val == closed))
     return rows
 
 
 def _suite_s_small() -> list[tuple[str, bool]]:
-    checks = []
-    for n, k, s_val, sp_val, closed in _s_small_rows():
-        checks.append(
-            (f"s({n},{k}) = {s_val}, s'({n},{k}) = {sp_val}, closed form {closed}",
-             s_val == closed and sp_val == closed)
-        )
-    return checks
+    return [(f"s({n},{k}) = {s_val}, s'({n},{k}) = {sp_val}, closed form {closed}", ok)
+            for n, k, s_val, sp_val, closed, ok in _s_small_rows()]
+
+
+_SUITES = {"constructions": _suite_constructions, "sperner": _suite_sperner, "s-small": _suite_s_small}
 
 
 def cmd_verify(args) -> int:
@@ -440,17 +430,11 @@ def cmd_verify(args) -> int:
             raise InputError(f"--format csv applies to --suite s-small only, not {args.suite}")
         # plot-ready table of searched minima against the closed forms
         print("n,k,s,s_prime,closed_form")
-        failures = 0
-        for n, k, s_val, sp_val, closed in _s_small_rows():
+        rows = _s_small_rows()
+        for n, k, s_val, sp_val, closed, _ in rows:
             print(f"{n},{k},{s_val},{sp_val},{closed}")
-            failures += 0 if s_val == closed and sp_val == closed else 1
-        return 0 if failures == 0 else 1
-    if args.suite == "constructions":
-        checks = _suite_constructions()
-    elif args.suite == "sperner":
-        checks = _suite_sperner()
-    else:
-        checks = _suite_s_small()
+        return 0 if all(ok for *_, ok in rows) else 1
+    checks = _SUITES[args.suite]()
     failures = 0
     for message, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {message}")
@@ -522,7 +506,7 @@ def _sperner_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--suite", choices=("constructions", "sperner", "s-small"), required=True)
+    p.add_argument("--suite", choices=tuple(_SUITES), required=True)
     p.add_argument("--format", choices=("text", "csv"), default="text",
                    help="csv (s-small only) emits the plot-ready value table")
     p.set_defaults(func=cmd_verify)

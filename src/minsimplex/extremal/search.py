@@ -71,8 +71,7 @@ from itertools import combinations
 from math import comb
 
 from ..errors import BudgetError, InputError
-from ..hypergraph import Hypergraph, is_q_linear, k_section, semi_simplexes
-from ..hypergraph import linear_edge_counts
+from ..hypergraph import Hypergraph, linear_edge_counts, semi_simplexes
 from ..record import Record
 
 DEFAULT_BUDGET_BITS = 25
@@ -466,9 +465,9 @@ def verify_witness(result: SearchResult, witness: Hypergraph) -> bool:
     if report.yblm_sum != result.minimum:
         return False
     if result.linear_constrained:
-        return is_q_linear(witness, result.k - 1)
+        return report.linearity_violation is None
     # unconstrained witnesses are reported through their k-sections
-    return witness.edges == k_section(witness, result.k)
+    return witness.edges == report.sections
 
 
 def monotonicity_check(

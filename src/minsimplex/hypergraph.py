@@ -5,9 +5,11 @@ contained in an edge, and E0_{k+1} collects the (k+1)-sets none of whose
 k-subsets appear in E_k. Members of the union are the semi-simplexes; the
 union is always a Sperner family, so its YBLM sum is at most 1.
 
-semi_simplexes counts the two families without listing them: from the edge
-sizes when H is (k-1)-linear, else from E_k and its up-shadow, so no
-(k+1)-set is tested. A family is listed only when it is read.
+semi_simplexes returns one report per (H, k). It tests (k-1)-linearity once,
+and both its counts and its deficit read that answer. The counts list
+neither family: they come from the edge sizes when H is (k-1)-linear, else
+from E_k and its up-shadow, so no (k+1)-set is tested. A family is listed
+only when it is read.
 """
 
 from __future__ import annotations
@@ -109,24 +111,10 @@ def linear_edge_counts(n: int, k: int, size: int) -> tuple[int, int]:
     return comb(size, k), comb(size, k + 1) + comb(size, k) * (n - size)
 
 
-def _semi_simplex_counts(h: Hypergraph, k: int) -> tuple[int, int]:
-    """(|E_k|, |E0_{k+1}|) with E0_{k+1} not listed. A (k-1)-linear h, k >= 2,
-    is counted from its edge sizes (linear_edge_counts). Otherwise E_k is
-    listed, and E0_{k+1} is every (k+1)-set outside its up-shadow, the sets
-    S + {v} for S in E_k, so no (k+1)-set is tested."""
-    n = h.n
-    if k >= 2 and first_linearity_violation(h, k - 1) is None:
-        sizes = [linear_edge_counts(n, k, len(e)) for e in h.edges]
-        return sum(added for added, _ in sizes), comb(n, k + 1) - sum(covered for _, covered in sizes)
-    section = k_section(h, k)
-    masks = [sum(1 << v for v in s) for s in section]
-    shadow = {m | 1 << v for m in masks for v in range(n) if not m >> v & 1}
-    return len(section), comb(n, k + 1) - len(shadow)
-
-
 class SemiSimplexReport(Record):
-    """The semi-simplex families E_k and E0_{k+1} of a hypergraph. The counts,
-    the total and the YBLM sum come from one count that lists neither family;
+    """The semi-simplex families E_k and E0_{k+1} of a hypergraph, and the one
+    place that decides its (k-1)-linearity. The counts, the total, the YBLM
+    sum and the deficit come from one count that lists neither family;
     sections, empty_sections and family list them on first access."""
 
     def __init__(self, hypergraph: Hypergraph, k: int):
@@ -137,9 +125,26 @@ class SemiSimplexReport(Record):
         return self.hypergraph.n
 
     @cached_property
+    def linearity_violation(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """first_linearity_violation(h, k - 1): the first edge pair sharing
+        k - 1 or more vertices, or None when h is (k-1)-linear."""
+        return first_linearity_violation(self.hypergraph, self.k - 1)
+
+    @cached_property
     def counts(self) -> dict[int, int]:
-        sections, empty_sections = _semi_simplex_counts(self.hypergraph, self.k)
-        return {self.k: sections, self.k + 1: empty_sections}
+        """{k: |E_k|, k+1: |E0_{k+1}|} with E0_{k+1} not listed. A (k-1)-linear
+        h, k >= 2, is counted from its edge sizes (linear_edge_counts).
+        Otherwise E_k is listed, and E0_{k+1} is every (k+1)-set outside its
+        up-shadow, the sets S + {v} for S in E_k, so no (k+1)-set is tested."""
+        n, k = self.n, self.k
+        if k >= 2 and self.linearity_violation is None:
+            sizes = [linear_edge_counts(n, k, len(e)) for e in self.hypergraph.edges]
+            return {k: sum(added for added, _ in sizes),
+                    k + 1: comb(n, k + 1) - sum(covered for _, covered in sizes)}
+        section = k_section(self.hypergraph, k)
+        masks = [sum(1 << v for v in s) for s in section]
+        shadow = {m | 1 << v for m in masks for v in range(n) if not m >> v & 1}
+        return {k: len(section), k + 1: comb(n, k + 1) - len(shadow)}
 
     @property
     def total(self) -> int:
@@ -151,6 +156,22 @@ class SemiSimplexReport(Record):
         with no E0 term at k = n, where no (k+1)-set exists."""
         sizes = self.counts.items()
         return sum((Fraction(c, comb(self.n, size)) for size, c in sizes if c), Fraction(0))
+
+    @property
+    def deficit(self) -> Fraction:
+        """Normalized deficit (C(n,k) - |E_k| - |E0_{k+1}|) / n^(k-1), defined
+        for k >= 2 and a (k-1)-linear h only: both are refused, in that order,
+        before anything is counted."""
+        n, k = self.n, self.k
+        if k < 2:
+            raise InputError("deficit needs k >= 2")
+        bad = self.linearity_violation
+        if bad is not None:
+            raise InvariantError(
+                f"hypergraph is not {k - 1}-linear: edges {bad[0]} and {bad[1]} "
+                f"share {len(set(bad[0]) & set(bad[1]))} vertices"
+            )
+        return Fraction(comb(n, k) - self.total, n ** (k - 1))
 
     @cached_property
     def sections(self) -> Family:
@@ -174,25 +195,10 @@ def semi_simplexes(h: Hypergraph, k: int) -> SemiSimplexReport:
 
 
 def semi_simplex_deficit(h: Hypergraph, k: int) -> Fraction:
-    """Normalized deficit (C(n,k) - |E_k| - |E0_{k+1}|) / n^(k-1).
-
-    Only defined for (k-1)-linear hypergraphs; used to probe the lower-bound
-    constant from below on concrete instances; computed from the edge sizes.
-    k is checked as semi_simplexes checks it, then k >= 2, then linearity,
-    before anything is counted.
-    """
-    n = h.n
-    if not 1 <= k <= n:
-        raise InputError(f"k must be in 1..{n}, got {k}")
-    if k < 2:
-        raise InputError("deficit needs k >= 2")
-    bad = first_linearity_violation(h, k - 1)
-    if bad is not None:
-        raise InvariantError(
-            f"hypergraph is not {k - 1}-linear: edges {bad[0]} and {bad[1]} "
-            f"share {len(set(bad[0]) & set(bad[1]))} vertices"
-        )
-    return Fraction(comb(n, k) - semi_simplexes(h, k).total, n ** (k - 1))
+    """semi_simplexes(h, k).deficit: used to probe the lower-bound constant
+    from below on concrete instances. k's range is refused first, then
+    k < 2, then a non-linear pair, before anything is counted."""
+    return semi_simplexes(h, k).deficit
 
 
 def is_sperner(family: Iterable[Sequence[int]]) -> bool:

@@ -9,7 +9,7 @@ import pytest
 
 from minsimplex import cli, extremal, geometry, hypergraph, matroid
 from minsimplex.cli import main
-from minsimplex.errors import InputError
+from minsimplex.errors import InputError, InvariantError
 from minsimplex.exactla import vector_to_json
 
 from support import random_deficient_rows, random_set_family, run_python
@@ -730,6 +730,69 @@ def test_sperner_deficit_refuses_before_it_lists_e0(tmp_path, capsys, monkeypatc
                    "edges (0, 1, 2, 3) and (0, 1, 2, 4) share 3 vertices\n")
     code, out, err = run(capsys, "sperner", "--hypergraph", str(path), "-k", "41", "--deficit")
     assert (code, out, err) == (2, "", "input error: k must be in 1..40, got 41\n")
+
+
+def test_deficit_refusals_come_in_order_before_any_count(tmp_path, capsys, monkeypatch):
+    # k out of range, then k < 2, then the first non-linear pair: the same message
+    # from semi_simplex_deficit, from the report and from `sperner --deficit`, with
+    # no edge size read and no family listed. At k = 1 every edge pair shares
+    # k - 1 = 0 vertices, so the k < 2 refusal must come before linearity.
+    def counted(*args):
+        raise AssertionError("counted before a refusal")
+
+    for name in ("linear_edge_counts", "k_section", "_empty_section"):
+        monkeypatch.setattr(hypergraph, name, counted)
+    h = hypergraph.Hypergraph(5, ((0, 1, 2), (0, 1, 3)))
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(h.to_json_obj()))
+    refusals = [
+        (6, InputError, 2, "input error: k must be in 1..5, got 6"),
+        (1, InputError, 2, "input error: deficit needs k >= 2"),
+        (3, InvariantError, 3, "invariant violation: hypergraph is not 2-linear: "
+                               "edges (0, 1, 2) and (0, 1, 3) share 2 vertices"),
+    ]
+    for k, error, code, message in refusals:
+        text = message.split(": ", 1)[1]
+        with pytest.raises(error) as exc:
+            hypergraph.semi_simplex_deficit(h, k)
+        assert str(exc.value) == text
+        with pytest.raises(error) as exc:
+            hypergraph.semi_simplexes(h, k).deficit
+        assert str(exc.value) == text
+        argv = ("sperner", "--hypergraph", str(path), "-k", str(k), "--deficit")
+        for form in ("text", "json"):
+            assert run(capsys, *argv, "--format", form) == (code, "", message + "\n"), (k, form)
+
+
+def test_one_linearity_test_per_question(tmp_path, capsys, monkeypatch):
+    # a `sperner --deficit` command, a linear verify_witness and each report of the
+    # sperner suite decide (k-1)-linearity once, on their one report, which the
+    # counts, the deficit and the witness check all read
+    h = hypergraph.from_point_set(extremal.construct(extremal.ConstructionId("parallel-pairs"), 14))
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(h.to_json_obj()))
+    result = extremal.brute_force_s(6, 2, True)
+    calls = []
+    first_violation = hypergraph.first_linearity_violation
+
+    def counted(*args):
+        calls.append(args)
+        return first_violation(*args)
+
+    monkeypatch.setattr(hypergraph, "first_linearity_violation", counted)
+    argv = ("sperner", "--hypergraph", str(path), "-k", "4", "--deficit")
+    for form in ((), ("--format", "json"), ("--format", "json", "--counts-only")):
+        calls.clear()
+        code, out, _ = run(capsys, *argv, *form)
+        assert (code, len(calls)) == (0, 1), form
+        assert "deficit" in out
+    calls.clear()
+    assert extremal.verify_witness(result, result.witnesses[0])
+    assert len(calls) == 1
+    calls.clear()
+    code, out, _ = run(capsys, "verify", "--suite", "sperner")
+    assert (code, len(calls)) == (0, 14)
+    assert out.endswith("14/14 checks passed\n")
 
 
 def test_counts_only_commands_list_no_family(tmp_path, capsys, monkeypatch):

@@ -97,6 +97,16 @@ def test_equality_ignores_a_cached_lift_and_needs_one_class():
     assert PointSet(2, points) != VectorConfiguration(2, points)
 
 
+def test_a_report_that_has_read_its_cached_answers_equals_a_fresh_one():
+    h = Hypergraph(6, ((0, 1, 2), (3, 4, 5)))
+    read = SemiSimplexReport(h, 3)
+    assert read.counts == {3: 2, 4: 9} and read.linearity_violation is None
+    assert read.deficit == Fraction(1, 4)
+    assert {"counts", "linearity_violation"} <= set(vars(read))
+    fresh = SemiSimplexReport(h, 3)
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+
+
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
 def test_fields_cannot_be_assigned_or_deleted(cls, fields):
     obj = cls(**fields)

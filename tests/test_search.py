@@ -8,6 +8,7 @@ import pytest
 from minsimplex.cli import main
 from minsimplex.errors import BudgetError, InputError
 from minsimplex.extremal import (
+    SearchResult,
     brute_force_s,
     canonical_family,
     complement_graph,
@@ -154,6 +155,24 @@ def test_free_witness_complement_is_complete_bipartite():
         for w in result.witnesses:
             assert verify_witness(result, w)
             assert canonical_family(n, complement_graph(w).edges) == want
+
+
+def test_verify_witness_refuses_each_bad_witness():
+    # the minimum, the linearity of an s witness and the k-section of an s'
+    # witness are each checked: every witness below passes the other checks
+    result = brute_force_s(4, 3, True)
+    w = result.witnesses[0]
+    assert verify_witness(result, w)
+    wrong = SearchResult(4, 3, True, result.minimum + Fraction(1, 100), result.witnesses,
+                         result.search_space_size)
+    assert not verify_witness(wrong, w)
+    for h, k, linear in (
+        (Hypergraph(5, ((0, 1, 2), (0, 1, 3))), 3, True),  # not 2-linear, its own 3-section
+        (Hypergraph(5, ((0, 1, 2),)), 2, False),  # 1-linear, not its own 2-section
+    ):
+        minimum = semi_simplexes(h, k).yblm_sum
+        assert not verify_witness(SearchResult(5, k, linear, minimum, (h,), 0), h)
+        assert verify_witness(SearchResult(5, k, not linear, minimum, (h,), 0), h)
 
 
 def mask_family(n, k, mask):
