@@ -118,8 +118,9 @@ def enumerate_affine_simplexes(ps: PointSet) -> SimplexReport:
     """All affine simplexes, sorted by members: the circuits of the lift (1, p).
 
     In general position they are the (d+2)-subsets, listed from the lift's
-    walk with no scan (matroid.circuit_supports). Points are distinct, so the lift has no loops and no parallel pairs and
-    every simplex has at least 3 points; at most rank(lift) + 1 <= d + 2.
+    walk with no scan (matroid.circuit_supports). Points are distinct, so
+    the lift has no loops and no parallel pairs and every simplex has at
+    least 3 points; at most rank(lift) + 1 <= d + 2.
     """
     return SimplexReport(tuple(circuit_supports(ps.lift)))
 

@@ -23,9 +23,13 @@ that reduces to zero is a dependency; it is a circuit when its combination
 has full support, and that combination, made primitive, is the circuit's
 coefficient vector, so no rank test, kernel or rescaling is computed per
 candidate.
-A set of D - 1 members closes the last level itself: any two later
-vectors outside its span are dependent with it, so the set tests each such
-pair's combination for full support and emits it, with no child node.
+A set of D - 2 members closes the last two levels itself. For each later
+j it reduces every later row once, to its one entry left, its tail and its
+own coefficient. A row reduced to zero there, with full support, is a
+circuit of D members, and any two rows outside the span of the set and j
+are dependent with them, so it tests each such pair's combination for
+full support and emits it (_close). No set of D - 1 members is visited
+as a node.
 
 Counting needs no scan when every D - 1 of the n >= D - 1 vectors are
 independent. hyperplane_walk walks the (D-2)-subsets in the same order
@@ -207,9 +211,39 @@ def configuration_rank(cfg: VectorConfiguration) -> int:
     return subset_rank(cfg, range(len(cfg)))
 
 
+def _close(head: tuple[int, ...], rows: list, emit: Callable) -> None:
+    """The last level of the circuit scan, below `head`: an independent set
+    of D - 1 members, or the empty root when D <= 1.
+
+    `rows` holds, in ascending index order, one entry (k, a, tail, own) per
+    index k > max(head) that is live or closes a circuit. A live row has its
+    one reduced entry a, nonzero; tail, the combination of head's input
+    vectors that produced it; and own, never zero, the coefficient of k's
+    own input vector. An entry (k, 0, comb, None) says that head + (k,) is
+    a circuit with dependency comb. Any two live rows j < k
+    are dependent with head, by a_j row_k - a_k row_j: head + (j, k) is a
+    circuit when that combination, the step applied to the two tails, left
+    undivided for emit's gcd, has full support. Each head + (k,) of a zero
+    row is emitted before the pairs that start with k, so the circuits come
+    in ascending member order.
+    """
+    for i, (j, a, tail, oj) in enumerate(rows):
+        if not a:
+            emit(head + (j,), tail)
+            continue
+        pair = head + (j,)
+        for k, b, tk, ok in rows[i + 1 :]:
+            if b:
+                comb = [a * x - b * y for x, y in zip(tk, tail)]
+                if all(comb):
+                    comb.append(-b * oj)
+                    comb.append(a * ok)
+                    emit(pair + (k,), comb)
+
+
 def _visit(members: tuple[int, ...], carried: list, rlen: int, prev: int, emit: Callable) -> None:
     """One node of the circuit scan: the independent set `members`, with
-    rlen = D - len(members) columns left and prev its last member's pivot.
+    rlen = D - len(members) >= 2 columns left and prev its last member's pivot.
 
     `carried` holds, in ascending index order, one entry per index k >
     max(members) that is still live or closes a circuit. A live entry is
@@ -228,12 +262,11 @@ def _visit(members: tuple[int, ...], carried: list, rlen: int, prev: int, emit: 
     row at a node is the image of its row of [integer rows | diag(s)] (s_k
     the lcm of vector k's denominators) under one elimination: each entry is
     a minor of that matrix, so Hadamard-bounded, though on rows of large
-    content it can exceed a gcd-reduced entry. When one column is left
-    (rlen == 1) every later row reduces to zero modulo members + (j,), so
-    the node tests each later pair's full-support combination itself and
-    emits it, with no child node; that combination is the step applied to
-    the two rows' tails, past their one reduced entry, left undivided for
-    emit's gcd. Extending j in ascending order yields the circuits in
+    content it can exceed a gcd-reduced entry. A node of D - 2 members
+    (rlen == 2) closes the last two levels itself: for each j it reduces
+    every later row once, to its one entry left and its tail, and hands
+    them to _close, which pairs them, so no node of D - 1 members is
+    visited. Extending j in ascending order yields the circuits in
     ascending member order.
     """
     r = rlen - 1
@@ -242,24 +275,29 @@ def _visit(members: tuple[int, ...], carried: list, rlen: int, prev: int, emit: 
             emit(members + (j,), oj)
             continue
         head = members + (j,)
-        if r == 0:
-            a = vj[0]
-            tail = vj[1:]
-            for k, vk, ok in carried[i + 1 :]:
-                if vk is None:
-                    continue
-                b = vk[0]
-                comb = [a * x - b * y for x, y in zip(vk[1:], tail)]
-                if all(comb):
-                    comb.append(-b * oj)
-                    comb.append(a * ok)
-                    emit(head + (k,), comb)
-            continue
         p = 0
         while not vj[p]:
             p += 1
         a = vj[p]
         child = []
+        if r == 1:  # head has D - 1 members: reduce to (k, entry, tail, own) and close
+            q = 1 - p
+            aq = vj[q]
+            tj = vj[2:]
+            for k, vk, ok in carried[i + 1 :]:
+                if vk is None:
+                    continue
+                b = vk[p]
+                tail = [(a * x - b * y) // prev for x, y in zip(vk[2:], tj)]
+                tail.append(-b * oj // prev)
+                e = (a * vk[q] - b * aq) // prev
+                if e:
+                    child.append((k, e, tail, a * ok // prev))
+                elif all(tail):
+                    tail.append(a * ok // prev)
+                    child.append((k, 0, tail, None))
+            _close(head, child, emit)
+            continue
         for k, vk, ok in carried[i + 1 :]:
             if vk is None:
                 continue
@@ -279,12 +317,17 @@ def _visit(members: tuple[int, ...], carried: list, rlen: int, prev: int, emit: 
 def _scan(cfg: VectorConfiguration, emit: Callable) -> None:
     """Call emit(members, comb) for every circuit, in ascending member order;
     comb is an integer dependency of its input vectors, in member order.
-    Vector k enters as its integer row s_k v_k, with own coefficient s_k."""
+    Vector k enters as its integer row s_k v_k, with own coefficient s_k.
+    Below D = 2 _close closes the root itself: in R^1 it is the set of
+    D - 1 = 0 members, and in R^0 every vector is a loop."""
     carried = [
         (k, list(row), lcm(*(x.denominator for x in v))) if any(row) else (k, None, [1])
         for k, (v, row) in enumerate(zip(cfg.vectors, cfg.integer_rows))
     ]
-    _visit((), carried, cfg.dimension, 1, emit)
+    if cfg.dimension < 2:
+        _close((), [(k, v[0], [], own) if v else (k, 0, own, None) for k, v, own in carried], emit)
+    else:
+        _visit((), carried, cfg.dimension, 1, emit)
 
 
 def circuit_supports(cfg: VectorConfiguration) -> list[tuple[int, ...]]:

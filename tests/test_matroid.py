@@ -280,6 +280,78 @@ def test_scan_last_level_pairs_match_oracles():
     assert all(seen[kind] > 0 for kind in kinds), seen
 
 
+def _planted_rows(rng, n, dim, huge):
+    """n rows in R^dim: random rows (entries around 10^30, or small with
+    denominators), zero rows, scalar multiples of earlier rows, and
+    combinations of dim - 1 earlier rows with nonzero weights, which plant
+    circuits of dim members."""
+    rows = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.1:
+            row = [Fraction(0)] * dim
+        elif kind < 0.2 and rows:
+            f = random_rational(rng) or Fraction(3, 2)
+            row = [f * x for x in rng.choice(rows)]
+        elif kind < 0.45 and len(rows) >= dim - 1 >= 1:
+            row = [Fraction(0)] * dim
+            for src in rng.sample(rows, dim - 1):
+                f = random_rational(rng) or Fraction(-1, 2)
+                row = [x + f * y for x, y in zip(row, src)]
+        elif huge:
+            row = [Fraction(rng.randint(-10**30, 10**30)) for _ in range(dim)]
+        else:
+            row = [random_rational(rng) for _ in range(dim)]
+        rows.append(row)
+    return rows
+
+
+def test_two_level_close_matches_oracles():
+    # A set of D - 2 members closes the scan's last two levels: for each
+    # later j it reduces the later rows to one entry each and pairs them, and
+    # a row that reduces to zero there is a circuit of D members, emitted
+    # between the pairs of its head. The lists must equal the oracles' in
+    # order, members and coefficients. Below D = 2 the root closes the pairs
+    # itself, and at D = 2 the root is the two-level node.
+    rng = random.Random(1944)
+    seen = Counter()
+    for trial in range(70):
+        dim = (1, 2, 3, 3, 4)[trial % 5]
+        n = rng.randint(dim + 2, 8)
+        rows = _planted_rows(rng, n, dim, huge=trial % 2 == 1)
+        cfg = VectorConfiguration(dim, tuple(tuple(r) for r in rows))
+        oracle = oracle_circuits(cfg)
+        assert matroid.circuit_supports(cfg) == oracle
+        assert enumerate_circuits(cfg) == [(m, circuit_coefficients_oracle(cfg, m)) for m in oracle]
+        pairs = [m for m in oracle if len(m) == dim + 1]
+        seen["D = 1, root pairs"] += dim == 1 and bool(pairs)
+        seen["D = 2, root closes"] += dim == 2 and bool(pairs)
+        for c in oracle:
+            if len(c) == dim:
+                head = c[:-1]
+                own = [m for m in pairs if m[: dim - 1] == head]
+                seen["D members between pairs"] += any(m < c for m in own) and any(m > c for m in own)
+        independent = {
+            s for size in (dim - 1, dim) for s in combinations(range(n), size)
+            if rank([rows[i] for i in s]) == size
+        }
+        seen["pair rejected"] += any(
+            head + (j, k) not in oracle
+            for head in combinations(range(n), dim - 1)
+            if head in independent
+            for j, k in combinations(range(head[-1] + 1 if head else 0, n), 2)
+            if head + (j,) in independent and head + (k,) in independent
+        )
+        values = [x for r in rows for x in r]
+        seen["huge"] += any(abs(x) > 10**29 for x in values)
+        seen["denominators"] += any(x.denominator > 1 for x in values)
+    kinds = (
+        "D = 1, root pairs", "D = 2, root closes", "D members between pairs",
+        "pair rejected", "huge", "denominators",
+    )
+    assert all(seen[kind] > 0 for kind in kinds), seen
+
+
 def test_scan_of_lifted_points_matches_affine_simplex_oracle():
     # Affine simplexes are the circuits of the lift (1, p); small integer
     # spans give collinear triples and coplanar quadruples.
@@ -325,23 +397,25 @@ def _scan_work(monkeypatch, cfg):
 
 
 def test_scan_rank_test_counts_are_pinned(monkeypatch):
-    # The scan makes one _visit call per independent set of fewer than D
-    # members (D the dimension), root included: a set of D - 1 members tests
-    # its later pairs itself and creates no child nodes. It makes no rank
-    # test: every dependency shows up as a row reduced to zero. Both
-    # configurations have every set of at most D - 1 vectors independent,
-    # so the visits are 1 + 12 + 66 + 220 and 1 + 12 + 66 + 220 + 495.
+    # The scan makes one _visit call per independent set of fewer than
+    # D - 1 members (D the dimension), root included: a set of D - 2 members
+    # closes the last two levels itself, so no set of D - 1 members is a
+    # node. It makes no rank test: every dependency shows up as a row
+    # reduced to zero. Both configurations have every set of at most D - 1
+    # vectors independent, so the visits are 1 + 12 + 66 (sets of at most 2
+    # members, D = 4) and 1 + 12 + 66 + 220 (at most 3, D = 5).
     ps = construct(ConstructionId("parallel-pairs"), 12)
     lift = VectorConfiguration(4, tuple((1,) + p for p in ps.points))
-    assert _scan_work(monkeypatch, lift) == (299, 0, 295)
+    assert _scan_work(monkeypatch, lift) == (79, 0, 295)
     generic = random_configuration(random.Random(2024), 12, 5)
-    assert _scan_work(monkeypatch, generic) == (794, 0, 924)
+    assert _scan_work(monkeypatch, generic) == (299, 0, 924)
 
 
 def test_only_a_uniform_listing_skips_the_scan(monkeypatch):
     # every 5 of the generic vectors are independent, so its 924 circuits
     # are the 6-subsets, listed with no visit; the lift of parallel pairs
-    # has 4 points on a plane (A > 0), so its listing is the full scan
+    # has 4 points on a plane (A > 0), so its listing is the full scan, whose
+    # nodes are its 1 + 12 + 66 sets of at most D - 2 = 2 members
     visits, _ = _record_scan_work(monkeypatch)
     generic = random_configuration(random.Random(2024), 12, 5)
     assert matroid.circuit_supports(generic) == list(combinations(range(12), 6))
@@ -349,7 +423,7 @@ def test_only_a_uniform_listing_skips_the_scan(monkeypatch):
     ps = construct(ConstructionId("parallel-pairs"), 12)
     lift = VectorConfiguration(4, tuple((1,) + p for p in ps.points))
     assert len(matroid.circuit_supports(lift)) == 295
-    assert len(visits) == 299
+    assert len(visits) == 79
 
 
 def _listing_cases(rng, dim):
